@@ -23,7 +23,7 @@ from .beamforming import (
     steering_formulation_iii,
 )
 from .geometry import ArrayGeometry, SubArray, pitch_subarray_series, subarray_observation
-from .spectral import Spectrum, band_centers, band_edges, to_db
+from .spectral import Spectrum, band_centers_spanning, band_edges, to_db
 from .synthesis import Scene, synthesize_csm
 
 
@@ -195,8 +195,7 @@ def octave_polar(surface: DirectivitySurface, band_type: str = "octave") -> dict
     f = surface.frequencies
     if len(f) < 2:
         raise ValueError("octave integration needs a narrowband surface")
-    df = np.median(np.diff(f))
-    centers = band_centers(band_type, max(f[0], df), f[-1])
+    centers = band_centers_spanning(f, band_type)
     power = np.where(np.isfinite(surface.psd_db), 10.0 ** (surface.psd_db / 10.0), 0.0)
     bands = []
     kept = []
@@ -280,13 +279,12 @@ def directivity_pipeline(
     grid_spec: dict | None = None,
     diagonal_removal: bool = True,
     subarrays: list[SubArray] | None = None,
-    csms_by_subarray: list[list] | None = None,
 ) -> DirectivitySurface:
     """End-to-end directivity: pitch sub-array series, CLEAN-SC per band,
     ROI integration, then the angle-average subtraction.
 
-    Pre-sampled sub-arrays and/or per-sub-array CSM lists can be injected;
-    by default both come from the scene.
+    Pre-sampled sub-arrays can be injected; by default they are sampled from
+    the geometry.
     """
     reference_point = np.asarray(reference_point, dtype=float)
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
@@ -306,16 +304,12 @@ def directivity_pipeline(
     grid = make_focus_grid(x_rng, z_rng, spacing, y_plane=grid_spec.get("y_plane", 0.0))
 
     per_angle = []
-    for si, sub in enumerate(subarrays):
+    for sub in subarrays:
         if sub.size < 2:
             continue
         angles = subarray_observation(sub, reference_point)
-        if csms_by_subarray is not None:
-            csms = csms_by_subarray[si]
-        else:
-            csms = synthesize_csm(scene, sub.positions, freqs)
         maps = []
-        for c in csms:
+        for c in synthesize_csm(scene, sub.positions, freqs):
             steer = steering_formulation_iii(grid, sub, c.frequency, scene.medium)
             maps.append(clean_sc(c, steer, grid, diagonal_removal=diagonal_removal))
         per_angle.append((angles, maps_to_spectrum(maps, roi)))

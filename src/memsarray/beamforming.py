@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .geometry import SubArray, subarray_stats
 from .propagation import REFERENCE_DISTANCE, MediumModel, atmospheric_absorption, path_delays
@@ -313,23 +312,6 @@ def clean_sc(
         iterations=iterations,
         n_channels=steering.n_channels,
     )
-
-
-def gaussian_render(map_: BeamformingMap, sigma_cells: float = 1.0) -> np.ndarray:
-    """Clean components convolved with a Gaussian kernel, for map export only."""
-    nx, nz = map_.grid.shape
-    img = map_.values.reshape(nx, nz).copy()
-    if not map_.components:
-        return img
-    half = max(int(np.ceil(3 * sigma_cells)), 1)
-    ax = np.arange(-half, half + 1)
-    kern = np.exp(-0.5 * (ax / sigma_cells) ** 2)
-    kern2 = np.outer(kern, kern)
-    kern2 /= kern2.sum()
-    comp = np.zeros_like(img)
-    for t, p in map_.components:
-        comp[np.unravel_index(t, (nx, nz))] += p
-    return convolve2d(comp, kern2, mode="same")
 
 
 def lobe_width_db(map_values: np.ndarray, coords: np.ndarray, drop_db: float = 3.0) -> float:

@@ -11,18 +11,23 @@ Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from importlib import resources
+from typing import Literal
 
 import numpy as np
 import scipy
 
 from . import __version__, acquisition, analysis, beamforming, geometry, spectral, synthesis
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_keys
 
 OUTPUT_ROOT_ENV = "MEMSARRAY_OUTPUT_ROOT"
 
@@ -30,91 +35,141 @@ OUTPUT_ROOT_ENV = "MEMSARRAY_OUTPUT_ROOT"
 # ---------------------------------------------------------------- config
 
 
-_SCENE_SCHEMA = {
-    "sources": list,
-    "medium": dict,
-    "noise": (dict, type(None)),
-    "seed": int,
-}
-
-_PIPELINE_SCHEMA = {
-    "name": str,
-    "seed": int,
-    "geometry": dict,
-    "scene": dict,
-    "subarray": dict,
-    "spectral": dict,
-    "beamforming": dict,
-    "analysis": dict,
-    "outputs": dict,
-}
-
-_SUB_SCHEMAS = {
-    "geometry": {"generate": dict, "load": str},
-    "geometry.generate": {"panels_x": int, "panels_z": int, "seed": int},
-    "subarray": {
-        "strategy": str,
-        "mics": int,
-        "aperture": (int, float),
-        "epsilon": (int, float),
-        "count": int,
-        "center": list,
-        "d_ref": (int, float),
-        "f_ref": (int, float),
-        "indices": list,
-    },
-    "spectral": {"block": int, "overlap": (int, float), "window": str, "duration": (int, float), "rate": (int, float)},
-    "beamforming": {
-        "frequencies": list,
-        "grid": dict,
-        "diagonal_removal": bool,
-        "clean_sc": bool,
-        "loop_gain": (int, float),
-        "max_iterations": int,
-        "stop_threshold": (int, float),
-        "estimator": str,
-        "include_absorption": bool,
-    },
-    "beamforming.grid": {"x_range": list, "z_range": list, "spacing": (int, float), "y_plane": (int, float), "delta_angle": (int, float), "aoa": (int, float)},
-    "analysis": {"roi": dict, "band": (str, type(None)), "reference_point": list, "farfield_mics": list},
-    "analysis.roi": {"x_range": list, "z_range": list, "label": str},
-    "outputs": {"formats": list},
-}
+@dataclass(frozen=True)
+class GenerateConfig:
+    panels_x: int = 3
+    panels_z: int = 3
+    seed: int | None = None  # None: the run's seed
 
 
-def _check_keys(cfg: dict, schema: dict, path: str):
-    for key, value in cfg.items():
-        if key not in schema:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-        expected = schema[key]
-        if isinstance(expected, tuple):
-            if not isinstance(value, expected):
-                raise ConfigError(f"{path}.{key}" if path else key, f"expected {expected}, got {type(value).__name__}")
-        elif expected is not None and not isinstance(value, expected):
-            if expected is float and isinstance(value, int):
-                continue
-            raise ConfigError(f"{path}.{key}" if path else key, f"expected {expected.__name__}, got {type(value).__name__}")
+@dataclass(frozen=True)
+class GeometryConfig:
+    """The array: a generated panel tiling, or a `geometry.json` to load."""
+
+    generate: GenerateConfig | None = None
+    load: str | None = None
+
+    def __post_init__(self):
+        if (self.generate is None) == (self.load is None):
+            raise ConfigError("geometry", "needs exactly one of 'generate' and 'load'")
 
 
-def validate_pipeline_config(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("", "pipeline config must be a JSON object")
-    _check_keys(cfg, _PIPELINE_SCHEMA, "")
-    for section, schema in _SUB_SCHEMAS.items():
-        head, _, tail = section.partition(".")
-        node = cfg.get(head)
-        if tail and isinstance(node, dict):
-            node = node.get(tail)
-        if isinstance(node, dict):
-            _check_keys(node, schema, section)
-    for required in ("geometry", "scene", "beamforming"):
-        if required not in cfg:
-            raise ConfigError(required, "missing required section")
-    if "generate" not in cfg["geometry"] and "load" not in cfg["geometry"]:
-        raise ConfigError("geometry", "needs either 'generate' or 'load'")
-    if "frequencies" not in cfg["beamforming"]:
-        raise ConfigError("beamforming.frequencies", "missing")
-    return cfg
+@dataclass(frozen=True)
+class SubarrayConfig:
+    strategy: Literal["dnw_like", "freq_dependent", "explicit"] = "dnw_like"
+    mics: int | None = None  # None: 140 for dnw_like, 200 for freq_dependent
+    aperture: float = 1.5  # dnw_like
+    epsilon: float = 0.1
+    center: tuple[float, float] | None = None  # (x, z); None: the array plane's origin
+    d_ref: float = 5.5  # freq_dependent
+    f_ref: float = 1000.0  # freq_dependent
+    indices: tuple[int, ...] | None = None  # explicit
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    x_range: tuple[float, float] = (2.0, 4.0)
+    z_range: tuple[float, float] = (-1.5, 0.5)
+    spacing: float = 0.02
+    y_plane: float = 0.0
+    delta_angle: float = 0.0
+    aoa: float = 0.0
+
+
+@dataclass(frozen=True)
+class SpectralConfig:
+    """Time-series synthesis and Welch settings, read by the welch estimator only."""
+
+    block: int = 1024
+    overlap: float = 0.5
+    window: str = "hann"
+    duration: float = 1.0
+    rate: float = 48_000.0
+
+
+@dataclass(frozen=True)
+class BeamformingConfig:
+    frequencies: tuple[float, ...]
+    grid: GridConfig = GridConfig()
+    diagonal_removal: bool = True
+    clean_sc: bool = True
+    loop_gain: float = 1.0
+    max_iterations: int = 100
+    stop_threshold: float = 1e-3
+    estimator: Literal["exact", "welch"] = "exact"
+    include_absorption: bool = False
+
+
+@dataclass(frozen=True)
+class RoiConfig:
+    x_range: tuple[float, float]
+    z_range: tuple[float, float]
+    label: str = "roi"
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    roi: RoiConfig | None = None  # None: no ROI spectrum
+    band: Literal["third_octave", "octave"] | None = None  # None: narrowband
+
+
+@dataclass(frozen=True)
+class OutputsConfig:
+    formats: tuple[Literal["csv", "json", "bin"], ...] = ("csv", "json")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One beamforming run; `pipeline` reads it from JSON, `beamform` and
+    `farfield` build it from their flags. `scene` is a scene object (see
+    `Scene.from_dict`) or `{"load": path}`."""
+
+    geometry: GeometryConfig
+    scene: dict
+    beamforming: BeamformingConfig
+    seed: int = 0
+    subarray: SubarrayConfig = SubarrayConfig()
+    spectral: SpectralConfig = SpectralConfig()
+    analysis: AnalysisConfig = AnalysisConfig()
+    outputs: OutputsConfig = OutputsConfig()
+
+
+def _parse(kind, value, path: str):
+    """`value` from JSON as the annotated type `kind`, or ConfigError at `path`:
+    unknown keys, missing required keys and wrong types are rejected."""
+    if dataclasses.is_dataclass(kind):
+        fields = dataclasses.fields(kind)
+        check_keys(value, {f.name for f in fields}, path)
+        hints = typing.get_type_hints(kind)
+        args = {}
+        for f in fields:
+            where = f"{path}.{f.name}" if path else f.name
+            if f.name in value:
+                args[f.name] = _parse(hints[f.name], value[f.name], where)
+            elif f.default is dataclasses.MISSING:
+                raise ConfigError(where, "missing required key")
+        return kind(**args)
+    origin, params = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _parse(params[0], value, path)
+    if origin is Literal:
+        if value not in params:
+            raise ConfigError(path, f"expected one of {', '.join(params)}, got {value!r}")
+        return value
+    if origin is tuple:
+        n = None if params[-1] is Ellipsis else len(params)
+        if not isinstance(value, list) or n not in (None, len(value)):
+            raise ConfigError(path, "expected a list" + (f" of {n} values" if n else ""))
+        return tuple(_parse(params[0] if n is None else params[i], v, f"{path}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
+def validate_pipeline_config(cfg: dict) -> RunConfig:
+    """Typed run config from a pipeline config's JSON object."""
+    return _parse(RunConfig, cfg, "")
 
 
 def bundled_config(name: str) -> dict:
@@ -161,132 +216,106 @@ def _out_dir(args) -> str:
 # ---------------------------------------------------------------- stages
 
 
-def _load_geometry(spec, seed) -> geometry.ArrayGeometry:
-    if "load" in spec:
-        return geometry.ArrayGeometry.load_json(spec["load"])
-    gen = spec.get("generate", {})
-    return geometry.assemble_full_array(
-        gen.get("panels_x", 3), gen.get("panels_z", 3), gen.get("seed", seed)
-    )
+def _load_geometry(cfg: RunConfig) -> geometry.ArrayGeometry:
+    if cfg.geometry.load is not None:
+        return geometry.ArrayGeometry.load_json(cfg.geometry.load)
+    gen = cfg.geometry.generate
+    return geometry.assemble_full_array(gen.panels_x, gen.panels_z, cfg.seed if gen.seed is None else gen.seed)
 
 
-def _build_subarray(geo, spec, frequencies):
+def _load_scene(spec: dict) -> synthesis.Scene:
+    if "load" not in spec:
+        return synthesis.Scene.from_dict(spec)
+    check_keys(spec, ("load",), "scene")
+    return synthesis.Scene.load_json(spec["load"])
+
+
+def _build_subarray(geo, spec: SubarrayConfig, frequencies):
     """Returns {frequency: SubArray}; a strategy-independent view for the runner."""
-    strategy = spec.get("strategy", "dnw_like")
-    eps = spec.get("epsilon", 0.1)
-    if strategy == "dnw_like":
-        sub = geometry.dnw_like_subarray(
-            geo, mics=spec.get("mics", 140), aperture=spec.get("aperture", 1.5), epsilon=eps
-        )
-        return {float(f): sub for f in frequencies}
-    if strategy == "freq_dependent":
-        center = spec.get("center", [geo.plane.origin[0], geo.plane.origin[2]])
+    if spec.strategy == "freq_dependent":
+        center = (geo.plane.origin[0], geo.plane.origin[2]) if spec.center is None else spec.center
         return geometry.freq_dependent_subarrays(
-            geo,
-            center,
-            d_ref=spec.get("d_ref", 5.5),
-            f_ref=spec.get("f_ref", 1000.0),
-            mics=spec.get("mics", 200),
-            bands=frequencies,
-            epsilon=eps,
+            geo, center, d_ref=spec.d_ref, f_ref=spec.f_ref, mics=spec.mics or 200, bands=frequencies,
+            epsilon=spec.epsilon,
         )
-    if strategy == "explicit":
-        idx = np.asarray(spec["indices"], dtype=int)
+    if spec.strategy == "dnw_like":
+        sub = geometry.dnw_like_subarray(
+            geo, mics=spec.mics or 140, aperture=spec.aperture, epsilon=spec.epsilon, center=spec.center
+        )
+    else:
+        if spec.indices is None:
+            raise ConfigError("subarray.indices", "required by the explicit strategy")
+        idx = np.asarray(spec.indices, dtype=int)
         sub = geometry.SubArray(
             parent=geo,
             indices=idx,
             target_positions=geo.positions[idx],
             match_distances=np.zeros(len(idx)),
             nominal_center=geo.positions[idx].mean(axis=0),
-            epsilon=eps,
+            epsilon=spec.epsilon,
         )
-        return {float(f): sub for f in frequencies}
-    raise ConfigError("subarray.strategy", f"unknown strategy {strategy!r}")
+    return {float(f): sub for f in frequencies}
 
 
 def _beamform_work(item):
     """Worker for per-frequency beamforming (picklable)."""
-    (freq, csm_values, units, mic_positions, ref_point, grid, medium_dict, bf) = item
-    medium = synthesis.MediumModel.from_dict(medium_dict)
-    csm = spectral.CrossSpectralMatrix(frequency=freq, values=csm_values, units=units)
+    csm, mic_positions, grid, medium, bf = item
     steer = beamforming.steering_formulation_iii(
-        grid,
-        mic_positions,
-        freq,
-        medium,
-        reference_point=ref_point,
-        include_absorption=bf.get("include_absorption", False),
+        grid, mic_positions, csm.frequency, medium, include_absorption=bf.include_absorption
     )
-    if bf.get("clean_sc", True):
-        bmap = beamforming.clean_sc(
-            csm,
-            steer,
-            grid,
-            loop_gain=bf.get("loop_gain", 1.0),
-            max_iterations=bf.get("max_iterations", 100),
-            stop_threshold=bf.get("stop_threshold", 1e-3),
-            diagonal_removal=bf.get("diagonal_removal", True),
+    if bf.clean_sc:
+        return beamforming.clean_sc(
+            csm, steer, grid, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
+            stop_threshold=bf.stop_threshold, diagonal_removal=bf.diagonal_removal,
         )
-    else:
-        bmap = beamforming.conventional_beamform(csm, steer, bf.get("diagonal_removal", True))
-    return freq, bmap
+    return beamforming.conventional_beamform(csm, steer, bf.diagonal_removal)
 
 
-def run_beamforming(cfg: dict, geo, scene, jobs: int = 1):
-    """Shared by `beamform`, `directivity` paths and `pipeline`. Returns maps."""
-    bf = cfg["beamforming"]
-    freqs = [float(f) for f in bf["frequencies"]]
-    grid_spec = bf.get("grid", {})
+def run_beamforming(cfg: RunConfig, geo, scene, jobs: int = 1) -> list:
+    """Maps for `beamform`, `farfield` and `pipeline`, sorted by frequency."""
+    bf = cfg.beamforming
+    g = bf.grid
     grid = beamforming.make_focus_grid(
-        tuple(grid_spec.get("x_range", [2.0, 4.0])),
-        tuple(grid_spec.get("z_range", [-1.5, 0.5])),
-        grid_spec.get("spacing", 0.02),
-        y_plane=grid_spec.get("y_plane", 0.0),
-        delta_angle=grid_spec.get("delta_angle", 0.0),
-        aoa=grid_spec.get("aoa", 0.0),
+        g.x_range, g.z_range, g.spacing, y_plane=g.y_plane, delta_angle=g.delta_angle, aoa=g.aoa
     )
-    subs = _build_subarray(geo, cfg.get("subarray", {}), freqs)
-    estimator = bf.get("estimator", "exact")
-
+    subs = _build_subarray(geo, cfg.subarray, bf.frequencies)
     csm_by_freq = {}
-    if estimator == "welch":
-        sp = cfg.get("spectral", {})
-        rate = sp.get("rate", 48_000.0)
-        block = sp.get("block", 1024)
+    if bf.estimator == "welch":
+        sp = cfg.spectral
+        requested = {}  # Welch bin frequency -> requested frequency
         # one synthesis per distinct sub-array
         unique = {}
         for f, sub in subs.items():
             unique.setdefault(id(sub), (sub, []))[1].append(f)
         for sub, flist in unique.values():
-            sig, _ = synthesis.synthesize_timeseries(
-                scene, sub.positions, rate=rate, duration=sp.get("duration", 1.0)
-            )
+            sig, _ = synthesis.synthesize_timeseries(scene, sub.positions, rate=sp.rate, duration=sp.duration)
             csms = spectral.welch_csm(
-                sig, rate, block=block, overlap=sp.get("overlap", 0.5), window=sp.get("window", "hann"),
-                freq_range=(min(flist) - 2 * rate / block, max(flist) + 2 * rate / block),
+                sig, sp.rate, block=sp.block, overlap=sp.overlap, window=sp.window,
+                freq_range=(min(flist) - 2 * sp.rate / sp.block, max(flist) + 2 * sp.rate / sp.block),
             )
             for f in flist:
-                csm_by_freq[f] = min(csms, key=lambda c: abs(c.frequency - f))
+                csm = min(csms, key=lambda c: abs(c.frequency - f))
+                if csm.frequency in requested:
+                    raise ConfigError(
+                        "beamforming.frequencies",
+                        f"{requested[csm.frequency]!r} Hz and {f!r} Hz share the {csm.frequency!r} Hz Welch bin",
+                    )
+                requested[csm.frequency] = f
+                csm_by_freq[f] = csm
     else:
         for f, sub in subs.items():
             csm_by_freq[f] = synthesis.synthesize_csm(scene, sub.positions, [f])[0]
 
-    work = []
-    for f in freqs:
-        sub = subs[f]
-        csm = csm_by_freq[f]
-        mean = sub.positions.mean(axis=0)
-        work.append((csm.frequency, csm.values, csm.units, sub.positions, mean, grid, scene.medium.to_dict(), bf))
+    work = [(csm_by_freq[f], subs[f].positions, grid, scene.medium, bf) for f in bf.frequencies]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_beamform_work, work))
+            maps = list(pool.map(_beamform_work, work))
     else:
-        results = [_beamform_work(w) for w in work]
-    results.sort(key=lambda fr: fr[0])
-    return grid, subs, [bmap for _, bmap in results]
+        maps = [_beamform_work(w) for w in work]
+    return sorted(maps, key=lambda m: m.frequency)
 
 
-def save_map(out_dir, bmap, formats=("csv", "json")):
+def save_map(out_dir, bmap, formats):
     base = os.path.join(out_dir, f"map_{bmap.frequency:.0f}Hz")
     written = []
     if "csv" in formats:
@@ -295,7 +324,7 @@ def save_map(out_dir, bmap, formats=("csv", "json")):
             fh.write("x,z,psd_db\n")
             db = spectral.to_db(bmap.values)
             for (x, z), v in zip(bmap.grid.local, db):
-                fh.write(f"{x!r},{z!r},{v!r}\n")
+                fh.write(f"{float(x)!r},{float(z)!r},{float(v)!r}\n")
         written.append(path)
     if "json" in formats:
         path = base + ".json"
@@ -413,49 +442,50 @@ def cmd_acquire(args) -> int:
     return 0
 
 
-def _scene_from_args(args) -> synthesis.Scene:
-    return synthesis.Scene.load_json(args.scene)
-
-
 def cmd_beamform(args) -> int:
     out = _out_dir(args)
-    scene = _scene_from_args(args)
-    geo = geometry.ArrayGeometry.load_json(args.geometry)
     if args.band:
         lo, hi = (float(v) for v in args.band_range.split(","))
-        freqs = [float(f) for f in spectral.band_centers(args.band, lo, hi)]
+        freqs = tuple(float(f) for f in spectral.band_centers(args.band, lo, hi))
     else:
-        freqs = [float(f) for f in args.freqs.split(",")]
-    cfg = {
-        "beamforming": {
-            "frequencies": freqs,
-            "grid": _parse_grid(args.grid),
-            "diagonal_removal": args.dr == "on",
-            "clean_sc": args.clean_sc,
-            "loop_gain": args.loop_gain,
-            "max_iterations": args.max_iter,
-            "estimator": args.estimator,
-        },
-        "subarray": {"strategy": args.subarray, "epsilon": args.epsilon},
-        "spectral": {"block": args.block, "overlap": args.overlap, "duration": args.duration},
-    }
-    grid, subs, maps = run_beamforming(cfg, geo, scene, jobs=args.jobs)
+        freqs = tuple(float(f) for f in args.freqs.split(","))
+    # unlike pipeline and farfield, beamform makes a conventional map unless --clean-sc
+    cfg = RunConfig(
+        geometry=GeometryConfig(load=args.geometry),
+        scene={"load": args.scene},
+        beamforming=BeamformingConfig(
+            frequencies=freqs,
+            grid=_parse_grid(args.grid),
+            diagonal_removal=args.dr == "on",
+            clean_sc=args.clean_sc,
+            loop_gain=args.loop_gain,
+            max_iterations=args.max_iter,
+            estimator=args.estimator,
+        ),
+        subarray=SubarrayConfig(strategy=args.subarray, epsilon=args.epsilon),
+        spectral=SpectralConfig(block=args.block, overlap=args.overlap, duration=args.duration),
+        outputs=OutputsConfig(formats=tuple(args.format.split(","))),
+    )
+    scene = _load_scene(cfg.scene)
+    geo = _load_geometry(cfg)
     outputs = []
-    for bmap in maps:
-        outputs += save_map(out, bmap, formats=args.format.split(","))
+    for bmap in run_beamforming(cfg, geo, scene, jobs=args.jobs):
+        outputs += save_map(out, bmap, cfg.outputs.formats)
     write_manifest(
         out,
         "beamform",
-        {"scene": _sha256(args.scene), "geometry": _sha256(args.geometry), "config": _sha256_obj(cfg)},
+        {"scene": _sha256(args.scene), "geometry": _sha256(args.geometry), "config": _sha256_obj(dataclasses.asdict(cfg))},
         outputs,
         seed=scene.seed,
     )
     return 0
 
 
-def _parse_grid(spec: str) -> dict:
+def _parse_grid(spec: str | None) -> GridConfig:
+    if spec is None:
+        return GridConfig()
     x0, x1, z0, z1, dx = (float(v) for v in spec.split(","))
-    return {"x_range": [x0, x1], "z_range": [z0, z1], "spacing": dx}
+    return GridConfig(x_range=(x0, x1), z_range=(z0, z1), spacing=dx)
 
 
 def _parse_roi(spec: str) -> analysis.RegionOfInterest:
@@ -465,7 +495,7 @@ def _parse_roi(spec: str) -> analysis.RegionOfInterest:
 
 def cmd_directivity(args) -> int:
     out = _out_dir(args)
-    scene = _scene_from_args(args)
+    scene = synthesis.Scene.load_json(args.scene)
     geo = geometry.ArrayGeometry.load_json(args.geometry)
     roi = _parse_roi(args.roi)
     reference = [float(v) for v in args.reference.split(",")]
@@ -501,20 +531,18 @@ def cmd_directivity(args) -> int:
 
 def cmd_farfield(args) -> int:
     out = _out_dir(args)
-    scene = _scene_from_args(args)
-    geo = geometry.ArrayGeometry.load_json(args.geometry)
     roi = _parse_roi(args.roi)
-    freqs = [float(f) for f in args.freqs.split(",")]
-    cfg = {
-        "beamforming": {
-            "frequencies": freqs,
-            "grid": _parse_grid(args.grid),
-            "clean_sc": True,
-            "diagonal_removal": args.dr == "on",
-        },
-        "subarray": {"strategy": args.subarray},
-    }
-    _, _, maps = run_beamforming(cfg, geo, scene, jobs=args.jobs)
+    freqs = tuple(float(f) for f in args.freqs.split(","))
+    cfg = RunConfig(
+        geometry=GeometryConfig(load=args.geometry),
+        scene={"load": args.scene},
+        beamforming=BeamformingConfig(
+            frequencies=freqs, grid=_parse_grid(args.grid), clean_sc=True, diagonal_removal=args.dr == "on"
+        ),
+        subarray=SubarrayConfig(strategy=args.subarray),
+    )
+    scene = _load_scene(cfg.scene)
+    maps = run_beamforming(cfg, _load_geometry(cfg), scene, jobs=args.jobs)
     integrated = analysis.maps_to_spectrum(maps, roi)
 
     mic_specs = []
@@ -551,44 +579,33 @@ def cmd_pipeline(args) -> int:
         cfg_hash = _sha256(args.config)
     cfg = validate_pipeline_config(cfg)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    scene = _load_scene(cfg.scene)
     out = _out_dir(args)
-    seed = cfg.get("seed", 0)
 
     stage = "geometry"
     try:
-        geo = _load_geometry(cfg["geometry"], seed)
+        geo = _load_geometry(cfg)
         geo_dir = os.path.join(out, "geometry")
         os.makedirs(geo_dir, exist_ok=True)
         gpath = os.path.join(geo_dir, "geometry.json")
         geo.save_json(gpath)
         outputs = [gpath]
 
-        stage = "scene"
-        scene_spec = cfg["scene"]
-        if "load" in scene_spec:
-            scene = synthesis.Scene.load_json(scene_spec["load"])
-        else:
-            scene = synthesis.Scene.from_dict(scene_spec)
-
         stage = "beamforming"
-        grid, subs, maps = run_beamforming(cfg, geo, scene, jobs=args.jobs)
+        maps = run_beamforming(cfg, geo, scene, jobs=args.jobs)
         bf_dir = os.path.join(out, "beamforming")
         os.makedirs(bf_dir, exist_ok=True)
-        formats = cfg.get("outputs", {}).get("formats", ["csv", "json"])
         for bmap in maps:
-            outputs += save_map(bf_dir, bmap, formats=formats)
+            outputs += save_map(bf_dir, bmap, cfg.outputs.formats)
 
         stage = "analysis"
-        an = cfg.get("analysis", {})
-        if "roi" in an:
-            roi = analysis.RegionOfInterest(
-                x_range=tuple(an["roi"]["x_range"]), z_range=tuple(an["roi"]["z_range"]),
-                label=an["roi"].get("label", "roi"),
-            )
-            spectrum = analysis.maps_to_spectrum(maps, roi)
-            if an.get("band"):
-                spectrum = spectral.band_integrate(spectrum, an["band"])
+        roi = cfg.analysis.roi
+        if roi is not None:
+            region = analysis.RegionOfInterest(x_range=roi.x_range, z_range=roi.z_range, label=roi.label)
+            spectrum = analysis.maps_to_spectrum(maps, region)
+            if cfg.analysis.band is not None:
+                spectrum = spectral.band_integrate(spectrum, cfg.analysis.band)
             an_dir = os.path.join(out, "analysis")
             os.makedirs(an_dir, exist_ok=True)
             spath = os.path.join(an_dir, "roi_spectrum.csv")
@@ -599,7 +616,7 @@ def cmd_pipeline(args) -> int:
     except Exception as exc:
         raise NumericalError(f"stage {stage!r} failed: {exc}") from exc
 
-    write_manifest(out, "pipeline", {"config": cfg_hash}, outputs, seed=seed)
+    write_manifest(out, "pipeline", {"config": cfg_hash}, outputs, seed=cfg.seed)
     print(f"pipeline: {len(outputs)} artifacts in {out}")
     return 0
 
@@ -644,22 +661,22 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("beamform", help="beamforming maps from a scene")
     b.add_argument("--scene", required=True)
     b.add_argument("--geometry", required=True)
-    b.add_argument("--subarray", default="dnw_like", choices=["dnw_like", "freq_dependent"])
-    b.add_argument("--epsilon", type=float, default=0.1)
+    b.add_argument("--subarray", default=SubarrayConfig.strategy, choices=["dnw_like", "freq_dependent"])
+    b.add_argument("--epsilon", type=float, default=SubarrayConfig.epsilon)
     b.add_argument("--freqs", default="4000")
     b.add_argument("--band", choices=["third_octave", "octave"], default=None,
                    help="run at standard band centers instead of --freqs")
     b.add_argument("--band-range", default="1000,8000")
-    b.add_argument("--grid", default="2.0,4.0,-1.5,0.5,0.02")
+    b.add_argument("--grid", default=None, help="x0,x1,z0,z1,spacing (default: the pipeline config's grid)")
     b.add_argument("--dr", choices=["on", "off"], default="on")
     b.add_argument("--clean-sc", action="store_true")
-    b.add_argument("--loop-gain", type=float, default=1.0)
-    b.add_argument("--max-iter", type=int, default=100)
-    b.add_argument("--estimator", choices=["exact", "welch"], default="exact")
-    b.add_argument("--block", type=int, default=1024)
-    b.add_argument("--overlap", type=float, default=0.5)
-    b.add_argument("--duration", type=float, default=1.0)
-    b.add_argument("--format", default="csv,json")
+    b.add_argument("--loop-gain", type=float, default=BeamformingConfig.loop_gain)
+    b.add_argument("--max-iter", type=int, default=BeamformingConfig.max_iterations)
+    b.add_argument("--estimator", choices=["exact", "welch"], default=BeamformingConfig.estimator)
+    b.add_argument("--block", type=int, default=SpectralConfig.block)
+    b.add_argument("--overlap", type=float, default=SpectralConfig.overlap)
+    b.add_argument("--duration", type=float, default=SpectralConfig.duration)
+    b.add_argument("--format", default=",".join(OutputsConfig.formats))
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--out", default="run")
     b.set_defaults(func=cmd_beamform)
@@ -682,11 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--scene", required=True)
     f.add_argument("--geometry", required=True)
     f.add_argument("--roi", required=True)
-    f.add_argument("--grid", default="2.0,4.0,-1.5,0.5,0.02")
+    f.add_argument("--grid", default=None, help="x0,x1,z0,z1,spacing (default: the pipeline config's grid)")
     f.add_argument("--freqs", default="1000,2000,4000")
     f.add_argument("--mics", required=True, help="semicolon-separated x,y,z positions")
     f.add_argument("--reference", default="2.4,0.0,0.0")
-    f.add_argument("--subarray", default="dnw_like")
+    f.add_argument("--subarray", default=SubarrayConfig.strategy, choices=["dnw_like", "freq_dependent"])
     f.add_argument("--dr", choices=["on", "off"], default="on")
     f.add_argument("--jobs", type=int, default=1)
     f.add_argument("--out", default="run")

@@ -24,3 +24,12 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
         self.field = field
         self.message = message
+
+
+def check_keys(entry, allowed, path: str = "") -> None:
+    """Reject a config entry that is not an object or has a key outside `allowed`."""
+    if not isinstance(entry, dict):
+        raise ConfigError(path, f"expected an object, got {type(entry).__name__}")
+    for key in entry:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")

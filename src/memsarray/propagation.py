@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError, check_keys
 
 REFERENCE_DISTANCE = 1.0  # m, level reference for source strengths
 
@@ -51,11 +51,11 @@ class MediumModel:
         m = np.asarray(self.mach_vector, dtype=float)
         object.__setattr__(self, "mach_vector", m)
         if self.speed_of_sound <= 0:
-            raise ValueError("speed of sound must be > 0")
+            raise ConfigError("speed_of_sound", "speed of sound must be > 0")
         if np.dot(m, m) >= 1.0:
-            raise ValueError("|mach_vector| must be < 1")
+            raise ConfigError("mach", "|mach_vector| must be < 1")
         if not 0.0 <= self.relative_humidity <= 100.0:
-            raise ValueError("relative humidity must be within 0..100 %")
+            raise ConfigError("relative_humidity", "relative humidity must be within 0..100 %")
 
     @property
     def mach(self) -> float:
@@ -78,12 +78,11 @@ class MediumModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MediumModel":
+        check_keys(d, ("speed_of_sound", "mach", "temperature", "relative_humidity", "pressure", "shear_plane"))
         shear = None
         if d.get("shear_plane") is not None:
-            shear = ShearLayerPlane(
-                point=np.array(d["shear_plane"]["point"], dtype=float),
-                normal=np.array(d["shear_plane"]["normal"], dtype=float),
-            )
+            check_keys(d["shear_plane"], ("point", "normal"), "shear_plane")
+            shear = ShearLayerPlane(**d["shear_plane"])
         return cls(
             speed_of_sound=float(d.get("speed_of_sound", 343.0)),
             mach_vector=np.array(d.get("mach", [0.0, 0.0, 0.0]), dtype=float),
@@ -214,12 +213,6 @@ def shear_crossing_delays(
 
     e1, e2 = _plane_basis(plane.normal)
 
-    def conv_tau(p):
-        d = p - src
-        md = d @ m
-        rr = np.sqrt(md * md + beta2 * np.sum(d * d, axis=-1))
-        return (-md + rr) / (c0 * beta2)
-
     def conv_grad(p):
         d = p - src
         md = (d @ m)[:, None]
@@ -231,7 +224,7 @@ def shear_crossing_delays(
     def total_time(uv):
         p = plane.point + uv[:, :1] * e1 + uv[:, 1:] * e2
         seg = np.linalg.norm(rcv - p, axis=-1)
-        return conv_tau(p) + seg / c0
+        return convected_delays(src, p, medium) + seg / c0
 
     def grad(uv):
         p = plane.point + uv[:, :1] * e1 + uv[:, 1:] * e2
@@ -296,7 +289,7 @@ def shear_crossing_delays(
     crossing = plane.point + uv[:, :1] * e1 + uv[:, 1:] * e2
     delays = total_time(uv)
     if on_plane.any():
-        delays = np.where(on_plane, conv_tau(rcv), delays)
+        delays = np.where(on_plane, convected_delays(src, rcv, medium), delays)
         crossing[on_plane] = rcv[on_plane]
     return delays.reshape(lead_shape), crossing.reshape(lead_shape + (3,))
 

@@ -59,11 +59,6 @@ class CrossSpectralMatrix:
     def n_channels(self) -> int:
         return self.values.shape[0]
 
-    def diagonal_removed(self) -> np.ndarray:
-        out = self.values.copy()
-        np.fill_diagonal(out, 0.0)
-        return out
-
     def min_eigenvalue_ratio(self) -> float:
         """Most negative eigenvalue relative to the trace (PSD check)."""
         w = np.linalg.eigvalsh(self.values)
@@ -92,7 +87,7 @@ class Spectrum:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("frequency,psd_db\n")
             for f, v in zip(self.frequencies, self.db()):
-                fh.write(f"{f!r},{v!r}\n")
+                fh.write(f"{float(f)!r},{float(v)!r}\n")
 
 
 @dataclass(frozen=True)
@@ -195,13 +190,6 @@ def csm_stats(csm: CrossSpectralMatrix) -> CsmStats:
     )
 
 
-def auto_spectrum(csms: list[CrossSpectralMatrix], channel: int = 0) -> Spectrum:
-    """One channel's PSD across a CSM list."""
-    f = np.array([c.frequency for c in csms])
-    p = np.array([c.values[channel, channel].real for c in csms])
-    return Spectrum(frequencies=f, psd=p, units=csms[0].units)
-
-
 def band_centers(band_type: str, f_min: float, f_max: float) -> np.ndarray:
     """Base-2 standard band centers covering [f_min, f_max]."""
     if band_type == "third_octave":
@@ -214,6 +202,12 @@ def band_centers(band_type: str, f_min: float, f_max: float) -> np.ndarray:
     n_hi = int(np.ceil(np.log2(f_max / 1000.0) / step))
     centers = 1000.0 * 2.0 ** (step * np.arange(n_lo, n_hi + 1))
     return centers[(centers >= f_min) & (centers <= f_max)]
+
+
+def band_centers_spanning(frequencies, band_type: str) -> np.ndarray:
+    """Standard band centers from the lowest positive to the highest frequency."""
+    f = np.asarray(frequencies, dtype=float)
+    return band_centers(band_type, f[f > 0].min(), f[-1])
 
 
 def band_edges(center: float, band_type: str) -> tuple[float, float]:
@@ -234,7 +228,7 @@ def band_integrate(spectrum: Spectrum, band_type: str = "third_octave", centers=
         raise ValueError("narrowband spectrum must have at least 2 bins")
     df = float(np.median(np.diff(f)))
     if centers is None:
-        centers = band_centers(band_type, max(f[0], df), f[-1])
+        centers = band_centers_spanning(f, band_type)
     out_c = []
     out_p = []
     for c in centers:

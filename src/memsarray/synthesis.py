@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_keys
 from .propagation import (
     REFERENCE_DISTANCE,
     MediumModel,
@@ -49,10 +49,10 @@ class Source:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         if self.kind not in ("monopole", "dipole"):
-            raise ValueError(f"unknown source kind {self.kind!r}")
+            raise ConfigError("kind", f"unknown source kind {self.kind!r}")
         if self.kind == "dipole":
             if self.axis is None:
-                raise ValueError("dipole source needs an axis")
+                raise ConfigError("axis", "dipole source needs an axis")
             a = np.asarray(self.axis, dtype=float)
             object.__setattr__(self, "axis", a / np.linalg.norm(a))
 
@@ -91,12 +91,8 @@ class Source:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Source":
-        return cls(
-            position=np.array(d["position"], dtype=float),
-            spectrum=d["spectrum"],
-            kind=d.get("kind", "monopole"),
-            axis=np.array(d["axis"], dtype=float) if d.get("axis") is not None else None,
-        )
+        check_keys(d, ("position", "spectrum", "kind", "axis"))
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -130,20 +126,31 @@ class Scene:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scene":
+        """Scene from its JSON form; errors name the entry, e.g. `scene.sources[0].kind`."""
+        check_keys(d, ("sources", "medium", "noise", "seed"), "scene")
+        path = "scene"
         try:
-            return cls(
-                sources=tuple(Source.from_dict(s) for s in d.get("sources", [])),
-                medium=MediumModel.from_dict(d.get("medium", {})),
-                noise=d.get("noise"),
-                seed=int(d.get("seed", 0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError("scene", f"malformed scene config: {exc}") from exc
+            sources = []
+            for i, s in enumerate(d.get("sources", [])):
+                path = f"scene.sources[{i}]"
+                sources.append(Source.from_dict(s))
+            path = "scene.medium"
+            medium = MediumModel.from_dict(d.get("medium", {}))
+            path = "scene"
+            return cls(sources=tuple(sources), medium=medium, noise=d.get("noise"), seed=int(d.get("seed", 0)))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc.field}" if exc.field else path, exc.message) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(path, f"malformed scene config: {exc!r}") from exc
 
     @classmethod
     def load_json(cls, path) -> "Scene":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                d = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("scene", f"cannot read {path}: {exc}") from exc
+        return cls.from_dict(d)
 
 
 def fractional_delay_kernel(frac: float, taps: int = SINC_TAPS, beta: float = SINC_BETA) -> np.ndarray:

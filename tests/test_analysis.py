@@ -4,7 +4,7 @@ import pytest
 from memsarray import analysis as an
 from memsarray import beamforming as bf
 from memsarray.geometry import ObservationAngles
-from memsarray.spectral import Spectrum
+from memsarray.spectral import Spectrum, band_integrate
 
 
 def fake_clean_map(grid, components, freq=4000.0):
@@ -166,6 +166,18 @@ class TestOctavePolar:
         polar = an.octave_polar(an.directivity(pairs))
         k = int(np.argmin(np.abs(polar["centers"] - 1000.0)))
         assert polar["gamma_db"][0, k] > 20.0  # hot angle dominates that band
+
+    def test_octave_spaced_axis_keeps_every_band(self):
+        # the median spacing (3 kHz) exceeds the lowest frequencies; no band may be lost
+        freqs = np.array([1000.0, 2000.0, 4000.0, 8000.0, 16000.0])
+        pairs = [
+            (ObservationAngles(theta=theta, phi=0.0), Spectrum(frequencies=freqs, psd=np.full(5, level)))
+            for theta, level in ((60.0, 1e-6), (90.0, 2e-6))
+        ]
+        polar = an.octave_polar(an.directivity(pairs))
+        assert list(polar["centers"]) == list(freqs)
+        banded = band_integrate(pairs[0][1], "octave")
+        assert list(banded.frequencies) == list(freqs)
 
 
 class TestDistanceNormalize:

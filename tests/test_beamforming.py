@@ -223,16 +223,6 @@ class TestCleanSc:
         total = bmap.component_power()
         assert abs(10 * np.log10(total / (3 * Q2))) < 0.5
 
-    def test_gaussian_render_shape(self, setup):
-        _, sub, grid = setup
-        idx = grid.index_of([3.0, 0.0, -0.5])
-        csm = monopole_csm(sub.positions, grid.points[idx], 4000.0)
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
-        bmap = bf.clean_sc(csm, steer, grid)
-        img = bf.gaussian_render(bmap, sigma_cells=1.5)
-        assert img.shape == grid.shape
-        assert img.sum() == pytest.approx(bmap.component_power(), rel=1e-6)
-
 
 class TestResolutionScaling:
     @staticmethod

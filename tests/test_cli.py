@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -222,3 +223,131 @@ class TestFarfieldCommand:
         assert len(lines) == 3
         deltas = [abs(float(l.split(",")[3])) for l in lines[1:]]
         assert max(deltas) < 1.0
+
+
+@pytest.fixture(scope="module")
+def panel_geometry(tmp_path_factory):
+    out = tmp_path_factory.mktemp("panel")
+    assert cli.main(["geometry", "--panels", "1x1", "--seed", "42", "--format", "json", "--out", str(out)]) == 0
+    return str(out / "geometry.json")
+
+
+def _pipeline_config(tmp_path, cfg) -> list:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return ["pipeline", "--config", str(path)]
+
+
+# one small run per subcommand that writes CSV files
+CSV_RUNS = {
+    "geometry": lambda scene, geo: ["geometry", "--panels", "1x1"],
+    "beamform": lambda scene, geo: [
+        "beamform", "--scene", scene, "--geometry", geo, "--freqs", "2000", "--grid", "2.6,3.4,-0.9,-0.1,0.08",
+    ],
+    "directivity": lambda scene, geo: [
+        "directivity", "--scene", scene, "--geometry", geo, "--roi", "2.8,3.2,-0.7,-0.3", "--reference", "3.0,0.0,-0.5",
+        "--freqs", "2000,4000", "--count", "3", "--mics", "60", "--aperture", "0.8", "--octave-polar",
+    ],
+    "farfield": lambda scene, geo: [
+        "farfield", "--scene", scene, "--geometry", geo, "--roi", "2.8,3.2,-0.7,-0.3", "--grid", "2.6,3.4,-0.9,-0.1,0.08",
+        "--freqs", "2000", "--mics", "3.0,6.0,-0.5", "--reference", "3.0,0.0,-0.5",
+    ],
+    "pipeline": lambda scene, geo: ["pipeline", "--config", "bundled:single-monopole"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_RUNS))
+def test_every_csv_field_parses_as_a_number(tmp_path, scene_file, panel_geometry, command):
+    out = tmp_path / "run"
+    assert cli.main(CSV_RUNS[command](scene_file, panel_geometry) + ["--out", str(out)]) == 0
+    paths = sorted(out.rglob("*.csv"))
+    assert paths
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1, path.name
+        for row in rows[1:]:
+            [float(v) for v in row]
+
+
+_MONOPOLE = {"position": [3.0, 0.0, -0.5], "spectrum": {"type": "broadband", "psd": 1e-6}}
+BAD_SCENES = {
+    "scene.sources[0].kind": {"sources": [dict(_MONOPOLE, kind="quadrupole")]},
+    "scene.sources[0].colour": {"sources": [dict(_MONOPOLE, colour="red")]},
+    "scene.medium.mach": {"sources": [_MONOPOLE], "medium": {"mach": [1.2, 0.0, 0.0]}},
+    "scene.medium.wind": {"sources": [_MONOPOLE], "medium": {"wind": 3.0}},
+}
+
+
+# the arguments each scene-reading command needs besides --scene and --geometry
+SCENE_COMMANDS = {
+    "beamform": [],
+    "directivity": ["--roi", "2.8,3.2,-0.7,-0.3"],
+    "farfield": ["--roi", "2.8,3.2,-0.7,-0.3", "--mics", "3.0,6.0,-0.5"],
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_SCENES))
+@pytest.mark.parametrize("command", sorted(SCENE_COMMANDS) + ["pipeline"])
+def test_bad_scene_is_a_config_error(tmp_path, panel_geometry, capsys, command, field):
+    scene = BAD_SCENES[field]
+    if command == "pipeline":
+        argv = _pipeline_config(tmp_path, dict(cli.bundled_config("single_monopole"), scene=scene))
+    else:
+        spath = tmp_path / "scene.json"
+        spath.write_text(json.dumps(scene))
+        argv = [command, "--scene", str(spath), "--geometry", panel_geometry] + SCENE_COMMANDS[command]
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 2
+    assert f"config error at {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # keys nothing reads
+        ("name", "single-monopole"),
+        ("subarray.count", 13),
+        ("analysis.reference_point", [3.0, 0.0, -0.5]),
+        ("analysis.farfield_mics", [[3.0, 6.0, -0.5]]),
+        # wrong types and values
+        ("seed", 7.5),
+        ("beamforming.clean_sc", "yes"),
+        ("beamforming.grid.x_range", [2.5]),
+        ("beamforming.estimator", "Welch"),
+        ("outputs.formats", ["csv", "png"]),
+    ],
+)
+def test_rejected_key_exits_two_with_its_path(tmp_path, capsys, field, value):
+    cfg = cli.bundled_config("single_monopole")
+    *heads, last = field.split(".")
+    node = cfg
+    for head in heads:
+        node = node.setdefault(head, {})
+    node[last] = value
+    assert cli.main(_pipeline_config(tmp_path, cfg) + ["--out", str(tmp_path / "run")]) == 2
+    assert f"config error at {field}" in capsys.readouterr().err
+
+
+class TestWelchEstimator:
+    ARGS = ["--estimator", "welch", "--duration", "0.25", "--clean-sc", "--grid", "2.6,3.4,-0.9,-0.1,0.08"]
+
+    def test_maps_at_the_nearest_bins(self, tmp_path, scene_file, panel_geometry):
+        out = tmp_path / "bf"
+        argv = ["beamform", "--scene", scene_file, "--geometry", panel_geometry, "--freqs", "2000,4000"]
+        assert cli.main(argv + self.ARGS + ["--out", str(out)]) == 0
+        # 1024-point blocks at 48 kHz: bins every 46.875 Hz
+        assert sorted(p.name for p in out.glob("map_*.json")) == ["map_2016Hz.json", "map_3984Hz.json"]
+        meta = json.loads((out / "map_2016Hz.json").read_text())
+        assert meta["frequency"] == 2015.625
+        # the strongest CLEAN-SC component sits on the source cell (3.0, -0.5) of the 11 x 11 grid
+        cell, _ = max(meta["components"], key=lambda c: c[1])
+        assert cell == 5 * 11 + 5
+
+    def test_frequencies_sharing_a_bin_rejected(self, tmp_path, scene_file, panel_geometry, capsys):
+        out = tmp_path / "bf"
+        argv = ["beamform", "--scene", scene_file, "--geometry", panel_geometry, "--freqs", "125,160"]
+        assert cli.main(argv + self.ARGS + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "beamforming.frequencies" in err
+        assert "125.0 Hz and 160.0 Hz share the 140.625 Hz Welch bin" in err
+        assert not list(out.glob("map_*"))
