@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SubArray, subarray_stats
+from .geometry import SubArray
 from .propagation import REFERENCE_DISTANCE, MediumModel, atmospheric_absorption, path_delays
 
 
@@ -156,12 +156,8 @@ def steering_formulation_iii(
     if frequency <= 0:
         raise ValueError("frequency must be > 0")
     medium = medium or MediumModel()
-    if isinstance(subarray, SubArray):
-        mics = subarray.positions
-        ref = subarray_stats(subarray)[0] if reference_point is None else np.asarray(reference_point, dtype=float)
-    else:
-        mics = np.asarray(subarray, dtype=float)
-        ref = mics.mean(axis=0) if reference_point is None else np.asarray(reference_point, dtype=float)
+    mics = subarray.positions if isinstance(subarray, SubArray) else np.asarray(subarray, dtype=float)
+    ref = mics.mean(axis=0) if reference_point is None else np.asarray(reference_point, dtype=float)
 
     c0 = medium.speed_of_sound
     # (N, M) travel times focus -> sensor, and focus -> reference
@@ -278,7 +274,7 @@ def clean_sc(
             w = h[:, t]
             comp = degraded @ w / peak
             if diagonal_removal:
-                base = degraded @ w / peak
+                base = comp
                 for _ in range(inner_iterations):
                     diag = np.abs(comp) ** 2
                     comp = (base + diag * w) / np.sqrt(1.0 + np.real(np.vdot(w, diag * w)))
@@ -299,7 +295,7 @@ def clean_sc(
     clean_map = np.zeros(steering.n_points)
     for t, p in comp_list:
         clean_map[t] += p
-    residual = _raw_map(degraded, h) * ref_scale
+    residual = dirty * ref_scale
     freq = getattr(csm, "frequency", steering.frequency)
     return BeamformingMap(
         frequency=float(freq),

@@ -251,7 +251,6 @@ def _build_subarray(geo, spec: SubarrayConfig, frequencies):
             indices=idx,
             target_positions=geo.positions[idx],
             match_distances=np.zeros(len(idx)),
-            nominal_center=geo.positions[idx].mean(axis=0),
             epsilon=spec.epsilon,
         )
     return {float(f): sub for f in frequencies}

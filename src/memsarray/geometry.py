@@ -160,7 +160,6 @@ class SubArray:
     indices: np.ndarray  # (K,) unique sensor indices
     target_positions: np.ndarray  # (T, 3) the optimal design points
     match_distances: np.ndarray  # (K,) sensor-to-target distance
-    nominal_center: np.ndarray  # (3,)
     epsilon: float
     discarded: int = 0  # targets without a sensor within epsilon
 
@@ -352,7 +351,6 @@ def sample_subarray(
     geometry: ArrayGeometry,
     targets: np.ndarray,
     epsilon: float,
-    nominal_center=None,
 ) -> SubArray:
     """Greedily match targets to the nearest unused sensors.
 
@@ -375,14 +373,11 @@ def sample_subarray(
             indices.append(j)
             dists.append(float(d[j]))
             available[j] = False
-    if nominal_center is None:
-        nominal_center = lifted.mean(axis=0) if len(lifted) else np.zeros(3)
     return SubArray(
         parent=geometry,
         indices=np.array(indices, dtype=int),
         target_positions=lifted,
         match_distances=np.array(dists),
-        nominal_center=np.asarray(nominal_center, dtype=float),
         epsilon=float(epsilon),
         discarded=len(lifted) - len(indices),
     )
@@ -455,12 +450,7 @@ def pitch_subarray_series(
         centers = np.array([geometry.plane.origin[0]])
     else:
         centers = np.linspace(lo[0], hi[0], count)
-    subs = []
-    for cx in centers:
-        targets = fermat_spiral(mics, aperture, center=(cx, z_center))
-        center3 = np.array([cx, geometry.plane.origin[1], z_center])
-        subs.append(sample_subarray(geometry, targets, epsilon, nominal_center=center3))
-    return subs
+    return [sample_subarray(geometry, fermat_spiral(mics, aperture, center=(cx, z_center)), epsilon) for cx in centers]
 
 
 def frequency_dependent_aperture(frequency: float, d_ref: float, f_ref: float, f_max: float = 16_000.0) -> float:
@@ -482,13 +472,10 @@ def freq_dependent_subarrays(
     """One sampled sub-array per frequency band, aperture shrinking with f."""
     if d_ref <= 0 or f_ref <= 0:
         raise ValueError("d_ref and f_ref must be > 0")
-    center = np.asarray(center, dtype=float)
     out: dict[float, SubArray] = {}
     for f in bands:
         aperture = frequency_dependent_aperture(f, d_ref, f_ref, f_max)
-        targets = fermat_spiral(mics, aperture, center=(center[0], center[1]))
-        center3 = np.array([center[0], geometry.plane.origin[1], center[1]])
-        out[float(f)] = sample_subarray(geometry, targets, epsilon, nominal_center=center3)
+        out[float(f)] = sample_subarray(geometry, fermat_spiral(mics, aperture, center=center), epsilon)
     return out
 
 
@@ -502,6 +489,4 @@ def dnw_like_subarray(
     """Stand-in for a conventional mid-size spiral array sampled from the panel."""
     if center is None:
         center = (geometry.plane.origin[0], geometry.plane.origin[2])
-    targets = fermat_spiral(mics, aperture, center=center)
-    center3 = np.array([center[0], geometry.plane.origin[1], center[1]])
-    return sample_subarray(geometry, targets, epsilon, nominal_center=center3)
+    return sample_subarray(geometry, fermat_spiral(mics, aperture, center=center), epsilon)

@@ -78,9 +78,7 @@ class Source:
                 return float(spec["power"]) if np.isclose(frequency, f0) else 0.0
             return float(spec["power"]) if abs(frequency - f0) <= bin_width / 2 else 0.0
         if spec["type"] == "broadband":
-            if "frequencies" in spec:
-                return float(np.interp(frequency, spec["frequencies"], spec["psd"]))
-            return float(spec["psd"])
+            return float(_psd_at(spec, frequency))
         raise ValueError(f"unknown spectrum type {spec['type']!r}")
 
     def to_dict(self) -> dict:
@@ -108,9 +106,7 @@ class Scene:
         f = np.atleast_1d(np.asarray(frequency, dtype=float))
         if self.noise is None:
             return np.zeros(len(f))
-        if "frequencies" in self.noise:
-            return np.interp(f, self.noise["frequencies"], self.noise["psd"])
-        return np.full(len(f), float(self.noise["psd"]))
+        return _psd_at(self.noise, f)
 
     def to_dict(self) -> dict:
         return {
@@ -153,6 +149,37 @@ class Scene:
         return cls.from_dict(d)
 
 
+def _psd_at(spec: dict, frequency):
+    """PSD of a broadband or noise spec at `frequency`: the flat `psd`, or
+    `psd` interpolated over `frequencies`."""
+    if "frequencies" in spec:
+        return np.interp(frequency, spec["frequencies"], spec["psd"])
+    return np.full(np.shape(frequency), float(spec["psd"]))
+
+
+def _coloured_noise(spec: dict, rate: float, n: int, rng) -> np.ndarray:
+    """`n` samples of Gaussian noise with the PSD of a broadband or noise spec."""
+    w = rng.standard_normal(n)
+    if "frequencies" not in spec:
+        return np.sqrt(float(spec["psd"]) * rate / 2.0) * w
+    target = _psd_at(spec, np.fft.rfftfreq(n, d=1.0 / rate))
+    base_psd = 1.0 / (rate / 2.0)  # white unit-variance PSD
+    return np.fft.irfft(np.fft.rfft(w) * np.sqrt(target / base_psd), n=n)
+
+
+def _path_gains(source: Source, positions: np.ndarray, medium: MediumModel, tone_frequency: float | None = None):
+    """Travel times, effective distances and amplitude gains from a source
+    (1 m reference) to each receiver; with `tone_frequency` the gains carry
+    that tone's atmospheric absorption."""
+    delays = path_delays(source.position[None, :], positions, medium)
+    r_eff = medium.speed_of_sound * delays
+    gains = (REFERENCE_DISTANCE / r_eff) * np.sqrt(source.directivity_gain(positions))
+    if tone_frequency is not None:
+        alpha = atmospheric_absorption(tone_frequency, medium)
+        gains = gains * 10.0 ** (-alpha * r_eff / 20.0)
+    return delays, r_eff, gains
+
+
 def fractional_delay_kernel(frac: float, taps: int = SINC_TAPS, beta: float = SINC_BETA) -> np.ndarray:
     """Kaiser-windowed sinc interpolation kernel for a 0..1 sample delay."""
     n = np.arange(taps)
@@ -188,15 +215,7 @@ def _source_signal(source: Source, rate: float, n: int, rng) -> np.ndarray:
         amp = np.sqrt(2.0 * spec["power"])  # power = amp^2 / 2
         return amp * np.sin(2.0 * np.pi * spec["frequency"] * t + spec.get("phase", 0.0))
     if spec["type"] == "broadband":
-        x = rng.standard_normal(n)
-        if "frequencies" in spec:
-            spec_f = np.fft.rfftfreq(n, d=1.0 / rate)
-            target = np.interp(spec_f, spec["frequencies"], spec["psd"])
-            base_psd = 1.0 / (rate / 2.0)  # white unit-variance PSD
-            shaping = np.sqrt(target / base_psd)
-            return np.fft.irfft(np.fft.rfft(x) * shaping, n=n)
-        sigma = np.sqrt(float(spec["psd"]) * rate / 2.0)
-        return sigma * x
+        return _coloured_noise(spec, rate, n, rng)
     raise ValueError(f"unknown spectrum type {spec['type']!r}")
 
 
@@ -229,17 +248,13 @@ def synthesize_timeseries(
                 f"source {si}: tone at {src.spectrum['frequency']:.0f} Hz is close to "
                 f"Nyquist; fractional-delay interpolation is inaccurate there"
             )
-        delays = path_delays(src.position[None, :], pos, scene.medium)
-        r_eff = scene.medium.speed_of_sound * delays
-        gains = (REFERENCE_DISTANCE / r_eff) * np.sqrt(src.directivity_gain(pos))
+        tone = src.spectrum["type"] == "tone"
+        delays, r_eff, gains = _path_gains(
+            src, pos, scene.medium, src.spectrum["frequency"] if include_absorption and tone else None
+        )
         absorb = None
-        if include_absorption:
-            if src.spectrum["type"] == "tone":
-                alpha = atmospheric_absorption(src.spectrum["frequency"], scene.medium)
-                gains = gains * 10.0 ** (-alpha * r_eff / 20.0)
-            else:
-                spec_f = np.fft.rfftfreq(n, d=1.0 / rate)
-                absorb = atmospheric_absorption(spec_f, scene.medium)
+        if include_absorption and not tone:
+            absorb = atmospheric_absorption(np.fft.rfftfreq(n, d=1.0 / rate), scene.medium)
         for mi in range(m):
             sigch = apply_fractional_delay(base, delays[mi] * rate) * gains[mi]
             if absorb is not None:
@@ -248,19 +263,8 @@ def synthesize_timeseries(
             out[:, mi] += sigch
 
     if scene.noise is not None:
-        noise_streams = noise_seed.spawn(m)
-        spec_f = np.fft.rfftfreq(n, d=1.0 / rate)
-        target = scene.noise_psd(spec_f)
-        base_psd = 1.0 / (rate / 2.0)
-        shaping = np.sqrt(np.maximum(target, 0.0) / base_psd)
-        flat = "frequencies" not in scene.noise
-        for mi in range(m):
-            rng = np.random.default_rng(noise_streams[mi])
-            w = rng.standard_normal(n)
-            if flat:
-                out[:, mi] += np.sqrt(float(scene.noise["psd"]) * rate / 2.0) * w
-            else:
-                out[:, mi] += np.fft.irfft(np.fft.rfft(w) * shaping, n=n)
+        for mi, stream in enumerate(noise_seed.spawn(m)):
+            out[:, mi] += _coloured_noise(scene.noise, rate, n, np.random.default_rng(stream))
 
     meta = {"rate": rate, "duration": duration, "channels": m, "warnings": warnings}
     return out, meta
@@ -275,12 +279,7 @@ def transfer_vectors(
 ) -> np.ndarray:
     """Complex transfer from a unit source (1 m reference) to each receiver."""
     pos = np.asarray(positions, dtype=float)
-    delays = path_delays(source.position[None, :], pos, medium)
-    r_eff = medium.speed_of_sound * delays
-    amp = (REFERENCE_DISTANCE / r_eff) * np.sqrt(source.directivity_gain(pos))
-    if include_absorption:
-        alpha = atmospheric_absorption(frequency, medium)
-        amp = amp * 10.0 ** (-alpha * r_eff / 20.0)
+    delays, _, amp = _path_gains(source, pos, medium, frequency if include_absorption else None)
     return amp * np.exp(-2j * np.pi * frequency * delays)
 
 

@@ -174,7 +174,6 @@ class TestSubarrayStats:
             indices=np.array([0, 1]),
             target_positions=parent.positions[:2],
             match_distances=np.zeros(2),
-            nominal_center=parent.positions[:2].mean(axis=0),
             epsilon=0.1,
         )
         mean, std = geo.subarray_stats(sub)
