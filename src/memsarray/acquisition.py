@@ -9,6 +9,7 @@ UDP-style packet framing with resequencing and gap reporting.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -99,13 +100,14 @@ class DaqPacket:
 
     @classmethod
     def unpack(cls, buf: bytes) -> "DaqPacket":
+        if len(buf) < PACKET_HEADER.size:
+            raise ProtocolError(f"packet of {len(buf)} bytes is shorter than its {PACKET_HEADER.size}-byte header")
         magic, fpga_id, seq, ts, status, channels, frames = PACKET_HEADER.unpack_from(buf)
         if magic != PACKET_MAGIC:
             raise ProtocolError(f"bad packet magic {magic!r}")
-        stride = (frames + 7) // 8
-        payload = buf[PACKET_HEADER.size : PACKET_HEADER.size + channels * stride]
-        if len(payload) != channels * stride:
-            raise ProtocolError("truncated packet payload")
+        payload = buf[PACKET_HEADER.size :]
+        if len(payload) != channels * ((frames + 7) // 8):
+            raise ProtocolError(f"{len(payload)}-byte payload does not hold {channels} channels x {frames} frames")
         return cls(
             fpga_id=fpga_id,
             sequence=seq,
@@ -346,14 +348,19 @@ def write_capture(path, packets: list[DaqPacket]):
 
 
 def read_capture(path) -> list[DaqPacket]:
+    """Packets of a `write_capture` file; a truncated or corrupt file raises ProtocolError."""
     packets = []
     with open(path, "rb") as fh:
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            (n,) = struct.unpack("<I", head)
+        remaining = os.fstat(fh.fileno()).st_size
+        while remaining:
+            if remaining < 4:
+                raise ProtocolError(f"capture ends inside the length prefix of packet {len(packets)}")
+            (n,) = struct.unpack("<I", fh.read(4))
+            remaining -= 4
+            if n > remaining:
+                raise ProtocolError(f"capture ends {n - remaining} bytes short of packet {len(packets)}")
             packets.append(DaqPacket.unpack(fh.read(n)))
+            remaining -= n
     return packets
 
 

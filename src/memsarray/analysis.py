@@ -137,13 +137,13 @@ def maps_to_spectrum(maps: list[BeamformingMap], roi: RegionOfInterest, units: s
     return Spectrum(frequencies=f, psd=p, units=units)
 
 
-def directivity(spectra: list[tuple], db_domain: bool = True) -> DirectivitySurface:
+def directivity(spectra: list[tuple]) -> DirectivitySurface:
     """Build a directivity surface from per-angle spectra.
 
     `spectra` is a list of (angles, spectrum) where `angles` is an
     ObservationAngles (or a bare theta in degrees). All spectra must share one
     frequency axis; missing bins (NaN or non-positive power) stay masked.
-    The angle average is taken over dB values by default.
+    The angle average is taken over dB values.
     """
     if len(spectra) < 2:
         raise ValueError("directivity needs spectra from at least 2 angles")
@@ -172,11 +172,7 @@ def directivity(spectra: list[tuple], db_domain: bool = True) -> DirectivitySurf
     psd_db = np.full(power.shape, np.nan)
     ok = np.isfinite(power)
     psd_db[ok] = to_db(power[ok])
-    if db_domain:
-        mean = np.nanmean(psd_db, axis=0, keepdims=True)
-    else:
-        mean = to_db(np.nanmean(np.where(ok, power, np.nan), axis=0, keepdims=True))
-    gamma = psd_db - mean
+    gamma = psd_db - np.nanmean(psd_db, axis=0, keepdims=True)
     return DirectivitySurface(
         angles=np.array(thetas)[order],
         angle_spreads=np.array(spreads)[order],
@@ -277,7 +273,6 @@ def directivity_pipeline(
     mics: int = 150,
     epsilon: float = 0.1,
     grid_spec: dict | None = None,
-    diagonal_removal: bool = True,
     subarrays: list[SubArray] | None = None,
 ) -> DirectivitySurface:
     """End-to-end directivity: pitch sub-array series, CLEAN-SC per band,
@@ -311,6 +306,6 @@ def directivity_pipeline(
         maps = []
         for c in synthesize_csm(scene, sub.positions, freqs):
             steer = steering_formulation_iii(grid, sub, c.frequency, scene.medium)
-            maps.append(clean_sc(c, steer, grid, diagonal_removal=diagonal_removal))
+            maps.append(clean_sc(c, steer, grid))
         per_angle.append((angles, maps_to_spectrum(maps, roi)))
     return directivity(per_angle)

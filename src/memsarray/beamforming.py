@@ -55,9 +55,7 @@ class SteeringSet:
     frequency: float
     matrix: np.ndarray  # (M, N) complex, columns are grid points
     reference_distance: np.ndarray  # (N,) r_0 per grid point (to the array reference)
-    reference_point: np.ndarray  # (3,) the sub-array geometric mean
     grid: FocusGrid
-    corrections: dict
 
     @property
     def n_channels(self) -> int:
@@ -143,7 +141,6 @@ def steering_formulation_iii(
     frequency: float,
     medium: MediumModel | None = None,
     reference_point=None,
-    use_shear: bool | None = None,
     include_absorption: bool = False,
 ) -> SteeringSet:
     """Level-true steering vectors for every grid point.
@@ -161,8 +158,8 @@ def steering_formulation_iii(
 
     c0 = medium.speed_of_sound
     # (N, M) travel times focus -> sensor, and focus -> reference
-    tau = path_delays(grid.points[:, None, :], mics[None, :, :], medium, use_shear=use_shear)
-    tau0 = path_delays(grid.points, ref[None, :], medium, use_shear=use_shear)
+    tau = path_delays(grid.points[:, None, :], mics[None, :, :], medium)
+    tau0 = path_delays(grid.points, ref[None, :], medium)
     r = c0 * tau
     r0 = c0 * tau0
     if (r < 1e-9).any() or (r0 < 1e-9).any():
@@ -178,13 +175,7 @@ def steering_formulation_iii(
         frequency=float(frequency),
         matrix=np.ascontiguousarray(h.T),
         reference_distance=r0,
-        reference_point=np.asarray(ref, dtype=float),
         grid=grid,
-        corrections={
-            "convection": bool(medium.mach > 0),
-            "absorption": bool(include_absorption),
-            "amiet": bool(use_shear if use_shear is not None else medium.shear_layer is not None),
-        },
     )
 
 

@@ -55,15 +55,38 @@ class GeometryConfig:
 
 
 @dataclass(frozen=True)
-class SubarrayConfig:
-    strategy: Literal["dnw_like", "freq_dependent", "explicit"] = "dnw_like"
-    mics: int | None = None  # None: 140 for dnw_like, 200 for freq_dependent
-    aperture: float = 1.5  # dnw_like
+class DnwLikeSubarray:
+    """One Fermat-spiral sub-array of fixed aperture for every frequency."""
+
+    strategy: Literal["dnw_like"] = "dnw_like"
+    mics: int = 140
+    aperture: float = 1.5
     epsilon: float = 0.1
     center: tuple[float, float] | None = None  # (x, z); None: the array plane's origin
-    d_ref: float = 5.5  # freq_dependent
-    f_ref: float = 1000.0  # freq_dependent
-    indices: tuple[int, ...] | None = None  # explicit
+
+
+@dataclass(frozen=True)
+class FreqDependentSubarray:
+    """One Fermat-spiral sub-array per frequency, aperture d_ref * f_ref / f."""
+
+    strategy: Literal["freq_dependent"]
+    mics: int = 200
+    d_ref: float = 5.5
+    f_ref: float = 1000.0
+    epsilon: float = 0.1
+    center: tuple[float, float] | None = None  # (x, z); None: the array plane's origin
+
+
+@dataclass(frozen=True)
+class ExplicitSubarray:
+    """The listed sensors of the geometry."""
+
+    strategy: Literal["explicit"]
+    indices: tuple[int, ...]
+
+
+# `subarray` is one of these, chosen by its `strategy` key; the first is the default
+SubarrayConfig = DnwLikeSubarray | FreqDependentSubarray | ExplicitSubarray
 
 
 @dataclass(frozen=True)
@@ -99,6 +122,14 @@ class BeamformingConfig:
     estimator: Literal["exact", "welch"] = "exact"
     include_absorption: bool = False
 
+    def __post_init__(self):
+        names = {}  # map file name -> requested frequency
+        for f in self.frequencies:
+            name = _map_name(f)
+            if name in names:
+                raise ConfigError("beamforming.frequencies", f"{names[name]!r} Hz and {f!r} Hz both write {name}")
+            names[name] = f
+
 
 @dataclass(frozen=True)
 class RoiConfig:
@@ -111,6 +142,10 @@ class RoiConfig:
 class AnalysisConfig:
     roi: RoiConfig | None = None  # None: no ROI spectrum
     band: Literal["third_octave", "octave"] | None = None  # None: narrowband
+
+    def __post_init__(self):
+        if self.band is not None and self.roi is None:
+            raise ConfigError("analysis.band", "integrates the ROI spectrum, so it needs analysis.roi")
 
 
 @dataclass(frozen=True)
@@ -128,10 +163,14 @@ class RunConfig:
     scene: dict
     beamforming: BeamformingConfig
     seed: int = 0
-    subarray: SubarrayConfig = SubarrayConfig()
-    spectral: SpectralConfig = SpectralConfig()
+    subarray: SubarrayConfig = DnwLikeSubarray()
+    spectral: SpectralConfig | None = None  # None: the defaults; only the welch estimator reads it
     analysis: AnalysisConfig = AnalysisConfig()
     outputs: OutputsConfig = OutputsConfig()
+
+    def __post_init__(self):
+        if self.spectral is not None and self.beamforming.estimator != "welch":
+            raise ConfigError("spectral", "read only by the welch estimator")
 
 
 def _parse(kind, value, path: str):
@@ -150,8 +189,14 @@ def _parse(kind, value, path: str):
                 raise ConfigError(where, "missing required key")
         return kind(**args)
     origin, params = typing.get_origin(kind), typing.get_args(kind)
-    if origin in (typing.Union, types.UnionType):  # X | None
+    if origin in (typing.Union, types.UnionType) and type(None) in params:  # X | None
         return None if value is None else _parse(params[0], value, path)
+    if origin in (typing.Union, types.UnionType):  # dataclasses tagged by `strategy`, the first the default
+        tags = {typing.get_args(typing.get_type_hints(p)["strategy"])[0]: p for p in params}
+        tag = value.get("strategy", params[0].strategy) if isinstance(value, dict) else params[0].strategy
+        if not isinstance(tag, str) or tag not in tags:
+            raise ConfigError(f"{path}.strategy", f"expected one of {', '.join(tags)}, got {tag!r}")
+        return _parse(tags[tag], value, path)
     if origin is Literal:
         if value not in params:
             raise ConfigError(path, f"expected one of {', '.join(params)}, got {value!r}")
@@ -235,23 +280,25 @@ def _build_subarray(geo, spec: SubarrayConfig, frequencies):
     if spec.strategy == "freq_dependent":
         center = (geo.plane.origin[0], geo.plane.origin[2]) if spec.center is None else spec.center
         return geometry.freq_dependent_subarrays(
-            geo, center, d_ref=spec.d_ref, f_ref=spec.f_ref, mics=spec.mics or 200, bands=frequencies,
+            geo, center, d_ref=spec.d_ref, f_ref=spec.f_ref, mics=spec.mics, bands=frequencies,
             epsilon=spec.epsilon,
         )
     if spec.strategy == "dnw_like":
         sub = geometry.dnw_like_subarray(
-            geo, mics=spec.mics or 140, aperture=spec.aperture, epsilon=spec.epsilon, center=spec.center
+            geo, mics=spec.mics, aperture=spec.aperture, epsilon=spec.epsilon, center=spec.center
         )
     else:
-        if spec.indices is None:
-            raise ConfigError("subarray.indices", "required by the explicit strategy")
         idx = np.asarray(spec.indices, dtype=int)
+        if not len(idx) or idx.min() < 0 or idx.max() >= geo.sensor_count:
+            raise ConfigError("subarray.indices", f"expected one or more sensor indices within 0..{geo.sensor_count - 1}")
+        if len(np.unique(idx)) != len(idx):
+            raise ConfigError("subarray.indices", "a sensor index appears twice")
         sub = geometry.SubArray(
             parent=geo,
             indices=idx,
             target_positions=geo.positions[idx],
             match_distances=np.zeros(len(idx)),
-            epsilon=spec.epsilon,
+            epsilon=0.0,
         )
     return {float(f): sub for f in frequencies}
 
@@ -280,7 +327,7 @@ def run_beamforming(cfg: RunConfig, geo, scene, jobs: int = 1) -> list:
     subs = _build_subarray(geo, cfg.subarray, bf.frequencies)
     csm_by_freq = {}
     if bf.estimator == "welch":
-        sp = cfg.spectral
+        sp = cfg.spectral or SpectralConfig()
         requested = {}  # Welch bin frequency -> requested frequency
         # one synthesis per distinct sub-array
         unique = {}
@@ -314,8 +361,12 @@ def run_beamforming(cfg: RunConfig, geo, scene, jobs: int = 1) -> list:
     return sorted(maps, key=lambda m: m.frequency)
 
 
+def _map_name(frequency: float) -> str:
+    return f"map_{frequency:.0f}Hz"
+
+
 def save_map(out_dir, bmap, formats):
-    base = os.path.join(out_dir, f"map_{bmap.frequency:.0f}Hz")
+    base = os.path.join(out_dir, _map_name(bmap.frequency))
     written = []
     if "csv" in formats:
         path = base + ".csv"
@@ -461,8 +512,12 @@ def cmd_beamform(args) -> int:
             max_iterations=args.max_iter,
             estimator=args.estimator,
         ),
-        subarray=SubarrayConfig(strategy=args.subarray, epsilon=args.epsilon),
-        spectral=SpectralConfig(block=args.block, overlap=args.overlap, duration=args.duration),
+        subarray=_parse(SubarrayConfig, {"strategy": args.subarray, "epsilon": args.epsilon}, "subarray"),
+        spectral=(
+            SpectralConfig(block=args.block, overlap=args.overlap, duration=args.duration)
+            if args.estimator == "welch"
+            else None
+        ),
         outputs=OutputsConfig(formats=tuple(args.format.split(","))),
     )
     scene = _load_scene(cfg.scene)
@@ -538,7 +593,7 @@ def cmd_farfield(args) -> int:
         beamforming=BeamformingConfig(
             frequencies=freqs, grid=_parse_grid(args.grid), clean_sc=True, diagonal_removal=args.dr == "on"
         ),
-        subarray=SubarrayConfig(strategy=args.subarray),
+        subarray=_parse(SubarrayConfig, {"strategy": args.subarray}, "subarray"),
     )
     scene = _load_scene(cfg.scene)
     maps = run_beamforming(cfg, _load_geometry(cfg), scene, jobs=args.jobs)
@@ -660,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("beamform", help="beamforming maps from a scene")
     b.add_argument("--scene", required=True)
     b.add_argument("--geometry", required=True)
-    b.add_argument("--subarray", default=SubarrayConfig.strategy, choices=["dnw_like", "freq_dependent"])
-    b.add_argument("--epsilon", type=float, default=SubarrayConfig.epsilon)
+    b.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=["dnw_like", "freq_dependent"])
+    b.add_argument("--epsilon", type=float, default=DnwLikeSubarray.epsilon)
     b.add_argument("--freqs", default="4000")
     b.add_argument("--band", choices=["third_octave", "octave"], default=None,
                    help="run at standard band centers instead of --freqs")
@@ -702,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--freqs", default="1000,2000,4000")
     f.add_argument("--mics", required=True, help="semicolon-separated x,y,z positions")
     f.add_argument("--reference", default="2.4,0.0,0.0")
-    f.add_argument("--subarray", default=SubarrayConfig.strategy, choices=["dnw_like", "freq_dependent"])
+    f.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=["dnw_like", "freq_dependent"])
     f.add_argument("--dr", choices=["on", "off"], default="on")
     f.add_argument("--jobs", type=int, default=1)
     f.add_argument("--out", default="run")

@@ -57,10 +57,6 @@ class MediumModel:
         if not 0.0 <= self.relative_humidity <= 100.0:
             raise ConfigError("relative_humidity", "relative humidity must be within 0..100 %")
 
-    @property
-    def mach(self) -> float:
-        return float(np.linalg.norm(self.mach_vector))
-
     def to_dict(self) -> dict:
         d = {
             "speed_of_sound": self.speed_of_sound,
@@ -311,11 +307,9 @@ def amiet_correction(source, receiver, medium: MediumModel) -> PathResult:
     return PathResult(delay=delay, amplitude=1.0 / (4.0 * np.pi * r_eff), effective_distance=r_eff)
 
 
-def path_delays(sources, receivers, medium: MediumModel, use_shear: bool | None = None) -> np.ndarray:
-    """Travel times using the shear-layer path when present (or forced)."""
-    if use_shear is None:
-        use_shear = medium.shear_layer is not None
-    if use_shear:
+def path_delays(sources, receivers, medium: MediumModel) -> np.ndarray:
+    """Travel times using the shear-layer path when the medium has one."""
+    if medium.shear_layer is not None:
         delays, _ = shear_crossing_delays(sources, receivers, medium)
         return delays
     return convected_delays(sources, receivers, medium)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import get_window
 
+from .errors import ProtocolError
+
 P_REF = 20e-6  # Pa
 P_REF_SQ = P_REF * P_REF
 DB_FLOOR = -400.0
@@ -271,29 +273,36 @@ def save_csm_set(path, csms: list[CrossSpectralMatrix], geometry_hash: str = "")
 
 
 def load_csm_set(path) -> list[CrossSpectralMatrix]:
+    """CSMs of a `save_csm_set` file; a truncated or corrupt file raises ProtocolError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != b"CSMF":
-            raise ValueError("not a CSM container")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        data = fh.read()
+    if data[:4] != b"CSMF":
+        raise ProtocolError("not a CSM container")
+    if len(data) < 8:
+        raise ProtocolError("CSM container ends inside its header length")
+    (hlen,) = struct.unpack_from("<I", data, 4)
+    try:
+        header = json.loads(data[8 : 8 + hlen])
         m = header["n_channels"]
-        iu = np.triu_indices(m)
-        n_vals = len(iu[0])
-        out = []
-        for f in header["frequencies"]:
-            flat = np.frombuffer(fh.read(16 * n_vals), dtype="<c16")
-            v = np.zeros((m, m), dtype=complex)
-            v[iu] = flat
-            v = v + np.triu(v, k=1).conj().T
-            out.append(
-                CrossSpectralMatrix(
-                    frequency=float(f),
-                    values=v,
-                    n_averages=header["n_averages"],
-                    window=header["window"],
-                    block_size=header["block_size"],
-                    overlap=header["overlap"],
-                    units=header["units"],
-                )
-            )
+        freqs = [float(f) for f in header["frequencies"]]
+        meta = {k: header[k] for k in ("n_averages", "window", "block_size", "overlap", "units")}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ProtocolError(f"corrupt CSM header: {exc}") from exc
+    if type(m) is not int or m < 1:
+        raise ProtocolError(f"corrupt CSM header: n_channels {m!r}")
+    n_vals = m * (m + 1) // 2  # upper triangle
+    if len(data) != 8 + hlen + 16 * n_vals * len(freqs):
+        raise ProtocolError(
+            f"CSM container of {len(data)} bytes does not hold {len(freqs)} matrices of {m} channels"
+        )
+    iu = np.triu_indices(m)
+    out = []
+    for i, f in enumerate(freqs):
+        v = np.zeros((m, m), dtype=complex)
+        v[iu] = np.frombuffer(data, dtype="<c16", count=n_vals, offset=8 + hlen + 16 * n_vals * i)
+        v = v + np.triu(v, k=1).conj().T
+        try:
+            out.append(CrossSpectralMatrix(frequency=f, values=v, **meta))
+        except ValueError as exc:
+            raise ProtocolError(f"corrupt CSM at {f} Hz: {exc}") from exc
     return out

@@ -13,6 +13,8 @@ optional atmospheric damping and dipole directivity weighting.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +38,12 @@ class Source:
     """Point source: position, monopole/dipole kind, and a spectrum spec.
 
     Spectrum spec forms:
-      {"type": "tone", "frequency": f_hz, "power": q2}        q2 in Pa^2 at 1 m
+      {"type": "tone", "frequency": f_hz, "power": q2}        q2 in Pa^2 at 1 m; optional "phase" (rad)
       {"type": "broadband", "psd": s}                          flat Pa^2/Hz at 1 m
       {"type": "broadband", "frequencies": [...], "psd": [...]}  shaped
+    Any other type or key, a missing key, a negative or non-finite value, or
+    shaped lists of unequal length or non-increasing frequencies raise
+    ConfigError at `spectrum.<key>`.
     """
 
     position: np.ndarray
@@ -48,6 +53,7 @@ class Source:
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        _check_spectrum(self.spectrum)
         if self.kind not in ("monopole", "dipole"):
             raise ConfigError("kind", f"unknown source kind {self.kind!r}")
         if self.kind == "dipole":
@@ -77,9 +83,7 @@ class Source:
             if bin_width is None:
                 return float(spec["power"]) if np.isclose(frequency, f0) else 0.0
             return float(spec["power"]) if abs(frequency - f0) <= bin_width / 2 else 0.0
-        if spec["type"] == "broadband":
-            return float(_psd_at(spec, frequency))
-        raise ValueError(f"unknown spectrum type {spec['type']!r}")
+        return float(_psd_at(spec, frequency))
 
     def to_dict(self) -> dict:
         d = {"position": [float(v) for v in self.position], "kind": self.kind, "spectrum": self.spectrum}
@@ -99,8 +103,12 @@ class Scene:
 
     sources: tuple[Source, ...] = ()
     medium: MediumModel = field(default_factory=MediumModel)
-    noise: dict | None = None  # {"psd": x} or {"frequencies": [...], "psd": [...]}
+    noise: dict | None = None  # {"psd": x} or {"frequencies": [...], "psd": [...]}, checked as a broadband spectrum
     seed: int = 0
+
+    def __post_init__(self):
+        if self.noise is not None:
+            _check_psd_spec(self.noise, "noise")
 
     def noise_psd(self, frequency) -> np.ndarray:
         f = np.atleast_1d(np.asarray(frequency, dtype=float))
@@ -147,6 +155,56 @@ class Scene:
         except (OSError, ValueError) as exc:
             raise ConfigError("scene", f"cannot read {path}: {exc}") from exc
         return cls.from_dict(d)
+
+
+def _required(spec: dict, key: str, path: str):
+    if key not in spec:
+        raise ConfigError(f"{path}.{key}", "missing required key")
+    return spec[key]
+
+
+def _check_number(value, where: str, non_negative: bool = True) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    if non_negative and value < 0:
+        raise ConfigError(where, f"expected a number >= 0, got {value!r}")
+
+
+def _check_spectrum(spec) -> None:
+    """Reject a source spectrum (forms in `Source`) that synthesis cannot read."""
+    if not isinstance(spec, dict):
+        raise ConfigError("spectrum", f"expected an object, got {type(spec).__name__}")
+    kind = _required(spec, "type", "spectrum")
+    if kind == "broadband":
+        _check_psd_spec(spec, "spectrum", ("type",))
+    elif kind == "tone":
+        check_keys(spec, ("type", "frequency", "power", "phase"), "spectrum")
+        _check_number(_required(spec, "frequency", "spectrum"), "spectrum.frequency")
+        _check_number(_required(spec, "power", "spectrum"), "spectrum.power")
+        if "phase" in spec:
+            _check_number(spec["phase"], "spectrum.phase", non_negative=False)
+    else:
+        raise ConfigError("spectrum.type", f"expected tone or broadband, got {kind!r}")
+
+
+def _check_psd_spec(spec, path: str, extra_keys=()) -> None:
+    """Reject a PSD spec other than a flat `{"psd": s}` or a shaped
+    `{"frequencies": [...], "psd": [...]}` with increasing frequencies."""
+    check_keys(spec, ("psd", "frequencies", *extra_keys), path)
+    psd = _required(spec, "psd", path)
+    if "frequencies" not in spec:
+        _check_number(psd, f"{path}.psd")
+        return
+    freqs = spec["frequencies"]
+    if not isinstance(freqs, (list, tuple)) or not freqs:
+        raise ConfigError(f"{path}.frequencies", "expected a non-empty list")
+    if not isinstance(psd, (list, tuple)) or len(psd) != len(freqs):
+        raise ConfigError(f"{path}.psd", f"expected a list of {len(freqs)} values, one per frequency")
+    for key, values in (("frequencies", freqs), ("psd", psd)):
+        for i, v in enumerate(values):
+            _check_number(v, f"{path}.{key}[{i}]")
+    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise ConfigError(f"{path}.frequencies", "must be strictly increasing")
 
 
 def _psd_at(spec: dict, frequency):
@@ -214,9 +272,7 @@ def _source_signal(source: Source, rate: float, n: int, rng) -> np.ndarray:
     if spec["type"] == "tone":
         amp = np.sqrt(2.0 * spec["power"])  # power = amp^2 / 2
         return amp * np.sin(2.0 * np.pi * spec["frequency"] * t + spec.get("phase", 0.0))
-    if spec["type"] == "broadband":
-        return _coloured_noise(spec, rate, n, rng)
-    raise ValueError(f"unknown spectrum type {spec['type']!r}")
+    return _coloured_noise(spec, rate, n, rng)
 
 
 def synthesize_timeseries(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import sine_fit
 
 from memsarray import acquisition as acq
@@ -186,6 +188,38 @@ class TestPackets:
         back = acq.read_capture(path)
         assert len(back) == len(packets)
         assert all(a.pack() == b.pack() for a, b in zip(packets, back))
+
+    def test_truncated_capture_raises_protocol_error(self, rng, tmp_path):
+        packets = acq.packetize(random_streams(rng, n_bits=64), frames_per_packet=32)
+        path = tmp_path / "capture.bin"
+        acq.write_capture(path, packets)
+        data = path.read_bytes()
+        record = len(data) // len(packets)  # length prefix + header + payload
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            if n % record == 0:
+                assert len(acq.read_capture(path)) == n // record
+            else:
+                with pytest.raises(ProtocolError):
+                    acq.read_capture(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.integers(0, 4 + acq.PACKET_HEADER.size - 1), byte=st.integers(0, 255))
+    def test_corrupt_capture_header_is_read_or_rejected(self, tmp_path_factory, offset, byte):
+        packets = acq.packetize(random_streams(np.random.default_rng(5), n_bits=64), frames_per_packet=32)
+        path = tmp_path_factory.mktemp("capture") / "capture.bin"
+        acq.write_capture(path, packets)
+        data = bytearray(path.read_bytes())
+        changed = data[offset] != byte
+        data[offset] = byte
+        path.write_bytes(bytes(data))
+        try:
+            back = acq.read_capture(path)
+        except ProtocolError:
+            return
+        # the length prefix and the magic admit no other value
+        assert offset >= 8 or not changed
+        assert [p.payload for p in back] == [p.payload for p in packets]
 
     def test_bad_magic(self):
         with pytest.raises(ProtocolError):

@@ -276,6 +276,23 @@ BAD_SCENES = {
     "scene.sources[0].colour": {"sources": [dict(_MONOPOLE, colour="red")]},
     "scene.medium.mach": {"sources": [_MONOPOLE], "medium": {"mach": [1.2, 0.0, 0.0]}},
     "scene.medium.wind": {"sources": [_MONOPOLE], "medium": {"wind": 3.0}},
+    "scene.sources[0].spectrum.type": {"sources": [dict(_MONOPOLE, spectrum={"type": "pink", "psd": 1e-6})]},
+    "scene.sources[0].spectrum.psd": {"sources": [dict(_MONOPOLE, spectrum={"type": "broadband"})]},
+    "scene.sources[0].spectrum.power": {
+        "sources": [dict(_MONOPOLE, spectrum={"type": "tone", "frequency": 2000.0, "power": "loud"})]
+    },
+    "scene.sources[0].spectrum.bandwidth": {
+        "sources": [dict(_MONOPOLE, spectrum={"type": "tone", "frequency": 2000.0, "power": 1.0, "bandwidth": 10.0})]
+    },
+    "scene.sources[0].spectrum.frequencies": {
+        "sources": [dict(_MONOPOLE, spectrum={"type": "broadband", "frequencies": [0.0, 4000.0, 2000.0], "psd": [1e-6] * 3})]
+    },
+    "scene.sources[0].spectrum.psd[1]": {
+        "sources": [dict(_MONOPOLE, spectrum={"type": "broadband", "frequencies": [0.0, 4000.0], "psd": [1e-6, -1e-6]})]
+    },
+    "scene.noise.psdd": {"sources": [_MONOPOLE], "noise": {"psdd": 1e-9}},
+    "scene.noise.colour": {"sources": [_MONOPOLE], "noise": {"psd": 1e-9, "colour": "pink"}},
+    "scene.noise.psd": {"sources": [_MONOPOLE], "noise": {"frequencies": [0.0, 4000.0], "psd": [1e-9]}},
 }
 
 
@@ -301,6 +318,16 @@ def test_bad_scene_is_a_config_error(tmp_path, panel_geometry, capsys, command, 
     assert f"config error at {field}:" in capsys.readouterr().err
 
 
+# sections that replace the bundled config's before a case sets its key
+_REJECTED_KEY_SECTIONS = {
+    "subarray.aperture": {"subarray": {"strategy": "freq_dependent"}},
+    "subarray.mics": {"subarray": {"strategy": "explicit", "indices": [0, 1, 2]}},
+    "subarray.epsilon": {"subarray": {"strategy": "explicit", "indices": [0, 1, 2]}},
+    "subarray.indices": {"subarray": {"strategy": "explicit"}},
+    "analysis.band": {"analysis": {}},
+}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -315,10 +342,26 @@ def test_bad_scene_is_a_config_error(tmp_path, panel_geometry, capsys, command, 
         ("beamforming.grid.x_range", [2.5]),
         ("beamforming.estimator", "Welch"),
         ("outputs.formats", ["csv", "png"]),
+        # keys the chosen sub-array strategy does not read, and bad sensor indices
+        ("subarray.strategy", "ring"),
+        ("subarray.aperture", 1.5),
+        ("subarray.d_ref", 5.5),
+        ("subarray.mics", 140),
+        ("subarray.epsilon", 0.1),
+        ("subarray.indices", [0, 1, 1]),
+        ("subarray.indices", [0, 7200]),
+        ("subarray.indices", [-1, 0]),
+        # sections nothing reads with these settings
+        ("spectral", {"block": 512}),
+        ("analysis.band", "octave"),
+        # frequencies whose maps would share one file name
+        ("beamforming.frequencies", [2000.2, 2000.4]),
+        ("beamforming.frequencies", [2000.0, 2000.0]),
     ],
 )
 def test_rejected_key_exits_two_with_its_path(tmp_path, capsys, field, value):
     cfg = cli.bundled_config("single_monopole")
+    cfg.update(_REJECTED_KEY_SECTIONS.get(field, {}))
     *heads, last = field.split(".")
     node = cfg
     for head in heads:
@@ -326,6 +369,7 @@ def test_rejected_key_exits_two_with_its_path(tmp_path, capsys, field, value):
     node[last] = value
     assert cli.main(_pipeline_config(tmp_path, cfg) + ["--out", str(tmp_path / "run")]) == 2
     assert f"config error at {field}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("map_*"))
 
 
 class TestWelchEstimator:

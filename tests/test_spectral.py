@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsarray import spectral as sp
+from memsarray.errors import ProtocolError
 
 
 def white_signals(rng, n, channels, sigma=1.0):
@@ -199,3 +202,36 @@ class TestSpectrumIO:
             assert a.frequency == b.frequency
             assert np.allclose(a.values, b.values)
             assert b.n_averages == a.n_averages
+
+
+def small_csm_set(rng):
+    a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    return [sp.CrossSpectralMatrix(frequency=f, values=x @ x.conj().T) for f, x in zip((1000.0, 2000.0), a)]
+
+
+class TestCsmContainerErrors:
+    def test_truncated_raises_protocol_error(self, rng, tmp_path):
+        path = tmp_path / "set.csm"
+        sp.save_csm_set(path, small_csm_set(rng))
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(ProtocolError):
+                sp.load_csm_set(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_header_is_read_or_rejected(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csm") / "set.csm"
+        sp.save_csm_set(path, small_csm_set(np.random.default_rng(5)), geometry_hash="abc123")
+        intact = sp.load_csm_set(path)
+        raw = bytearray(path.read_bytes())
+        header_end = 8 + int.from_bytes(raw[4:8], "little")
+        offset = data.draw(st.integers(0, header_end - 1), label="offset")
+        raw[offset] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(raw))
+        try:
+            back = sp.load_csm_set(path)
+        except ProtocolError:
+            return
+        assert [c.values.tolist() for c in back] == [c.values.tolist() for c in intact]
