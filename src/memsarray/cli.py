@@ -290,7 +290,9 @@ def _build_subarray(geo, spec: SubarrayConfig, frequencies):
     else:
         idx = np.asarray(spec.indices, dtype=int)
         if not len(idx) or idx.min() < 0 or idx.max() >= geo.sensor_count:
-            raise ConfigError("subarray.indices", f"expected one or more sensor indices within 0..{geo.sensor_count - 1}")
+            raise ConfigError(
+                "subarray.indices", f"expected one or more sensor indices within 0..{geo.sensor_count - 1}"
+            )
         if len(np.unique(idx)) != len(idx):
             raise ConfigError("subarray.indices", "a sensor index appears twice")
         sub = geometry.SubArray(

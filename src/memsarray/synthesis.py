@@ -103,7 +103,7 @@ class Scene:
 
     sources: tuple[Source, ...] = ()
     medium: MediumModel = field(default_factory=MediumModel)
-    noise: dict | None = None  # {"psd": x} or {"frequencies": [...], "psd": [...]}, checked as a broadband spectrum
+    noise: dict | None = None  # {"psd": x} or {"frequencies": [...], "psd": [...]}, as a broadband spectrum
     seed: int = 0
 
     def __post_init__(self):

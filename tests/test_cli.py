@@ -285,7 +285,7 @@ BAD_SCENES = {
         "sources": [dict(_MONOPOLE, spectrum={"type": "tone", "frequency": 2000.0, "power": 1.0, "bandwidth": 10.0})]
     },
     "scene.sources[0].spectrum.frequencies": {
-        "sources": [dict(_MONOPOLE, spectrum={"type": "broadband", "frequencies": [0.0, 4000.0, 2000.0], "psd": [1e-6] * 3})]
+        "sources": [dict(_MONOPOLE, spectrum={"type": "broadband", "frequencies": [0.0, 4e3, 2e3], "psd": [1e-6] * 3})]
     },
     "scene.sources[0].spectrum.psd[1]": {
         "sources": [dict(_MONOPOLE, spectrum={"type": "broadband", "frequencies": [0.0, 4000.0], "psd": [1e-6, -1e-6]})]
