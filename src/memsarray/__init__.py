@@ -35,11 +35,14 @@ from .acquisition import (
 from .beamforming import (
     BeamformingMap,
     FocusGrid,
+    SteeringGeometry,
     SteeringSet,
     clean_sc,
     conventional_beamform,
     make_focus_grid,
     steering_formulation_iii,
+    steering_geometry,
+    steering_vectors,
 )
 from .errors import ConfigError, ConstraintError, NumericalError, ProtocolError
 from .geometry import (

@@ -20,7 +20,8 @@ from .beamforming import (
     BeamformingMap,
     clean_sc,
     make_focus_grid,
-    steering_formulation_iii,
+    steering_geometry,
+    steering_vectors,
 )
 from .geometry import ArrayGeometry, SubArray, pitch_subarray_series, subarray_observation
 from .spectral import Spectrum, band_centers_spanning, band_edges, to_db
@@ -303,9 +304,8 @@ def directivity_pipeline(
         if sub.size < 2:
             continue
         angles = subarray_observation(sub, reference_point)
-        maps = []
-        for c in synthesize_csm(scene, sub.positions, freqs):
-            steer = steering_formulation_iii(grid, sub, c.frequency, scene.medium)
-            maps.append(clean_sc(c, steer, grid))
+        steering = steering_geometry(grid, sub, scene.medium)
+        csms = synthesize_csm(scene, sub.positions, freqs)
+        maps = [clean_sc(c, steering_vectors(steering, c.frequency), grid) for c in csms]
         per_angle.append((angles, maps_to_spectrum(maps, roi)))
     return directivity(per_angle)

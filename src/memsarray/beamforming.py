@@ -7,8 +7,11 @@ formulation III,
 
 with travel times from the propagation module (convected Green's function,
 optionally the Amiet shear-layer path) and r = c0 * tau the effective
-distances. Map values are re-referenced to the source power a monopole would
-show at 1 m, so a matched rank-1 CSM reproduces its injected power exactly.
+distances. Travel times do not depend on frequency: `steering_geometry`
+computes them once per grid, sub-array and medium, and `steering_vectors`
+computes phase and amplitude per frequency. Map values are re-referenced to
+the source power a monopole would show at 1 m, so a matched rank-1 CSM
+reproduces its injected power exactly.
 
 CLEAN-SC deconvolution follows Sijtsma's formulation: per iteration the CSM
 component spatially coherent with the dirty-map peak is estimated (with a
@@ -135,37 +138,52 @@ def make_focus_grid(
     return FocusGrid(points=pts, local=local, shape=(nx, nz), spacing=float(spacing))
 
 
-def steering_formulation_iii(
+@dataclass(frozen=True)
+class SteeringGeometry:
+    """The frequency-independent part of formulation III steering over a grid:
+    travel times from every focus point to each sensor and to the array
+    reference, built once per (grid, sub-array, medium)."""
+
+    grid: FocusGrid
+    tau: np.ndarray  # (N, M) s, focus point -> sensor
+    tau0: np.ndarray  # (N,) s, focus point -> array reference
+    medium: MediumModel
+
+
+def steering_geometry(
     grid: FocusGrid,
     subarray: SubArray | np.ndarray,
-    frequency: float,
     medium: MediumModel | None = None,
     reference_point=None,
-    include_absorption: bool = False,
-) -> SteeringSet:
-    """Level-true steering vectors for every grid point.
-
-    The amplitude reference r_0 is taken to the sub-array geometric mean.
-    With `include_absorption` the per-channel effective distances are inflated
-    by the atmospheric damping, which keeps the level-true property when the
-    synthesized field carries absorption too.
-    """
-    if frequency <= 0:
-        raise ValueError("frequency must be > 0")
+) -> SteeringGeometry:
+    """Travel times for `steering_vectors`; the reference point defaults to the
+    sub-array geometric mean."""
     medium = medium or MediumModel()
     mics = subarray.positions if isinstance(subarray, SubArray) else np.asarray(subarray, dtype=float)
     ref = mics.mean(axis=0) if reference_point is None else np.asarray(reference_point, dtype=float)
-
-    c0 = medium.speed_of_sound
-    # (N, M) travel times focus -> sensor, and focus -> reference
     tau = path_delays(grid.points[:, None, :], mics[None, :, :], medium)
     tau0 = path_delays(grid.points, ref[None, :], medium)
+    c0 = medium.speed_of_sound
+    if (c0 * tau < 1e-9).any() or (c0 * tau0 < 1e-9).any():
+        raise ValueError("focus point coincides with a sensor or the array reference")
+    return SteeringGeometry(grid=grid, tau=tau, tau0=tau0, medium=medium)
+
+
+def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absorption: bool = False) -> SteeringSet:
+    """Level-true steering vectors at one frequency from precomputed travel times.
+
+    With `include_absorption` the per-channel effective distances r = c0 tau
+    are inflated by the atmospheric damping, which keeps the level-true
+    property when the synthesized field carries absorption too.
+    """
+    if frequency <= 0:
+        raise ValueError("frequency must be > 0")
+    c0 = geometry.medium.speed_of_sound
+    tau, tau0 = geometry.tau, geometry.tau0
     r = c0 * tau
     r0 = c0 * tau0
-    if (r < 1e-9).any() or (r0 < 1e-9).any():
-        raise ValueError("focus point coincides with a sensor or the array reference")
     if include_absorption:
-        alpha = atmospheric_absorption(frequency, medium)
+        alpha = atmospheric_absorption(frequency, geometry.medium)
         r = r * 10.0 ** (alpha * r / 20.0)
         r0 = r0 * 10.0 ** (alpha * r0 / 20.0)
     inv_sq_sum = np.sum(r**-2.0, axis=1)  # (N,)
@@ -175,8 +193,23 @@ def steering_formulation_iii(
         frequency=float(frequency),
         matrix=np.ascontiguousarray(h.T),
         reference_distance=r0,
-        grid=grid,
+        grid=geometry.grid,
     )
+
+
+def steering_formulation_iii(
+    grid: FocusGrid,
+    subarray: SubArray | np.ndarray,
+    frequency: float,
+    medium: MediumModel | None = None,
+    reference_point=None,
+    include_absorption: bool = False,
+) -> SteeringSet:
+    """Level-true steering vectors for every grid point at one frequency:
+    `steering_vectors` of `steering_geometry`. Callers steering one geometry
+    at several frequencies build the geometry once instead."""
+    geometry = steering_geometry(grid, subarray, medium, reference_point)
+    return steering_vectors(geometry, frequency, include_absorption)
 
 
 def _raw_map(csm_values: np.ndarray, h: np.ndarray) -> np.ndarray:

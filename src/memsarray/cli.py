@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import types
@@ -35,11 +36,36 @@ OUTPUT_ROOT_ENV = "MEMSARRAY_OUTPUT_ROOT"
 # ---------------------------------------------------------------- config
 
 
+def _require(ok: bool, path: str, message: str) -> None:
+    """ConfigError at `path` unless `ok`; the dataclasses below check their
+    values' domains with it, so a bad value exits 2 before any stage runs."""
+    if not ok:
+        raise ConfigError(path, message)
+
+
+def _require_positive(value: float, path: str) -> None:
+    _require(0 < value < math.inf, path, f"expected a finite number > 0, got {value!r}")
+
+
+def _require_range(bounds: tuple[float, float], path: str, strict: bool = False) -> None:
+    lo, hi = bounds
+    ordered = lo < hi if strict else lo <= hi
+    _require(
+        math.isfinite(lo) and math.isfinite(hi) and ordered,
+        path,
+        f"expected finite [low, high] with low {'<' if strict else '<='} high, got {list(bounds)!r}",
+    )
+
+
 @dataclass(frozen=True)
 class GenerateConfig:
     panels_x: int = 3
     panels_z: int = 3
     seed: int | None = None  # None: the run's seed
+
+    def __post_init__(self):
+        _require(self.panels_x >= 1, "geometry.generate.panels_x", f"expected >= 1, got {self.panels_x!r}")
+        _require(self.panels_z >= 1, "geometry.generate.panels_z", f"expected >= 1, got {self.panels_z!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +90,11 @@ class DnwLikeSubarray:
     epsilon: float = 0.1
     center: tuple[float, float] | None = None  # (x, z); None: the array plane's origin
 
+    def __post_init__(self):
+        _require(self.mics >= 1, "subarray.mics", f"expected >= 1, got {self.mics!r}")
+        _require_positive(self.aperture, "subarray.aperture")
+        _require_positive(self.epsilon, "subarray.epsilon")
+
 
 @dataclass(frozen=True)
 class FreqDependentSubarray:
@@ -75,6 +106,12 @@ class FreqDependentSubarray:
     f_ref: float = 1000.0
     epsilon: float = 0.1
     center: tuple[float, float] | None = None  # (x, z); None: the array plane's origin
+
+    def __post_init__(self):
+        _require(self.mics >= 1, "subarray.mics", f"expected >= 1, got {self.mics!r}")
+        _require_positive(self.d_ref, "subarray.d_ref")
+        _require_positive(self.f_ref, "subarray.f_ref")
+        _require_positive(self.epsilon, "subarray.epsilon")
 
 
 @dataclass(frozen=True)
@@ -98,6 +135,11 @@ class GridConfig:
     delta_angle: float = 0.0
     aoa: float = 0.0
 
+    def __post_init__(self):
+        _require_range(self.x_range, "beamforming.grid.x_range")
+        _require_range(self.z_range, "beamforming.grid.z_range")
+        _require_positive(self.spacing, "beamforming.grid.spacing")
+
 
 @dataclass(frozen=True)
 class SpectralConfig:
@@ -108,6 +150,17 @@ class SpectralConfig:
     window: str = "hann"
     duration: float = 1.0
     rate: float = 48_000.0
+
+    def __post_init__(self):
+        _require(0.0 <= self.overlap < 1.0, "spectral.overlap", f"expected a number in [0, 1), got {self.overlap!r}")
+        _require_positive(self.duration, "spectral.duration")
+        _require_positive(self.rate, "spectral.rate")
+        samples = int(round(self.rate * self.duration))
+        _require(
+            1 <= self.block <= samples,
+            "spectral.block",
+            f"expected 1 to {samples} samples (duration x rate), got {self.block!r}",
+        )
 
 
 @dataclass(frozen=True)
@@ -123,6 +176,18 @@ class BeamformingConfig:
     include_absorption: bool = False
 
     def __post_init__(self):
+        _require(len(self.frequencies) > 0, "beamforming.frequencies", "expected at least one frequency")
+        for i, f in enumerate(self.frequencies):
+            _require_positive(f, f"beamforming.frequencies[{i}]")
+        _require(
+            0.0 < self.loop_gain <= 1.0, "beamforming.loop_gain", f"expected a number in (0, 1], got {self.loop_gain!r}"
+        )
+        _require(self.max_iterations >= 1, "beamforming.max_iterations", f"expected >= 1, got {self.max_iterations!r}")
+        _require(
+            0.0 <= self.stop_threshold < 1.0,
+            "beamforming.stop_threshold",
+            f"expected a number in [0, 1), got {self.stop_threshold!r}",
+        )
         names = {}  # map file name -> requested frequency
         for f in self.frequencies:
             name = _map_name(f)
@@ -136,6 +201,10 @@ class RoiConfig:
     x_range: tuple[float, float]
     z_range: tuple[float, float]
     label: str = "roi"
+
+    def __post_init__(self):
+        _require_range(self.x_range, "analysis.roi.x_range", strict=True)
+        _require_range(self.z_range, "analysis.roi.z_range", strict=True)
 
 
 @dataclass(frozen=True)
@@ -307,34 +376,35 @@ def _build_subarray(geo, spec: SubarrayConfig, frequencies):
 
 def _beamform_work(item):
     """Worker for per-frequency beamforming (picklable)."""
-    csm, mic_positions, grid, medium, bf = item
-    steer = beamforming.steering_formulation_iii(
-        grid, mic_positions, csm.frequency, medium, include_absorption=bf.include_absorption
-    )
+    csm, steering, bf = item
+    steer = beamforming.steering_vectors(steering, csm.frequency, include_absorption=bf.include_absorption)
     if bf.clean_sc:
         return beamforming.clean_sc(
-            csm, steer, grid, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
+            csm, steer, steering.grid, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
             stop_threshold=bf.stop_threshold, diagonal_removal=bf.diagonal_removal,
         )
     return beamforming.conventional_beamform(csm, steer, bf.diagonal_removal)
 
 
 def run_beamforming(cfg: RunConfig, geo, scene, jobs: int = 1) -> list:
-    """Maps for `beamform`, `farfield` and `pipeline`, sorted by frequency."""
+    """Maps for `beamform`, `farfield` and `pipeline`, sorted by frequency.
+
+    CSMs and steering travel times are computed once per distinct sub-array
+    for all of its frequencies; each work item carries its CSM and geometry.
+    """
     bf = cfg.beamforming
     g = bf.grid
     grid = beamforming.make_focus_grid(
         g.x_range, g.z_range, g.spacing, y_plane=g.y_plane, delta_angle=g.delta_angle, aoa=g.aoa
     )
     subs = _build_subarray(geo, cfg.subarray, bf.frequencies)
+    unique = {}  # id of a distinct sub-array -> (sub-array, its frequencies)
+    for f, sub in subs.items():
+        unique.setdefault(id(sub), (sub, []))[1].append(f)
     csm_by_freq = {}
     if bf.estimator == "welch":
         sp = cfg.spectral or SpectralConfig()
         requested = {}  # Welch bin frequency -> requested frequency
-        # one synthesis per distinct sub-array
-        unique = {}
-        for f, sub in subs.items():
-            unique.setdefault(id(sub), (sub, []))[1].append(f)
         for sub, flist in unique.values():
             sig, _ = synthesis.synthesize_timeseries(scene, sub.positions, rate=sp.rate, duration=sp.duration)
             csms = spectral.welch_csm(
@@ -351,10 +421,13 @@ def run_beamforming(cfg: RunConfig, geo, scene, jobs: int = 1) -> list:
                 requested[csm.frequency] = f
                 csm_by_freq[f] = csm
     else:
-        for f, sub in subs.items():
-            csm_by_freq[f] = synthesis.synthesize_csm(scene, sub.positions, [f])[0]
+        for sub, flist in unique.values():
+            csm_by_freq.update(zip(flist, synthesis.synthesize_csm(scene, sub.positions, flist)))
 
-    work = [(csm_by_freq[f], subs[f].positions, grid, scene.medium, bf) for f in bf.frequencies]
+    steering = {
+        key: beamforming.steering_geometry(grid, sub.positions, scene.medium) for key, (sub, _) in unique.items()
+    }
+    work = [(csm_by_freq[f], steering[id(subs[f])], bf) for f in bf.frequencies]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             maps = list(pool.map(_beamform_work, work))

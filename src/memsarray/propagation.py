@@ -3,12 +3,12 @@
 Covers the closed-form monopole Green's function in uniform flow, pure-tone
 atmospheric absorption after ISO 9613-1, and the Amiet planar shear-layer
 refraction correction (Fermat path through the layer, found by damped Newton
-iteration on the in-plane crossing coordinates).
+iteration on the in-plane crossing coordinates with the closed-form Hessian).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,6 +173,119 @@ def _plane_basis(normal: np.ndarray):
     return e1, e2
 
 
+# pairs solved together; bounds the solver's temporaries whatever the batch size
+_CROSSING_BLOCK = 8192
+
+
+def _crossing_derivatives(uv, sources, receivers, medium: MediumModel):
+    """Gradient and Hessian of the two-leg travel time over the crossing
+    coordinates (u, v), one pair per row, in the plane frame: the plane is
+    z = 0, `sources` (K, 3) lie below it and `medium.mach_vector` is given
+    in the same frame.
+
+    With d = p - source, g = (M.d) M + beta^2 d and
+    R = sqrt((M.d)^2 + beta^2 |d|^2), the convected leg has gradient
+    (g/R - M)/(c beta^2) and Hessian ((M M^T + beta^2 I)/R - g g^T/R^3)/(c beta^2);
+    with u the unit vector from p to the receiver at distance seg, the
+    straight leg has gradient -u/c and Hessian (I - u u^T)/(c seg). Only the
+    in-plane (x, y) block enters. Returns (g1, g2), (h11, h12, h22) as (K,)
+    arrays.
+    """
+    c0 = medium.speed_of_sound
+    m1, m2, mn = medium.mach_vector
+    beta2 = 1.0 - float(medium.mach_vector @ medium.mach_vector)
+    cb = c0 * beta2
+    d1 = uv[:, 0] - sources[:, 0]
+    d2 = uv[:, 1] - sources[:, 1]
+    dn = -sources[:, 2]
+    md = m1 * d1 + m2 * d2 + mn * dn
+    r = np.sqrt(md * md + beta2 * (d1 * d1 + d2 * d2 + dn * dn))
+    k1 = md * m1 + beta2 * d1
+    k2 = md * m2 + beta2 * d2
+    q1 = receivers[:, 0] - uv[:, 0]
+    q2 = receivers[:, 1] - uv[:, 1]
+    seg = np.sqrt(q1 * q1 + q2 * q2 + receivers[:, 2] ** 2)
+    seg = np.where(seg > 1e-15, seg, 1.0)
+    u1 = q1 / seg
+    u2 = q2 / seg
+    cs = c0 * seg
+    r3 = r**3
+    g1 = (-m1 + k1 / r) / cb - u1 / c0
+    g2 = (-m2 + k2 / r) / cb - u2 / c0
+    h11 = ((m1 * m1 + beta2) / r - k1 * k1 / r3) / cb + (1.0 - u1 * u1) / cs
+    h12 = (m1 * m2 / r - k1 * k2 / r3) / cb - u1 * u2 / cs
+    h22 = ((m2 * m2 + beta2) / r - k2 * k2 / r3) / cb + (1.0 - u2 * u2) / cs
+    return (g1, g2), (h11, h12, h22)
+
+
+def _solve_crossings(sources, receivers, medium: MediumModel, tolerance: float, max_iterations: int):
+    """Damped Newton search for the crossing coordinates of pairs given in the
+    plane frame of `_crossing_derivatives`, iterating only on the pairs not
+    yet converged.
+
+    Returns (uv (K, 2), travel times (K,), stalled), where `stalled` is None
+    or (row, last step in m) of the first pair that did not converge.
+    """
+    k = len(sources)
+
+    def total_time(uv, s, r):
+        p = np.concatenate([uv, np.zeros((len(uv), 1))], axis=1)
+        return convected_delays(s, p, medium) + np.linalg.norm(r - p, axis=-1) / medium.speed_of_sound
+
+    # init at the straight-line plane intersection
+    denom = receivers[:, 2] - sources[:, 2]
+    t = -sources[:, 2] / np.where(np.abs(denom) > 1e-15, denom, 1.0)
+    uv = sources[:, :2] + t[:, None] * (receivers[:, :2] - sources[:, :2])
+    times = total_time(uv, sources, receivers)
+
+    # the pairs still iterating: rows into the block and their own copies
+    idx = np.arange(k)
+    s_a, r_a, uv_a, f_cur = sources, receivers, uv, times
+    moved = np.full(k, np.inf)
+    for _ in range(max_iterations):
+        if not len(idx):
+            return uv, times, None
+        (g1, g2), (h11, h12, h22) = _crossing_derivatives(uv_a, s_a, r_a, medium)
+        det = h11 * h22 - h12 * h12
+        ok = np.abs(det) > 1e-300
+        det = np.where(ok, det, 1.0)
+        # Newton step, or a gradient step where the Hessian is degenerate
+        step = np.stack(
+            [
+                np.where(ok, -(h22 * g1 - h12 * g2) / det, -g1 * 1e3),
+                np.where(ok, -(h11 * g2 - h12 * g1) / det, -g2 * 1e3),
+            ],
+            axis=1,
+        )
+        # damped: halve until the travel time does not increase; a pair whose
+        # trial is accepted keeps that step and its travel time
+        lam = np.ones(len(idx))
+        f_new = np.empty(len(idx))
+        todo = np.arange(len(idx))
+        for _ in range(40):
+            trial = total_time(uv_a[todo] + lam[todo, None] * step[todo], s_a[todo], r_a[todo])
+            f_new[todo] = trial
+            bad = trial > f_cur[todo] + 1e-18
+            if not bad.any():
+                break
+            todo = todo[bad]
+            lam[todo] *= 0.5
+        else:
+            f_new[todo] = total_time(uv_a[todo] + lam[todo, None] * step[todo], s_a[todo], r_a[todo])
+        step *= lam[:, None]
+        uv_a = uv_a + step
+        f_cur = f_new
+        uv[idx] = uv_a
+        times[idx] = f_cur
+        moved = np.abs(step).max(axis=1)
+        keep = ~(moved < tolerance)
+        if not keep.all():
+            idx, moved = idx[keep], moved[keep]
+            s_a, r_a, uv_a, f_cur = s_a[keep], r_a[keep], uv_a[keep], f_cur[keep]
+    stalled = (int(idx[0]), float(moved[0])) if len(idx) else None
+    return uv, times, stalled
+
+
 def shear_crossing_delays(
     sources,
     receivers,
@@ -183,15 +296,13 @@ def shear_crossing_delays(
     """Vectorized Amiet travel times: convected leg to the shear plane, then a
     straight leg to the receiver, crossing point chosen by Fermat's principle.
 
+    Pairs are solved in blocks of `_CROSSING_BLOCK` by `_solve_crossings`.
     Returns (delays, crossing_points) with leading broadcast shape (K,).
     Receivers lying on the plane get the convected leg only.
     """
     if medium.shear_layer is None:
         raise ValueError("medium has no shear layer")
     plane = medium.shear_layer
-    c0 = medium.speed_of_sound
-    m = medium.mach_vector
-    beta2 = 1.0 - float(np.dot(m, m))
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     rcv = np.atleast_2d(np.asarray(receivers, dtype=float))
     src, rcv = np.broadcast_arrays(src, rcv)
@@ -207,85 +318,31 @@ def shear_crossing_delays(
     if (r_side < -1e-12).any():
         raise ValueError("receiver must lie on the quiescent side of the shear plane")
 
-    e1, e2 = _plane_basis(plane.normal)
-
-    def conv_grad(p):
-        d = p - src
-        md = (d @ m)[:, None]
-        rr = np.sqrt(md[:, 0] ** 2 + beta2 * np.sum(d * d, axis=-1))[:, None]
-        return (-m[None, :] + (md * m[None, :] + beta2 * d) / rr) / (c0 * beta2)
-
+    # plane frame: in-plane axes e1, e2 and the normal, origin at the plane point
+    frame = np.stack([*_plane_basis(plane.normal), plane.normal])
+    local = replace(medium, mach_vector=frame @ medium.mach_vector, shear_layer=None)
     on_plane = np.abs(r_side) <= 1e-12
-
-    def total_time(uv):
-        p = plane.point + uv[:, :1] * e1 + uv[:, 1:] * e2
-        seg = np.linalg.norm(rcv - p, axis=-1)
-        return convected_delays(src, p, medium) + seg / c0
-
-    def grad(uv):
-        p = plane.point + uv[:, :1] * e1 + uv[:, 1:] * e2
-        dr = rcv - p
-        seg = np.linalg.norm(dr, axis=-1)[:, None]
-        seg = np.where(seg > 1e-15, seg, 1.0)
-        g3 = conv_grad(p) - dr / (c0 * seg)
-        return np.stack([g3 @ e1, g3 @ e2], axis=1)
-
-    # init at the straight-line plane intersection
-    denom = (rcv - src) @ plane.normal
-    t = -s_side / np.where(np.abs(denom) > 1e-15, denom, 1.0)
-    p0 = src + t[:, None] * (rcv - src)
-    uv = np.stack([(p0 - plane.point) @ e1, (p0 - plane.point) @ e2], axis=1)
-
-    active = ~on_plane
-    f_cur = total_time(uv)
-    h = 1e-7
-    for _ in range(max_iterations):
-        if not active.any():
-            break
-        g = grad(uv)
-        gpu = grad(uv + np.array([h, 0.0]))
-        gmu = grad(uv - np.array([h, 0.0]))
-        gpv = grad(uv + np.array([0.0, h]))
-        gmv = grad(uv - np.array([0.0, h]))
-        h11 = (gpu[:, 0] - gmu[:, 0]) / (2 * h)
-        h12 = (gpv[:, 0] - gmv[:, 0]) / (2 * h)
-        h21 = (gpu[:, 1] - gmu[:, 1]) / (2 * h)
-        h22 = (gpv[:, 1] - gmv[:, 1]) / (2 * h)
-        det = h11 * h22 - h12 * h21
-        ok = np.abs(det) > 1e-300
-        inv_det = np.where(ok, det, 1.0)
-        step = np.empty_like(uv)
-        step[:, 0] = -(h22 * g[:, 0] - h12 * g[:, 1]) / inv_det
-        step[:, 1] = -(-h21 * g[:, 0] + h11 * g[:, 1]) / inv_det
-        # gradient fallback where the Hessian is degenerate
-        step[~ok] = -g[~ok] * 1e3
-        step[~active] = 0.0
-        # damped: halve until the travel time does not increase
-        lam = np.ones(k)
-        for _ in range(40):
-            trial = total_time(uv + lam[:, None] * step)
-            bad = active & (trial > f_cur + 1e-18)
-            if not bad.any():
-                break
-            lam[bad] *= 0.5
-        uv = uv + lam[:, None] * step
-        f_new = total_time(uv)
-        moved = np.abs(lam[:, None] * step).max(axis=1)
-        converged = moved < tolerance
-        active = active & ~converged
-        f_cur = f_new
-    else:
-        if active.any():
-            j = int(np.argmax(active))
+    delays = np.empty(k)
+    crossing = np.empty((k, 3))
+    for start in range(0, k, _CROSSING_BLOCK):
+        rows = np.arange(start, min(start + _CROSSING_BLOCK, k))
+        rows = rows[~on_plane[rows]]
+        uv, delays[rows], stalled = _solve_crossings(
+            (src[rows] - plane.point) @ frame.T,
+            (rcv[rows] - plane.point) @ frame.T,
+            local,
+            tolerance,
+            max_iterations,
+        )
+        if stalled is not None:
+            j = int(rows[stalled[0]])
             raise NumericalError(
                 f"shear crossing did not converge for pair {j}: "
-                f"source {src[j]}, receiver {rcv[j]}, residual step {moved[j]:.3e} m"
+                f"source {src[j]}, receiver {rcv[j]}, residual step {stalled[1]:.3e} m"
             )
-
-    crossing = plane.point + uv[:, :1] * e1 + uv[:, 1:] * e2
-    delays = total_time(uv)
+        crossing[rows] = plane.point + uv @ frame[:2]
     if on_plane.any():
-        delays = np.where(on_plane, convected_delays(src, rcv, medium), delays)
+        delays[on_plane] = convected_delays(src[on_plane], rcv[on_plane], medium)
         crossing[on_plane] = rcv[on_plane]
     return delays.reshape(lead_shape), crossing.reshape(lead_shape + (3,))
 

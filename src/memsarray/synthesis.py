@@ -225,17 +225,19 @@ def _coloured_noise(spec: dict, rate: float, n: int, rng) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(w) * np.sqrt(target / base_psd), n=n)
 
 
-def _path_gains(source: Source, positions: np.ndarray, medium: MediumModel, tone_frequency: float | None = None):
-    """Travel times, effective distances and amplitude gains from a source
-    (1 m reference) to each receiver; with `tone_frequency` the gains carry
-    that tone's atmospheric absorption."""
+def _path_gains(source: Source, positions: np.ndarray, medium: MediumModel):
+    """Travel times, effective distances and amplitude gains (1 m reference,
+    dipole weighting) from a source to each receiver."""
     delays = path_delays(source.position[None, :], positions, medium)
     r_eff = medium.speed_of_sound * delays
     gains = (REFERENCE_DISTANCE / r_eff) * np.sqrt(source.directivity_gain(positions))
-    if tone_frequency is not None:
-        alpha = atmospheric_absorption(tone_frequency, medium)
-        gains = gains * 10.0 ** (-alpha * r_eff / 20.0)
     return delays, r_eff, gains
+
+
+def _absorbed(gains: np.ndarray, r_eff: np.ndarray, frequency: float, medium: MediumModel) -> np.ndarray:
+    """`gains` carrying a tone's atmospheric absorption over the distances `r_eff`."""
+    alpha = atmospheric_absorption(frequency, medium)
+    return gains * 10.0 ** (-alpha * r_eff / 20.0)
 
 
 def fractional_delay_kernel(frac: float, taps: int = SINC_TAPS, beta: float = SINC_BETA) -> np.ndarray:
@@ -305,9 +307,9 @@ def synthesize_timeseries(
                 f"Nyquist; fractional-delay interpolation is inaccurate there"
             )
         tone = src.spectrum["type"] == "tone"
-        delays, r_eff, gains = _path_gains(
-            src, pos, scene.medium, src.spectrum["frequency"] if include_absorption and tone else None
-        )
+        delays, r_eff, gains = _path_gains(src, pos, scene.medium)
+        if include_absorption and tone:
+            gains = _absorbed(gains, r_eff, src.spectrum["frequency"], scene.medium)
         absorb = None
         if include_absorption and not tone:
             absorb = atmospheric_absorption(np.fft.rfftfreq(n, d=1.0 / rate), scene.medium)
@@ -326,19 +328,6 @@ def synthesize_timeseries(
     return out, meta
 
 
-def transfer_vectors(
-    source: Source,
-    positions: np.ndarray,
-    frequency: float,
-    medium: MediumModel,
-    include_absorption: bool = True,
-) -> np.ndarray:
-    """Complex transfer from a unit source (1 m reference) to each receiver."""
-    pos = np.asarray(positions, dtype=float)
-    delays, _, amp = _path_gains(source, pos, medium, frequency if include_absorption else None)
-    return amp * np.exp(-2j * np.pi * frequency * delays)
-
-
 def synthesize_csm(
     scene: Scene,
     positions: np.ndarray,
@@ -346,8 +335,13 @@ def synthesize_csm(
     bin_width: float | None = None,
     include_absorption: bool = True,
 ) -> list[CrossSpectralMatrix]:
-    """Exact CSMs: sum over sources of q^2 g g^H plus a diagonal noise term."""
+    """Exact CSMs: sum over sources of q^2 g g^H plus a diagonal noise term.
+
+    Each source's travel times and gains are computed once, when it first
+    contributes; per frequency only the absorption and the phase are applied.
+    """
     pos = np.asarray(positions, dtype=float)
+    paths = {}  # source index -> (delays, effective distances, gains without absorption)
     out = []
     for f in np.atleast_1d(np.asarray(frequencies, dtype=float)):
         if f <= 0:
@@ -355,13 +349,18 @@ def synthesize_csm(
         m = len(pos)
         c = np.zeros((m, m), dtype=complex)
         units = "Pa^2/Hz"
-        for src in scene.sources:
+        for i, src in enumerate(scene.sources):
             q2 = src.power_at(f, bin_width)
             if src.spectrum["type"] == "tone":
                 units = "Pa^2"
             if q2 == 0.0:
                 continue
-            g = transfer_vectors(src, pos, f, scene.medium, include_absorption)
+            if i not in paths:
+                paths[i] = _path_gains(src, pos, scene.medium)
+            delays, r_eff, amp = paths[i]
+            if include_absorption:
+                amp = _absorbed(amp, r_eff, f, scene.medium)
+            g = amp * np.exp(-2j * np.pi * f * delays)
             c += q2 * np.outer(g, g.conj())
         c[np.diag_indices(m)] += scene.noise_psd(f)[0]
         out.append(

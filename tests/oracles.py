@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: travel times come from
 bisection on the retarded-time equation, air absorption from the Bass
-formula, shear-layer crossings from a shrinking grid search, and tone levels
-from least-squares sine fits.
+formula, shear-layer crossings from a shrinking grid search or from a damped
+Newton search with a finite-difference Hessian, and tone levels from
+least-squares sine fits.
 """
 
 import numpy as np
@@ -85,6 +86,76 @@ def fermat_grid_oracle(source, receiver, medium, half=8.0, stages=14):
         c = np.array([uu[i, j], vv[i, j]])
         half *= 2.2 / 40
     return best_t
+
+
+def fd_newton_shear_oracle(sources, receivers, medium, tolerance=1e-10, max_iterations=80):
+    """Amiet travel times by damped Newton iteration on the crossing
+    coordinates, all pairs every step, with the Hessian from central
+    differences (step 1e-7 m) of the analytic gradient. The library's solver
+    before it used the closed-form Hessian; receivers are off the plane."""
+    plane = medium.shear_layer
+    c0 = medium.speed_of_sound
+    m = medium.mach_vector
+    beta2 = 1.0 - float(m @ m)
+    src, rcv = np.broadcast_arrays(np.asarray(sources, dtype=float), np.asarray(receivers, dtype=float))
+    lead_shape = src.shape[:-1]
+    src = src.reshape(-1, 3)
+    rcv = rcv.reshape(-1, 3)
+    ref = np.array([1.0, 0.0, 0.0]) if abs(plane.normal[0]) <= 0.9 else np.array([0.0, 0.0, 1.0])
+    e1 = ref - (ref @ plane.normal) * plane.normal
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(plane.normal, e1)
+
+    def point(uv):
+        return plane.point + uv[:, :1] * e1 + uv[:, 1:] * e2
+
+    def total_time(uv):
+        p = point(uv)
+        d = p - src
+        md = d @ m
+        t_conv = (-md + np.sqrt(md * md + beta2 * np.sum(d * d, axis=-1))) / (c0 * beta2)
+        return t_conv + np.linalg.norm(rcv - p, axis=-1) / c0
+
+    def grad(uv):
+        p = point(uv)
+        d = p - src
+        md = (d @ m)[:, None]
+        rr = np.sqrt(md[:, 0] ** 2 + beta2 * np.sum(d * d, axis=-1))[:, None]
+        dr = rcv - p
+        seg = np.linalg.norm(dr, axis=-1)[:, None]
+        g3 = (-m[None, :] + (md * m[None, :] + beta2 * d) / rr) / (c0 * beta2) - dr / (c0 * seg)
+        return np.stack([g3 @ e1, g3 @ e2], axis=1)
+
+    t = -((src - plane.point) @ plane.normal) / ((rcv - src) @ plane.normal)
+    p0 = src + t[:, None] * (rcv - src)
+    uv = np.stack([(p0 - plane.point) @ e1, (p0 - plane.point) @ e2], axis=1)
+    active = np.ones(len(src), dtype=bool)
+    f_cur = total_time(uv)
+    h = 1e-7
+    for _ in range(max_iterations):
+        if not active.any():
+            break
+        g = grad(uv)
+        gpu, gmu = grad(uv + [h, 0.0]), grad(uv - [h, 0.0])
+        gpv, gmv = grad(uv + [0.0, h]), grad(uv - [0.0, h])
+        h11 = (gpu[:, 0] - gmu[:, 0]) / (2 * h)
+        h12 = (gpv[:, 0] - gmv[:, 0]) / (2 * h)
+        h21 = (gpu[:, 1] - gmu[:, 1]) / (2 * h)
+        h22 = (gpv[:, 1] - gmv[:, 1]) / (2 * h)
+        det = h11 * h22 - h12 * h21
+        step = np.stack([-(h22 * g[:, 0] - h12 * g[:, 1]) / det, -(-h21 * g[:, 0] + h11 * g[:, 1]) / det], axis=1)
+        step[~active] = 0.0
+        lam = np.ones(len(src))
+        for _ in range(40):
+            bad = active & (total_time(uv + lam[:, None] * step) > f_cur + 1e-18)
+            if not bad.any():
+                break
+            lam[bad] *= 0.5
+        uv = uv + lam[:, None] * step
+        f_cur = total_time(uv)
+        active &= ~(np.abs(lam[:, None] * step).max(axis=1) < tolerance)
+    assert not active.any(), "finite-difference Newton did not converge"
+    return f_cur.reshape(lead_shape)
 
 
 def sine_fit(y, f0, rate):

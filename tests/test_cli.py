@@ -357,6 +357,19 @@ _REJECTED_KEY_SECTIONS = {
         # frequencies whose maps would share one file name
         ("beamforming.frequencies", [2000.2, 2000.4]),
         ("beamforming.frequencies", [2000.0, 2000.0]),
+        # values outside their domain
+        ("beamforming.frequencies", [-2000.0]),
+        ("beamforming.frequencies", []),
+        ("beamforming.grid.spacing", 0.0),
+        ("beamforming.grid.x_range", [4.0, 2.0]),
+        ("subarray.epsilon", 0.0),
+        ("beamforming.loop_gain", 2.0),
+        ("beamforming.max_iterations", -1),
+        ("beamforming.stop_threshold", -1.0),
+        ("geometry.generate.panels_x", 0),
+        ("analysis.roi.z_range", [-0.3, -0.7]),
+        ("spectral.overlap", 1.0),
+        ("spectral.block", 48_001),
     ],
 )
 def test_rejected_key_exits_two_with_its_path(tmp_path, capsys, field, value):
@@ -395,3 +408,63 @@ class TestWelchEstimator:
         assert "beamforming.frequencies" in err
         assert "125.0 Hz and 160.0 Hz share the 140.625 Hz Welch bin" in err
         assert not list(out.glob("map_*"))
+
+
+def test_beamform_negative_frequency_is_a_config_error(tmp_path, scene_file, panel_geometry, capsys):
+    argv = ["beamform", "--scene", scene_file, "--geometry", panel_geometry, "--freqs=-2000"]
+    assert cli.main(argv + ["--out", str(tmp_path / "bf")]) == 2
+    assert "config error at beamforming.frequencies[0]:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("map_*"))
+
+
+_SHEAR_SCENE = {
+    "sources": [{"position": [3.0, 0.0, -0.5], "spectrum": {"type": "broadband", "psd": 1e-6}}],
+    "medium": {"mach": [0.2, 0.0, 0.0], "shear_plane": {"point": [0.0, 1.5, 0.0], "normal": [0.0, 1.0, 0.0]}},
+    "seed": 3,
+}
+
+
+def _shear_config(subarray: dict) -> dict:
+    return dict(
+        cli.bundled_config("single_monopole"),
+        scene=_SHEAR_SCENE,
+        subarray=subarray,
+        beamforming={
+            "frequencies": [2000.0, 4000.0, 8000.0],
+            "grid": {"x_range": [2.8, 3.2], "z_range": [-0.7, -0.3], "spacing": 0.1},
+            "include_absorption": True,
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "subarray, grid_solves",
+    [({"strategy": "dnw_like", "mics": 60}, 1), ({"strategy": "freq_dependent", "mics": 60}, 3)],
+)
+def test_travel_times_solved_once_per_subarray(tmp_path, monkeypatch, subarray, grid_solves):
+    from memsarray import propagation
+
+    solved = []  # source-receiver shape of each Amiet call
+    original = propagation.shear_crossing_delays
+
+    def counting(sources, receivers, medium, **kwargs):
+        solved.append(np.broadcast_shapes(np.shape(sources)[:-1], np.shape(receivers)[:-1]))
+        return original(sources, receivers, medium, **kwargs)
+
+    monkeypatch.setattr(propagation, "shear_crossing_delays", counting)
+    assert cli.main(_pipeline_config(tmp_path, _shear_config(subarray)) + ["--out", str(tmp_path / "run")]) == 0
+    assert len(list((tmp_path / "run" / "beamforming").glob("map_*.json"))) == 3
+    # per distinct sub-array: the 5 x 5 grid to every sensor, the grid to the
+    # array reference, and the one source to every sensor
+    assert sorted(solved) == sorted([(25, 60), (25,), (60,)] * grid_solves)
+
+
+def test_shear_pipeline_jobs_identical(tmp_path):
+    cfg = _shear_config({"strategy": "dnw_like", "mics": 60})
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(_pipeline_config(tmp_path, cfg) + ["--jobs", jobs, "--out", str(out)]) == 0
+        runs[jobs] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(runs["1"]) == 9  # geometry, 3 maps x (csv, json), ROI spectrum, manifest
+    assert runs["1"] == runs["2"]

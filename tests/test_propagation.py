@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from oracles import bass_absorption_oracle, emission_time_oracle, fermat_grid_oracle
+from oracles import bass_absorption_oracle, emission_time_oracle, fd_newton_shear_oracle, fermat_grid_oracle
 
 from memsarray import propagation as prop
+from memsarray.beamforming import make_focus_grid
+from memsarray.errors import NumericalError
 
 C0 = 343.0
 
@@ -160,3 +162,66 @@ class TestAmietCorrection:
         delays, _ = prop.shear_crossing_delays(self.SRC[None, :], receivers, medium)
         for rcv, d in zip(receivers, delays):
             assert d == pytest.approx(prop.amiet_correction(self.SRC, rcv, medium).delay, abs=1e-12)
+
+
+class TestClosedFormNewton:
+    """The closed-form Hessian solver against the finite-difference one it replaced."""
+
+    @pytest.mark.parametrize("normal", [[0.0, 1.0, 0.0], [0.3, 1.0, 0.2]])
+    def test_matches_finite_difference_solver(self, dnw_sub, normal):
+        # the shear-map problem: 17 x 17 focus points x 140 sensors = 40460 pairs, several blocks
+        medium = prop.MediumModel(
+            mach_vector=[0.2, 0.0, 0.0],
+            shear_layer=prop.ShearLayerPlane(point=[0.0, 1.5, 0.0], normal=normal),
+        )
+        grid = make_focus_grid((2.52, 3.48), (-0.98, -0.02), 0.06)
+        sources, receivers = grid.points[:, None, :], dnw_sub.positions[None, :, :]
+        delays, _ = prop.shear_crossing_delays(sources, receivers, medium)
+        assert delays.shape == (289, 140)
+        assert np.abs(delays - fd_newton_shear_oracle(sources, receivers, medium)).max() < 1e-13
+
+    def test_hessian_matches_central_differences(self, rng):
+        k = 50
+        medium = prop.MediumModel(mach_vector=0.25 * _unit(rng.standard_normal(3)))
+        sources = np.column_stack([rng.uniform(-2, 2, (k, 2)), rng.uniform(-2.0, -0.5, k)])
+        receivers = np.column_stack([rng.uniform(-2, 2, (k, 2)), rng.uniform(0.5, 3.0, k)])
+        uv = rng.uniform(-1, 1, (k, 2))
+        _, (h11, h12, h22) = prop._crossing_derivatives(uv, sources, receivers, medium)
+        h = 1e-6
+        columns = []
+        for e in ([h, 0.0], [0.0, h]):
+            (gp1, gp2), _ = prop._crossing_derivatives(uv + e, sources, receivers, medium)
+            (gm1, gm2), _ = prop._crossing_derivatives(uv - e, sources, receivers, medium)
+            columns.append(((gp1 - gm1) / (2 * h), (gp2 - gm2) / (2 * h)))
+        (fd11, fd21), (fd12, fd22) = columns
+        scale = np.abs(h11) + np.abs(h22)
+        for exact, fd in ((h11, fd11), (h12, fd12), (h12, fd21), (h22, fd22)):
+            assert np.all(np.abs(exact - fd) <= 1e-6 * scale)
+
+    def test_stalled_pair_named_by_its_original_index(self):
+        medium = _shear_medium(0.2)
+        src = np.array([2.4, 0.0, 0.0])
+        receivers = np.array([[3.0, 3.39, 0.0], [1.0, 3.39, 0.8], [2.8, 1.5, 0.1], [np.nan, 3.39, 0.0]])
+        # pairs 0 and 1 converge, pair 2 lies on the plane, pair 3 never converges
+        delays, _ = prop.shear_crossing_delays(src[None, :], receivers[:3], medium, max_iterations=10)
+        assert np.isfinite(delays).all()
+        with pytest.raises(NumericalError, match="pair 3:"):
+            prop.shear_crossing_delays(src[None, :], receivers, medium, max_iterations=10)
+
+    def test_blocks_give_the_same_delays(self, monkeypatch):
+        medium = _shear_medium(0.2)
+        src = np.array([2.4, 0.0, 0.0])
+        receivers = np.array(
+            [[3.0, 3.39, 0.0], [2.8, 1.5, 0.1], [1.0, 3.39, 0.8], [5.0, 2.5, -1.0], [2.0, 1.5, -0.3], [4.0, 4.0, 1.0]]
+        )
+        whole, crossing = prop.shear_crossing_delays(src[None, :], receivers, medium)
+        monkeypatch.setattr(prop, "_CROSSING_BLOCK", 2)
+        blocked, blocked_crossing = prop.shear_crossing_delays(src[None, :], receivers, medium)
+        assert np.array_equal(whole, blocked)
+        assert np.array_equal(crossing, blocked_crossing)
+        on_plane = [1, 4]
+        assert np.array_equal(crossing[on_plane], receivers[on_plane])
+        assert np.array_equal(whole[on_plane], prop.convected_delays(src, receivers[on_plane], medium))
+        receivers[3, 0] = np.nan
+        with pytest.raises(NumericalError, match="pair 3:"):
+            prop.shear_crossing_delays(src[None, :], receivers, medium, max_iterations=10)
