@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import wave
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -382,12 +381,3 @@ def write_pcm_raw(path_base, blocks: list[PcmBlock]):
         json.dump(sidecar, fh, sort_keys=True)
     return raw_path
 
-
-def write_pcm_wav(path, blocks: list[PcmBlock]):
-    """Multichannel 32-bit integer PCM WAV."""
-    data = np.stack([b.samples for b in blocks], axis=1).astype("<i4")
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(data.shape[1])
-        fh.setsampwidth(4)
-        fh.setframerate(blocks[0].rate)
-        fh.writeframes(data.tobytes())

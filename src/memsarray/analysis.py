@@ -23,54 +23,28 @@ from .beamforming import (
     steering_geometry,
     steering_vectors,
 )
-from .geometry import ArrayGeometry, SubArray, pitch_subarray_series, subarray_observation
+from .errors import _require_range
+from .geometry import ArrayGeometry, pitch_subarray_series, subarray_observation
 from .spectral import Spectrum, band_centers_spanning, band_edges, to_db
 from .synthesis import Scene, synthesize_csm
 
 
 @dataclass(frozen=True)
 class RegionOfInterest:
-    """Box or polygon in the focus grid's in-plane coordinates."""
+    """Box in the focus grid's in-plane coordinates; `analysis.roi` of a run config."""
 
-    x_range: tuple[float, float] | None = None
-    z_range: tuple[float, float] | None = None
-    polygon: np.ndarray | None = None  # (K, 2) vertices
+    x_range: tuple[float, float]
+    z_range: tuple[float, float]
     label: str = "roi"
 
     def __post_init__(self):
-        if self.polygon is None:
-            if self.x_range is None or self.z_range is None:
-                raise ValueError("ROI needs either a box or a polygon")
-            if self.x_range[1] <= self.x_range[0] or self.z_range[1] <= self.z_range[0]:
-                raise ValueError("ROI box is degenerate")
-        else:
-            poly = np.asarray(self.polygon, dtype=float)
-            if poly.ndim != 2 or len(poly) < 3:
-                raise ValueError("ROI polygon needs at least 3 vertices")
-            object.__setattr__(self, "polygon", poly)
+        _require_range(self.x_range, "x_range", strict=True)
+        _require_range(self.z_range, "z_range", strict=True)
 
     def contains(self, local_points: np.ndarray) -> np.ndarray:
         pts = np.asarray(local_points, dtype=float)
-        if self.polygon is None:
-            return (
-                (pts[:, 0] >= self.x_range[0])
-                & (pts[:, 0] <= self.x_range[1])
-                & (pts[:, 1] >= self.z_range[0])
-                & (pts[:, 1] <= self.z_range[1])
-            )
-        # even-odd rule
-        poly = self.polygon
-        inside = np.zeros(len(pts), dtype=bool)
-        j = len(poly) - 1
-        for i in range(len(poly)):
-            xi, zi = poly[i]
-            xj, zj = poly[j]
-            crosses = (zi > pts[:, 1]) != (zj > pts[:, 1])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_at = (xj - xi) * (pts[:, 1] - zi) / (zj - zi) + xi
-            inside ^= crosses & (pts[:, 0] < x_at)
-            j = i
-        return inside
+        (x0, x1), (z0, z1) = self.x_range, self.z_range
+        return (pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= z0) & (pts[:, 1] <= z1)
 
 
 @dataclass(frozen=True)
@@ -274,26 +248,16 @@ def directivity_pipeline(
     mics: int = 150,
     epsilon: float = 0.1,
     grid_spec: dict | None = None,
-    subarrays: list[SubArray] | None = None,
 ) -> DirectivitySurface:
     """End-to-end directivity: pitch sub-array series, CLEAN-SC per band,
-    ROI integration, then the angle-average subtraction.
-
-    Pre-sampled sub-arrays can be injected; by default they are sampled from
-    the geometry.
-    """
+    ROI integration, then the angle-average subtraction."""
     reference_point = np.asarray(reference_point, dtype=float)
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if subarrays is None:
-        subarrays = pitch_subarray_series(geometry, count, aperture, mics, epsilon)
+    subarrays = pitch_subarray_series(geometry, count, aperture, mics, epsilon)
     if len(subarrays) < 2:
         raise ValueError("directivity needs at least 2 sub-arrays")
-    if grid_spec is None:
-        grid_spec = {}
-    if roi.polygon is not None:
-        (x_lo, z_lo), (x_hi, z_hi) = roi.polygon.min(axis=0), roi.polygon.max(axis=0)
-    else:
-        (x_lo, x_hi), (z_lo, z_hi) = roi.x_range, roi.z_range
+    grid_spec = grid_spec or {}
+    (x_lo, x_hi), (z_lo, z_hi) = roi.x_range, roi.z_range
     x_rng = grid_spec.get("x_range", (x_lo - 0.1, x_hi + 0.1))
     z_rng = grid_spec.get("z_range", (z_lo - 0.1, z_hi + 0.1))
     spacing = grid_spec.get("spacing", 0.02)

@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__, acquisition, analysis, beamforming, geometry, spectral, synthesis
-from .errors import ConfigError, NumericalError, check_keys
+from .errors import ConfigError, NumericalError, _require, _require_positive, _require_range, check_keys
 
 OUTPUT_ROOT_ENV = "MEMSARRAY_OUTPUT_ROOT"
 
@@ -36,25 +36,10 @@ OUTPUT_ROOT_ENV = "MEMSARRAY_OUTPUT_ROOT"
 # ---------------------------------------------------------------- config
 
 
-def _require(ok: bool, path: str, message: str) -> None:
-    """ConfigError at `path` unless `ok`; the dataclasses below check their
-    values' domains with it, so a bad value exits 2 before any stage runs."""
-    if not ok:
-        raise ConfigError(path, message)
-
-
-def _require_positive(value: float, path: str) -> None:
-    _require(0 < value < math.inf, path, f"expected a finite number > 0, got {value!r}")
-
-
-def _require_range(bounds: tuple[float, float], path: str, strict: bool = False) -> None:
-    lo, hi = bounds
-    ordered = lo < hi if strict else lo <= hi
-    _require(
-        math.isfinite(lo) and math.isfinite(hi) and ordered,
-        path,
-        f"expected finite [low, high] with low {'<' if strict else '<='} high, got {list(bounds)!r}",
-    )
+def _require_frequencies(frequencies: tuple[float, ...]) -> None:
+    _require(len(frequencies) > 0, "frequencies", "expected at least one frequency")
+    for i, f in enumerate(frequencies):
+        _require_positive(f, f"frequencies[{i}]")
 
 
 @dataclass(frozen=True)
@@ -64,8 +49,8 @@ class GenerateConfig:
     seed: int | None = None  # None: the run's seed
 
     def __post_init__(self):
-        _require(self.panels_x >= 1, "geometry.generate.panels_x", f"expected >= 1, got {self.panels_x!r}")
-        _require(self.panels_z >= 1, "geometry.generate.panels_z", f"expected >= 1, got {self.panels_z!r}")
+        _require(self.panels_x >= 1, "panels_x", f"expected >= 1, got {self.panels_x!r}")
+        _require(self.panels_z >= 1, "panels_z", f"expected >= 1, got {self.panels_z!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +62,7 @@ class GeometryConfig:
 
     def __post_init__(self):
         if (self.generate is None) == (self.load is None):
-            raise ConfigError("geometry", "needs exactly one of 'generate' and 'load'")
+            raise ConfigError("", "needs exactly one of 'generate' and 'load'")
 
 
 @dataclass(frozen=True)
@@ -91,9 +76,9 @@ class DnwLikeSubarray:
     center: tuple[float, float] | None = None  # (x, z); None: the array plane's origin
 
     def __post_init__(self):
-        _require(self.mics >= 1, "subarray.mics", f"expected >= 1, got {self.mics!r}")
-        _require_positive(self.aperture, "subarray.aperture")
-        _require_positive(self.epsilon, "subarray.epsilon")
+        _require(self.mics >= 1, "mics", f"expected >= 1, got {self.mics!r}")
+        _require_positive(self.aperture, "aperture")
+        _require_positive(self.epsilon, "epsilon")
 
 
 @dataclass(frozen=True)
@@ -108,10 +93,10 @@ class FreqDependentSubarray:
     center: tuple[float, float] | None = None  # (x, z); None: the array plane's origin
 
     def __post_init__(self):
-        _require(self.mics >= 1, "subarray.mics", f"expected >= 1, got {self.mics!r}")
-        _require_positive(self.d_ref, "subarray.d_ref")
-        _require_positive(self.f_ref, "subarray.f_ref")
-        _require_positive(self.epsilon, "subarray.epsilon")
+        _require(self.mics >= 1, "mics", f"expected >= 1, got {self.mics!r}")
+        _require_positive(self.d_ref, "d_ref")
+        _require_positive(self.f_ref, "f_ref")
+        _require_positive(self.epsilon, "epsilon")
 
 
 @dataclass(frozen=True)
@@ -136,9 +121,9 @@ class GridConfig:
     aoa: float = 0.0
 
     def __post_init__(self):
-        _require_range(self.x_range, "beamforming.grid.x_range")
-        _require_range(self.z_range, "beamforming.grid.z_range")
-        _require_positive(self.spacing, "beamforming.grid.spacing")
+        _require_range(self.x_range, "x_range")
+        _require_range(self.z_range, "z_range")
+        _require_positive(self.spacing, "spacing")
 
 
 @dataclass(frozen=True)
@@ -152,13 +137,13 @@ class SpectralConfig:
     rate: float = 48_000.0
 
     def __post_init__(self):
-        _require(0.0 <= self.overlap < 1.0, "spectral.overlap", f"expected a number in [0, 1), got {self.overlap!r}")
-        _require_positive(self.duration, "spectral.duration")
-        _require_positive(self.rate, "spectral.rate")
+        _require(0.0 <= self.overlap < 1.0, "overlap", f"expected a number in [0, 1), got {self.overlap!r}")
+        _require_positive(self.duration, "duration")
+        _require_positive(self.rate, "rate")
         samples = int(round(self.rate * self.duration))
         _require(
             1 <= self.block <= samples,
-            "spectral.block",
+            "block",
             f"expected 1 to {samples} samples (duration x rate), got {self.block!r}",
         )
 
@@ -176,45 +161,30 @@ class BeamformingConfig:
     include_absorption: bool = False
 
     def __post_init__(self):
-        _require(len(self.frequencies) > 0, "beamforming.frequencies", "expected at least one frequency")
-        for i, f in enumerate(self.frequencies):
-            _require_positive(f, f"beamforming.frequencies[{i}]")
-        _require(
-            0.0 < self.loop_gain <= 1.0, "beamforming.loop_gain", f"expected a number in (0, 1], got {self.loop_gain!r}"
-        )
-        _require(self.max_iterations >= 1, "beamforming.max_iterations", f"expected >= 1, got {self.max_iterations!r}")
+        _require_frequencies(self.frequencies)
+        _require(0.0 < self.loop_gain <= 1.0, "loop_gain", f"expected a number in (0, 1], got {self.loop_gain!r}")
+        _require(self.max_iterations >= 1, "max_iterations", f"expected >= 1, got {self.max_iterations!r}")
         _require(
             0.0 <= self.stop_threshold < 1.0,
-            "beamforming.stop_threshold",
+            "stop_threshold",
             f"expected a number in [0, 1), got {self.stop_threshold!r}",
         )
         names = {}  # map file name -> requested frequency
         for f in self.frequencies:
             name = _map_name(f)
             if name in names:
-                raise ConfigError("beamforming.frequencies", f"{names[name]!r} Hz and {f!r} Hz both write {name}")
+                raise ConfigError("frequencies", f"{names[name]!r} Hz and {f!r} Hz both write {name}")
             names[name] = f
 
 
 @dataclass(frozen=True)
-class RoiConfig:
-    x_range: tuple[float, float]
-    z_range: tuple[float, float]
-    label: str = "roi"
-
-    def __post_init__(self):
-        _require_range(self.x_range, "analysis.roi.x_range", strict=True)
-        _require_range(self.z_range, "analysis.roi.z_range", strict=True)
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
-    roi: RoiConfig | None = None  # None: no ROI spectrum
+    roi: analysis.RegionOfInterest | None = None  # None: no ROI spectrum
     band: Literal["third_octave", "octave"] | None = None  # None: narrowband
 
     def __post_init__(self):
         if self.band is not None and self.roi is None:
-            raise ConfigError("analysis.band", "integrates the ROI spectrum, so it needs analysis.roi")
+            raise ConfigError("band", "integrates the ROI spectrum, so it needs roi")
 
 
 @dataclass(frozen=True)
@@ -240,11 +210,70 @@ class RunConfig:
     def __post_init__(self):
         if self.spectral is not None and self.beamforming.estimator != "welch":
             raise ConfigError("spectral", "read only by the welch estimator")
+        roi, grid = self.analysis.roi, self.beamforming.grid
+        pairs = () if roi is None else ((roi.x_range, grid.x_range), (roi.z_range, grid.z_range))
+        if not all(r[0] <= g[1] and g[0] <= r[1] for r, g in pairs):
+            raise ConfigError("analysis.roi", "lies outside beamforming.grid's x_range and z_range")
+
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    scene: str
+    geometry: str
+    mode: Literal["timeseries", "csm"] = "timeseries"
+    rate: float = 48_000.0
+    duration: float = 1.0
+    frequencies: tuple[float, ...] = (1000.0,)  # csm mode
+    channels: int = 0  # the first `channels` sensors; 0: all
+
+    def __post_init__(self):
+        _require_positive(self.rate, "rate")
+        _require_positive(self.duration, "duration")
+        _require_frequencies(self.frequencies)
+        _require(self.channels >= 0, "channels", f"expected >= 0, got {self.channels!r}")
+
+
+@dataclass(frozen=True)
+class DirectivityConfig:
+    scene: str
+    geometry: str
+    roi: analysis.RegionOfInterest
+    reference: tuple[float, float, float] = (2.4, 0.0, 0.0)
+    frequencies: tuple[float, ...] = (2000.0, 4000.0)
+    count: int = 13
+    aperture: float = 2.0
+    mics: int = 150
+    epsilon: float = 0.1
+    octave_polar: bool = False
+
+    def __post_init__(self):
+        _require_frequencies(self.frequencies)
+        _require(self.count >= 2, "count", f"expected >= 2 sub-arrays, got {self.count!r}")
+        _require_positive(self.aperture, "aperture")
+        _require(self.mics >= 1, "mics", f"expected >= 1, got {self.mics!r}")
+        _require_positive(self.epsilon, "epsilon")
+
+
+@dataclass(frozen=True)
+class AcquireConfig:
+    tone: float = 1000.0
+    amplitude: float = 0.5
+    duration: float = 0.02
+    fpga_id: int = 0
+    drop: tuple[int, ...] = ()  # packet sequence numbers
+    shuffle: bool = False
+    seed: int = 0
+
+    def __post_init__(self):
+        shortest = acquisition.decimation_warmup_bits() / acquisition.PDM_RATE  # the decimation filters' warm-up
+        _require(shortest <= self.duration < math.inf, "duration", f"expected >= {shortest!r} s, got {self.duration!r}")
+        _require(0 <= self.fpga_id <= 0xFFFF, "fpga_id", f"expected 0 to 65535, got {self.fpga_id!r}")
 
 
 def _parse(kind, value, path: str):
     """`value` from JSON as the annotated type `kind`, or ConfigError at `path`:
-    unknown keys, missing required keys and wrong types are rejected."""
+    unknown keys, missing required keys and wrong types are rejected. A
+    dataclass's own checks name only its field ("spacing"), prefixed here."""
     if dataclasses.is_dataclass(kind):
         fields = dataclasses.fields(kind)
         check_keys(value, {f.name for f in fields}, path)
@@ -256,7 +285,10 @@ def _parse(kind, value, path: str):
                 args[f.name] = _parse(hints[f.name], value[f.name], where)
             elif f.default is dataclasses.MISSING:
                 raise ConfigError(where, "missing required key")
-        return kind(**args)
+        try:
+            return kind(**args)
+        except ConfigError as exc:
+            raise ConfigError(".".join(p for p in (path, exc.field) if p), exc.message) from None
     origin, params = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType) and type(None) in params:  # X | None
         return None if value is None else _parse(params[0], value, path)
@@ -284,6 +316,37 @@ def _parse(kind, value, path: str):
 def validate_pipeline_config(cfg: dict) -> RunConfig:
     """Typed run config from a pipeline config's JSON object."""
     return _parse(RunConfig, cfg, "")
+
+
+def config_from_flags(kind, args):
+    """`kind` from the flags stored under its field names, parsed like a config file."""
+    names = {f.name for f in dataclasses.fields(kind)}
+    return _parse(kind, {k: v for k, v in vars(args).items() if k in names}, "")
+
+
+def _flag_list(text: str) -> list:
+    """A comma-separated flag as a list of its items, each read as JSON (`2000,4000` -> [2000, 4000])
+    or else kept as a string (`csv,json`); `_parse` checks them, so `--freqs abc` fails at `frequencies[0]`."""
+
+    def item(v):
+        try:
+            return json.loads(v)
+        except ValueError:
+            return v
+
+    return [item(v) for v in text.split(",")] if text else []
+
+
+def _roi_flag(text: str) -> dict:
+    """`x0,x1,z0,z1` as an ROI object; `_parse` rejects a range of the wrong length."""
+    v = _flag_list(text)
+    return {"x_range": v[:2], "z_range": v[2:]}
+
+
+def _grid_flag(text: str) -> dict:
+    """`x0,x1,z0,z1,spacing` as a grid object."""
+    *box, spacing = _flag_list(text)
+    return {"x_range": box[:2], "z_range": box[2:], "spacing": spacing}
 
 
 def bundled_config(name: str) -> dict:
@@ -481,14 +544,15 @@ def save_map(out_dir, bmap, formats):
 
 
 def cmd_geometry(args) -> int:
+    px, pz = _parse(tuple[int, int], _flag_list(args.panels.replace("x", ",")), "panels")
+    gen = _parse(GenerateConfig, {"panels_x": px, "panels_z": pz, "seed": args.seed}, "")
+    formats = _parse(tuple[Literal["json", "csv"], ...], args.format, "format")
     out = _out_dir(args)
-    px, _, pz = args.panels.partition("x")
-    geo = geometry.assemble_full_array(int(px), int(pz), args.seed)
-    outputs = []
+    geo = geometry.assemble_full_array(gen.panels_x, gen.panels_z, gen.seed)
     jpath = os.path.join(out, "geometry.json")
     geo.save_json(jpath)
-    outputs.append(jpath)
-    if "csv" in args.format:
+    outputs = [jpath]
+    if "csv" in formats:
         cpath = os.path.join(out, "geometry.csv")
         geo.save_csv(cpath)
         outputs.append(cpath)
@@ -498,15 +562,14 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    cfg = config_from_flags(SimulateConfig, args)
     out = _out_dir(args)
-    scene = synthesis.Scene.load_json(args.scene)
-    geo = geometry.ArrayGeometry.load_json(args.geometry)
-    positions = geo.positions
-    if args.channels and args.channels < len(positions):
-        positions = positions[: args.channels]
+    scene = synthesis.Scene.load_json(cfg.scene)
+    geo = geometry.ArrayGeometry.load_json(cfg.geometry)
+    positions = geo.positions[: cfg.channels or None]
     outputs = []
-    if args.mode == "timeseries":
-        sig, meta = synthesis.synthesize_timeseries(scene, positions, rate=args.rate, duration=args.duration)
+    if cfg.mode == "timeseries":
+        sig, meta = synthesis.synthesize_timeseries(scene, positions, rate=cfg.rate, duration=cfg.duration)
         npy = os.path.join(out, "timeseries.npy")
         np.save(npy, sig)
         side = os.path.join(out, "timeseries.json")
@@ -514,37 +577,34 @@ def cmd_simulate(args) -> int:
             json.dump(meta, fh, sort_keys=True)
         outputs += [npy, side]
     else:
-        freqs = [float(f) for f in args.freqs.split(",")]
-        csms = synthesis.synthesize_csm(scene, positions, freqs)
+        csms = synthesis.synthesize_csm(scene, positions, cfg.frequencies)
         path = os.path.join(out, "exact_csm.bin")
-        spectral.save_csm_set(path, csms, geometry_hash=_sha256(args.geometry))
+        spectral.save_csm_set(path, csms, geometry_hash=_sha256(cfg.geometry))
         outputs.append(path)
     write_manifest(
-        out, "simulate", {"scene": _sha256(args.scene), "geometry": _sha256(args.geometry)}, outputs, seed=scene.seed
+        out, "simulate", {"scene": _sha256(cfg.scene), "geometry": _sha256(cfg.geometry)}, outputs, seed=scene.seed
     )
     return 0
 
 
 def cmd_acquire(args) -> int:
+    cfg = config_from_flags(AcquireConfig, args)
     out = _out_dir(args)
-    rng = np.random.default_rng(args.seed)
-    n_bits = int(acquisition.PDM_RATE * args.duration)
+    rng = np.random.default_rng(cfg.seed)
+    n_bits = int(acquisition.PDM_RATE * cfg.duration)
     streams = []
     for ch in range(acquisition.CHANNELS_PER_FPGA):
         t = np.arange(n_bits) / acquisition.PDM_RATE
-        wave = args.amplitude * np.sin(2 * np.pi * args.tone * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
+        wave = cfg.amplitude * np.sin(2 * np.pi * cfg.tone * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
         streams.append(acquisition.pdm_modulate(wave))
-    packets = acquisition.packetize(streams, fpga_id=args.fpga_id)
-    if args.drop:
-        dropped = set(int(s) for s in args.drop.split(","))
-        packets = [p for p in packets if p.sequence not in dropped]
-    if args.shuffle:
+    packets = [p for p in acquisition.packetize(streams, fpga_id=cfg.fpga_id) if p.sequence not in cfg.drop]
+    if cfg.shuffle:
         rng.shuffle(packets)
     cap = os.path.join(out, "capture.bin")
     acquisition.write_capture(cap, packets)
 
     streams_by_fpga, gaps = acquisition.depacketize(acquisition.read_capture(cap), allow_gaps=True)
-    blocks = [acquisition.pdm_decimate(s) for s in streams_by_fpga[args.fpga_id]]
+    blocks = [acquisition.pdm_decimate(s) for s in streams_by_fpga[cfg.fpga_id]]
     pcm = acquisition.write_pcm_raw(os.path.join(out, "pcm"), blocks)
     gap_path = os.path.join(out, "gaps.json")
     with open(gap_path, "w", encoding="utf-8") as fh:
@@ -561,40 +621,32 @@ def cmd_acquire(args) -> int:
             sort_keys=True,
         )
     outputs = [cap, pcm, os.path.join(out, "pcm.json"), gap_path]
-    write_manifest(out, "acquire", {"tone": args.tone, "duration": args.duration}, outputs, seed=args.seed)
+    write_manifest(out, "acquire", {"tone": cfg.tone, "duration": cfg.duration}, outputs, seed=cfg.seed)
     print(f"acquire: {len(packets)} packets, {len(gaps)} gaps, group delay "
           f"{acquisition.decimation_group_delay()} samples")
     return 0
 
 
 def cmd_beamform(args) -> int:
-    out = _out_dir(args)
+    freqs = args.freqs
     if args.band:
-        lo, hi = (float(v) for v in args.band_range.split(","))
-        freqs = tuple(float(f) for f in spectral.band_centers(args.band, lo, hi))
-    else:
-        freqs = tuple(float(f) for f in args.freqs.split(","))
+        lo, hi = _parse(tuple[float, float], args.band_range, "band_range")
+        _require(0 < lo <= hi < math.inf, "band_range", f"expected 0 < low <= high, got {[lo, hi]!r}")
+        freqs = list(spectral.band_centers(args.band, lo, hi))
     # unlike pipeline and farfield, beamform makes a conventional map unless --clean-sc
-    cfg = RunConfig(
-        geometry=GeometryConfig(load=args.geometry),
-        scene={"load": args.scene},
-        beamforming=BeamformingConfig(
-            frequencies=freqs,
-            grid=_parse_grid(args.grid),
-            diagonal_removal=args.dr == "on",
-            clean_sc=args.clean_sc,
-            loop_gain=args.loop_gain,
-            max_iterations=args.max_iter,
-            estimator=args.estimator,
-        ),
-        subarray=_parse(SubarrayConfig, {"strategy": args.subarray, "epsilon": args.epsilon}, "subarray"),
-        spectral=(
-            SpectralConfig(block=args.block, overlap=args.overlap, duration=args.duration)
-            if args.estimator == "welch"
-            else None
-        ),
-        outputs=OutputsConfig(formats=tuple(args.format.split(","))),
-    )
+    welch = {"block": args.block, "overlap": args.overlap, "duration": args.duration}
+    cfg = _parse(RunConfig, {
+        "geometry": {"load": args.geometry},
+        "scene": {"load": args.scene},
+        "beamforming": {
+            "frequencies": freqs, "grid": args.grid, "diagonal_removal": args.dr == "on", "clean_sc": args.clean_sc,
+            "loop_gain": args.loop_gain, "max_iterations": args.max_iter, "estimator": args.estimator,
+        },
+        "subarray": {"strategy": args.subarray, "epsilon": args.epsilon},
+        "spectral": welch if args.estimator == "welch" else None,
+        "outputs": {"formats": args.format},
+    }, "")
+    out = _out_dir(args)
     scene = _load_scene(cfg.scene)
     geo = _load_geometry(cfg)
     outputs = []
@@ -610,40 +662,20 @@ def cmd_beamform(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str | None) -> GridConfig:
-    if spec is None:
-        return GridConfig()
-    x0, x1, z0, z1, dx = (float(v) for v in spec.split(","))
-    return GridConfig(x_range=(x0, x1), z_range=(z0, z1), spacing=dx)
-
-
-def _parse_roi(spec: str) -> analysis.RegionOfInterest:
-    x0, x1, z0, z1 = (float(v) for v in spec.split(","))
-    return analysis.RegionOfInterest(x_range=(x0, x1), z_range=(z0, z1))
-
-
 def cmd_directivity(args) -> int:
+    cfg = config_from_flags(DirectivityConfig, args)
     out = _out_dir(args)
-    scene = synthesis.Scene.load_json(args.scene)
-    geo = geometry.ArrayGeometry.load_json(args.geometry)
-    roi = _parse_roi(args.roi)
-    reference = [float(v) for v in args.reference.split(",")]
+    scene = synthesis.Scene.load_json(cfg.scene)
+    geo = geometry.ArrayGeometry.load_json(cfg.geometry)
     surface = analysis.directivity_pipeline(
-        scene,
-        geo,
-        reference,
-        roi,
-        [float(f) for f in args.freqs.split(",")],
-        count=args.count,
-        aperture=args.aperture,
-        mics=args.mics,
-        epsilon=args.epsilon,
+        scene, geo, cfg.reference, cfg.roi, cfg.frequencies,
+        count=cfg.count, aperture=cfg.aperture, mics=cfg.mics, epsilon=cfg.epsilon,
     )
     gpath = os.path.join(out, "directivity.csv")
     surface.save_csv(gpath)
     mpath = os.path.join(out, "directivity_meta.json")
     surface.save_meta(mpath)
-    polar = analysis.octave_polar(surface) if args.octave_polar else None
+    polar = analysis.octave_polar(surface) if cfg.octave_polar else None
     outputs = [gpath, mpath]
     if polar is not None:
         ppath = os.path.join(out, "octave_polar.csv")
@@ -653,33 +685,30 @@ def cmd_directivity(args) -> int:
                 fh.write(repr(float(a)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
         outputs.append(ppath)
     write_manifest(
-        out, "directivity", {"scene": _sha256(args.scene), "geometry": _sha256(args.geometry)}, outputs, seed=scene.seed
+        out, "directivity", {"scene": _sha256(cfg.scene), "geometry": _sha256(cfg.geometry)}, outputs, seed=scene.seed
     )
     return 0
 
 
 def cmd_farfield(args) -> int:
+    cfg = _parse(RunConfig, {
+        "geometry": {"load": args.geometry},
+        "scene": {"load": args.scene},
+        "beamforming": {"frequencies": args.freqs, "grid": args.grid, "diagonal_removal": args.dr == "on"},
+        "subarray": {"strategy": args.subarray},
+        "analysis": {"roi": args.roi},
+    }, "")
+    mics = np.array(_parse(tuple[tuple[float, float, float], ...], args.mics, "mics"))
+    reference = np.array(_parse(tuple[float, float, float], args.reference, "reference"))
     out = _out_dir(args)
-    roi = _parse_roi(args.roi)
-    freqs = tuple(float(f) for f in args.freqs.split(","))
-    cfg = RunConfig(
-        geometry=GeometryConfig(load=args.geometry),
-        scene={"load": args.scene},
-        beamforming=BeamformingConfig(
-            frequencies=freqs, grid=_parse_grid(args.grid), clean_sc=True, diagonal_removal=args.dr == "on"
-        ),
-        subarray=_parse(SubarrayConfig, {"strategy": args.subarray}, "subarray"),
-    )
     scene = _load_scene(cfg.scene)
     maps = run_beamforming(cfg, _load_geometry(cfg), scene, jobs=args.jobs)
-    integrated = analysis.maps_to_spectrum(maps, roi)
+    integrated = analysis.maps_to_spectrum(maps, cfg.analysis.roi)
 
     mic_specs = []
-    for mic in args.mics.split(";"):
-        pos = np.array([float(v) for v in mic.split(",")])
-        spec = _virtual_mic_spectrum(scene, pos, freqs)
-        dist = float(np.linalg.norm(pos - np.array([float(v) for v in args.reference.split(",")])))
-        mic_specs.append((spec, dist))
+    for mic in mics:
+        spec = _virtual_mic_spectrum(scene, mic, cfg.beamforming.frequencies)
+        mic_specs.append((spec, float(np.linalg.norm(mic - reference))))
     comparison = analysis.farfield_compare(integrated, mic_specs)
     path = os.path.join(out, "farfield_comparison.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -729,10 +758,8 @@ def cmd_pipeline(args) -> int:
             outputs += save_map(bf_dir, bmap, cfg.outputs.formats)
 
         stage = "analysis"
-        roi = cfg.analysis.roi
-        if roi is not None:
-            region = analysis.RegionOfInterest(x_range=roi.x_range, z_range=roi.z_range, label=roi.label)
-            spectrum = analysis.maps_to_spectrum(maps, region)
+        if cfg.analysis.roi is not None:
+            spectrum = analysis.maps_to_spectrum(maps, cfg.analysis.roi)
             if cfg.analysis.band is not None:
                 spectrum = spectral.band_integrate(spectrum, cfg.analysis.band)
             an_dir = os.path.join(out, "analysis")
@@ -761,29 +788,29 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("geometry", help="generate the panel tiling")
     g.add_argument("--panels", default="3x3", help="PXxPZ, e.g. 3x3")
     g.add_argument("--seed", type=int, default=42)
-    g.add_argument("--format", default="json,csv")
+    g.add_argument("--format", type=_flag_list, default="json,csv")
     g.add_argument("--out", default="run")
     g.set_defaults(func=cmd_geometry)
 
     s = sub.add_parser("simulate", help="synthesize time series or exact CSMs")
     s.add_argument("--scene", required=True)
     s.add_argument("--geometry", required=True)
-    s.add_argument("--mode", choices=["timeseries", "csm"], default="timeseries")
-    s.add_argument("--rate", type=float, default=48_000.0)
-    s.add_argument("--duration", type=float, default=1.0)
-    s.add_argument("--freqs", default="1000")
-    s.add_argument("--channels", type=int, default=0)
+    s.add_argument("--mode", choices=["timeseries", "csm"], default=SimulateConfig.mode)
+    s.add_argument("--rate", type=float, default=SimulateConfig.rate)
+    s.add_argument("--duration", type=float, default=SimulateConfig.duration)
+    s.add_argument("--freqs", dest="frequencies", type=_flag_list, default=list(SimulateConfig.frequencies))
+    s.add_argument("--channels", type=int, default=SimulateConfig.channels)
     s.add_argument("--out", default="run")
     s.set_defaults(func=cmd_simulate)
 
     a = sub.add_parser("acquire", help="simulate the PDM/packet/PCM chain")
-    a.add_argument("--tone", type=float, default=1000.0)
-    a.add_argument("--amplitude", type=float, default=0.5)
-    a.add_argument("--duration", type=float, default=0.02)
-    a.add_argument("--fpga-id", type=int, default=0)
-    a.add_argument("--drop", default="", help="comma-separated sequence numbers to drop")
-    a.add_argument("--shuffle", action="store_true", help="randomize packet order")
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--tone", type=float, default=AcquireConfig.tone)
+    a.add_argument("--amplitude", type=float, default=AcquireConfig.amplitude)
+    a.add_argument("--duration", type=float, default=AcquireConfig.duration)
+    a.add_argument("--fpga-id", type=int, default=AcquireConfig.fpga_id)
+    a.add_argument("--drop", type=_flag_list, default=list(AcquireConfig.drop), help="sequence numbers to drop")
+    a.add_argument("--shuffle", action="store_true", default=AcquireConfig.shuffle, help="randomize packet order")
+    a.add_argument("--seed", type=int, default=AcquireConfig.seed)
     a.add_argument("--out", default="run")
     a.set_defaults(func=cmd_acquire)
 
@@ -792,11 +819,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--geometry", required=True)
     b.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=["dnw_like", "freq_dependent"])
     b.add_argument("--epsilon", type=float, default=DnwLikeSubarray.epsilon)
-    b.add_argument("--freqs", default="4000")
+    b.add_argument("--freqs", type=_flag_list, default="4000")
     b.add_argument("--band", choices=["third_octave", "octave"], default=None,
                    help="run at standard band centers instead of --freqs")
-    b.add_argument("--band-range", default="1000,8000")
-    b.add_argument("--grid", default=None, help="x0,x1,z0,z1,spacing (default: the pipeline config's grid)")
+    b.add_argument("--band-range", type=_flag_list, default="1000,8000")
+    b.add_argument("--grid", type=_grid_flag, default={}, help="x0,x1,z0,z1,spacing (default: the config's grid)")
     b.add_argument("--dr", choices=["on", "off"], default="on")
     b.add_argument("--clean-sc", action="store_true")
     b.add_argument("--loop-gain", type=float, default=BeamformingConfig.loop_gain)
@@ -805,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--block", type=int, default=SpectralConfig.block)
     b.add_argument("--overlap", type=float, default=SpectralConfig.overlap)
     b.add_argument("--duration", type=float, default=SpectralConfig.duration)
-    b.add_argument("--format", default=",".join(OutputsConfig.formats))
+    b.add_argument("--format", type=_flag_list, default=list(OutputsConfig.formats))
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--out", default="run")
     b.set_defaults(func=cmd_beamform)
@@ -813,25 +840,26 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("directivity", help="pitch sub-array directivity surface")
     d.add_argument("--scene", required=True)
     d.add_argument("--geometry", required=True)
-    d.add_argument("--roi", required=True, help="x0,x1,z0,z1")
-    d.add_argument("--reference", default="2.4,0.0,0.0")
-    d.add_argument("--freqs", default="2000,4000")
-    d.add_argument("--count", type=int, default=13)
-    d.add_argument("--aperture", type=float, default=2.0)
-    d.add_argument("--mics", type=int, default=150)
-    d.add_argument("--epsilon", type=float, default=0.1)
-    d.add_argument("--octave-polar", action="store_true")
+    d.add_argument("--roi", type=_roi_flag, required=True, help="x0,x1,z0,z1")
+    d.add_argument("--reference", type=_flag_list, default=list(DirectivityConfig.reference))
+    d.add_argument("--freqs", dest="frequencies", type=_flag_list, default=list(DirectivityConfig.frequencies))
+    d.add_argument("--count", type=int, default=DirectivityConfig.count)
+    d.add_argument("--aperture", type=float, default=DirectivityConfig.aperture)
+    d.add_argument("--mics", type=int, default=DirectivityConfig.mics)
+    d.add_argument("--epsilon", type=float, default=DirectivityConfig.epsilon)
+    d.add_argument("--octave-polar", action="store_true", default=DirectivityConfig.octave_polar)
     d.add_argument("--out", default="run")
     d.set_defaults(func=cmd_directivity)
 
     f = sub.add_parser("farfield", help="beamforming vs far-field projection")
     f.add_argument("--scene", required=True)
     f.add_argument("--geometry", required=True)
-    f.add_argument("--roi", required=True)
-    f.add_argument("--grid", default=None, help="x0,x1,z0,z1,spacing (default: the pipeline config's grid)")
-    f.add_argument("--freqs", default="1000,2000,4000")
-    f.add_argument("--mics", required=True, help="semicolon-separated x,y,z positions")
-    f.add_argument("--reference", default="2.4,0.0,0.0")
+    f.add_argument("--roi", type=_roi_flag, required=True, help="x0,x1,z0,z1")
+    f.add_argument("--grid", type=_grid_flag, default={}, help="x0,x1,z0,z1,spacing (default: the config's grid)")
+    f.add_argument("--freqs", type=_flag_list, default="1000,2000,4000")
+    f.add_argument("--mics", type=lambda text: [_flag_list(m) for m in text.split(";")], required=True,
+                   help="semicolon-separated x,y,z positions")
+    f.add_argument("--reference", type=_flag_list, default=list(DirectivityConfig.reference))
     f.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=["dnw_like", "freq_dependent"])
     f.add_argument("--dr", choices=["on", "off"], default="on")
     f.add_argument("--jobs", type=int, default=1)

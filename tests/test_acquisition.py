@@ -253,10 +253,3 @@ class TestBudgets:
         raw = acq.write_pcm_raw(tmp_path / "out", [pcm, pcm])
         data = np.fromfile(raw, dtype="<i4").reshape(-1, 2)
         assert np.array_equal(data[:, 0], pcm.samples)
-        acq.write_pcm_wav(tmp_path / "out.wav", [pcm, pcm])
-        import wave as wavmod
-
-        with wavmod.open(str(tmp_path / "out.wav")) as fh:
-            assert fh.getnchannels() == 2
-            assert fh.getsampwidth() == 4
-            assert fh.getframerate() == 48_000

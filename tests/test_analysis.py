@@ -27,19 +27,10 @@ class TestRoi:
         inside = roi.contains(grid.local)
         assert inside.sum() == 11 * 11
 
-    def test_polygon_membership(self, grid):
-        roi = an.RegionOfInterest(polygon=[[0.5, 0.5], [1.5, 0.5], [1.0, 1.5]])
-        inside = roi.contains(grid.local)
-        assert 0 < inside.sum() < grid.size
-        assert inside[np.argmin(np.linalg.norm(grid.local - [1.0, 0.8], axis=1))]
-        assert not inside[np.argmin(np.linalg.norm(grid.local - [0.2, 1.4], axis=1))]
-
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             an.RegionOfInterest(x_range=(1.0, 1.0), z_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            an.RegionOfInterest(polygon=[[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             an.RegionOfInterest()
 
 
@@ -240,15 +231,14 @@ class TestFarfieldCompare:
 
 class TestDirectivityPipeline:
     def test_rejects_single_subarray(self):
-        from memsarray.geometry import assemble_full_array, dnw_like_subarray
+        from memsarray.geometry import assemble_full_array
         from memsarray.synthesis import Scene, Source
 
         geo = assemble_full_array(1, 1, seed=42)
-        sub = dnw_like_subarray(geo, mics=40, aperture=0.6)
         scene = Scene(
             sources=(Source(position=[3.0, 0.0, -0.5], spectrum={"type": "broadband", "psd": 1e-6}),),
             seed=1,
         )
         roi = an.RegionOfInterest(x_range=(2.8, 3.2), z_range=(-0.7, -0.3))
         with pytest.raises(ValueError):
-            an.directivity_pipeline(scene, geo, [3.0, 0.0, -0.5], roi, [2000.0], subarrays=[sub])
+            an.directivity_pipeline(scene, geo, [3.0, 0.0, -0.5], roi, [2000.0], count=1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from memsarray import cli
+from memsarray.analysis import RegionOfInterest
 from memsarray.errors import ConfigError
 from memsarray.geometry import ArrayGeometry
 from memsarray.synthesis import Scene, Source
@@ -468,3 +469,67 @@ def test_shear_pipeline_jobs_identical(tmp_path):
         runs[jobs] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert len(runs["1"]) == 9  # geometry, 3 maps x (csv, json), ROI spectrum, manifest
     assert runs["1"] == runs["2"]
+
+
+# the flags each command needs to run; a case's flags come after them, and the last of a repeated flag wins
+_FLAG_BASES = {
+    "simulate": lambda scene, geo: ["--scene", scene, "--geometry", geo],
+    "directivity": lambda scene, geo: ["--scene", scene, "--geometry", geo, "--roi", "2.8,3.2,-0.7,-0.3"],
+    "beamform": lambda scene, geo: ["--scene", scene, "--geometry", geo, "--grid", "2.6,3.4,-0.9,-0.1,0.08"],
+    "geometry": lambda scene, geo: ["--panels", "1x1"],
+    "acquire": lambda scene, geo: [],
+    "farfield": lambda scene, geo: [
+        "--scene", scene, "--geometry", geo, "--roi", "2.8,3.2,-0.7,-0.3", "--grid", "2.6,3.4,-0.9,-0.1,0.08",
+        "--freqs", "2000", "--mics", "3.0,6.0,-0.5",
+    ],
+}
+BAD_FLAGS = [
+    ("simulate", ["--mode", "csm", "--freqs=-2000"], "frequencies[0]"),
+    ("simulate", ["--freqs", "abc"], "frequencies[0]"),
+    ("simulate", ["--rate", "0"], "rate"),
+    ("simulate", ["--channels", "-3"], "channels"),
+    ("directivity", ["--freqs=-2000"], "frequencies[0]"),
+    ("directivity", ["--epsilon", "0"], "epsilon"),
+    ("directivity", ["--count", "1"], "count"),
+    ("directivity", ["--roi", "2.8,3.2"], "roi.z_range"),
+    ("directivity", ["--roi", "3.2,2.8,-0.7,-0.3"], "roi.x_range"),
+    ("directivity", ["--reference", "1,2"], "reference"),
+    ("beamform", ["--format", "xml"], "outputs.formats[0]"),
+    ("beamform", ["--grid", "1,2,3"], "beamforming.grid.z_range"),
+    ("geometry", ["--panels", "3"], "panels"),
+    ("geometry", ["--panels", "0x3"], "panels_x"),
+    ("geometry", ["--format", "xml"], "format[0]"),
+    ("acquire", ["--drop", "a"], "drop[0]"),
+    ("acquire", ["--duration", "0"], "duration"),
+    ("acquire", ["--duration", "0.0001"], "duration"),
+    ("acquire", ["--fpga-id", "70000"], "fpga_id"),
+    ("farfield", ["--mics", "3,6"], "mics[0]"),
+    ("farfield", ["--roi", "5.0,6.0,5.0,6.0"], "analysis.roi"),
+]
+
+
+@pytest.mark.parametrize("command, flags, field", BAD_FLAGS, ids=[" ".join([c, *f]) for c, f, _ in BAD_FLAGS])
+def test_bad_flag_exits_two_with_its_path(tmp_path, scene_file, panel_geometry, capsys, command, flags, field):
+    argv = [command, *_FLAG_BASES[command](scene_file, panel_geometry), *flags, "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    assert f"config error at {field}:" in capsys.readouterr().err
+    for pattern in ("map_*", "*.csv", "*.npy"):
+        assert not list(tmp_path.rglob(pattern)), pattern
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["simulate", "--scene", "s.json", "--geometry", "g.json"], cli.SimulateConfig(scene="s.json", geometry="g.json")),
+        (["acquire"], cli.AcquireConfig()),
+        (
+            ["directivity", "--scene", "s.json", "--geometry", "g.json", "--roi", "2.8,3.2,-0.7,-0.3"],
+            cli.DirectivityConfig(
+                scene="s.json", geometry="g.json", roi=RegionOfInterest(x_range=(2.8, 3.2), z_range=(-0.7, -0.3))
+            ),
+        ),
+    ],
+    ids=["simulate", "acquire", "directivity"],
+)
+def test_flag_defaults_are_the_config_defaults(argv, expected):
+    assert cli.config_from_flags(type(expected), cli.build_parser().parse_args(argv)) == expected
