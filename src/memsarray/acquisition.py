@@ -64,15 +64,14 @@ class PdmStream:
 
 @dataclass
 class PcmBlock:
-    """Decimated PCM output; full scale maps to 2**31 - 1."""
+    """Decimated PCM output; digital full scale, 1.0 Pa, maps to 2**31 - 1."""
 
     samples: np.ndarray  # int32
     rate: int = PCM_RATE
     group_delay: float = 0.0  # in output samples, constant for the chain
-    full_scale: float = 1.0  # Pa value of digital full scale
 
     def to_float(self) -> np.ndarray:
-        return self.samples.astype(np.float64) * (self.full_scale / PCM_FULL_SCALE_CODE)
+        return self.samples.astype(np.float64) * (1.0 / PCM_FULL_SCALE_CODE)
 
 
 @dataclass
@@ -129,13 +128,14 @@ class GapRecord:
     end_sample: int  # exclusive
 
 
-def pdm_modulate(waveform: np.ndarray, full_scale: float = 1.0) -> PdmStream:
+def pdm_modulate(waveform: np.ndarray) -> PdmStream:
     """Encode a 3.072 MHz-sampled waveform as a 1-bit PDM stream.
 
     A 2nd-order delta-sigma loop (CIFB, feedback coefficients 1 and 2) with a
-    single-bit quantizer. Inputs beyond full scale are clipped and flagged.
+    single-bit quantizer. Inputs beyond full scale (|x| > 1) are clipped and
+    flagged.
     """
-    x = np.asarray(waveform, dtype=np.float64) / float(full_scale)
+    x = np.asarray(waveform, dtype=np.float64)
     clipped = bool((np.abs(x) > 1.0).any())
     if clipped:
         x = np.clip(x, -1.0, 1.0)
@@ -202,7 +202,7 @@ def decimation_warmup_bits() -> int:
     return CIC_ORDER * CIC_R + HB1_TAPS * 16 + HB2_TAPS * 32 + COMP_TAPS * 64
 
 
-def pdm_decimate(stream: PdmStream, full_scale: float = 1.0) -> PcmBlock:
+def pdm_decimate(stream: PdmStream) -> PcmBlock:
     """Convert a PDM stream to 48 kHz PCM through the four-stage chain.
 
     Stage ratios are 16 (CIC), 2, 2, and 1 (compensator). The CIC runs in
@@ -232,7 +232,6 @@ def pdm_decimate(stream: PdmStream, full_scale: float = 1.0) -> PcmBlock:
         samples=codes.astype(np.int32),
         rate=PCM_RATE,
         group_delay=decimation_group_delay(),
-        full_scale=float(full_scale),
     )
 
 
@@ -373,7 +372,7 @@ def write_pcm_raw(path_base, blocks: list[PcmBlock]):
         "channels": len(blocks),
         "samples": int(data.shape[0]),
         "group_delay": blocks[0].group_delay,
-        "full_scale": blocks[0].full_scale,
+        "full_scale": 1.0,
         "dtype": "int32_le",
         "interleaved": True,
     }

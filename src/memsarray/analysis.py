@@ -87,7 +87,6 @@ class FarFieldComparison:
     integrated_db: np.ndarray
     mic_average_db: np.ndarray
     delta_psd_db: np.ndarray  # integrated - mic average
-    resampled: bool = False
 
 
 def integrate_map(map_: BeamformingMap, roi: RegionOfInterest) -> float:
@@ -104,12 +103,12 @@ def integrate_map(map_: BeamformingMap, roi: RegionOfInterest) -> float:
     return float(map_.values[mask].sum())
 
 
-def maps_to_spectrum(maps: list[BeamformingMap], roi: RegionOfInterest, units: str = "Pa^2") -> Spectrum:
-    """ROI-integrated power per map frequency."""
+def maps_to_spectrum(maps: list[BeamformingMap], roi: RegionOfInterest) -> Spectrum:
+    """ROI-integrated power (Pa^2) per map frequency."""
     maps = sorted(maps, key=lambda m: m.frequency)
     f = np.array([m.frequency for m in maps])
     p = np.array([integrate_map(m, roi) for m in maps])
-    return Spectrum(frequencies=f, psd=p, units=units)
+    return Spectrum(frequencies=f, psd=p, units="Pa^2")
 
 
 def directivity(spectra: list[tuple]) -> DirectivitySurface:
@@ -203,37 +202,22 @@ def farfield_compare(integrated: Spectrum, mics: list[tuple[Spectrum, float]]) -
     """Compare ROI-integrated beamforming against far-field microphones.
 
     Every mic spectrum is normalized to 1 m, averaged in linear power, and
-    subtracted from the integrated spectrum in dB. Disjoint frequency axes
-    are resampled onto the coarser axis.
+    subtracted from the integrated spectrum in dB. All spectra must share one
+    frequency axis.
     """
     if not mics:
         raise ValueError("need at least one far-field microphone")
+    f = np.asarray(integrated.frequencies, dtype=float)
     normalized = [distance_normalize(s, d, 1.0) for s, d in mics]
-    axes = [integrated.frequencies] + [s.frequencies for s in normalized]
-    same = all(len(a) == len(axes[0]) and np.allclose(a, axes[0]) for a in axes[1:])
-    if same:
-        f = np.asarray(integrated.frequencies, dtype=float)
-        resampled = False
-        integ_p = integrated.psd
-        mic_p = np.mean([s.psd for s in normalized], axis=0)
-    else:
-        f = min(axes, key=len)
-        lo = max(a[0] for a in axes)
-        hi = min(a[-1] for a in axes)
-        f = f[(f >= lo) & (f <= hi)]
-        if len(f) == 0:
-            raise ValueError("spectra share no frequency overlap")
-        resampled = True
-        integ_p = np.interp(f, integrated.frequencies, integrated.psd)
-        mic_p = np.mean([np.interp(f, s.frequencies, s.psd) for s in normalized], axis=0)
-    integ_db = to_db(integ_p)
-    mic_db = to_db(mic_p)
+    if not all(len(s.frequencies) == len(f) and np.allclose(s.frequencies, f) for s in normalized):
+        raise ValueError("all spectra must share one frequency axis")
+    integ_db = to_db(integrated.psd)
+    mic_db = to_db(np.mean([s.psd for s in normalized], axis=0))
     return FarFieldComparison(
         frequencies=f,
         integrated_db=integ_db,
         mic_average_db=mic_db,
         delta_psd_db=integ_db - mic_db,
-        resampled=resampled,
     )
 
 

@@ -27,6 +27,8 @@ import numpy as np
 from .geometry import SubArray
 from .propagation import REFERENCE_DISTANCE, MediumModel, atmospheric_absorption, path_delays
 
+CLEAN_SC_INNER_ITERATIONS = 20  # fixed-point steps per component under diagonal removal
+LOBE_DROP_DB = 3.0  # `lobe_width_db` measures the main lobe this far below its peak
 
 @dataclass(frozen=True)
 class FocusGrid:
@@ -109,10 +111,9 @@ def make_focus_grid(
     y_plane: float = 0.0,
     delta_angle: float = 0.0,
     aoa: float = 0.0,
-    pivot=None,
 ) -> FocusGrid:
     """Regular planar grid in y = y_plane, rotated about y (wing delta angle)
-    then x (angle of attack) around `pivot` (defaults to the grid center).
+    then x (angle of attack) around the grid centre.
 
     Endpoints are inclusive: n = round(span / spacing) + 1 per axis.
     """
@@ -128,11 +129,7 @@ def make_focus_grid(
     local = np.stack([gx.ravel(), gz.ravel()], axis=1)
     pts = np.stack([gx.ravel(), np.full(gx.size, float(y_plane)), gz.ravel()], axis=1)
     if delta_angle != 0.0 or aoa != 0.0:
-        if pivot is None:
-            pivot = np.array(
-                [(x_range[0] + x_range[1]) / 2.0, y_plane, (z_range[0] + z_range[1]) / 2.0]
-            )
-        pivot = np.asarray(pivot, dtype=float)
+        pivot = np.array([(x_range[0] + x_range[1]) / 2.0, y_plane, (z_range[0] + z_range[1]) / 2.0])
         rot = _rotation_x(aoa) @ _rotation_y(delta_angle)
         pts = (pts - pivot) @ rot.T + pivot
     return FocusGrid(points=pts, local=local, shape=(nx, nz), spacing=float(spacing))
@@ -201,15 +198,13 @@ def steering_formulation_iii(
     grid: FocusGrid,
     subarray: SubArray | np.ndarray,
     frequency: float,
-    medium: MediumModel | None = None,
     reference_point=None,
-    include_absorption: bool = False,
 ) -> SteeringSet:
-    """Level-true steering vectors for every grid point at one frequency:
-    `steering_vectors` of `steering_geometry`. Callers steering one geometry
-    at several frequencies build the geometry once instead."""
-    geometry = steering_geometry(grid, subarray, medium, reference_point)
-    return steering_vectors(geometry, frequency, include_absorption)
+    """Level-true free-field steering vectors for every grid point at one
+    frequency: `steering_vectors` of `steering_geometry`. Callers steering one
+    geometry at several frequencies, or through a moving medium, build the
+    geometry themselves."""
+    return steering_vectors(steering_geometry(grid, subarray, reference_point=reference_point), frequency)
 
 
 def _raw_map(csm_values: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -257,7 +252,6 @@ def clean_sc(
     max_iterations: int = 100,
     stop_threshold: float = 1e-3,
     diagonal_removal: bool = True,
-    inner_iterations: int = 20,
 ) -> BeamformingMap:
     """CLEAN-SC deconvolution.
 
@@ -299,7 +293,7 @@ def clean_sc(
             comp = degraded @ w / peak
             if diagonal_removal:
                 base = comp
-                for _ in range(inner_iterations):
+                for _ in range(CLEAN_SC_INNER_ITERATIONS):
                     diag = np.abs(comp) ** 2
                     comp = (base + diag * w) / np.sqrt(1.0 + np.real(np.vdot(w, diag * w)))
             induced = peak * np.outer(comp, comp.conj())
@@ -334,12 +328,12 @@ def clean_sc(
     )
 
 
-def lobe_width_db(map_values: np.ndarray, coords: np.ndarray, drop_db: float = 3.0) -> float:
-    """Width of the main lobe `drop_db` below the peak along a 1D cut."""
+def lobe_width_db(map_values: np.ndarray, coords: np.ndarray) -> float:
+    """Width of the main lobe `LOBE_DROP_DB` below the peak along a 1D cut."""
     v = np.asarray(map_values, dtype=float)
     peak = int(np.argmax(v))
     level = 10.0 * np.log10(np.maximum(v / v[peak], 1e-300))
-    target = -abs(drop_db)
+    target = -LOBE_DROP_DB
 
     def crossing(direction: int) -> float:
         i = peak

@@ -707,7 +707,7 @@ def cmd_farfield(args) -> int:
 
     mic_specs = []
     for mic in mics:
-        spec = _virtual_mic_spectrum(scene, mic, cfg.beamforming.frequencies)
+        spec = _virtual_mic_spectrum(scene, mic, integrated.frequencies)
         mic_specs.append((spec, float(np.linalg.norm(mic - reference))))
     comparison = analysis.farfield_compare(integrated, mic_specs)
     path = os.path.join(out, "farfield_comparison.csv")

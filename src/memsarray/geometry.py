@@ -7,7 +7,7 @@ sensors each) twice in both directions, giving 16 PCBs / 800 sensors per
 nearest-sensor matching against an optimal target layout (Fermat spiral).
 
 Coordinate frame: x downstream, y from the model toward the array plane,
-z vertical. The array plane sits at y = 3.39 m by default.
+z vertical. The array plane sits at y = 3.39 m, centred on (x, z) = (3.0, -0.5).
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ PANEL_Z = 1.0
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))  # ~137.5078 deg
 
-DEFAULT_PLANE_DISTANCE = 3.39
-DEFAULT_CENTER_X = 3.0
-DEFAULT_CENTER_Z = -0.5
+PLANE_DISTANCE = 3.39  # y of the array plane
+CENTER_X = 3.0  # array centre in the plane
+CENTER_Z = -0.5
+MAX_CANDIDATES = 50_000  # Halton candidates tried per PCB before giving up
+F_MAX = 16_000.0  # frequency-dependent apertures stop shrinking above this
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,6 @@ class ArrayGeometry:
     panel_id: np.ndarray  # (N,) int
     pcb_id: np.ndarray  # (N,) int, 0..15 within panel
     design_id: np.ndarray  # (N,) int, 0..3
-    local_index: np.ndarray  # (N,) int, 0..49 within PCB
     plane: ArrayPlane
     extent: tuple[float, float]  # (x width, z height) of the panel tiling
     seed: int | None = None
@@ -140,7 +141,6 @@ class ArrayGeometry:
             panel_id=np.array([s.get("panel", 0) for s in sensors], dtype=int),
             pcb_id=np.array([s.get("pcb", 0) for s in sensors], dtype=int),
             design_id=np.array([s.get("design", 0) for s in sensors], dtype=int),
-            local_index=np.array([s.get("local", i % SENSORS_PER_PCB) for i, s in enumerate(sensors)], dtype=int),
             plane=plane,
             extent=extent,
             seed=meta.get("seed"),
@@ -190,7 +190,7 @@ class ObservationAngles:
     phi_std: float = 0.0
 
 
-def generate_pcb_layout(design_id: int, seed: int, max_candidates: int = 50_000) -> PcbLayout:
+def generate_pcb_layout(design_id: int, seed: int) -> PcbLayout:
     """Generate one of the four PCB sensor layouts.
 
     Placement uses a seeded Cranley-Patterson shift of a 2D Halton sequence,
@@ -208,7 +208,7 @@ def generate_pcb_layout(design_id: int, seed: int, max_candidates: int = 50_000)
     batch = 2_000
     offset = 0
     while len(accepted) < SENSORS_PER_PCB:
-        if offset >= max_candidates:
+        if offset >= MAX_CANDIDATES:
             raise ConstraintError(
                 f"could not place {SENSORS_PER_PCB} sensors after {offset} candidates"
             )
@@ -241,20 +241,13 @@ def _halton_range(start: int, count: int, base: int) -> np.ndarray:
     return out
 
 
-def assemble_full_array(
-    panels_x: int,
-    panels_z: int,
-    seed: int,
-    plane_distance: float = DEFAULT_PLANE_DISTANCE,
-    center_x: float = DEFAULT_CENTER_X,
-    center_z: float = DEFAULT_CENTER_Z,
-) -> ArrayGeometry:
+def assemble_full_array(panels_x: int, panels_z: int, seed: int) -> ArrayGeometry:
     """Tile panels into the full array.
 
     Each panel is a 2 x 2 repetition of the fixed four-PCB pattern (designs
     laid out [[0, 1], [2, 3]] over 1.0 m x 0.5 m), so a panel spans
     2 m x 1 m with 800 sensors. Panels tile gap-free around
-    (center_x, center_z) in the plane y = plane_distance.
+    (CENTER_X, CENTER_Z) in the plane y = PLANE_DISTANCE.
     """
     if panels_x < 1 or panels_z < 1:
         raise ValueError("panel counts must be >= 1")
@@ -265,10 +258,9 @@ def assemble_full_array(
     panel_id = np.empty(n_total, dtype=int)
     pcb_id = np.empty(n_total, dtype=int)
     design_arr = np.empty(n_total, dtype=int)
-    local_index = np.empty(n_total, dtype=int)
 
-    array_x0 = center_x - panels_x * PANEL_X / 2.0
-    array_z0 = center_z - panels_z * PANEL_Z / 2.0
+    array_x0 = CENTER_X - panels_x * PANEL_X / 2.0
+    array_z0 = CENTER_Z - panels_z * PANEL_Z / 2.0
     i = 0
     for pz in range(panels_z):
         for px in range(panels_x):
@@ -288,16 +280,15 @@ def assemble_full_array(
                             pts = layouts[d_id].positions
                             n = len(pts)
                             positions[i : i + n, 0] = ox + pts[:, 1]
-                            positions[i : i + n, 1] = plane_distance
+                            positions[i : i + n, 1] = PLANE_DISTANCE
                             positions[i : i + n, 2] = oz + pts[:, 0]
                             panel_id[i : i + n] = pid
                             pcb_id[i : i + n] = pcb
                             design_arr[i : i + n] = d_id
-                            local_index[i : i + n] = np.arange(n)
                             i += n
                             pcb += 1
     plane = ArrayPlane(
-        origin=np.array([center_x, plane_distance, center_z]),
+        origin=np.array([CENTER_X, PLANE_DISTANCE, CENTER_Z]),
         normal=np.array([0.0, -1.0, 0.0]),
     )
     return ArrayGeometry(
@@ -305,7 +296,6 @@ def assemble_full_array(
         panel_id=panel_id,
         pcb_id=pcb_id,
         design_id=design_arr,
-        local_index=local_index,
         plane=plane,
         extent=(panels_x * PANEL_X, panels_z * PANEL_Z),
         seed=int(seed),
@@ -453,9 +443,9 @@ def pitch_subarray_series(
     return [sample_subarray(geometry, fermat_spiral(mics, aperture, center=(cx, z_center)), epsilon) for cx in centers]
 
 
-def frequency_dependent_aperture(frequency: float, d_ref: float, f_ref: float, f_max: float = 16_000.0) -> float:
-    """Aperture scaled as d_ref * f_ref / f, clamped below f_ref and above f_max."""
-    f = min(max(float(frequency), f_ref), f_max)
+def frequency_dependent_aperture(frequency: float, d_ref: float, f_ref: float) -> float:
+    """Aperture scaled as d_ref * f_ref / f, clamped below f_ref and above F_MAX."""
+    f = min(max(float(frequency), f_ref), F_MAX)
     return d_ref * f_ref / f
 
 
@@ -467,14 +457,13 @@ def freq_dependent_subarrays(
     mics: int,
     bands,
     epsilon: float,
-    f_max: float = 16_000.0,
 ) -> dict[float, SubArray]:
     """One sampled sub-array per frequency band, aperture shrinking with f."""
     if d_ref <= 0 or f_ref <= 0:
         raise ValueError("d_ref and f_ref must be > 0")
     out: dict[float, SubArray] = {}
     for f in bands:
-        aperture = frequency_dependent_aperture(f, d_ref, f_ref, f_max)
+        aperture = frequency_dependent_aperture(f, d_ref, f_ref)
         out[float(f)] = sample_subarray(geometry, fermat_spiral(mics, aperture, center=center), epsilon)
     return out
 

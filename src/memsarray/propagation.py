@@ -175,6 +175,8 @@ def _plane_basis(normal: np.ndarray):
 
 # pairs solved together; bounds the solver's temporaries whatever the batch size
 _CROSSING_BLOCK = 8192
+# Newton stops once no crossing coordinate moves more than this (m)
+CROSSING_TOLERANCE = 1e-10
 
 
 def _crossing_derivatives(uv, sources, receivers, medium: MediumModel):
@@ -218,7 +220,7 @@ def _crossing_derivatives(uv, sources, receivers, medium: MediumModel):
     return (g1, g2), (h11, h12, h22)
 
 
-def _solve_crossings(sources, receivers, medium: MediumModel, tolerance: float, max_iterations: int):
+def _solve_crossings(sources, receivers, medium: MediumModel, max_iterations: int):
     """Damped Newton search for the crossing coordinates of pairs given in the
     plane frame of `_crossing_derivatives`, iterating only on the pairs not
     yet converged.
@@ -278,7 +280,7 @@ def _solve_crossings(sources, receivers, medium: MediumModel, tolerance: float, 
         uv[idx] = uv_a
         times[idx] = f_cur
         moved = np.abs(step).max(axis=1)
-        keep = ~(moved < tolerance)
+        keep = ~(moved < CROSSING_TOLERANCE)
         if not keep.all():
             idx, moved = idx[keep], moved[keep]
             s_a, r_a, uv_a, f_cur = s_a[keep], r_a[keep], uv_a[keep], f_cur[keep]
@@ -290,7 +292,6 @@ def shear_crossing_delays(
     sources,
     receivers,
     medium: MediumModel,
-    tolerance: float = 1e-10,
     max_iterations: int = 80,
 ):
     """Vectorized Amiet travel times: convected leg to the shear plane, then a
@@ -331,7 +332,6 @@ def shear_crossing_delays(
             (src[rows] - plane.point) @ frame.T,
             (rcv[rows] - plane.point) @ frame.T,
             local,
-            tolerance,
             max_iterations,
         )
         if stalled is not None:

@@ -24,13 +24,13 @@ THIRD_OCTAVE_RATIO = 2.0 ** (1.0 / 6.0)
 OCTAVE_RATIO = 2.0 ** 0.5
 
 
-def to_db(values, reference: float = P_REF_SQ, floor_db: float = DB_FLOOR) -> np.ndarray:
-    """Power quantity to dB re `reference`, with a finite floor for zeros."""
+def to_db(values, reference: float = P_REF_SQ) -> np.ndarray:
+    """Power quantity to dB re `reference`, floored at DB_FLOOR (zeros included)."""
     v = np.asarray(values, dtype=float)
-    out = np.full(v.shape, floor_db)
+    out = np.full(v.shape, DB_FLOOR)
     pos = v > 0
     out[pos] = 10.0 * np.log10(v[pos] / reference)
-    return np.maximum(out, floor_db)
+    return np.maximum(out, DB_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ class Spectrum:
         if len(f) > 1 and not (np.diff(f) > 0).all():
             raise ValueError("frequencies must be strictly increasing")
 
-    def db(self, floor_db: float = DB_FLOOR) -> np.ndarray:
-        return to_db(self.psd, floor_db=floor_db)
+    def db(self) -> np.ndarray:
+        return to_db(self.psd)
 
     def save_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -24,7 +24,6 @@ from .propagation import (
     REFERENCE_DISTANCE,
     MediumModel,
     atmospheric_absorption,
-    convected_delays,
     path_delays,
 )
 from .spectral import CrossSpectralMatrix
@@ -70,19 +69,12 @@ class Source:
         cosang = (d @ self.axis) / np.linalg.norm(d, axis=1)
         return cosang**2
 
-    def power_at(self, frequency: float, bin_width: float | None = None) -> float:
-        """Auto-power (Pa^2 at 1 m) seen in a narrowband bin at `frequency`.
-
-        Tones contribute only inside the bin that contains them (or exactly at
-        their frequency when no bin width is given); broadband sources return
-        PSD (Pa^2/Hz).
-        """
+    def power_at(self, frequency: float) -> float:
+        """Auto-power (Pa^2 at 1 m) at `frequency`: a tone's power at its own
+        frequency and 0 elsewhere; a broadband source's PSD (Pa^2/Hz)."""
         spec = self.spectrum
         if spec["type"] == "tone":
-            f0 = spec["frequency"]
-            if bin_width is None:
-                return float(spec["power"]) if np.isclose(frequency, f0) else 0.0
-            return float(spec["power"]) if abs(frequency - f0) <= bin_width / 2 else 0.0
+            return float(spec["power"]) if np.isclose(frequency, spec["frequency"]) else 0.0
         return float(_psd_at(spec, frequency))
 
     def to_dict(self) -> dict:
@@ -240,14 +232,14 @@ def _absorbed(gains: np.ndarray, r_eff: np.ndarray, frequency: float, medium: Me
     return gains * 10.0 ** (-alpha * r_eff / 20.0)
 
 
-def fractional_delay_kernel(frac: float, taps: int = SINC_TAPS, beta: float = SINC_BETA) -> np.ndarray:
-    """Kaiser-windowed sinc interpolation kernel for a 0..1 sample delay."""
-    n = np.arange(taps)
-    center = taps / 2.0 - 1.0 + frac
+def fractional_delay_kernel(frac: float) -> np.ndarray:
+    """Kaiser-windowed sinc interpolation kernel of SINC_TAPS taps for a 0..1 sample delay."""
+    n = np.arange(SINC_TAPS)
+    center = SINC_TAPS / 2.0 - 1.0 + frac
     k = np.sinc(n - center)
     # Kaiser taper sampled around the shifted center keeps the kernel symmetric
-    arg = np.clip((n - center) / (taps / 2.0), -1.0, 1.0)
-    w = np.i0(beta * np.sqrt(1.0 - arg**2)) / np.i0(beta)
+    arg = np.clip((n - center) / (SINC_TAPS / 2.0), -1.0, 1.0)
+    w = np.i0(SINC_BETA * np.sqrt(1.0 - arg**2)) / np.i0(SINC_BETA)
     return k * w
 
 
@@ -332,7 +324,6 @@ def synthesize_csm(
     scene: Scene,
     positions: np.ndarray,
     frequencies,
-    bin_width: float | None = None,
     include_absorption: bool = True,
 ) -> list[CrossSpectralMatrix]:
     """Exact CSMs: sum over sources of q^2 g g^H plus a diagonal noise term.
@@ -350,7 +341,7 @@ def synthesize_csm(
         c = np.zeros((m, m), dtype=complex)
         units = "Pa^2/Hz"
         for i, src in enumerate(scene.sources):
-            q2 = src.power_at(f, bin_width)
+            q2 = src.power_at(f)
             if src.spectrum["type"] == "tone":
                 units = "Pa^2"
             if q2 == 0.0:

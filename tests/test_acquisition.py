@@ -37,9 +37,9 @@ class TestModulator:
         assert abs(20 * np.log10(level)) <= 0.1
 
     def test_clipping_flagged(self):
-        stream = acq.pdm_modulate(1.5 * np.ones(10_000), full_scale=1.0)
+        stream = acq.pdm_modulate(1.5 * np.ones(10_000))
         assert stream.clipped
-        stream = acq.pdm_modulate(0.5 * np.ones(10_000), full_scale=1.0)
+        stream = acq.pdm_modulate(0.5 * np.ones(10_000))
         assert not stream.clipped
 
     def test_noise_shaping(self):
