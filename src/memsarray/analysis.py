@@ -25,7 +25,7 @@ from .beamforming import (
 )
 from .errors import _require_range
 from .geometry import ArrayGeometry, pitch_subarray_series, subarray_observation
-from .spectral import Spectrum, band_centers_spanning, band_edges, to_db
+from .spectral import Spectrum, _band_masks, band_centers_spanning, to_db
 from .synthesis import Scene, synthesize_csm
 
 
@@ -165,22 +165,14 @@ def octave_polar(surface: DirectivitySurface, band_type: str = "octave") -> dict
     f = surface.frequencies
     if len(f) < 2:
         raise ValueError("octave integration needs a narrowband surface")
-    centers = band_centers_spanning(f, band_type)
-    power = np.where(np.isfinite(surface.psd_db), 10.0 ** (surface.psd_db / 10.0), 0.0)
-    bands = []
-    kept = []
-    for c in centers:
-        lo, hi = band_edges(c, band_type)
-        mask = (f >= lo) & (f < hi)
-        if not mask.any():
-            continue
-        kept.append(c)
-        bands.append(power[:, mask].sum(axis=1))
-    if not kept:
+    bands = _band_masks(f, band_centers_spanning(f, band_type), band_type)
+    if not bands:
         raise ValueError("no band overlaps the surface's frequency axis")
-    band_db = to_db(np.array(bands).T, reference=1.0)  # (A, B), relative units
+    power = np.where(np.isfinite(surface.psd_db), 10.0 ** (surface.psd_db / 10.0), 0.0)
+    band_power = np.array([power[:, mask].sum(axis=1) for _, mask in bands]).T
+    band_db = to_db(band_power, reference=1.0)  # (A, B), relative units
     gamma = band_db - band_db.mean(axis=0, keepdims=True)
-    return {"centers": np.array(kept), "angles": surface.angles, "gamma_db": gamma}
+    return {"centers": np.array([c for c, _ in bands]), "angles": surface.angles, "gamma_db": gamma}
 
 
 def distance_normalize(spectrum: Spectrum, distance: float, reference: float = 1.0) -> Spectrum:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__, acquisition, analysis, beamforming, geometry, spectral, synthesis
-from .errors import ConfigError, NumericalError, _require, _require_positive, _require_range, check_keys
+from .errors import ConfigError, _require, _require_positive, _require_range, check_keys
 
 OUTPUT_ROOT_ENV = "MEMSARRAY_OUTPUT_ROOT"
 
@@ -268,6 +268,14 @@ class AcquireConfig:
         shortest = acquisition.decimation_warmup_bits() / acquisition.PDM_RATE  # the decimation filters' warm-up
         _require(shortest <= self.duration < math.inf, "duration", f"expected >= {shortest!r} s, got {self.duration!r}")
         _require(0 <= self.fpga_id <= 0xFFFF, "fpga_id", f"expected 0 to 65535, got {self.fpga_id!r}")
+        # a capture has no end marker, so the stream length comes from the last packet, which must arrive
+        packets = -(-int(acquisition.PDM_RATE * self.duration) // acquisition.DEFAULT_FRAMES_PER_PACKET)
+        for i, seq in enumerate(self.drop):
+            _require(
+                0 <= seq <= packets - 2,
+                f"drop[{i}]",
+                f"expected a sequence number from 0 to {packets - 2} (packet {packets - 1} is the last), got {seq!r}",
+            )
 
 
 def _parse(kind, value, path: str):
@@ -411,14 +419,15 @@ def _build_subarray(geo, spec: SubarrayConfig, frequencies):
     """Returns {frequency: SubArray}; a strategy-independent view for the runner."""
     if spec.strategy == "freq_dependent":
         center = (geo.plane.origin[0], geo.plane.origin[2]) if spec.center is None else spec.center
-        return geometry.freq_dependent_subarrays(
+        subs = geometry.freq_dependent_subarrays(
             geo, center, d_ref=spec.d_ref, f_ref=spec.f_ref, mics=spec.mics, bands=frequencies,
             epsilon=spec.epsilon,
         )
-    if spec.strategy == "dnw_like":
+    elif spec.strategy == "dnw_like":
         sub = geometry.dnw_like_subarray(
             geo, mics=spec.mics, aperture=spec.aperture, epsilon=spec.epsilon, center=spec.center
         )
+        subs = {float(f): sub for f in frequencies}
     else:
         idx = np.asarray(spec.indices, dtype=int)
         if not len(idx) or idx.min() < 0 or idx.max() >= geo.sensor_count:
@@ -434,7 +443,10 @@ def _build_subarray(geo, spec: SubarrayConfig, frequencies):
             match_distances=np.zeros(len(idx)),
             epsilon=0.0,
         )
-    return {float(f): sub for f in frequencies}
+        return {float(f): sub for f in frequencies}
+    for f, sub in subs.items():
+        _require(sub.size > 0, "subarray.epsilon", f"no sensor lies within {spec.epsilon!r} m of a target at {f!r} Hz")
+    return subs
 
 
 def _beamform_work(item):
@@ -728,49 +740,44 @@ def _virtual_mic_spectrum(scene, position, freqs) -> spectral.Spectrum:
 
 
 def cmd_pipeline(args) -> int:
-    if args.config.startswith("bundled:"):
-        cfg = bundled_config(args.config.split(":", 1)[1].replace("-", "_"))
-        cfg_hash = _sha256_obj(cfg)
-    else:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        cfg_hash = _sha256(args.config)
+    try:
+        if args.config.startswith("bundled:"):
+            cfg = bundled_config(args.config.split(":", 1)[1].replace("-", "_"))
+            cfg_hash = _sha256_obj(cfg)
+        else:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+            cfg_hash = _sha256(args.config)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
     cfg = validate_pipeline_config(cfg)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     scene = _load_scene(cfg.scene)
     out = _out_dir(args)
 
-    stage = "geometry"
-    try:
-        geo = _load_geometry(cfg)
-        geo_dir = os.path.join(out, "geometry")
-        os.makedirs(geo_dir, exist_ok=True)
-        gpath = os.path.join(geo_dir, "geometry.json")
-        geo.save_json(gpath)
-        outputs = [gpath]
+    geo = _load_geometry(cfg)
+    geo_dir = os.path.join(out, "geometry")
+    os.makedirs(geo_dir, exist_ok=True)
+    gpath = os.path.join(geo_dir, "geometry.json")
+    geo.save_json(gpath)
+    outputs = [gpath]
 
-        stage = "beamforming"
-        maps = run_beamforming(cfg, geo, scene, jobs=args.jobs)
-        bf_dir = os.path.join(out, "beamforming")
-        os.makedirs(bf_dir, exist_ok=True)
-        for bmap in maps:
-            outputs += save_map(bf_dir, bmap, cfg.outputs.formats)
+    maps = run_beamforming(cfg, geo, scene, jobs=args.jobs)
+    bf_dir = os.path.join(out, "beamforming")
+    os.makedirs(bf_dir, exist_ok=True)
+    for bmap in maps:
+        outputs += save_map(bf_dir, bmap, cfg.outputs.formats)
 
-        stage = "analysis"
-        if cfg.analysis.roi is not None:
-            spectrum = analysis.maps_to_spectrum(maps, cfg.analysis.roi)
-            if cfg.analysis.band is not None:
-                spectrum = spectral.band_integrate(spectrum, cfg.analysis.band)
-            an_dir = os.path.join(out, "analysis")
-            os.makedirs(an_dir, exist_ok=True)
-            spath = os.path.join(an_dir, "roi_spectrum.csv")
-            spectrum.save_csv(spath)
-            outputs.append(spath)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise NumericalError(f"stage {stage!r} failed: {exc}") from exc
+    if cfg.analysis.roi is not None:
+        spectrum = analysis.maps_to_spectrum(maps, cfg.analysis.roi)
+        if cfg.analysis.band is not None:
+            spectrum = spectral.band_integrate(spectrum, cfg.analysis.band)
+        an_dir = os.path.join(out, "analysis")
+        os.makedirs(an_dir, exist_ok=True)
+        spath = os.path.join(an_dir, "roi_spectrum.csv")
+        spectrum.save_csv(spath)
+        outputs.append(spath)
 
     write_manifest(out, "pipeline", {"config": cfg_hash}, outputs, seed=cfg.seed)
     print(f"pipeline: {len(outputs)} artifacts in {out}")
@@ -877,14 +884,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A config error exits 2 with its path; any other
+    failure of the run exits 3 naming the subcommand."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error at {exc.field or '<root>'}: {exc.message}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"numerical failure: {args.command}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError
+from .errors import ConfigError, ConstraintError
 
 # PCB geometry (meters)
 PCB_SHORT = 0.250
@@ -148,8 +148,14 @@ class ArrayGeometry:
 
     @classmethod
     def load_json(cls, path) -> "ArrayGeometry":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Geometry of a `save_json` file; an unreadable or malformed file raises ConfigError."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except KeyError as exc:
+            raise ConfigError("geometry", f"{path} has no key {exc}") from exc
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError("geometry", f"cannot read {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

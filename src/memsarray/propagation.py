@@ -98,35 +98,32 @@ class PathResult:
     effective_distance: float  # m, c0 * delay
 
 
-def convected_delays(sources, receivers, medium: MediumModel) -> np.ndarray:
-    """Travel times source -> receiver in uniform flow (broadcasting shapes).
+def _convected(d, medium: MediumModel):
+    """Travel times over the separation vectors `d` (..., 3) in uniform flow,
+    and the convected distances R they are formed from.
 
-    With d the separation vector, M the Mach vector and beta^2 = 1 - M.M:
-    c * tau = (-M.d + sqrt((M.d)^2 + beta^2 |d|^2)) / beta^2,
+    With M the Mach vector and beta^2 = 1 - M.M:
+    R = sqrt((M.d)^2 + beta^2 |d|^2) and c * tau = (-M.d + R) / beta^2,
     the positive root of the retarded-time equation |d - c M tau| = c tau.
     """
-    src = np.asarray(sources, dtype=float)
-    rcv = np.asarray(receivers, dtype=float)
-    d = rcv - src
     m = medium.mach_vector
     beta2 = 1.0 - float(np.dot(m, m))
     md = d @ m
     rr = np.sqrt(md * md + beta2 * np.sum(d * d, axis=-1))
-    return (-md + rr) / (medium.speed_of_sound * beta2)
+    return (-md + rr) / (medium.speed_of_sound * beta2), rr
+
+
+def convected_delays(sources, receivers, medium: MediumModel) -> np.ndarray:
+    """Travel times source -> receiver in uniform flow (broadcasting shapes)."""
+    return _convected(np.asarray(receivers, dtype=float) - np.asarray(sources, dtype=float), medium)[0]
 
 
 def green_convected(source, receiver, medium: MediumModel) -> PathResult:
     """Monopole Green's function quantities for uniform subsonic flow."""
-    source = np.asarray(source, dtype=float)
-    receiver = np.asarray(receiver, dtype=float)
-    d = receiver - source
+    d = np.asarray(receiver, dtype=float) - np.asarray(source, dtype=float)
     if np.dot(d, d) == 0.0:
         raise ValueError("source and receiver coincide")
-    m = medium.mach_vector
-    beta2 = 1.0 - float(np.dot(m, m))
-    md = float(np.dot(m, d))
-    rr = float(np.sqrt(md * md + beta2 * np.dot(d, d)))
-    delay = (-md + rr) / (medium.speed_of_sound * beta2)
+    delay, rr = (float(v) for v in _convected(d, medium))
     return PathResult(
         delay=delay,
         amplitude=1.0 / (4.0 * np.pi * rr),

@@ -217,6 +217,19 @@ def band_edges(center: float, band_type: str) -> tuple[float, float]:
     return center / ratio, center * ratio
 
 
+def _band_masks(frequencies, centers, band_type: str) -> list[tuple[float, np.ndarray]]:
+    """(center, mask of `frequencies` with lo <= f < hi) for each band that
+    holds at least one frequency; empty bands are dropped."""
+    f = np.asarray(frequencies, dtype=float)
+    out = []
+    for c in centers:
+        lo, hi = band_edges(c, band_type)
+        mask = (f >= lo) & (f < hi)
+        if mask.any():
+            out.append((c, mask))
+    return out
+
+
 def band_integrate(spectrum: Spectrum, band_type: str = "third_octave", centers=None) -> Spectrum:
     """Integrate a narrowband PSD into band powers (sum of PSD * df).
 
@@ -231,18 +244,10 @@ def band_integrate(spectrum: Spectrum, band_type: str = "third_octave", centers=
     df = float(np.median(np.diff(f)))
     if centers is None:
         centers = band_centers_spanning(f, band_type)
-    out_c = []
-    out_p = []
-    for c in centers:
-        lo, hi = band_edges(c, band_type)
-        mask = (f >= lo) & (f < hi)
-        if not mask.any():
-            continue
-        out_c.append(c)
-        out_p.append(float(np.sum(spectrum.psd[mask]) * df))
+    bands = _band_masks(f, centers, band_type)
     return Spectrum(
-        frequencies=np.array(out_c),
-        psd=np.array(out_p),
+        frequencies=np.array([c for c, _ in bands]),
+        psd=np.array([float(np.sum(spectrum.psd[mask]) * df) for _, mask in bands]),
         units="Pa^2" if spectrum.units == "Pa^2/Hz" else spectrum.units,
         band_type=band_type,
     )

@@ -533,3 +533,58 @@ def test_bad_flag_exits_two_with_its_path(tmp_path, scene_file, panel_geometry, 
 )
 def test_flag_defaults_are_the_config_defaults(argv, expected):
     assert cli.config_from_flags(type(expected), cli.build_parser().parse_args(argv)) == expected
+
+
+def _panel_pipeline(tmp_path, geo, **sections) -> list:
+    """`pipeline` on the bundled config with the 1x1 panel and `sections` swapped in."""
+    cfg = cli.bundled_config("single_monopole")
+    cfg.update({"geometry": {"load": geo}, **sections})
+    return _pipeline_config(tmp_path, cfg)
+
+
+def _config_text(tmp_path, text) -> list:
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return ["pipeline", "--config", str(path)]
+
+
+def _missing(tmp_path) -> str:
+    return str(tmp_path / "missing.json")
+
+
+# runs that start but cannot finish: (id, argv before --out, exit code, stderr prefix)
+FAILING_RUNS = [
+    *(
+        (f"{command} missing geometry", lambda t, s, g, c=command: [c, *_FLAG_BASES[c](s, _missing(t))], 2,
+         "config error at geometry:")
+        for command in ("beamform", "simulate", "directivity")
+    ),
+    ("beamform scene as geometry", lambda t, s, g: ["beamform", *_FLAG_BASES["beamform"](s, s)], 2,
+     "config error at geometry:"),
+    ("pipeline missing config", lambda t, s, g: ["pipeline", "--config", _missing(t)], 2, "config error at config:"),
+    ("pipeline non-JSON config", lambda t, s, g: _config_text(t, "{not json"), 2, "config error at config:"),
+    ("pipeline bundled:nope", lambda t, s, g: ["pipeline", "--config", "bundled:nope"], 2, "config error at config:"),
+    ("pipeline missing geometry.load", lambda t, s, g: _panel_pipeline(t, _missing(t)), 2, "config error at geometry:"),
+    ("beamform empty sub-array", lambda t, s, g: ["beamform", *_FLAG_BASES["beamform"](s, g), "--epsilon", "0.0001"], 2,
+     "config error at subarray.epsilon:"),
+    ("pipeline empty sub-array", lambda t, s, g: _panel_pipeline(t, g, subarray={"epsilon": 0.0001}), 2,
+     "config error at subarray.epsilon:"),
+    *(
+        (f"acquire --drop {drop}", lambda t, s, g, d=drop: ["acquire", "--duration", "0.0016", "--drop", d], 2,
+         f"config error at {field}:")
+        for drop, field in (("9", "drop[0]"), ("10", "drop[0]"), ("0,1,2,3,4,5,6,7,8,9", "drop[9]"))
+    ),
+    ("farfield ROI between grid nodes", lambda t, s, g: [
+        "farfield", *_FLAG_BASES["farfield"](s, g), "--roi", "2.61,2.62,-0.55,-0.45", "--grid", "2.6,3.4,-0.9,-0.1,0.04",
+    ], 3, "numerical failure: farfield:"),
+    ("directivity empty sub-arrays", lambda t, s, g: ["directivity", *_FLAG_BASES["directivity"](s, g), "--epsilon", "0.0001"],
+     3, "numerical failure: directivity:"),
+]
+
+
+@pytest.mark.parametrize("argv, code, prefix", [r[1:] for r in FAILING_RUNS], ids=[r[0] for r in FAILING_RUNS])
+def test_failing_run_exit_code(tmp_path, scene_file, panel_geometry, capsys, argv, code, prefix):
+    assert cli.main([*argv(tmp_path, scene_file, panel_geometry), "--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
