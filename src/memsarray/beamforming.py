@@ -30,6 +30,7 @@ from .propagation import REFERENCE_DISTANCE, MediumModel, atmospheric_absorption
 CLEAN_SC_INNER_ITERATIONS = 20  # fixed-point steps per component under diagonal removal
 LOBE_DROP_DB = 3.0  # `lobe_width_db` measures the main lobe this far below its peak
 
+
 @dataclass(frozen=True)
 class FocusGrid:
     """Planar focus grid, optionally rotated in space.
