@@ -17,8 +17,6 @@ import json
 import math
 import os
 import sys
-import types
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -28,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__, acquisition, analysis, beamforming, geometry, spectral, synthesis
-from .errors import ConfigError, _require, _require_positive, _require_range, check_keys
+from .errors import ConfigError, _require, _require_positive, _require_range, check_keys, parse
 
 OUTPUT_ROOT_ENV = "MEMSARRAY_OUTPUT_ROOT"
 
@@ -195,8 +193,8 @@ class OutputsConfig:
 @dataclass(frozen=True)
 class RunConfig:
     """One beamforming run; `pipeline` reads it from JSON, `beamform` and
-    `farfield` build it from their flags. `scene` is a scene object (see
-    `Scene.from_dict`) or `{"load": path}`."""
+    `farfield` build it from their flags. `scene` is a scene object (parsed
+    as `synthesis.Scene`) or `{"load": path}`."""
 
     geometry: GeometryConfig
     scene: dict
@@ -278,63 +276,20 @@ class AcquireConfig:
             )
 
 
-def _parse(kind, value, path: str):
-    """`value` from JSON as the annotated type `kind`, or ConfigError at `path`:
-    unknown keys, missing required keys and wrong types are rejected. A
-    dataclass's own checks name only its field ("spacing"), prefixed here."""
-    if dataclasses.is_dataclass(kind):
-        fields = dataclasses.fields(kind)
-        check_keys(value, {f.name for f in fields}, path)
-        hints = typing.get_type_hints(kind)
-        args = {}
-        for f in fields:
-            where = f"{path}.{f.name}" if path else f.name
-            if f.name in value:
-                args[f.name] = _parse(hints[f.name], value[f.name], where)
-            elif f.default is dataclasses.MISSING:
-                raise ConfigError(where, "missing required key")
-        try:
-            return kind(**args)
-        except ConfigError as exc:
-            raise ConfigError(".".join(p for p in (path, exc.field) if p), exc.message) from None
-    origin, params = typing.get_origin(kind), typing.get_args(kind)
-    if origin in (typing.Union, types.UnionType) and type(None) in params:  # X | None
-        return None if value is None else _parse(params[0], value, path)
-    if origin in (typing.Union, types.UnionType):  # dataclasses tagged by `strategy`, the first the default
-        tags = {typing.get_args(typing.get_type_hints(p)["strategy"])[0]: p for p in params}
-        tag = value.get("strategy", params[0].strategy) if isinstance(value, dict) else params[0].strategy
-        if not isinstance(tag, str) or tag not in tags:
-            raise ConfigError(f"{path}.strategy", f"expected one of {', '.join(tags)}, got {tag!r}")
-        return _parse(tags[tag], value, path)
-    if origin is Literal:
-        if value not in params:
-            raise ConfigError(path, f"expected one of {', '.join(params)}, got {value!r}")
-        return value
-    if origin is tuple:
-        n = None if params[-1] is Ellipsis else len(params)
-        if not isinstance(value, list) or n not in (None, len(value)):
-            raise ConfigError(path, "expected a list" + (f" of {n} values" if n else ""))
-        return tuple(_parse(params[0] if n is None else params[i], v, f"{path}[{i}]") for i, v in enumerate(value))
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
-    return float(value) if kind is float else value
-
-
 def validate_pipeline_config(cfg: dict) -> RunConfig:
     """Typed run config from a pipeline config's JSON object."""
-    return _parse(RunConfig, cfg, "")
+    return parse(RunConfig, cfg, "")
 
 
 def config_from_flags(kind, args):
     """`kind` from the flags stored under its field names, parsed like a config file."""
     names = {f.name for f in dataclasses.fields(kind)}
-    return _parse(kind, {k: v for k, v in vars(args).items() if k in names}, "")
+    return parse(kind, {k: v for k, v in vars(args).items() if k in names}, "")
 
 
 def _flag_list(text: str) -> list:
     """A comma-separated flag as a list of its items, each read as JSON (`2000,4000` -> [2000, 4000])
-    or else kept as a string (`csv,json`); `_parse` checks them, so `--freqs abc` fails at `frequencies[0]`."""
+    or else kept as a string (`csv,json`); `parse` checks them, so `--freqs abc` fails at `frequencies[0]`."""
 
     def item(v):
         try:
@@ -346,7 +301,7 @@ def _flag_list(text: str) -> list:
 
 
 def _roi_flag(text: str) -> dict:
-    """`x0,x1,z0,z1` as an ROI object; `_parse` rejects a range of the wrong length."""
+    """`x0,x1,z0,z1` as an ROI object; `parse` rejects a range of the wrong length."""
     v = _flag_list(text)
     return {"x_range": v[:2], "z_range": v[2:]}
 
@@ -410,7 +365,7 @@ def _load_geometry(cfg: RunConfig) -> geometry.ArrayGeometry:
 
 def _load_scene(spec: dict) -> synthesis.Scene:
     if "load" not in spec:
-        return synthesis.Scene.from_dict(spec)
+        return parse(synthesis.Scene, spec, "scene")
     check_keys(spec, ("load",), "scene")
     return synthesis.Scene.load_json(spec["load"])
 
@@ -556,9 +511,9 @@ def save_map(out_dir, bmap, formats):
 
 
 def cmd_geometry(args) -> int:
-    px, pz = _parse(tuple[int, int], _flag_list(args.panels.replace("x", ",")), "panels")
-    gen = _parse(GenerateConfig, {"panels_x": px, "panels_z": pz, "seed": args.seed}, "")
-    formats = _parse(tuple[Literal["json", "csv"], ...], args.format, "format")
+    px, pz = parse(tuple[int, int], _flag_list(args.panels.replace("x", ",")), "panels")
+    gen = parse(GenerateConfig, {"panels_x": px, "panels_z": pz, "seed": args.seed}, "")
+    formats = parse(tuple[Literal["json", "csv"], ...], args.format, "format")
     out = _out_dir(args)
     geo = geometry.assemble_full_array(gen.panels_x, gen.panels_z, gen.seed)
     jpath = os.path.join(out, "geometry.json")
@@ -642,12 +597,12 @@ def cmd_acquire(args) -> int:
 def cmd_beamform(args) -> int:
     freqs = args.freqs
     if args.band:
-        lo, hi = _parse(tuple[float, float], args.band_range, "band_range")
+        lo, hi = parse(tuple[float, float], args.band_range, "band_range")
         _require(0 < lo <= hi < math.inf, "band_range", f"expected 0 < low <= high, got {[lo, hi]!r}")
         freqs = list(spectral.band_centers(args.band, lo, hi))
     # unlike pipeline and farfield, beamform makes a conventional map unless --clean-sc
     welch = {"block": args.block, "overlap": args.overlap, "duration": args.duration}
-    cfg = _parse(RunConfig, {
+    cfg = parse(RunConfig, {
         "geometry": {"load": args.geometry},
         "scene": {"load": args.scene},
         "beamforming": {
@@ -703,15 +658,15 @@ def cmd_directivity(args) -> int:
 
 
 def cmd_farfield(args) -> int:
-    cfg = _parse(RunConfig, {
+    cfg = parse(RunConfig, {
         "geometry": {"load": args.geometry},
         "scene": {"load": args.scene},
         "beamforming": {"frequencies": args.freqs, "grid": args.grid, "diagonal_removal": args.dr == "on"},
         "subarray": {"strategy": args.subarray},
         "analysis": {"roi": args.roi},
     }, "")
-    mics = np.array(_parse(tuple[tuple[float, float, float], ...], args.mics, "mics"))
-    reference = np.array(_parse(tuple[float, float, float], args.reference, "reference"))
+    mics = np.array(parse(tuple[tuple[float, float, float], ...], args.mics, "mics"))
+    reference = np.array(parse(tuple[float, float, float], args.reference, "reference"))
     out = _out_dir(args)
     scene = _load_scene(cfg.scene)
     maps = run_beamforming(cfg, _load_geometry(cfg), scene, jobs=args.jobs)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, check_keys
+from .errors import ConfigError, NumericalError, _require, _require_finite, _require_positive
 
 REFERENCE_DISTANCE = 1.0  # m, level reference for source strengths
 
@@ -24,11 +24,12 @@ class ShearLayerPlane:
     The normal points from the flow side toward the quiescent (array) side.
     """
 
-    point: np.ndarray
-    normal: np.ndarray
+    point: tuple[float, float, float]
+    normal: tuple[float, float, float]
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
+        _require(np.linalg.norm(n) > 0, "normal", f"expected a non-zero vector, got {list(self.normal)!r}")
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
         object.__setattr__(self, "normal", n / np.linalg.norm(n))
 
@@ -38,24 +39,26 @@ class ShearLayerPlane:
 
 @dataclass(frozen=True)
 class MediumModel:
-    """Uniform medium: speed of sound, convection, and damping parameters."""
+    """Uniform medium: speed of sound, convection, and damping parameters.
+
+    The scene's JSON names `mach_vector` "mach" and `shear_layer` "shear_plane"."""
 
     speed_of_sound: float = 343.0
-    mach_vector: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    mach_vector: tuple[float, float, float] = field(default_factory=lambda: np.zeros(3), metadata={"key": "mach"})
     temperature: float = 20.0  # deg C
     relative_humidity: float = 70.0  # percent
     pressure: float = 101.325  # kPa
-    shear_layer: ShearLayerPlane | None = None
+    shear_layer: ShearLayerPlane | None = field(default=None, metadata={"key": "shear_plane"})
 
     def __post_init__(self):
         m = np.asarray(self.mach_vector, dtype=float)
         object.__setattr__(self, "mach_vector", m)
-        if self.speed_of_sound <= 0:
-            raise ConfigError("speed_of_sound", "speed of sound must be > 0")
-        if np.dot(m, m) >= 1.0:
-            raise ConfigError("mach", "|mach_vector| must be < 1")
+        _require_positive(self.speed_of_sound, "speed_of_sound")
+        _require(float(m @ m) < 1.0, "mach", "|mach_vector| must be < 1")
+        _require_finite(self.temperature, "temperature")
         if not 0.0 <= self.relative_humidity <= 100.0:
             raise ConfigError("relative_humidity", "relative humidity must be within 0..100 %")
+        _require_positive(self.pressure, "pressure")
 
     def to_dict(self) -> dict:
         d = {
@@ -71,22 +74,6 @@ class MediumModel:
                 "normal": [float(v) for v in self.shear_layer.normal],
             }
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MediumModel":
-        check_keys(d, ("speed_of_sound", "mach", "temperature", "relative_humidity", "pressure", "shear_plane"))
-        shear = None
-        if d.get("shear_plane") is not None:
-            check_keys(d["shear_plane"], ("point", "normal"), "shear_plane")
-            shear = ShearLayerPlane(**d["shear_plane"])
-        return cls(
-            speed_of_sound=float(d.get("speed_of_sound", 343.0)),
-            mach_vector=np.array(d.get("mach", [0.0, 0.0, 0.0]), dtype=float),
-            temperature=float(d.get("temperature", 20.0)),
-            relative_humidity=float(d.get("relative_humidity", 70.0)),
-            pressure=float(d.get("pressure", 101.325)),
-            shear_layer=shear,
-        )
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,12 @@ optional atmospheric damping and dipole directivity weighting.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, check_keys
+from .errors import ConfigError, _require, _require_finite, _require_non_negative, parse
 from .propagation import (
     REFERENCE_DISTANCE,
     MediumModel,
@@ -33,10 +32,56 @@ SINC_BETA = 8.0
 
 
 @dataclass(frozen=True)
+class PsdSpectrum:
+    """A power spectral density: flat `{"psd": s}`, or `{"frequencies": [...], "psd": [...]}`
+    interpolated between strictly increasing frequencies; the form of `Scene.noise`."""
+
+    psd: float | tuple[float, ...]
+    frequencies: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        freqs = self.frequencies
+        if freqs is None:
+            _require(not isinstance(self.psd, tuple), "psd", "a list of values needs frequencies")
+            _require_non_negative(self.psd, "psd")
+            return
+        n = len(freqs)
+        _require(n > 0, "frequencies", "expected a non-empty list")
+        same_length = isinstance(self.psd, tuple) and len(self.psd) == n
+        _require(same_length, "psd", f"expected a list of {n} values, one per frequency")
+        for key, values in (("frequencies", freqs), ("psd", self.psd)):
+            for i, v in enumerate(values):
+                _require_non_negative(v, f"{key}[{i}]")
+        _require(all(a < b for a, b in zip(freqs, freqs[1:])), "frequencies", "must be strictly increasing")
+
+
+@dataclass(frozen=True)
+class BroadbandSpectrum(PsdSpectrum):
+    """A source's broadband spectrum: a `PsdSpectrum` in Pa^2/Hz at 1 m."""
+
+    type: Literal["broadband"] = "broadband"
+
+
+@dataclass(frozen=True)
+class ToneSpectrum:
+    """A source's pure tone."""
+
+    type: Literal["tone"]
+    frequency: float
+    power: float  # Pa^2 at 1 m
+    phase: float = 0.0  # rad
+
+    def __post_init__(self):
+        _require_non_negative(self.frequency, "frequency")
+        _require_non_negative(self.power, "power")
+        _require_finite(self.phase, "phase")
+
+
+@dataclass(frozen=True)
 class Source:
     """Point source: position, monopole/dipole kind, and a spectrum spec.
 
-    Spectrum spec forms:
+    Spectrum spec forms, checked as `ToneSpectrum | BroadbandSpectrum`:
       {"type": "tone", "frequency": f_hz, "power": q2}        q2 in Pa^2 at 1 m; optional "phase" (rad)
       {"type": "broadband", "psd": s}                          flat Pa^2/Hz at 1 m
       {"type": "broadband", "frequencies": [...], "psd": [...]}  shaped
@@ -45,20 +90,21 @@ class Source:
     ConfigError at `spectrum.<key>`.
     """
 
-    position: np.ndarray
+    position: tuple[float, float, float]
     spectrum: dict
-    kind: str = "monopole"  # monopole | dipole
-    axis: np.ndarray | None = None  # dipole axis, unit length
+    kind: Literal["monopole", "dipole"] = "monopole"
+    axis: tuple[float, float, float] | None = None  # dipole axis, stored at unit length
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        _check_spectrum(self.spectrum)
+        parse(ToneSpectrum | BroadbandSpectrum, self.spectrum, "spectrum")
         if self.kind not in ("monopole", "dipole"):
             raise ConfigError("kind", f"unknown source kind {self.kind!r}")
         if self.kind == "dipole":
             if self.axis is None:
                 raise ConfigError("axis", "dipole source needs an axis")
             a = np.asarray(self.axis, dtype=float)
+            _require(np.linalg.norm(a) > 0, "axis", f"expected a non-zero vector, got {list(self.axis)!r}")
             object.__setattr__(self, "axis", a / np.linalg.norm(a))
 
     def directivity_gain(self, receivers: np.ndarray) -> np.ndarray:
@@ -83,11 +129,6 @@ class Source:
             d["axis"] = [float(v) for v in self.axis]
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Source":
-        check_keys(d, ("position", "spectrum", "kind", "axis"))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -95,12 +136,12 @@ class Scene:
 
     sources: tuple[Source, ...] = ()
     medium: MediumModel = field(default_factory=MediumModel)
-    noise: dict | None = None  # {"psd": x} or {"frequencies": [...], "psd": [...]}, as a broadband spectrum
+    noise: dict | None = None  # a `PsdSpectrum`: {"psd": x} or {"frequencies": [...], "psd": [...]}
     seed: int = 0
 
     def __post_init__(self):
         if self.noise is not None:
-            _check_psd_spec(self.noise, "noise")
+            parse(PsdSpectrum, self.noise, "noise")
 
     def noise_psd(self, frequency) -> np.ndarray:
         f = np.atleast_1d(np.asarray(frequency, dtype=float))
@@ -123,21 +164,7 @@ class Scene:
     @classmethod
     def from_dict(cls, d: dict) -> "Scene":
         """Scene from its JSON form; errors name the entry, e.g. `scene.sources[0].kind`."""
-        check_keys(d, ("sources", "medium", "noise", "seed"), "scene")
-        path = "scene"
-        try:
-            sources = []
-            for i, s in enumerate(d.get("sources", [])):
-                path = f"scene.sources[{i}]"
-                sources.append(Source.from_dict(s))
-            path = "scene.medium"
-            medium = MediumModel.from_dict(d.get("medium", {}))
-            path = "scene"
-            return cls(sources=tuple(sources), medium=medium, noise=d.get("noise"), seed=int(d.get("seed", 0)))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}.{exc.field}" if exc.field else path, exc.message) from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(path, f"malformed scene config: {exc!r}") from exc
+        return parse(cls, d, "scene")
 
     @classmethod
     def load_json(cls, path) -> "Scene":
@@ -149,60 +176,10 @@ class Scene:
         return cls.from_dict(d)
 
 
-def _required(spec: dict, key: str, path: str):
-    if key not in spec:
-        raise ConfigError(f"{path}.{key}", "missing required key")
-    return spec[key]
-
-
-def _check_number(value, where: str, non_negative: bool = True) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(where, f"expected a finite number, got {value!r}")
-    if non_negative and value < 0:
-        raise ConfigError(where, f"expected a number >= 0, got {value!r}")
-
-
-def _check_spectrum(spec) -> None:
-    """Reject a source spectrum (forms in `Source`) that synthesis cannot read."""
-    if not isinstance(spec, dict):
-        raise ConfigError("spectrum", f"expected an object, got {type(spec).__name__}")
-    kind = _required(spec, "type", "spectrum")
-    if kind == "broadband":
-        _check_psd_spec(spec, "spectrum", ("type",))
-    elif kind == "tone":
-        check_keys(spec, ("type", "frequency", "power", "phase"), "spectrum")
-        _check_number(_required(spec, "frequency", "spectrum"), "spectrum.frequency")
-        _check_number(_required(spec, "power", "spectrum"), "spectrum.power")
-        if "phase" in spec:
-            _check_number(spec["phase"], "spectrum.phase", non_negative=False)
-    else:
-        raise ConfigError("spectrum.type", f"expected tone or broadband, got {kind!r}")
-
-
-def _check_psd_spec(spec, path: str, extra_keys=()) -> None:
-    """Reject a PSD spec other than a flat `{"psd": s}` or a shaped
-    `{"frequencies": [...], "psd": [...]}` with increasing frequencies."""
-    check_keys(spec, ("psd", "frequencies", *extra_keys), path)
-    psd = _required(spec, "psd", path)
-    if "frequencies" not in spec:
-        _check_number(psd, f"{path}.psd")
-        return
-    freqs = spec["frequencies"]
-    if not isinstance(freqs, (list, tuple)) or not freqs:
-        raise ConfigError(f"{path}.frequencies", "expected a non-empty list")
-    if not isinstance(psd, (list, tuple)) or len(psd) != len(freqs):
-        raise ConfigError(f"{path}.psd", f"expected a list of {len(freqs)} values, one per frequency")
-    for key, values in (("frequencies", freqs), ("psd", psd)):
-        for i, v in enumerate(values):
-            _check_number(v, f"{path}.{key}[{i}]")
-    if any(b <= a for a, b in zip(freqs, freqs[1:])):
-        raise ConfigError(f"{path}.frequencies", "must be strictly increasing")
-
-
 def _psd_at(spec: dict, frequency):
     """PSD of a broadband or noise spec at `frequency`: the flat `psd`, or
     `psd` interpolated over `frequencies`."""
-    if "frequencies" in spec:
+    if spec.get("frequencies") is not None:
         return np.interp(frequency, spec["frequencies"], spec["psd"])
     return np.full(np.shape(frequency), float(spec["psd"]))
 
@@ -210,7 +187,7 @@ def _psd_at(spec: dict, frequency):
 def _coloured_noise(spec: dict, rate: float, n: int, rng) -> np.ndarray:
     """`n` samples of Gaussian noise with the PSD of a broadband or noise spec."""
     w = rng.standard_normal(n)
-    if "frequencies" not in spec:
+    if spec.get("frequencies") is None:
         return np.sqrt(float(spec["psd"]) * rate / 2.0) * w
     target = _psd_at(spec, np.fft.rfftfreq(n, d=1.0 / rate))
     base_psd = 1.0 / (rate / 2.0)  # white unit-variance PSD

@@ -272,29 +272,40 @@ def test_every_csv_field_parses_as_a_number(tmp_path, scene_file, panel_geometry
 
 
 _MONOPOLE = {"position": [3.0, 0.0, -0.5], "spectrum": {"type": "broadband", "psd": 1e-6}}
-BAD_SCENES = {
-    "scene.sources[0].kind": {"sources": [dict(_MONOPOLE, kind="quadrupole")]},
-    "scene.sources[0].colour": {"sources": [dict(_MONOPOLE, colour="red")]},
-    "scene.medium.mach": {"sources": [_MONOPOLE], "medium": {"mach": [1.2, 0.0, 0.0]}},
-    "scene.medium.wind": {"sources": [_MONOPOLE], "medium": {"wind": 3.0}},
-    "scene.sources[0].spectrum.type": {"sources": [dict(_MONOPOLE, spectrum={"type": "pink", "psd": 1e-6})]},
-    "scene.sources[0].spectrum.psd": {"sources": [dict(_MONOPOLE, spectrum={"type": "broadband"})]},
-    "scene.sources[0].spectrum.power": {
+# (path of the error, scene); a path may appear twice
+BAD_SCENES = [
+    ("scene.sources[0].kind", {"sources": [dict(_MONOPOLE, kind="quadrupole")]}),
+    ("scene.sources[0].colour", {"sources": [dict(_MONOPOLE, colour="red")]}),
+    ("scene.medium.mach", {"sources": [_MONOPOLE], "medium": {"mach": [1.2, 0.0, 0.0]}}),
+    ("scene.medium.wind", {"sources": [_MONOPOLE], "medium": {"wind": 3.0}}),
+    ("scene.sources[0].spectrum.type", {"sources": [dict(_MONOPOLE, spectrum={"type": "pink", "psd": 1e-6})]}),
+    ("scene.sources[0].spectrum.psd", {"sources": [dict(_MONOPOLE, spectrum={"type": "broadband"})]}),
+    ("scene.sources[0].spectrum.power", {
         "sources": [dict(_MONOPOLE, spectrum={"type": "tone", "frequency": 2000.0, "power": "loud"})]
-    },
-    "scene.sources[0].spectrum.bandwidth": {
+    }),
+    ("scene.sources[0].spectrum.bandwidth", {
         "sources": [dict(_MONOPOLE, spectrum={"type": "tone", "frequency": 2000.0, "power": 1.0, "bandwidth": 10.0})]
-    },
-    "scene.sources[0].spectrum.frequencies": {
+    }),
+    ("scene.sources[0].spectrum.frequencies", {
         "sources": [dict(_MONOPOLE, spectrum={"type": "broadband", "frequencies": [0.0, 4e3, 2e3], "psd": [1e-6] * 3})]
-    },
-    "scene.sources[0].spectrum.psd[1]": {
+    }),
+    ("scene.sources[0].spectrum.psd[1]", {
         "sources": [dict(_MONOPOLE, spectrum={"type": "broadband", "frequencies": [0.0, 4000.0], "psd": [1e-6, -1e-6]})]
-    },
-    "scene.noise.psdd": {"sources": [_MONOPOLE], "noise": {"psdd": 1e-9}},
-    "scene.noise.colour": {"sources": [_MONOPOLE], "noise": {"psd": 1e-9, "colour": "pink"}},
-    "scene.noise.psd": {"sources": [_MONOPOLE], "noise": {"frequencies": [0.0, 4000.0], "psd": [1e-9]}},
-}
+    }),
+    ("scene.noise.psdd", {"sources": [_MONOPOLE], "noise": {"psdd": 1e-9}}),
+    ("scene.noise.colour", {"sources": [_MONOPOLE], "noise": {"psd": 1e-9, "colour": "pink"}}),
+    ("scene.noise.psd", {"sources": [_MONOPOLE], "noise": {"frequencies": [0.0, 4000.0], "psd": [1e-9]}}),
+    ("scene.medium.mach", {"sources": [_MONOPOLE], "medium": {"mach": [0.1, 0.0]}}),
+    ("scene.medium.shear_plane.normal", {
+        "sources": [_MONOPOLE], "medium": {"shear_plane": {"point": [0.0, 1.5, 0.0], "normal": [0, 1]}}
+    }),
+    ("scene.sources[0].position", {"sources": [dict(_MONOPOLE, position=[3.0, 0.0])]}),
+    ("scene.sources[0].axis", {"sources": [dict(_MONOPOLE, kind="dipole", axis=[0, 0, 0])]}),
+    ("scene.medium.temperature", {"sources": [_MONOPOLE], "medium": {"temperature": float("nan")}}),
+    ("scene.medium.speed_of_sound", {"sources": [_MONOPOLE], "medium": {"speed_of_sound": "343"}}),
+    ("scene.seed", {"sources": [_MONOPOLE], "seed": "7"}),
+    ("scene.seed", {"sources": [_MONOPOLE], "seed": 7.9}),
+]
 
 
 # the arguments each scene-reading command needs besides --scene and --geometry
@@ -305,10 +316,16 @@ SCENE_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("field", sorted(BAD_SCENES))
+_SCENE_FIELDS = [f for f, _ in BAD_SCENES]
+
+
+# a path's first case is its id; a repeat appends " #2", " #3", ...
+@pytest.mark.parametrize(
+    "field, scene", BAD_SCENES,
+    ids=[f"{f} #{_SCENE_FIELDS[:i].count(f) + 1}" if f in _SCENE_FIELDS[:i] else f for i, f in enumerate(_SCENE_FIELDS)],
+)
 @pytest.mark.parametrize("command", sorted(SCENE_COMMANDS) + ["pipeline"])
-def test_bad_scene_is_a_config_error(tmp_path, panel_geometry, capsys, command, field):
-    scene = BAD_SCENES[field]
+def test_bad_scene_is_a_config_error(tmp_path, panel_geometry, capsys, command, field, scene):
     if command == "pipeline":
         argv = _pipeline_config(tmp_path, dict(cli.bundled_config("single_monopole"), scene=scene))
     else:
@@ -588,3 +605,4 @@ def test_failing_run_exit_code(tmp_path, scene_file, panel_geometry, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
