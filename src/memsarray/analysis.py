@@ -23,7 +23,7 @@ from .beamforming import (
     steering_geometry,
     steering_vectors,
 )
-from .errors import _require_range
+from .errors import _require, _require_range
 from .geometry import ArrayGeometry, pitch_subarray_series, subarray_observation
 from .spectral import Spectrum, _band_masks, band_centers_spanning, to_db
 from .synthesis import Scene, synthesize_csm
@@ -226,12 +226,15 @@ def directivity_pipeline(
     grid_spec: dict | None = None,
 ) -> DirectivitySurface:
     """End-to-end directivity: pitch sub-array series, CLEAN-SC per band,
-    ROI integration, then the angle-average subtraction."""
+    ROI integration, then the angle-average subtraction. A pitch sub-array of
+    fewer than 2 sensors raises ConfigError at `epsilon` before any work."""
     reference_point = np.asarray(reference_point, dtype=float)
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     subarrays = pitch_subarray_series(geometry, count, aperture, mics, epsilon)
     if len(subarrays) < 2:
         raise ValueError("directivity needs at least 2 sub-arrays")
+    for i, sub in enumerate(subarrays):
+        _require(sub.size >= 2, "epsilon", f"pitch sub-array {i} holds {sub.size} sensor(s), fewer than 2")
     grid_spec = grid_spec or {}
     (x_lo, x_hi), (z_lo, z_hi) = roi.x_range, roi.z_range
     x_rng = grid_spec.get("x_range", (x_lo - 0.1, x_hi + 0.1))
@@ -241,8 +244,6 @@ def directivity_pipeline(
 
     per_angle = []
     for sub in subarrays:
-        if sub.size < 2:
-            continue
         angles = subarray_observation(sub, reference_point)
         steering = steering_geometry(grid, sub, scene.medium)
         csms = synthesize_csm(scene, sub.positions, freqs)

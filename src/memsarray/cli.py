@@ -208,10 +208,10 @@ class RunConfig:
     def __post_init__(self):
         if self.spectral is not None and self.beamforming.estimator != "welch":
             raise ConfigError("spectral", "read only by the welch estimator")
-        roi, grid = self.analysis.roi, self.beamforming.grid
-        pairs = () if roi is None else ((roi.x_range, grid.x_range), (roi.z_range, grid.z_range))
-        if not all(r[0] <= g[1] and g[0] <= r[1] for r, g in pairs):
-            raise ConfigError("analysis.roi", "lies outside beamforming.grid's x_range and z_range")
+        roi, g = self.analysis.roi, self.beamforming.grid
+        if roi is not None:
+            nodes = beamforming.make_focus_grid(g.x_range, g.z_range, g.spacing).local
+            _require(roi.contains(nodes).any(), "analysis.roi", "holds no node of beamforming.grid")
 
 
 @dataclass(frozen=True)
@@ -840,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. A config error exits 2 with its path; any other
-    failure of the run exits 3 naming the subcommand."""
+    failure of the run exits 3 naming the subcommand and the exception type."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -848,7 +848,7 @@ def main(argv=None) -> int:
         print(f"config error at {exc.field or '<root>'}: {exc.message}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"numerical failure: {args.command}: {exc}", file=sys.stderr)
+        print(f"numerical failure: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

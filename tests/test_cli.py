@@ -522,6 +522,7 @@ BAD_FLAGS = [
     ("acquire", ["--fpga-id", "70000"], "fpga_id"),
     ("farfield", ["--mics", "3,6"], "mics[0]"),
     ("farfield", ["--roi", "5.0,6.0,5.0,6.0"], "analysis.roi"),
+    ("farfield", ["--roi", "2.61,2.62,-0.55,-0.45", "--grid", "2.6,3.4,-0.9,-0.1,0.04"], "analysis.roi"),
 ]
 
 
@@ -591,11 +592,8 @@ FAILING_RUNS = [
          f"config error at {field}:")
         for drop, field in (("9", "drop[0]"), ("10", "drop[0]"), ("0,1,2,3,4,5,6,7,8,9", "drop[9]"))
     ),
-    ("farfield ROI between grid nodes", lambda t, s, g: [
-        "farfield", *_FLAG_BASES["farfield"](s, g), "--roi", "2.61,2.62,-0.55,-0.45", "--grid", "2.6,3.4,-0.9,-0.1,0.04",
-    ], 3, "numerical failure: farfield:"),
     ("directivity empty sub-arrays", lambda t, s, g: ["directivity", *_FLAG_BASES["directivity"](s, g), "--epsilon", "0.0001"],
-     3, "numerical failure: directivity:"),
+     2, "config error at epsilon:"),
 ]
 
 
@@ -606,3 +604,14 @@ def test_failing_run_exit_code(tmp_path, scene_file, panel_geometry, capsys, arg
     assert err.startswith(prefix)
     assert "Traceback" not in err
 
+
+def test_unexpected_failure_names_its_type(tmp_path, scene_file, panel_geometry, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "run_beamforming", fail)
+    argv = ["beamform", *_FLAG_BASES["beamform"](scene_file, panel_geometry), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: beamform: KeyError:")
+    assert "Traceback" not in err
