@@ -134,21 +134,28 @@ def pdm_modulate(waveform: np.ndarray) -> PdmStream:
     A 2nd-order delta-sigma loop (CIFB, feedback coefficients 1 and 2) with a
     single-bit quantizer. Inputs beyond full scale (|x| > 1) are clipped and
     flagged.
+
+    The loop runs on Python floats and writes a bytearray, which avoids a
+    numpy scalar per sample; Python floats are the same IEEE binary64 values
+    as the float64 samples, so the bits are those of numpy arithmetic.
     """
     x = np.asarray(waveform, dtype=np.float64)
     clipped = bool((np.abs(x) > 1.0).any())
     if clipped:
         x = np.clip(x, -1.0, 1.0)
-    bits = np.empty(len(x), dtype=np.uint8)
+    bits = bytearray(len(x))
     s1 = 0.0
     s2 = 0.0
     y = 1.0
-    for i in range(len(x)):
-        s1 += x[i] - y
+    for i, xi in enumerate(x.tolist()):
+        s1 += xi - y
         s2 += s1 - 2.0 * y
-        y = 1.0 if s2 >= 0.0 else -1.0
-        bits[i] = 1 if y > 0.0 else 0
-    return PdmStream.from_bits(bits, clipped=clipped)
+        if s2 >= 0.0:
+            y = 1.0
+            bits[i] = 1
+        else:
+            y = -1.0
+    return PdmStream.from_bits(np.frombuffer(bits, dtype=np.uint8), clipped=clipped)
 
 
 @lru_cache(maxsize=1)

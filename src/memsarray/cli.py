@@ -559,9 +559,9 @@ def cmd_acquire(args) -> int:
     out = _out_dir(args)
     rng = np.random.default_rng(cfg.seed)
     n_bits = int(acquisition.PDM_RATE * cfg.duration)
+    t = np.arange(n_bits) / acquisition.PDM_RATE
     streams = []
     for ch in range(acquisition.CHANNELS_PER_FPGA):
-        t = np.arange(n_bits) / acquisition.PDM_RATE
         wave = cfg.amplitude * np.sin(2 * np.pi * cfg.tone * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
         streams.append(acquisition.pdm_modulate(wave))
     packets = [p for p in acquisition.packetize(streams, fpga_id=cfg.fpga_id) if p.sequence not in cfg.drop]

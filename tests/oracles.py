@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: travel times come from
 bisection on the retarded-time equation, air absorption from the Bass
 formula, shear-layer crossings from a shrinking grid search or from a damped
-Newton search with a finite-difference Hessian, and tone levels from
-least-squares sine fits.
+Newton search with a finite-difference Hessian, tone levels from
+least-squares sine fits, and PDM bits from the delta-sigma loop run one numpy
+element at a time.
 """
 
 import numpy as np
@@ -168,3 +169,22 @@ def sine_fit(y, f0, rate):
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     amp = float(np.hypot(coef[0], coef[1]))
     return amp, y - a @ coef
+
+
+def pdm_modulate_oracle(waveform):
+    """2nd-order CIFB delta-sigma loop on numpy float64 elements; returns
+    (unpacked bits as uint8, whether any |sample| > 1 was clipped)."""
+    x = np.asarray(waveform, dtype=np.float64)
+    clipped = bool((np.abs(x) > 1.0).any())
+    if clipped:
+        x = np.clip(x, -1.0, 1.0)
+    bits = np.empty(len(x), dtype=np.uint8)
+    s1 = 0.0
+    s2 = 0.0
+    y = 1.0
+    for i in range(len(x)):
+        s1 += x[i] - y
+        s2 += s1 - 2.0 * y
+        y = 1.0 if s2 >= 0.0 else -1.0
+        bits[i] = 1 if y > 0.0 else 0
+    return bits, clipped

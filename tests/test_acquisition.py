@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sine_fit
+from oracles import pdm_modulate_oracle, sine_fit
 
 from memsarray import acquisition as acq
 from memsarray.errors import ProtocolError
@@ -53,6 +53,40 @@ class TestModulator:
         out_of_band_before = np.mean(raw_resid**2)
         in_band_after = np.mean(resid**2)
         assert 10 * np.log10(out_of_band_before / in_band_after) >= 40.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 3000),
+        amplitude=st.floats(0.0, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(
+            st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3
+        ),
+    )
+    def test_bits_match_per_element_loop(self, n, amplitude, seed, specials):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) / acq.PDM_RATE
+        x = amplitude * np.sin(2 * np.pi * rng.uniform(20.0, 20_000.0) * t + rng.uniform(0.0, 2 * np.pi))
+        x += 0.01 * rng.standard_normal(n)
+        for where, value in specials:
+            if n:
+                x[int(where * n)] = value
+        stream = acq.pdm_modulate(x)
+        bits, clipped = pdm_modulate_oracle(x)
+        assert stream.n_bits == n
+        assert np.array_equal(stream.unpacked(), bits)
+        assert stream.clipped == clipped
+
+    def test_fpga_packets_match_per_element_loop(self):
+        # the acquire command's 200 phase-shifted tones, 2 ms each
+        t = np.arange(int(acq.PDM_RATE * 0.002)) / acq.PDM_RATE
+        waves = [
+            0.5 * np.sin(2 * np.pi * 1000.0 * t + 2 * np.pi * ch / acq.CHANNELS_PER_FPGA)
+            for ch in range(acq.CHANNELS_PER_FPGA)
+        ]
+        packets = acq.packetize([acq.pdm_modulate(w) for w in waves])
+        expected = acq.packetize([acq.PdmStream.from_bits(pdm_modulate_oracle(w)[0]) for w in waves])
+        assert [p.pack() for p in packets] == [p.pack() for p in expected]
 
 
 class TestDecimation:
