@@ -263,6 +263,9 @@ class AcquireConfig:
     seed: int = 0
 
     def __post_init__(self):
+        nyquist = acquisition.PCM_RATE / 2
+        _require(0 < self.tone < nyquist, "tone", f"expected > 0 and < {nyquist!r} Hz (PCM Nyquist), got {self.tone!r}")
+        _require(0 <= self.amplitude <= 1, "amplitude", f"expected 0 to 1 (PDM full scale), got {self.amplitude!r}")
         shortest = acquisition.decimation_warmup_bits() / acquisition.PDM_RATE  # the decimation filters' warm-up
         _require(shortest <= self.duration < math.inf, "duration", f"expected >= {shortest!r} s, got {self.duration!r}")
         _require(0 <= self.fpga_id <= 0xFFFF, "fpga_id", f"expected 0 to 65535, got {self.fpga_id!r}")

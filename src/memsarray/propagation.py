@@ -31,6 +31,8 @@ class ShearLayerPlane:
         n = np.asarray(self.normal, dtype=float)
         _require(np.linalg.norm(n) > 0, "normal", f"expected a non-zero vector, got {list(self.normal)!r}")
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
+        for i, v in enumerate(self.point):
+            _require_finite(v, f"point[{i}]")
         object.__setattr__(self, "normal", n / np.linalg.norm(n))
 
     def side(self, x) -> float:

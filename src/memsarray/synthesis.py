@@ -97,6 +97,8 @@ class Source:
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        for i, v in enumerate(self.position):
+            _require_finite(v, f"position[{i}]")
         parse(ToneSpectrum | BroadbandSpectrum, self.spectrum, "spectrum")
         if self.kind not in ("monopole", "dipole"):
             raise ConfigError("kind", f"unknown source kind {self.kind!r}")

@@ -305,6 +305,10 @@ BAD_SCENES = [
     ("scene.medium.speed_of_sound", {"sources": [_MONOPOLE], "medium": {"speed_of_sound": "343"}}),
     ("scene.seed", {"sources": [_MONOPOLE], "seed": "7"}),
     ("scene.seed", {"sources": [_MONOPOLE], "seed": 7.9}),
+    ("scene.sources[0].position[0]", {"sources": [dict(_MONOPOLE, position=[float("nan"), 0.0, -0.5])]}),
+    ("scene.medium.shear_plane.point[1]", {
+        "sources": [_MONOPOLE], "medium": {"shear_plane": {"point": [0.0, float("nan"), 0.0], "normal": [0, 1, 0]}}
+    }),
 ]
 
 
@@ -520,6 +524,11 @@ BAD_FLAGS = [
     ("acquire", ["--duration", "0"], "duration"),
     ("acquire", ["--duration", "0.0001"], "duration"),
     ("acquire", ["--fpga-id", "70000"], "fpga_id"),
+    ("acquire", ["--amplitude", "nan"], "amplitude"),
+    ("acquire", ["--amplitude", "3"], "amplitude"),
+    ("acquire", ["--tone", "2000000"], "tone"),
+    ("acquire", ["--tone=-1000"], "tone"),
+    ("acquire", ["--tone", "nan"], "tone"),
     ("farfield", ["--mics", "3,6"], "mics[0]"),
     ("farfield", ["--roi", "5.0,6.0,5.0,6.0"], "analysis.roi"),
     ("farfield", ["--roi", "2.61,2.62,-0.55,-0.45", "--grid", "2.6,3.4,-0.9,-0.1,0.04"], "analysis.roi"),
@@ -531,7 +540,7 @@ def test_bad_flag_exits_two_with_its_path(tmp_path, scene_file, panel_geometry, 
     argv = [command, *_FLAG_BASES[command](scene_file, panel_geometry), *flags, "--out", str(tmp_path / "run")]
     assert cli.main(argv) == 2
     assert f"config error at {field}:" in capsys.readouterr().err
-    for pattern in ("map_*", "*.csv", "*.npy"):
+    for pattern in ("map_*", "*.csv", "*.npy", "*.bin", "*.pcm"):
         assert not list(tmp_path.rglob(pattern)), pattern
 
 
