@@ -62,21 +62,6 @@ class MediumModel:
             raise ConfigError("relative_humidity", "relative humidity must be within 0..100 %")
         _require_positive(self.pressure, "pressure")
 
-    def to_dict(self) -> dict:
-        d = {
-            "speed_of_sound": self.speed_of_sound,
-            "mach": [float(v) for v in self.mach_vector],
-            "temperature": self.temperature,
-            "relative_humidity": self.relative_humidity,
-            "pressure": self.pressure,
-        }
-        if self.shear_layer is not None:
-            d["shear_plane"] = {
-                "point": [float(v) for v in self.shear_layer.point],
-                "normal": [float(v) for v in self.shear_layer.normal],
-            }
-        return d
-
 
 @dataclass(frozen=True)
 class PathResult:

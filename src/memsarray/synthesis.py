@@ -54,6 +54,22 @@ class PsdSpectrum:
                 _require_non_negative(v, f"{key}[{i}]")
         _require(all(a < b for a, b in zip(freqs, freqs[1:])), "frequencies", "must be strictly increasing")
 
+    def at(self, frequency):
+        """The PSD at `frequency` (a scalar or an array): the flat `psd`, or
+        `psd` interpolated over `frequencies`."""
+        if self.frequencies is None:
+            return np.full(np.shape(frequency), self.psd)
+        return np.interp(frequency, self.frequencies, self.psd)
+
+    def noise(self, rate: float, n: int, rng) -> np.ndarray:
+        """`n` samples at `rate` of Gaussian noise with this PSD."""
+        w = rng.standard_normal(n)
+        if self.frequencies is None:
+            return np.sqrt(self.psd * rate / 2.0) * w
+        target = self.at(np.fft.rfftfreq(n, d=1.0 / rate))
+        base_psd = 1.0 / (rate / 2.0)  # white unit-variance PSD
+        return np.fft.irfft(np.fft.rfft(w) * np.sqrt(target / base_psd), n=n)
+
 
 @dataclass(frozen=True)
 class BroadbandSpectrum(PsdSpectrum):
@@ -79,19 +95,20 @@ class ToneSpectrum:
 
 @dataclass(frozen=True)
 class Source:
-    """Point source: position, monopole/dipole kind, and a spectrum spec.
+    """Point source: position, monopole/dipole kind, and a spectrum.
 
-    Spectrum spec forms, checked as `ToneSpectrum | BroadbandSpectrum`:
+    The spectrum's JSON forms, parsed as `ToneSpectrum | BroadbandSpectrum`:
       {"type": "tone", "frequency": f_hz, "power": q2}        q2 in Pa^2 at 1 m; optional "phase" (rad)
       {"type": "broadband", "psd": s}                          flat Pa^2/Hz at 1 m
       {"type": "broadband", "frequencies": [...], "psd": [...]}  shaped
     Any other type or key, a missing key, a negative or non-finite value, or
     shaped lists of unequal length or non-increasing frequencies raise
-    ConfigError at `spectrum.<key>`.
+    ConfigError at `spectrum.<key>`. A library caller may pass the JSON form;
+    it is parsed here.
     """
 
     position: tuple[float, float, float]
-    spectrum: dict
+    spectrum: ToneSpectrum | BroadbandSpectrum
     kind: Literal["monopole", "dipole"] = "monopole"
     axis: tuple[float, float, float] | None = None  # dipole axis, stored at unit length
 
@@ -99,7 +116,8 @@ class Source:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         for i, v in enumerate(self.position):
             _require_finite(v, f"position[{i}]")
-        parse(ToneSpectrum | BroadbandSpectrum, self.spectrum, "spectrum")
+        if isinstance(self.spectrum, dict):
+            object.__setattr__(self, "spectrum", parse(ToneSpectrum | BroadbandSpectrum, self.spectrum, "spectrum"))
         if self.kind not in ("monopole", "dipole"):
             raise ConfigError("kind", f"unknown source kind {self.kind!r}")
         if self.kind == "dipole":
@@ -121,79 +139,34 @@ class Source:
         """Auto-power (Pa^2 at 1 m) at `frequency`: a tone's power at its own
         frequency and 0 elsewhere; a broadband source's PSD (Pa^2/Hz)."""
         spec = self.spectrum
-        if spec["type"] == "tone":
-            return float(spec["power"]) if np.isclose(frequency, spec["frequency"]) else 0.0
-        return float(_psd_at(spec, frequency))
-
-    def to_dict(self) -> dict:
-        d = {"position": [float(v) for v in self.position], "kind": self.kind, "spectrum": self.spectrum}
-        if self.axis is not None:
-            d["axis"] = [float(v) for v in self.axis]
-        return d
+        if isinstance(spec, ToneSpectrum):
+            return spec.power if np.isclose(frequency, spec.frequency) else 0.0
+        return float(spec.at(frequency))
 
 
 @dataclass(frozen=True)
 class Scene:
-    """Sources, medium, per-channel noise spec, and the master seed."""
+    """Sources, medium, per-channel noise, and the master seed. A library
+    caller may pass `noise` in its JSON form; it is parsed here."""
 
     sources: tuple[Source, ...] = ()
     medium: MediumModel = field(default_factory=MediumModel)
-    noise: dict | None = None  # a `PsdSpectrum`: {"psd": x} or {"frequencies": [...], "psd": [...]}
+    noise: PsdSpectrum | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise is not None:
-            parse(PsdSpectrum, self.noise, "noise")
-
-    def noise_psd(self, frequency) -> np.ndarray:
-        f = np.atleast_1d(np.asarray(frequency, dtype=float))
-        if self.noise is None:
-            return np.zeros(len(f))
-        return _psd_at(self.noise, f)
-
-    def to_dict(self) -> dict:
-        return {
-            "sources": [s.to_dict() for s in self.sources],
-            "medium": self.medium.to_dict(),
-            "noise": self.noise,
-            "seed": self.seed,
-        }
-
-    def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scene":
-        """Scene from its JSON form; errors name the entry, e.g. `scene.sources[0].kind`."""
-        return parse(cls, d, "scene")
+        if isinstance(self.noise, dict):
+            object.__setattr__(self, "noise", parse(PsdSpectrum, self.noise, "noise"))
 
     @classmethod
     def load_json(cls, path) -> "Scene":
+        """Scene from a JSON file; errors name the entry, e.g. `scene.sources[0].kind`."""
         try:
             with open(path, encoding="utf-8") as fh:
                 d = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError("scene", f"cannot read {path}: {exc}") from exc
-        return cls.from_dict(d)
-
-
-def _psd_at(spec: dict, frequency):
-    """PSD of a broadband or noise spec at `frequency`: the flat `psd`, or
-    `psd` interpolated over `frequencies`."""
-    if spec.get("frequencies") is not None:
-        return np.interp(frequency, spec["frequencies"], spec["psd"])
-    return np.full(np.shape(frequency), float(spec["psd"]))
-
-
-def _coloured_noise(spec: dict, rate: float, n: int, rng) -> np.ndarray:
-    """`n` samples of Gaussian noise with the PSD of a broadband or noise spec."""
-    w = rng.standard_normal(n)
-    if spec.get("frequencies") is None:
-        return np.sqrt(float(spec["psd"]) * rate / 2.0) * w
-    target = _psd_at(spec, np.fft.rfftfreq(n, d=1.0 / rate))
-    base_psd = 1.0 / (rate / 2.0)  # white unit-variance PSD
-    return np.fft.irfft(np.fft.rfft(w) * np.sqrt(target / base_psd), n=n)
+        return parse(cls, d, "scene")
 
 
 def _path_gains(source: Source, positions: np.ndarray, medium: MediumModel):
@@ -241,11 +214,11 @@ def apply_fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
 def _source_signal(source: Source, rate: float, n: int, rng) -> np.ndarray:
     """Time signal of the source as heard at the 1 m reference distance."""
     spec = source.spectrum
-    t = np.arange(n) / rate
-    if spec["type"] == "tone":
-        amp = np.sqrt(2.0 * spec["power"])  # power = amp^2 / 2
-        return amp * np.sin(2.0 * np.pi * spec["frequency"] * t + spec.get("phase", 0.0))
-    return _coloured_noise(spec, rate, n, rng)
+    if isinstance(spec, ToneSpectrum):
+        t = np.arange(n) / rate
+        amp = np.sqrt(2.0 * spec.power)  # power = amp^2 / 2
+        return amp * np.sin(2.0 * np.pi * spec.frequency * t + spec.phase)
+    return spec.noise(rate, n, rng)
 
 
 def synthesize_timeseries(
@@ -272,15 +245,16 @@ def synthesize_timeseries(
     for si, src in enumerate(scene.sources):
         rng = np.random.default_rng(src_streams[si])
         base = _source_signal(src, rate, n, rng)
-        if src.spectrum["type"] == "tone" and src.spectrum["frequency"] > 0.45 * rate:
+        spec = src.spectrum
+        tone = isinstance(spec, ToneSpectrum)
+        if tone and spec.frequency > 0.45 * rate:
             warnings.append(
-                f"source {si}: tone at {src.spectrum['frequency']:.0f} Hz is close to "
+                f"source {si}: tone at {spec.frequency:.0f} Hz is close to "
                 f"Nyquist; fractional-delay interpolation is inaccurate there"
             )
-        tone = src.spectrum["type"] == "tone"
         delays, r_eff, gains = _path_gains(src, pos, scene.medium)
         if include_absorption and tone:
-            gains = _absorbed(gains, r_eff, src.spectrum["frequency"], scene.medium)
+            gains = _absorbed(gains, r_eff, spec.frequency, scene.medium)
         absorb = None
         if include_absorption and not tone:
             absorb = atmospheric_absorption(np.fft.rfftfreq(n, d=1.0 / rate), scene.medium)
@@ -293,7 +267,7 @@ def synthesize_timeseries(
 
     if scene.noise is not None:
         for mi, stream in enumerate(noise_seed.spawn(m)):
-            out[:, mi] += _coloured_noise(scene.noise, rate, n, np.random.default_rng(stream))
+            out[:, mi] += scene.noise.noise(rate, n, np.random.default_rng(stream))
 
     meta = {"rate": rate, "duration": duration, "channels": m, "warnings": warnings}
     return out, meta
@@ -321,7 +295,7 @@ def synthesize_csm(
         units = "Pa^2/Hz"
         for i, src in enumerate(scene.sources):
             q2 = src.power_at(f)
-            if src.spectrum["type"] == "tone":
+            if isinstance(src.spectrum, ToneSpectrum):
                 units = "Pa^2"
             if q2 == 0.0:
                 continue
@@ -332,7 +306,8 @@ def synthesize_csm(
                 amp = _absorbed(amp, r_eff, f, scene.medium)
             g = amp * np.exp(-2j * np.pi * f * delays)
             c += q2 * np.outer(g, g.conj())
-        c[np.diag_indices(m)] += scene.noise_psd(f)[0]
+        if scene.noise is not None:
+            c[np.diag_indices(m)] += scene.noise.at(f)
         out.append(
             CrossSpectralMatrix(
                 frequency=float(f),

@@ -8,17 +8,15 @@ from memsarray import cli
 from memsarray.analysis import RegionOfInterest
 from memsarray.errors import ConfigError
 from memsarray.geometry import ArrayGeometry
-from memsarray.synthesis import Scene, Source
+
+
+_BROADBAND_SCENE = {"sources": [{"position": [3.0, 0.0, -0.5], "spectrum": {"type": "broadband", "psd": 1e-6}}], "seed": 4}
 
 
 @pytest.fixture()
 def scene_file(tmp_path):
-    scene = Scene(
-        sources=(Source(position=[3.0, 0.0, -0.5], spectrum={"type": "broadband", "psd": 1e-6}),),
-        seed=4,
-    )
     path = tmp_path / "scene.json"
-    scene.save_json(path)
+    path.write_text(json.dumps(_BROADBAND_SCENE))
     return str(path)
 
 
@@ -174,12 +172,8 @@ class TestPipelineCommand:
 class TestDirectivityCommand:
     def test_surface_outputs(self, tmp_path, geometry_file):
         # 3x1 panels would be slow through the full series; a small run suffices
-        scene = Scene(
-            sources=(Source(position=[3.0, 0.0, -0.5], spectrum={"type": "broadband", "psd": 1e-6}),),
-            seed=4,
-        )
         spath = tmp_path / "scene.json"
-        scene.save_json(spath)
+        spath.write_text(json.dumps(_BROADBAND_SCENE))
         out = tmp_path / "direc"
         rc = cli.main(
             [

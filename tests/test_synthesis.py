@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -168,31 +170,33 @@ class TestExactCsm:
 
 class TestSceneIO:
     def test_round_trip(self, tmp_path):
-        scene = syn.Scene(
-            sources=(
-                tone_source([1.0, 0.0, -0.5]),
-                syn.Source(
-                    position=[2.0, 0.0, 0.0],
-                    spectrum={"type": "broadband", "psd": 1e-6},
-                    kind="dipole",
-                    axis=[0.0, 1.0, 0.0],
-                ),
-            ),
-            medium=MediumModel(mach_vector=[0.1, 0.0, 0.0]),
-            noise={"psd": 1e-8},
-            seed=77,
-        )
+        scene = {
+            "sources": [
+                {"position": [1.0, 0.0, -0.5], "spectrum": {"type": "tone", "frequency": 4000.0, "power": 1e-4}},
+                {
+                    "position": [2.0, 0.0, 0.0],
+                    "spectrum": {"type": "broadband", "psd": 1e-6},
+                    "kind": "dipole",
+                    "axis": [0.0, 1.0, 0.0],
+                },
+            ],
+            "medium": {"mach": [0.1, 0.0, 0.0]},
+            "noise": {"psd": 1e-8},
+            "seed": 77,
+        }
         path = tmp_path / "scene.json"
-        scene.save_json(path)
+        path.write_text(json.dumps(scene))
         back = syn.Scene.load_json(path)
         assert back.seed == 77
         assert len(back.sources) == 2
+        assert back.sources[0].spectrum == syn.ToneSpectrum(type="tone", frequency=4000.0, power=1e-4)
         assert back.sources[1].kind == "dipole"
+        assert back.sources[1].spectrum == syn.BroadbandSpectrum(psd=1e-6)
         assert np.allclose(back.medium.mach_vector, [0.1, 0.0, 0.0])
-        assert back.noise == {"psd": 1e-8}
+        assert back.noise == syn.PsdSpectrum(psd=1e-8)
 
     def test_malformed_scene(self):
-        from memsarray.errors import ConfigError
+        from memsarray.errors import ConfigError, parse
 
         with pytest.raises(ConfigError):
-            syn.Scene.from_dict({"sources": [{"nope": 1}]})
+            parse(syn.Scene, {"sources": [{"nope": 1}]}, "scene")
