@@ -280,7 +280,8 @@ def depacketize(packets: list[DaqPacket], allow_gaps: bool = False):
     """Reassemble packets into per-channel streams.
 
     Packets are resequenced by (fpga_id, sequence); duplicates raise, and
-    missing sequences either raise or are zero-filled and reported. Returns
+    missing sequences either raise or are filled with alternating bits, the
+    PDM code of a silent (mid-scale) input, and reported. Returns
     (streams_by_fpga, gap_records).
     """
     by_fpga: dict[int, list[DaqPacket]] = {}
@@ -298,6 +299,7 @@ def depacketize(packets: list[DaqPacket], allow_gaps: bool = False):
         total = plist[-1].sample_timestamp + plist[-1].frames
         channels = plist[0].channels
         bits = np.zeros((channels, total), dtype=np.uint8)
+        bits[:, ::2] = 1  # what no packet overwrites is a gap
         # sequences start at 0 per capture, so a late first packet is a gap
         expected_seq = 0
         expected_ts = 0

@@ -53,7 +53,6 @@ class DirectivitySurface:
 
     angles: np.ndarray  # (A,) degrees, geometric-mean based
     angle_spreads: np.ndarray  # (A,)
-    nominal_angles: np.ndarray  # (A,)
     frequencies: np.ndarray  # (F,)
     psd_db: np.ndarray  # (A, F), NaN where masked
     gamma_db: np.ndarray  # (A, F)
@@ -71,7 +70,6 @@ class DirectivitySurface:
                 {
                     "angles_deg": [float(a) for a in self.angles],
                     "angle_spreads_deg": [float(a) for a in self.angle_spreads],
-                    "nominal_angles_deg": [float(a) for a in self.nominal_angles],
                     "frequencies_hz": [float(f) for f in self.frequencies],
                 },
                 fh,
@@ -123,7 +121,6 @@ def directivity(spectra: list[tuple]) -> DirectivitySurface:
         raise ValueError("directivity needs spectra from at least 2 angles")
     thetas = []
     spreads = []
-    nominals = []
     rows = []
     freqs = None
     for ang, spec in spectra:
@@ -133,7 +130,6 @@ def directivity(spectra: list[tuple]) -> DirectivitySurface:
         else:
             thetas.append(float(ang))
             spreads.append(0.0)
-        nominals.append(thetas[-1])
         if freqs is None:
             freqs = np.asarray(spec.frequencies, dtype=float)
         elif len(spec.frequencies) != len(freqs) or not np.allclose(spec.frequencies, freqs):
@@ -150,7 +146,6 @@ def directivity(spectra: list[tuple]) -> DirectivitySurface:
     return DirectivitySurface(
         angles=np.array(thetas)[order],
         angle_spreads=np.array(spreads)[order],
-        nominal_angles=np.array(nominals)[order],
         frequencies=freqs,
         psd_db=psd_db,
         gamma_db=gamma,

@@ -24,6 +24,7 @@ from typing import Literal
 
 import numpy as np
 import scipy
+from scipy.signal import get_window
 
 from . import __version__, acquisition, analysis, beamforming, geometry, spectral, synthesis
 from .errors import ConfigError, _require, _require_positive, _require_range, check_keys, parse
@@ -144,6 +145,10 @@ class SpectralConfig:
             "block",
             f"expected 1 to {samples} samples (duration x rate), got {self.block!r}",
         )
+        try:
+            get_window(self.window, self.block)
+        except ValueError as exc:
+            raise ConfigError("window", f"expected a scipy.signal.get_window name: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -208,6 +213,15 @@ class RunConfig:
     def __post_init__(self):
         if self.spectral is not None and self.beamforming.estimator != "welch":
             raise ConfigError("spectral", "read only by the welch estimator")
+        if self.beamforming.estimator == "welch":
+            sp = self.spectral or SpectralConfig()
+            lo, hi = sp.rate / (2 * sp.block), sp.rate / 2  # half a bin above DC, up to Nyquist
+            for i, f in enumerate(self.beamforming.frequencies):
+                _require(
+                    lo < f <= hi,
+                    f"beamforming.frequencies[{i}]",
+                    f"expected > {lo!r} and <= {hi!r} Hz (a Welch bin above DC), got {f!r}",
+                )
         roi, g = self.analysis.roi, self.beamforming.grid
         if roi is not None:
             nodes = beamforming.make_focus_grid(g.x_range, g.z_range, g.spacing).local

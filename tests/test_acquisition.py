@@ -190,11 +190,11 @@ class TestPackets:
         g = gaps[0]
         assert (g.first_sequence, g.last_sequence) == (5, 5)
         assert (g.start_sample, g.end_sample) == (5 * 512, 6 * 512)
-        # dropped span reads as zeros, the rest is intact
+        # dropped span reads as alternating bits (silence), the rest is intact
         recovered = out[0][7].unpacked()
         original = streams[7].unpacked()
         assert np.array_equal(recovered[: 5 * 512], original[: 5 * 512])
-        assert not recovered[5 * 512 : 6 * 512].any()
+        assert np.array_equal(recovered[5 * 512 : 6 * 512], np.arange(5 * 512, 6 * 512) % 2 == 0)
         assert np.array_equal(recovered[6 * 512 :], original[6 * 512 :])
 
     def test_gap_raises_without_allow(self, rng):

@@ -4,13 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from memsarray import cli
+from memsarray import acquisition, cli
 from memsarray.analysis import RegionOfInterest
 from memsarray.errors import ConfigError
 from memsarray.geometry import ArrayGeometry
 
 
-_BROADBAND_SCENE = {"sources": [{"position": [3.0, 0.0, -0.5], "spectrum": {"type": "broadband", "psd": 1e-6}}], "seed": 4}
+_BROADBAND_SCENE = {
+    "sources": [{"position": [3.0, 0.0, -0.5], "spectrum": {"type": "broadband", "psd": 1e-6}}],
+    "seed": 4,
+}
 
 
 @pytest.fixture()
@@ -92,6 +95,15 @@ class TestAcquireCommand:
         sidecar = json.loads((out / "pcm.json").read_text())
         assert sidecar["channels"] == 200
         assert sidecar["rate"] == 48_000
+
+    def test_gap_decodes_as_silence(self, tmp_path):
+        # every channel carries a 0.5 tone; a dropped packet must not swing the PCM toward full scale
+        out = tmp_path / "acq"
+        assert cli.main(["acquire", "--duration", "0.02", "--drop", "60", "--out", str(out)]) == 0
+        sidecar = json.loads((out / "pcm.json").read_text())
+        pcm = np.fromfile(out / "pcm.pcm", dtype="<i4").reshape(-1, sidecar["channels"])
+        settled = -(-acquisition.decimation_warmup_bits() // acquisition.DECIMATION)
+        assert np.abs(pcm[settled:] / acquisition.PCM_FULL_SCALE_CODE).max() <= 0.6
 
 
 class TestBeamformCommand:
@@ -386,6 +398,7 @@ _REJECTED_KEY_SECTIONS = {
         ("analysis.roi.z_range", [-0.3, -0.7]),
         ("spectral.overlap", 1.0),
         ("spectral.block", 48_001),
+        ("spectral.window", "bogus"),
     ],
 )
 def test_rejected_key_exits_two_with_its_path(tmp_path, capsys, field, value):
@@ -511,6 +524,8 @@ BAD_FLAGS = [
     ("directivity", ["--reference", "1,2"], "reference"),
     ("beamform", ["--format", "xml"], "outputs.formats[0]"),
     ("beamform", ["--grid", "1,2,3"], "beamforming.grid.z_range"),
+    ("beamform", ["--estimator", "welch", "--freqs", "10"], "beamforming.frequencies[0]"),
+    ("beamform", ["--estimator", "welch", "--freqs", "2000,30000"], "beamforming.frequencies[1]"),
     ("geometry", ["--panels", "3"], "panels"),
     ("geometry", ["--panels", "0x3"], "panels_x"),
     ("geometry", ["--format", "xml"], "format[0]"),

@@ -5,7 +5,7 @@ import pytest
 
 from memsarray import synthesis as syn
 from memsarray import welch_csm
-from memsarray.propagation import MediumModel, atmospheric_absorption, green_convected
+from memsarray.propagation import atmospheric_absorption, green_convected
 
 
 def tone_source(pos, freq=4000.0, power=1e-4):
