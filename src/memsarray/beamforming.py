@@ -16,6 +16,9 @@ reproduces its injected power exactly.
 CLEAN-SC deconvolution follows Sijtsma's formulation: per iteration the CSM
 component spatially coherent with the dirty-map peak is estimated (with a
 fixed-point inner iteration when the diagonal is removed) and subtracted.
+The dirty map is formed once from the CSM and then updated by the map of each
+subtracted rank-1 component, O(MN) per iteration instead of the O(M^2 N) of
+forming it again from the degraded CSM.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ class BeamformingMap:
     diagonal_removed: bool = False
     n_negative: int = 0
     iterations: int = 0
+    stop_reason: str | None = None  # CLEAN-SC: threshold | norm_increase | max_iterations
     n_channels: int = 0  # sub-array size the map was formed with
 
     def peak(self) -> tuple[int, float]:
@@ -257,11 +261,17 @@ def clean_sc(
     """CLEAN-SC deconvolution.
 
     Per iteration: find the dirty-map peak, estimate the source component
-    vector from the degraded CSM column space at the peak (fixed-point inner
+    vector c from the degraded CSM column space at the peak (fixed-point inner
     iterations when the diagonal is removed), subtract loop_gain times the
-    induced CSM, and accumulate the clean component. Stops at max_iterations,
-    when the peak drops below stop_threshold times the initial peak, or when
-    the degraded CSM 1-norm would increase.
+    induced CSM peak c c^H, and accumulate the clean component. The dirty map
+    is not formed again from the degraded CSM; it loses the map of the
+    subtracted component, loop_gain peak (|h^H c|^2 - (|h|^2)^T |c|^2), where
+    the second term applies only when the diagonal is removed.
+
+    Stops, and records why in `stop_reason`, when the peak drops to
+    stop_threshold times the initial peak or below (`threshold`), when the
+    degraded CSM 1-norm would increase (`norm_increase`), or after
+    max_iterations components (`max_iterations`).
     """
     if not 0.0 < loop_gain <= 1.0:
         raise ValueError("loop gain must be in (0, 1]")
@@ -273,6 +283,7 @@ def clean_sc(
     if values.shape[0] != steering.n_channels:
         raise ValueError("CSM/steering dimension mismatch")
     h = steering.matrix
+    h_sq = np.abs(h) ** 2 if diagonal_removal else None
     ref_scale = (steering.reference_distance / REFERENCE_DISTANCE) ** 2
 
     degraded = values.copy()
@@ -283,11 +294,12 @@ def clean_sc(
     prev_norm = np.linalg.norm(degraded, 1)
     components: dict[int, float] = {}
     iterations = 0
+    stop_reason = "threshold"
 
     if initial_peak > 0.0:
         for _ in range(max_iterations):
             t = int(np.argmax(dirty))
-            peak = dirty[t]
+            peak = float(dirty[t])
             if peak <= 0.0 or peak <= stop_threshold * initial_peak:
                 break
             w = h[:, t]
@@ -303,12 +315,18 @@ def clean_sc(
             trial = degraded - loop_gain * induced
             norm = np.linalg.norm(trial, 1)
             if norm > prev_norm:
+                stop_reason = "norm_increase"
                 break
             degraded = trial
             prev_norm = norm
             components[t] = components.get(t, 0.0) + loop_gain * peak
-            dirty = _raw_map(degraded, h)
+            induced_map = np.abs(comp.conj() @ h) ** 2
+            if diagonal_removal:
+                induced_map -= np.abs(comp) ** 2 @ h_sq
+            dirty -= loop_gain * peak * induced_map
             iterations += 1
+        else:
+            stop_reason = "max_iterations"
 
     comp_list = tuple((t, p * float(ref_scale[t])) for t, p in sorted(components.items()))
     clean_map = np.zeros(steering.n_points)
@@ -326,6 +344,7 @@ def clean_sc(
         diagonal_removed=diagonal_removal,
         iterations=iterations,
         n_channels=steering.n_channels,
+        stop_reason=stop_reason,
     )
 
 

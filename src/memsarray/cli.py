@@ -512,6 +512,8 @@ def save_map(out_dir, bmap, formats):
                     "n_sensors": bmap.n_channels,
                     "components": [[int(t), float(p)] for t, p in bmap.components],
                     "n_negative": bmap.n_negative,
+                    "iterations": bmap.iterations,
+                    "stop_reason": bmap.stop_reason,
                 },
                 fh,
                 sort_keys=True,

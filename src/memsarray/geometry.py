@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, ConstraintError
 
@@ -125,8 +126,15 @@ class ArrayGeometry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrayGeometry":
+        """Geometry of a `to_dict` object; no sensors or a non-finite
+        coordinate raise ConfigError at `geometry`."""
         sensors = sorted(data["sensors"], key=lambda s: s["id"])
+        if not sensors:
+            raise ConfigError("geometry", "expected one or more sensors")
         pos = np.array([[s["x"], s["y"], s["z"]] for s in sensors], dtype=float)
+        bad = ~np.isfinite(pos).all(axis=1)
+        if bad.any():
+            raise ConfigError("geometry", f"sensor {sensors[int(np.argmax(bad))]['id']!r} has a non-finite coordinate")
         plane = ArrayPlane(
             origin=np.array(data["plane"]["origin"], dtype=float),
             normal=np.array(data["plane"]["normal"], dtype=float),
@@ -152,6 +160,8 @@ class ArrayGeometry:
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
+        except ConfigError as exc:
+            raise ConfigError(exc.field, f"{path}: {exc.message}") from exc
         except KeyError as exc:
             raise ConfigError("geometry", f"{path} has no key {exc}") from exc
         except (OSError, ValueError, TypeError) as exc:
@@ -353,21 +363,31 @@ def sample_subarray(
     Targets are visited in order; a target is discarded when no unused sensor
     lies within `epsilon` (ties broken by lowest sensor index). 2D targets are
     interpreted as (x, z) in the array plane.
+
+    Each target's candidates are the sensors a k-d tree of the positions finds
+    within a radius a hair above `epsilon`; their distances are then computed
+    and tested against `epsilon` exactly as a scan over every sensor would, so
+    the match does not depend on the tree's own distance rounding.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     lifted = _lift_targets(geometry, targets)
     pos = geometry.positions
+    nearby = cKDTree(pos).query_ball_point(lifted, epsilon * (1.0 + 1e-9), return_sorted=True)
     available = np.ones(len(pos), dtype=bool)
     indices: list[int] = []
     dists: list[float] = []
-    for t in lifted:
-        d = np.linalg.norm(pos - t[None, :], axis=1)
-        d[~available] = np.inf
-        j = int(np.argmin(d))
-        if d[j] <= epsilon:
+    for t, candidates in zip(lifted, nearby):
+        candidates = np.asarray(candidates, dtype=int)
+        candidates = candidates[available[candidates]]
+        if not len(candidates):
+            continue
+        d = np.linalg.norm(pos[candidates] - t[None, :], axis=1)
+        k = int(np.argmin(d))
+        if d[k] <= epsilon:
+            j = int(candidates[k])
             indices.append(j)
-            dists.append(float(d[j]))
+            dists.append(float(d[k]))
             available[j] = False
     return SubArray(
         parent=geometry,

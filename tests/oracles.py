@@ -4,8 +4,10 @@ These deliberately avoid the library's own code paths: travel times come from
 bisection on the retarded-time equation, air absorption from the Bass
 formula, shear-layer crossings from a shrinking grid search or from a damped
 Newton search with a finite-difference Hessian, tone levels from
-least-squares sine fits, and PDM bits from the delta-sigma loop run one numpy
-element at a time.
+least-squares sine fits, PDM bits from the delta-sigma loop run one numpy
+element at a time, sub-array matches from a scan over every sensor, and
+CLEAN-SC from a loop that forms the dirty map again from the whole degraded
+CSM after every component.
 """
 
 import numpy as np
@@ -188,3 +190,65 @@ def pdm_modulate_oracle(waveform):
         y = 1.0 if s2 >= 0.0 else -1.0
         bits[i] = 1 if y > 0.0 else 0
     return bits, clipped
+
+
+def sample_subarray_oracle(positions, targets, epsilon):
+    """Greedy nearest-unused-sensor matching of (T, 3) targets by a distance
+    scan over every sensor; returns (indices, match distances)."""
+    pos = np.asarray(positions, dtype=float)
+    available = np.ones(len(pos), dtype=bool)
+    indices, dists = [], []
+    for t in np.asarray(targets, dtype=float):
+        d = np.linalg.norm(pos - t[None, :], axis=1)
+        d[~available] = np.inf
+        j = int(np.argmin(d))
+        if d[j] <= epsilon:
+            indices.append(j)
+            dists.append(float(d[j]))
+            available[j] = False
+    return np.array(indices, dtype=int), np.array(dists)
+
+
+def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_threshold=1e-3,
+                    diagonal_removal=True, inner_iterations=20):
+    """CLEAN-SC with the dirty map b_n = h_n^H D h_n formed again from the whole
+    degraded CSM D after every component; returns ({grid index: power before
+    reference scaling}, iterations, residual dirty map)."""
+
+    def dirty_map(d):
+        return np.einsum("mn,mk,kn->n", h.conj(), d, h, optimize=True).real
+
+    degraded = np.array(csm_values, dtype=complex)
+    if diagonal_removal:
+        np.fill_diagonal(degraded, 0.0)
+    dirty = dirty_map(degraded)
+    initial_peak = dirty.max()
+    prev_norm = np.abs(degraded).sum(axis=0).max()
+    components = {}
+    iterations = 0
+    if initial_peak > 0.0:
+        for _ in range(max_iterations):
+            t = int(np.argmax(dirty))
+            peak = dirty[t]
+            if peak <= 0.0 or peak <= stop_threshold * initial_peak:
+                break
+            w = h[:, t]
+            comp = degraded @ w / peak
+            if diagonal_removal:
+                base = comp
+                for _ in range(inner_iterations):
+                    diag = np.abs(comp) ** 2
+                    comp = (base + diag * w) / np.sqrt(1.0 + np.real(np.vdot(w, diag * w)))
+            induced = peak * np.outer(comp, comp.conj())
+            if diagonal_removal:
+                np.fill_diagonal(induced, 0.0)
+            trial = degraded - loop_gain * induced
+            norm = np.abs(trial).sum(axis=0).max()
+            if norm > prev_norm:
+                break
+            degraded = trial
+            prev_norm = norm
+            components[t] = components.get(t, 0.0) + loop_gain * peak
+            dirty = dirty_map(degraded)
+            iterations += 1
+    return components, iterations, dirty

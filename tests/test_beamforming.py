@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from oracles import clean_sc_oracle
 
 from memsarray import beamforming as bf
 from memsarray import geometry as geo
+from memsarray.errors import parse
 from memsarray.propagation import MediumModel
 from memsarray.spectral import CrossSpectralMatrix
 from memsarray.synthesis import Scene, Source, synthesize_csm
@@ -222,6 +224,117 @@ class TestCleanSc:
         assert 0 < bmap.iterations <= 40
         total = bmap.component_power()
         assert abs(10 * np.log10(total / (3 * Q2))) < 0.5
+
+
+@pytest.fixture(scope="module")
+def pitch_case(full_array_module):
+    """A pitch-series sub-array, a 26 x 26 grid over a dipole and a weaker
+    monopole in Mach 0.1 flow, and their exact CSMs with sensor noise."""
+    g, _ = full_array_module
+    sub = geo.pitch_subarray_series(g, 13, 2.0, 150, 0.1)[5]
+    scene = parse(Scene, {
+        "sources": [
+            {"position": [3.0, 0.0, -0.5], "kind": "dipole", "axis": [0.0, 1.0, 0.0],
+             "spectrum": {"type": "broadband", "psd": 1e-6}},
+            {"position": [3.07, 0.0, -0.44], "spectrum": {"type": "broadband", "psd": 1e-7}},
+        ],
+        "medium": {"mach": [0.1, 0.0, 0.0]},
+        "noise": {"psd": 1e-9},
+        "seed": 3,
+    }, "scene")
+    grid = bf.make_focus_grid((2.85, 3.15), (-0.65, -0.35), 0.012)
+    steering = bf.steering_geometry(grid, sub.positions, scene.medium)
+    freqs = [1000.0, 4000.0, 16000.0]
+    csms = dict(zip(freqs, synthesize_csm(scene, sub.positions, freqs)))
+    return csms, steering
+
+
+def _assert_matches_clean_sc_oracle(csm, steer, **kwargs):
+    """Same cells and iterations as the full-recompute loop; components within
+    1e-12 and the residual map within 1e-10 of its largest magnitude."""
+    bmap = bf.clean_sc(csm, steer, **kwargs)
+    values = csm.values if hasattr(csm, "values") else csm
+    comps, iterations, dirty = clean_sc_oracle(values, steer.matrix, **kwargs)
+    scale = (steer.reference_distance / bf.REFERENCE_DISTANCE) ** 2
+    assert bmap.iterations == iterations
+    assert [t for t, _ in bmap.components] == sorted(comps)
+    for t, p in bmap.components:
+        assert p == pytest.approx(comps[t] * scale[t], rel=1e-12, abs=0.0)
+    residual = dirty * scale
+    assert np.abs(bmap.raw_values - residual).max() <= 1e-10 * np.abs(residual).max()
+    return bmap
+
+
+class TestCleanScOracle:
+    """The incremental dirty-map update against the loop that forms the map
+    again from the whole degraded CSM after every component."""
+
+    @pytest.mark.parametrize("frequency", [1000.0, 4000.0, 16000.0])
+    @pytest.mark.parametrize("diagonal_removal", [True, False])
+    @pytest.mark.parametrize("loop_gain", [1.0, 0.8])
+    def test_pitch_maps(self, pitch_case, frequency, diagonal_removal, loop_gain):
+        csms, steering = pitch_case
+        steer = bf.steering_vectors(steering, frequency)
+        bmap = _assert_matches_clean_sc_oracle(
+            csms[frequency], steer, loop_gain=loop_gain, diagonal_removal=diagonal_removal
+        )
+        assert bmap.iterations > 0
+
+    @pytest.mark.parametrize("diagonal_removal", [True, False])
+    def test_stops_at_max_iterations(self, pitch_case, diagonal_removal):
+        csms, steering = pitch_case
+        steer = bf.steering_vectors(steering, 4000.0)
+        bmap = _assert_matches_clean_sc_oracle(
+            csms[4000.0], steer, loop_gain=0.8, max_iterations=3, diagonal_removal=diagonal_removal
+        )
+        assert bmap.iterations == 3
+        assert bmap.stop_reason == "max_iterations"
+
+    def test_noise_csm_until_norm_increase(self, pitch_case):
+        # a random full-rank CSM leaves many components before the 1-norm rises
+        _, steering = pitch_case
+        steer = bf.steering_vectors(steering, 4000.0)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((steer.n_channels, 60)) + 1j * rng.standard_normal((steer.n_channels, 60))
+        bmap = _assert_matches_clean_sc_oracle(x @ x.conj().T / 60, steer, stop_threshold=0.0, diagonal_removal=False)
+        assert bmap.iterations > 5
+        assert bmap.stop_reason == "norm_increase"
+
+
+class TestCleanScStopReason:
+    def test_threshold(self, setup):
+        _, sub, grid = setup
+        csm = monopole_csm(sub.positions, grid.points[grid.index_of([3.0, 0.0, -0.5])], 4000.0)
+        bmap = bf.clean_sc(csm, bf.steering_formulation_iii(grid, sub, 4000.0), grid)
+        assert bmap.stop_reason == "threshold"
+        assert bmap.iterations < 100
+
+    def test_threshold_without_a_positive_peak(self, setup):
+        _, sub, grid = setup
+        zero = np.zeros((sub.size, sub.size), dtype=complex)
+        bmap = bf.clean_sc(zero, bf.steering_formulation_iii(grid, sub, 4000.0), grid)
+        assert (bmap.iterations, bmap.stop_reason) == (0, "threshold")
+
+    def test_norm_increase(self, setup):
+        _, sub, grid = setup
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((sub.size, 50)) + 1j * rng.standard_normal((sub.size, 50))
+        bmap = bf.clean_sc(x @ x.conj().T / 50, bf.steering_formulation_iii(grid, sub, 4000.0), grid, stop_threshold=0.0)
+        assert bmap.stop_reason == "norm_increase"
+
+    def test_max_iterations(self, setup):
+        _, sub, grid = setup
+        vals = sum(
+            monopole_csm(sub.positions, grid.points[grid.index_of([x, 0.0, z])], 4000.0).values
+            for x, z in [(2.7, -0.8), (3.4, -0.1)]
+        )
+        bmap = bf.clean_sc(vals, bf.steering_formulation_iii(grid, sub, 4000.0), grid, max_iterations=1)
+        assert (bmap.iterations, bmap.stop_reason) == (1, "max_iterations")
+
+    def test_conventional_map_has_none(self, setup):
+        _, sub, grid = setup
+        csm = monopole_csm(sub.positions, grid.points[0], 4000.0)
+        assert bf.conventional_beamform(csm, bf.steering_formulation_iii(grid, sub, 4000.0)).stop_reason is None
 
 
 class TestResolutionScaling:

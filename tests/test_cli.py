@@ -124,6 +124,8 @@ class TestBeamformCommand:
         meta = json.loads((out / "map_2000Hz.json").read_text())
         assert meta["kind"] == "clean_sc"
         assert meta["components"]
+        assert meta["stop_reason"] == "threshold"
+        assert 0 < meta["iterations"] < 100
         lines = (out / "map_2000Hz.csv").read_text().splitlines()
         assert lines[0] == "x,z,psd_db"
         assert len(lines) == 21 * 21 + 1
@@ -206,6 +208,17 @@ class TestDirectivityCommand:
         assert len(lines) == 4  # header + 3 angles
         meta = json.loads((out / "directivity_meta.json").read_text())
         assert len(meta["angles_deg"]) == 3
+
+    def test_rerun_identical(self, tmp_path, scene_file, geometry_file):
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            argv = [*CSV_RUNS["directivity"](scene_file, geometry_file), "--out", str(out)]
+            assert cli.main(argv) == 0
+        files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+        assert files[0] == files[1]
+        assert len(files[0]) == 4  # surface, meta, octave polar table, manifest
+        for rel in files[0]:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
 class TestFarfieldCommand:
@@ -588,6 +601,23 @@ def _missing(tmp_path) -> str:
     return str(tmp_path / "missing.json")
 
 
+def _altered_geometry(tmp_path, geo, alter) -> str:
+    """A copy of the geometry file `geo` with `alter` applied to its JSON object."""
+    data = json.loads(open(geo, encoding="utf-8").read())
+    alter(data)
+    path = tmp_path / "altered_geometry.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _nan_x(data):
+    data["sensors"][0]["x"] = float("nan")
+
+
+def _no_sensors(data):
+    data["sensors"] = []
+
+
 # runs that start but cannot finish: (id, argv before --out, exit code, stderr prefix)
 FAILING_RUNS = [
     *(
@@ -597,6 +627,12 @@ FAILING_RUNS = [
     ),
     ("beamform scene as geometry", lambda t, s, g: ["beamform", *_FLAG_BASES["beamform"](s, s)], 2,
      "config error at geometry:"),
+    *(
+        (f"{command} geometry {name}", lambda t, s, g, c=command, a=alter: [c, *_FLAG_BASES[c](s, _altered_geometry(t, g, a))],
+         2, "config error at geometry:")
+        for command in ("beamform", "directivity")
+        for name, alter in (("with a NaN coordinate", _nan_x), ("without sensors", _no_sensors))
+    ),
     ("pipeline missing config", lambda t, s, g: ["pipeline", "--config", _missing(t)], 2, "config error at config:"),
     ("pipeline non-JSON config", lambda t, s, g: _config_text(t, "{not json"), 2, "config error at config:"),
     ("pipeline bundled:nope", lambda t, s, g: ["pipeline", "--config", "bundled:nope"], 2, "config error at config:"),

@@ -2,9 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from oracles import sample_subarray_oracle
 
 from memsarray import geometry as geo
-from memsarray.errors import ConstraintError
+from memsarray.errors import ConfigError, ConstraintError
+
+
+def _geometry_of(positions) -> geo.ArrayGeometry:
+    pos = np.asarray(positions, dtype=float)
+    zeros = np.zeros(len(pos), dtype=int)
+    plane = geo.ArrayPlane(origin=np.zeros(3), normal=np.array([0.0, -1.0, 0.0]))
+    return geo.ArrayGeometry(pos, zeros, zeros, zeros, plane, extent=(1.0, 1.0))
+
+
+def _assert_matches_oracle(geometry, sub):
+    indices, dists = sample_subarray_oracle(geometry.positions, sub.target_positions, sub.epsilon)
+    assert np.array_equal(sub.indices, indices)
+    assert sub.match_distances.tobytes() == dists.tobytes()
 
 
 class TestPcbLayout:
@@ -95,6 +109,23 @@ class TestFullArray:
         assert np.array_equal(back.panel_id, one_panel.panel_id)
         assert back.extent == one_panel.extent
 
+    @pytest.mark.parametrize("key, value", [("x", float("nan")), ("y", float("inf")), ("z", float("-inf"))])
+    def test_non_finite_coordinate_rejected(self, one_panel, tmp_path, key, value):
+        data = one_panel.to_dict()
+        data["sensors"][7][key] = value
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="sensor 7 has a non-finite coordinate") as exc:
+            geo.ArrayGeometry.load_json(path)
+        assert exc.value.field == "geometry"
+
+    def test_no_sensors_rejected(self, one_panel):
+        data = one_panel.to_dict()
+        data["sensors"] = []
+        with pytest.raises(ConfigError, match="one or more sensors") as exc:
+            geo.ArrayGeometry.from_dict(data)
+        assert exc.value.field == "geometry"
+
     def test_csv_export(self, one_panel, tmp_path):
         path = tmp_path / "geom.csv"
         one_panel.save_csv(path)
@@ -158,6 +189,51 @@ class TestSampleSubarray:
     def test_epsilon_positive(self, full_array):
         with pytest.raises(ValueError):
             geo.sample_subarray(full_array, np.zeros((1, 2)), 0.0)
+
+
+class TestSampleSubarrayOracle:
+    """The k-d tree candidate search against a scan over every sensor:
+    identical indices and match distances, to the byte."""
+
+    def test_pitch_series(self, full_array):
+        subs = geo.pitch_subarray_series(full_array, 13, 2.0, 150, 0.1)
+        for sub in subs:
+            _assert_matches_oracle(full_array, sub)
+
+    def test_freq_dependent_series(self, full_array):
+        bands = [1000.0, 1250.0, 2000.0, 4000.0, 8000.0, 16000.0]
+        subs = geo.freq_dependent_subarrays(full_array, (3.0, -0.5), 2.0, 1000.0, 150, bands, 0.1)
+        for sub in subs.values():
+            _assert_matches_oracle(full_array, sub)
+
+    @pytest.mark.parametrize("epsilon", [0.004, 0.02, 0.1, 0.5])
+    def test_seeded_random_targets(self, full_array, rng, epsilon):
+        # dense targets over and beyond the array so that sensors run out and
+        # targets compete for them
+        targets = np.stack([rng.uniform(-1.0, 7.0, 400), rng.uniform(-3.0, 2.0, 400)], axis=1)
+        sub = geo.sample_subarray(full_array, targets, epsilon)
+        assert 0 < sub.discarded < len(targets)
+        _assert_matches_oracle(full_array, sub)
+
+    def test_sensor_at_exactly_epsilon_accepted(self, full_array, rng):
+        # epsilon is each target's own distance to its nearest sensor, as
+        # np.linalg.norm computes it
+        for _ in range(200):
+            t = full_array.positions[rng.integers(full_array.sensor_count)] + rng.uniform(-0.03, 0.03, 3)
+            t[1] = full_array.plane.origin[1]
+            j, d = sample_subarray_oracle(full_array.positions, t[None, :], np.inf)
+            sub = geo.sample_subarray(full_array, t[None, :], float(d[0]))
+            assert sub.indices.tolist() == j.tolist()
+            assert sub.match_distances[0] == d[0]
+
+    def test_equidistant_sensors_resolve_to_lower_index(self):
+        geometry = _geometry_of([[9.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.5]])
+        sub = geo.sample_subarray(geometry, np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.5)
+        assert sub.indices.tolist() == [1, 2]
+        assert sub.match_distances.tolist() == [0.5, 0.5]
+        geometry = _geometry_of([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
+        sub = geo.sample_subarray(geometry, np.array([[1.0, 0.0, 0.0]]), 0.5)
+        assert sub.indices.tolist() == [0]
 
 
 class TestSubarrayStats:
