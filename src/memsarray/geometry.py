@@ -373,12 +373,14 @@ def sample_subarray(
         raise ValueError("epsilon must be > 0")
     lifted = _lift_targets(geometry, targets)
     pos = geometry.positions
-    nearby = cKDTree(pos).query_ball_point(lifted, epsilon * (1.0 + 1e-9), return_sorted=True)
+    finite = np.flatnonzero(np.isfinite(lifted).all(axis=1))  # a non-finite target matches no sensor
+    nearby = cKDTree(pos).query_ball_point(lifted[finite], epsilon * (1.0 + 1e-9), return_sorted=True)
+    candidates_of = dict(zip(finite.tolist(), nearby))
     available = np.ones(len(pos), dtype=bool)
     indices: list[int] = []
     dists: list[float] = []
-    for t, candidates in zip(lifted, nearby):
-        candidates = np.asarray(candidates, dtype=int)
+    for i, t in enumerate(lifted):
+        candidates = np.asarray(candidates_of.get(i, ()), dtype=int)
         candidates = candidates[available[candidates]]
         if not len(candidates):
             continue

@@ -641,6 +641,8 @@ FAILING_RUNS = [
      "config error at subarray.epsilon:"),
     ("pipeline empty sub-array", lambda t, s, g: _panel_pipeline(t, g, subarray={"epsilon": 0.0001}), 2,
      "config error at subarray.epsilon:"),
+    ("pipeline NaN sub-array center", lambda t, s, g: _panel_pipeline(t, g, subarray={"center": [float("nan"), -0.5]}),
+     2, "config error at subarray.epsilon:"),
     *(
         (f"acquire --drop {drop}", lambda t, s, g, d=drop: ["acquire", "--duration", "0.0016", "--drop", d], 2,
          f"config error at {field}:")

@@ -215,6 +215,12 @@ class TestSampleSubarrayOracle:
         assert 0 < sub.discarded < len(targets)
         _assert_matches_oracle(full_array, sub)
 
+    def test_non_finite_targets_discarded(self, full_array):
+        targets = np.array([[np.nan, -0.5], [3.0, -0.5], [np.inf, 0.0], [3.0, -0.5]])
+        sub = geo.sample_subarray(full_array, targets, 0.1)
+        assert (sub.size, sub.discarded) == (2, 2)
+        _assert_matches_oracle(full_array, sub)
+
     def test_sensor_at_exactly_epsilon_accepted(self, full_array, rng):
         # epsilon is each target's own distance to its nearest sensor, as
         # np.linalg.norm computes it
