@@ -603,19 +603,12 @@ def _missing(tmp_path) -> str:
 
 def _altered_geometry(tmp_path, geo, alter) -> str:
     """A copy of the geometry file `geo` with `alter` applied to its JSON object."""
-    data = json.loads(open(geo, encoding="utf-8").read())
+    with open(geo, encoding="utf-8") as fh:
+        data = json.load(fh)
     alter(data)
     path = tmp_path / "altered_geometry.json"
     path.write_text(json.dumps(data))
     return str(path)
-
-
-def _nan_x(data):
-    data["sensors"][0]["x"] = float("nan")
-
-
-def _no_sensors(data):
-    data["sensors"] = []
 
 
 # runs that start but cannot finish: (id, argv before --out, exit code, stderr prefix)
@@ -631,7 +624,10 @@ FAILING_RUNS = [
         (f"{command} geometry {name}", lambda t, s, g, c=command, a=alter: [c, *_FLAG_BASES[c](s, _altered_geometry(t, g, a))],
          2, "config error at geometry:")
         for command in ("beamform", "directivity")
-        for name, alter in (("with a NaN coordinate", _nan_x), ("without sensors", _no_sensors))
+        for name, alter in (
+            ("with a NaN coordinate", lambda d: d["sensors"][0].update(x=float("nan"))),
+            ("without sensors", lambda d: d.update(sensors=[])),
+        )
     ),
     ("pipeline missing config", lambda t, s, g: ["pipeline", "--config", _missing(t)], 2, "config error at config:"),
     ("pipeline non-JSON config", lambda t, s, g: _config_text(t, "{not json"), 2, "config error at config:"),

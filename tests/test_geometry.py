@@ -119,13 +119,6 @@ class TestFullArray:
             geo.ArrayGeometry.load_json(path)
         assert exc.value.field == "geometry"
 
-    def test_no_sensors_rejected(self, one_panel):
-        data = one_panel.to_dict()
-        data["sensors"] = []
-        with pytest.raises(ConfigError, match="one or more sensors") as exc:
-            geo.ArrayGeometry.from_dict(data)
-        assert exc.value.field == "geometry"
-
     def test_csv_export(self, one_panel, tmp_path):
         path = tmp_path / "geom.csv"
         one_panel.save_csv(path)
