@@ -215,13 +215,10 @@ class RunConfig:
             raise ConfigError("spectral", "read only by the welch estimator")
         if self.beamforming.estimator == "welch":
             sp = self.spectral or SpectralConfig()
-            lo, hi = sp.rate / (2 * sp.block), sp.rate / 2  # half a bin above DC, up to Nyquist
-            for i, f in enumerate(self.beamforming.frequencies):
-                _require(
-                    lo < f <= hi,
-                    f"beamforming.frequencies[{i}]",
-                    f"expected > {lo!r} and <= {hi!r} Hz (a Welch bin above DC), got {f!r}",
-                )
+            try:
+                spectral.welch_bins(self.beamforming.frequencies, sp.rate, sp.block)
+            except ConfigError as exc:
+                raise ConfigError(f"beamforming.{exc.field}", exc.message) from None
         roi, g = self.analysis.roi, self.beamforming.grid
         if roi is not None:
             nodes = beamforming.make_focus_grid(g.x_range, g.z_range, g.spacing).local
@@ -451,22 +448,12 @@ def run_beamforming(cfg: RunConfig, geo, scene, jobs: int = 1) -> list:
     csm_by_freq = {}
     if bf.estimator == "welch":
         sp = cfg.spectral or SpectralConfig()
-        requested = {}  # Welch bin frequency -> requested frequency
         for sub, flist in unique.values():
             sig, _ = synthesis.synthesize_timeseries(scene, sub.positions, rate=sp.rate, duration=sp.duration)
             csms = spectral.welch_csm(
-                sig, sp.rate, block=sp.block, overlap=sp.overlap, window=sp.window,
-                freq_range=(min(flist) - 2 * sp.rate / sp.block, max(flist) + 2 * sp.rate / sp.block),
+                sig, sp.rate, block=sp.block, overlap=sp.overlap, window=sp.window, frequencies=flist
             )
-            for f in flist:
-                csm = min(csms, key=lambda c: abs(c.frequency - f))
-                if csm.frequency in requested:
-                    raise ConfigError(
-                        "beamforming.frequencies",
-                        f"{requested[csm.frequency]!r} Hz and {f!r} Hz share the {csm.frequency!r} Hz Welch bin",
-                    )
-                requested[csm.frequency] = f
-                csm_by_freq[f] = csm
+            csm_by_freq.update(zip(flist, csms))
     else:
         for sub, flist in unique.values():
             csm_by_freq.update(zip(flist, synthesis.synthesize_csm(scene, sub.positions, flist)))

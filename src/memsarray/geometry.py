@@ -126,11 +126,20 @@ class ArrayGeometry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrayGeometry":
-        """Geometry of a `to_dict` object; no sensors or a non-finite
-        coordinate raise ConfigError at `geometry`."""
-        sensors = sorted(data["sensors"], key=lambda s: s["id"])
+        """Geometry of a `to_dict` object; no sensors, ids other than 0..N-1,
+        or a coordinate that is not a finite JSON number raise ConfigError at
+        `geometry`."""
+        sensors = data["sensors"]
         if not sensors:
             raise ConfigError("geometry", "expected one or more sensors")
+        ids = [s["id"] for s in sensors]
+        if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
+            raise ConfigError("geometry", f"expected sensor ids 0 to {len(ids) - 1}, each once")
+        sensors = sorted(sensors, key=lambda s: s["id"])
+        for s in sensors:
+            for axis in "xyz":
+                if type(s[axis]) not in (int, float):
+                    raise ConfigError("geometry", f"sensor {s['id']} has {axis} {s[axis]!r}, expected a number")
         pos = np.array([[s["x"], s["y"], s["z"]] for s in sensors], dtype=float)
         bad = ~np.isfinite(pos).all(axis=1)
         if bad.any():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import get_window
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 
 P_REF = 20e-6  # Pa
 P_REF_SQ = P_REF * P_REF
@@ -107,6 +107,31 @@ class CsmStats:
     cross_max: float
 
 
+def welch_bins(frequencies, rate: float, block: int) -> np.ndarray:
+    """rFFT bin index nearest to each requested frequency, in request order
+    (a frequency half-way between two bins takes the lower one).
+
+    A frequency outside (rate / (2 block), rate / 2], where the nearest bin
+    is above DC, raises ConfigError at `frequencies[i]`; two frequencies
+    nearest to one bin raise ConfigError at `frequencies`.
+    """
+    freqs = [float(f) for f in frequencies]
+    lo, hi = rate / (2 * block), rate / 2  # half a bin above DC, up to Nyquist
+    for i, f in enumerate(freqs):
+        if not lo < f <= hi:
+            raise ConfigError(
+                f"frequencies[{i}]", f"expected > {lo!r} and <= {hi!r} Hz (a Welch bin above DC), got {f!r}"
+            )
+    bins = np.fft.rfftfreq(block, d=1.0 / rate)
+    idx = np.abs(bins[None, :] - np.array(freqs)[:, None]).argmin(axis=1)
+    first = {}  # bin index -> the first frequency requested there
+    for f, k in zip(freqs, idx.tolist()):
+        if k in first:
+            raise ConfigError("frequencies", f"{first[k]!r} Hz and {f!r} Hz share the {float(bins[k])!r} Hz Welch bin")
+        first[k] = f
+    return idx
+
+
 def welch_csm(
     signals: np.ndarray,
     rate: float,
@@ -114,15 +139,22 @@ def welch_csm(
     overlap: float = 0.5,
     window: str = "hann",
     freq_range=None,
+    frequencies=None,
 ) -> list[CrossSpectralMatrix]:
-    """Welch-averaged CSMs, one per FFT bin up to Nyquist.
+    """Welch-averaged CSMs at the selected rFFT bins (all bins up to Nyquist by default).
 
     `signals` is (n_samples, n_channels). The per-channel mean is removed over
     the full record; blocks are not detrended individually. One-sided PSD
     normalization: 2 / (fs * sum(w**2)), halved at DC and Nyquist.
-    `freq_range=(lo, hi)` restricts the output bins (memory relief for large
-    channel counts).
+    `freq_range=(lo, hi)` keeps the bins within [lo, hi], in ascending order.
+    `frequencies` gives one CSM per requested frequency, in request order, at
+    its nearest bin (`welch_bins` checks the requests); each CSM's `frequency`
+    is its bin's. At most one of the two selectors may be given. Only the
+    selected bins of each block's spectrum are kept, so the cost of the
+    products grows with the bins asked for, not with the block.
     """
+    if freq_range is not None and frequencies is not None:
+        raise ValueError("give freq_range or frequencies, not both")
     x = np.asarray(signals, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -139,37 +171,36 @@ def welch_csm(
     x = x - x.mean(axis=0, keepdims=True)
 
     freqs = np.fft.rfftfreq(block, d=1.0 / rate)
-    if freq_range is not None:
-        sel = (freqs >= freq_range[0]) & (freqs <= freq_range[1])
+    if frequencies is not None:
+        idx = welch_bins(frequencies, rate, block)
+    elif freq_range is not None:
+        idx = np.flatnonzero((freqs >= freq_range[0]) & (freqs <= freq_range[1]))
     else:
-        sel = np.ones(len(freqs), dtype=bool)
-    fsel = freqs[sel]
-    acc = np.zeros((len(fsel), m, m), dtype=complex)
+        idx = np.arange(len(freqs))
+    fsel = freqs[idx]
+    spec = np.empty((len(idx), n_avg, m), dtype=complex)  # selected bin, block, channel
     for b in range(n_avg):
         seg = x[b * hop : b * hop + block] * w[:, None]
-        spec = np.fft.rfft(seg, axis=0)[sel]
-        acc += spec[:, :, None] * spec.conj()[:, None, :]
+        spec[:, b] = np.fft.rfft(seg, axis=0)[idx]
+    acc = spec.transpose(0, 2, 1) @ spec.conj()  # (bins, M, M): sum over blocks of X X^H
     scale = 2.0 / (rate * np.sum(w * w) * n_avg)
     acc *= scale
     # DC and Nyquist carry no one-sided doubling
     edge = (fsel == 0.0) | np.isclose(fsel, rate / 2.0)
     acc[edge] *= 0.5
+    acc = 0.5 * (acc + acc.conj().transpose(0, 2, 1))  # enforce Hermitian symmetry exactly
 
-    out = []
-    for i, f in enumerate(fsel):
-        v = acc[i]
-        v = 0.5 * (v + v.conj().T)  # enforce Hermitian symmetry exactly
-        out.append(
-            CrossSpectralMatrix(
-                frequency=float(f),
-                values=v,
-                n_averages=n_avg,
-                window=window,
-                block_size=block,
-                overlap=overlap,
-            )
+    return [
+        CrossSpectralMatrix(
+            frequency=float(f),
+            values=v,
+            n_averages=n_avg,
+            window=window,
+            block_size=block,
+            overlap=overlap,
         )
-    return out
+        for f, v in zip(fsel, acc)
+    ]
 
 
 def csm_stats(csm: CrossSpectralMatrix) -> CsmStats:

@@ -7,10 +7,12 @@ Newton search with a finite-difference Hessian, tone levels from
 least-squares sine fits, PDM bits from the delta-sigma loop run one numpy
 element at a time, sub-array matches from a scan over every sensor, and
 CLEAN-SC from a loop that forms the dirty map again from the whole degraded
-CSM after every component.
+CSM after every component, and Welch CSMs from a sum of per-block outer
+products over every bin in range.
 """
 
 import numpy as np
+from scipy.signal import get_window
 
 
 def emission_time_oracle(source, receiver, mach, c0=343.0):
@@ -252,3 +254,30 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
             dirty = dirty_map(degraded)
             iterations += 1
     return components, iterations, dirty
+
+
+def welch_csm_oracle(signals, rate, block=1024, overlap=0.5, window="hann", freq_range=None):
+    """Welch CSMs of (n_samples, n_channels) `signals` at every rFFT bin in
+    `freq_range` (all bins by default), summing each block's (bins, M, M)
+    outer product; returns [(bin frequency, (M, M) values, n_averages)]."""
+    x = np.asarray(signals, dtype=float)
+    n, m = x.shape
+    hop = int(round(block * (1.0 - overlap)))
+    n_avg = (n - block) // hop + 1
+    w = get_window(window, block, fftbins=True)
+    x = x - x.mean(axis=0, keepdims=True)
+    freqs = np.fft.rfftfreq(block, d=1.0 / rate)
+    if freq_range is not None:
+        sel = (freqs >= freq_range[0]) & (freqs <= freq_range[1])
+    else:
+        sel = np.ones(len(freqs), dtype=bool)
+    fsel = freqs[sel]
+    acc = np.zeros((len(fsel), m, m), dtype=complex)
+    for b in range(n_avg):
+        seg = x[b * hop : b * hop + block] * w[:, None]
+        spec = np.fft.rfft(seg, axis=0)[sel]
+        acc += spec[:, :, None] * spec.conj()[:, None, :]
+    acc *= 2.0 / (rate * np.sum(w * w) * n_avg)
+    edge = (fsel == 0.0) | np.isclose(fsel, rate / 2.0)  # no one-sided doubling at DC and Nyquist
+    acc[edge] *= 0.5
+    return [(float(f), 0.5 * (v + v.conj().T), n_avg) for f, v in zip(fsel, acc)]

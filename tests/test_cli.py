@@ -451,6 +451,14 @@ class TestWelchEstimator:
         assert "125.0 Hz and 160.0 Hz share the 140.625 Hz Welch bin" in err
         assert not list(out.glob("map_*"))
 
+    def test_pipeline_frequencies_sharing_a_bin_rejected_before_any_output(self, tmp_path, panel_geometry, capsys):
+        cfg = cli.bundled_config("single_monopole")
+        cfg["beamforming"].update(estimator="welch", frequencies=[125.0, 160.0])
+        out = tmp_path / "run"
+        assert cli.main(_panel_pipeline(tmp_path, panel_geometry, beamforming=cfg["beamforming"]) + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error at beamforming.frequencies: 125.0 Hz and 160.0 Hz share")
+        assert not (out / "geometry").exists()
+
 
 def test_beamform_negative_frequency_is_a_config_error(tmp_path, scene_file, panel_geometry, capsys):
     argv = ["beamform", "--scene", scene_file, "--geometry", panel_geometry, "--freqs=-2000"]
@@ -627,6 +635,8 @@ FAILING_RUNS = [
         for name, alter in (
             ("with a NaN coordinate", lambda d: d["sensors"][0].update(x=float("nan"))),
             ("without sensors", lambda d: d.update(sensors=[])),
+            ("with a string coordinate", lambda d: d["sensors"][0].update(x="1.0")),
+            ("with a repeated sensor id", lambda d: d["sensors"][1].update(id=0)),
         )
     ),
     ("pipeline missing config", lambda t, s, g: ["pipeline", "--config", _missing(t)], 2, "config error at config:"),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import welch_csm_oracle
 
 from memsarray import spectral as sp
-from memsarray.errors import ProtocolError
+from memsarray.errors import ConfigError, ProtocolError
 
 
 def white_signals(rng, n, channels, sigma=1.0):
@@ -79,6 +80,55 @@ class TestWelchCsm:
         csms = sp.welch_csm(x, 48_000.0, freq_range=(1000.0, 2000.0))
         freqs = [c.frequency for c in csms]
         assert min(freqs) >= 1000.0 and max(freqs) <= 2000.0
+
+    def test_both_selectors_rejected(self, rng):
+        with pytest.raises(ValueError, match="not both"):
+            sp.welch_csm(white_signals(rng, 4096, 2), 48_000.0, freq_range=(1000.0, 2000.0), frequencies=[1500.0])
+
+
+class TestWelchBins:
+    # 1024-point blocks at 48 kHz: bins every 46.875 Hz
+    def test_half_way_takes_the_lower_bin(self):
+        assert sp.welch_bins([46.875 * 2.5], 48_000.0, 1024).tolist() == [2]
+
+    @pytest.mark.parametrize("f", [23.4375, 10.0, 24_000.5, -2000.0])
+    def test_outside_the_bins_above_dc(self, f):
+        with pytest.raises(ConfigError) as exc:
+            sp.welch_bins([2000.0, f], 48_000.0, 1024)
+        assert exc.value.field == "frequencies[1]"
+        assert exc.value.message == f"expected > 23.4375 and <= 24000.0 Hz (a Welch bin above DC), got {f!r}"
+
+    def test_two_requests_in_one_bin(self):
+        with pytest.raises(ConfigError) as exc:
+            sp.welch_bins([125.0, 4000.0, 160.0], 48_000.0, 1024)
+        assert exc.value.field == "frequencies"
+        assert exc.value.message == "125.0 Hz and 160.0 Hz share the 140.625 Hz Welch bin"
+
+
+@pytest.mark.parametrize("block", [256, 1024, 255])
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+@pytest.mark.parametrize("window", ["hann", "boxcar"])
+@pytest.mark.parametrize("channels", [1, 7])
+def test_welch_csm_matches_the_per_block_outer_product(rng, block, overlap, window, channels):
+    rate = 48_000.0
+    df = rate / block
+    x = white_signals(rng, 8 * block + 37, channels) + 0.3
+    # unsorted, with the bin next to DC and the top bin (Nyquist for an even block)
+    requests = [(block // 3 + 0.3) * df, rate / 2, 1.2 * df, (block // 8 - 0.4) * df]
+    full = welch_csm_oracle(x, rate, block, overlap, window)
+    by_bin = {f: (f, v, n) for f, v, n in full}
+    nearest = [min(by_bin, key=lambda b, r=r: abs(b - r)) for r in requests]  # scan over every bin
+    cases = [
+        ({}, full),
+        ({"freq_range": (10 * df, 40 * df)}, welch_csm_oracle(x, rate, block, overlap, window, (10 * df, 40 * df))),
+        ({"frequencies": requests}, [by_bin[f] for f in nearest]),
+    ]
+    for selector, expected in cases:
+        got = sp.welch_csm(x, rate, block=block, overlap=overlap, window=window, **selector)
+        assert [c.frequency for c in got] == [f for f, _, _ in expected], selector
+        for c, (f, values, n_avg) in zip(got, expected):
+            assert c.n_averages == n_avg
+            assert np.abs(c.values - values).max() <= 1e-12 * np.abs(values).max(), (selector, f)
 
 
 class TestCsmInvariants:
