@@ -481,9 +481,8 @@ def save_map(out_dir, bmap, formats):
         path = base + ".csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("x,z,psd_db\n")
-            db = spectral.to_db(bmap.values)
-            for (x, z), v in zip(bmap.grid.local, db):
-                fh.write(f"{float(x)!r},{float(z)!r},{float(v)!r}\n")
+            db = spectral.to_db(bmap.values).tolist()
+            fh.writelines(f"{x!r},{z!r},{v!r}\n" for (x, z), v in zip(bmap.grid.local.tolist(), db))
         written.append(path)
     if "json" in formats:
         path = base + ".json"

@@ -92,75 +92,81 @@ class ArrayGeometry:
         return self.positions.min(axis=0), self.positions.max(axis=0)
 
     def to_dict(self) -> dict:
+        x, y, z = self.positions.T.tolist()
+        columns = zip(x, y, z, self.panel_id.tolist(), self.pcb_id.tolist(), self.design_id.tolist())
         sensors = [
-            {
-                "id": i,
-                "x": float(self.positions[i, 0]),
-                "y": float(self.positions[i, 1]),
-                "z": float(self.positions[i, 2]),
-                "panel": int(self.panel_id[i]),
-                "pcb": int(self.pcb_id[i]),
-                "design": int(self.design_id[i]),
-            }
-            for i in range(self.sensor_count)
+            {"id": i, "x": xi, "y": yi, "z": zi, "panel": p, "pcb": b, "design": d}
+            for i, (xi, yi, zi, p, b, d) in enumerate(columns)
         ]
         return {
             "sensors": sensors,
-            "plane": {
-                "origin": [float(v) for v in self.plane.origin],
-                "normal": [float(v) for v in self.plane.normal],
-            },
+            "plane": {"origin": self.plane.origin.tolist(), "normal": self.plane.normal.tolist()},
             "meta": {"extent": list(self.extent), "seed": self.seed},
         }
 
     def save_json(self, path):
+        # json.dump with a file runs the pure-Python encoder; dumps uses the C one, same bytes
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
+            fh.write(json.dumps(self.to_dict(), sort_keys=True))
 
     def save_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["id", "x", "y", "z"])
-            for i, p in enumerate(self.positions):
-                w.writerow([i, repr(float(p[0])), repr(float(p[1])), repr(float(p[2]))])
+            w.writerows([i, repr(x), repr(y), repr(z)] for i, (x, y, z) in enumerate(self.positions.tolist()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrayGeometry":
-        """Geometry of a `to_dict` object; no sensors, ids other than 0..N-1,
-        or a coordinate that is not a finite JSON number raise ConfigError at
-        `geometry`."""
-        sensors = data["sensors"]
-        if not sensors:
+        """Geometry of a `to_dict` object. ConfigError at `geometry` unless the
+        object has exactly the keys `to_dict` writes, at the top level, in
+        `plane`, in `meta` and in every sensor; sensor ids are 0..N-1;
+        coordinates are finite JSON numbers and no two sensors share a
+        position; `panel`, `pcb` and `design` are integers; the plane origin
+        and normal are 3 finite numbers and the normal is not zero."""
+        _require_keys(data, _TOP_KEYS, "the file")
+        plane, meta, sensors = data["plane"], data["meta"], data["sensors"]
+        _require_keys(plane, _PLANE_KEYS, "plane")
+        _require_keys(meta, _META_KEYS, "meta")
+        if type(sensors) is not list or not sensors:
             raise ConfigError("geometry", "expected one or more sensors")
+        for i, s in enumerate(sensors):
+            if type(s) is not dict or s.keys() != _SENSOR_KEYS:
+                _require_keys(s, _SENSOR_KEYS, f"sensor at index {i}")
         ids = [s["id"] for s in sensors]
         if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
             raise ConfigError("geometry", f"expected sensor ids 0 to {len(ids) - 1}, each once")
         sensors = sorted(sensors, key=lambda s: s["id"])
-        for s in sensors:
-            for axis in "xyz":
-                if type(s[axis]) not in (int, float):
-                    raise ConfigError("geometry", f"sensor {s['id']} has {axis} {s[axis]!r}, expected a number")
-        pos = np.array([[s["x"], s["y"], s["z"]] for s in sensors], dtype=float)
+        columns = {key: [s[key] for s in sensors] for key in ("x", "y", "z", "panel", "pcb", "design")}
+        for key, values in columns.items():
+            kinds = (int, float) if key in "xyz" else (int,)
+            i = next((i for i, v in enumerate(values) if type(v) not in kinds), None)
+            if i is not None:
+                expected = "a number" if key in "xyz" else "an integer"
+                raise ConfigError("geometry", f"sensor {i} has {key} {values[i]!r}, expected {expected}")
+        pos = np.array([columns["x"], columns["y"], columns["z"]], dtype=float).T
         bad = ~np.isfinite(pos).all(axis=1)
         if bad.any():
-            raise ConfigError("geometry", f"sensor {sensors[int(np.argmax(bad))]['id']!r} has a non-finite coordinate")
-        plane = ArrayPlane(
-            origin=np.array(data["plane"]["origin"], dtype=float),
-            normal=np.array(data["plane"]["normal"], dtype=float),
-        )
-        meta = data.get("meta", {})
-        extent = tuple(meta.get("extent", (0.0, 0.0)))
-        lo, hi = pos.min(axis=0), pos.max(axis=0)
-        if extent == (0.0, 0.0):
-            extent = (float(hi[0] - lo[0]), float(hi[2] - lo[2]))
+            raise ConfigError("geometry", f"sensor {int(np.argmax(bad))} has a non-finite coordinate")
+        order = np.lexsort(pos.T)
+        same = (pos[order[1:]] == pos[order[:-1]]).all(axis=1)
+        if same.any():
+            k = int(np.argmax(same))
+            a, b = sorted(order[k : k + 2].tolist())
+            raise ConfigError("geometry", f"sensors {a} and {b} share one position")
+        origin, normal = (_finite_vector(plane[key], 3, f"plane.{key}") for key in ("origin", "normal"))
+        if not normal.any():
+            raise ConfigError("geometry", "plane.normal is zero")
+        extent = tuple(_finite_vector(meta["extent"], 2, "meta.extent").tolist())
+        if meta["seed"] is not None and type(meta["seed"]) is not int:
+            raise ConfigError("geometry", f"meta.seed is {meta['seed']!r}, expected an integer or null")
         return cls(
             positions=pos,
-            panel_id=np.array([s.get("panel", 0) for s in sensors], dtype=int),
-            pcb_id=np.array([s.get("pcb", 0) for s in sensors], dtype=int),
-            design_id=np.array([s.get("design", 0) for s in sensors], dtype=int),
-            plane=plane,
+            panel_id=np.array(columns["panel"], dtype=int),
+            pcb_id=np.array(columns["pcb"], dtype=int),
+            design_id=np.array(columns["design"], dtype=int),
+            plane=ArrayPlane(origin=origin, normal=normal),
             extent=extent,
-            seed=meta.get("seed"),
+            seed=meta["seed"],
         )
 
     @classmethod
@@ -175,6 +181,33 @@ class ArrayGeometry:
             raise ConfigError("geometry", f"{path} has no key {exc}") from exc
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError("geometry", f"cannot read {path}: {exc}") from exc
+
+
+_TOP_KEYS = frozenset({"sensors", "plane", "meta"})
+_PLANE_KEYS = frozenset({"origin", "normal"})
+_META_KEYS = frozenset({"extent", "seed"})
+_SENSOR_KEYS = frozenset({"id", "x", "y", "z", "panel", "pcb", "design"})
+
+
+def _require_keys(entry, keys: frozenset, where: str) -> None:
+    """ConfigError at `geometry` unless `entry` is an object with exactly `keys`."""
+    if type(entry) is not dict:
+        raise ConfigError("geometry", f"{where} is {type(entry).__name__}, expected an object")
+    missing, unknown = sorted(keys - entry.keys()), sorted(entry.keys() - keys)
+    if missing:
+        raise ConfigError("geometry", f"{where} has no key {missing[0]!r}")
+    if unknown:
+        raise ConfigError("geometry", f"{where} has unknown key {unknown[0]!r}")
+
+
+def _finite_vector(value, n: int, where: str) -> np.ndarray:
+    """`value` as an array of `n` finite numbers, or ConfigError at `geometry`."""
+    if type(value) is not list or len(value) != n or any(type(v) not in (int, float) for v in value):
+        raise ConfigError("geometry", f"{where} is {value!r}, expected {n} numbers")
+    out = np.array(value, dtype=float)
+    if not np.isfinite(out).all():
+        raise ConfigError("geometry", f"{where} is {value!r}, expected finite numbers")
+    return out
 
 
 @dataclass(frozen=True)
@@ -229,10 +262,11 @@ def generate_pcb_layout(design_id: int, seed: int) -> PcbLayout:
     shift = rng.random(2)
     span_u = PCB_SHORT - 2 * EDGE_CLEARANCE
     span_v = PCB_LONG - 2 * EDGE_CLEARANCE
-    accepted: list[np.ndarray] = []
+    placed = np.empty((SENSORS_PER_PCB, 2))  # rows :n are the accepted sensors
+    n = 0
     batch = 2_000
     offset = 0
-    while len(accepted) < SENSORS_PER_PCB:
+    while n < SENSORS_PER_PCB:
         if offset >= MAX_CANDIDATES:
             raise ConstraintError(
                 f"could not place {SENSORS_PER_PCB} sensors after {offset} candidates"
@@ -240,30 +274,31 @@ def generate_pcb_layout(design_id: int, seed: int) -> PcbLayout:
         u = (_halton_range(offset, batch, 2) + shift[0]) % 1.0
         v = (_halton_range(offset, batch, 3) + shift[1]) % 1.0
         offset += batch
-        for cu, cv in zip(EDGE_CLEARANCE + u * span_u, EDGE_CLEARANCE + v * span_v):
-            cand = np.array([cu, cv])
-            if all(np.hypot(*(cand - q)) >= MIN_SENSOR_SPACING for q in accepted):
-                accepted.append(cand)
-                if len(accepted) == SENSORS_PER_PCB:
+        for cu, cv in zip((EDGE_CLEARANCE + u * span_u).tolist(), (EDGE_CLEARANCE + v * span_v).tolist()):
+            if (np.hypot(cu - placed[:n, 0], cv - placed[:n, 1]) >= MIN_SENSOR_SPACING).all():
+                placed[n] = cu, cv
+                n += 1
+                if n == SENSORS_PER_PCB:
                     break
-    layout = PcbLayout(design_id=design_id, positions=np.array(accepted))
+    layout = PcbLayout(design_id=design_id, positions=placed)
     layout.validate()
     return layout
 
 
 def _halton_range(start: int, count: int, base: int) -> np.ndarray:
-    """Radical-inverse (van der Corput) values for indices start+1 .. start+count."""
-    out = np.empty(count)
-    for i in range(count):
-        f = 1.0
-        r = 0.0
-        k = start + i + 1
-        while k > 0:
-            f /= base
-            r += f * (k % base)
-            k //= base
-        out[i] = r
-    return out
+    """Radical-inverse (van der Corput) values for indices start+1 .. start+count.
+
+    All indices take their digits in lockstep, least significant first; an
+    index out of digits adds f * 0 = 0.0, so each value sees the same
+    floating-point operations in the same order as a scalar loop would."""
+    k = np.arange(start + 1, start + count + 1)
+    r = np.zeros(count)
+    f = 1.0
+    while k.any():
+        f /= base
+        r += f * (k % base)
+        k //= base
+    return r
 
 
 def assemble_full_array(panels_x: int, panels_z: int, seed: int) -> ArrayGeometry:

@@ -7,12 +7,21 @@ Newton search with a finite-difference Hessian, tone levels from
 least-squares sine fits, PDM bits from the delta-sigma loop run one numpy
 element at a time, sub-array matches from a scan over every sensor, and
 CLEAN-SC from a loop that forms the dirty map again from the whole degraded
-CSM after every component, and Welch CSMs from a sum of per-block outer
-products over every bin in range.
+CSM after every component, Welch CSMs from a sum of per-block outer
+products over every bin in range, PCB layouts from a radical inverse taken
+one index at a time and a spacing test against one accepted sensor at a
+time, and the geometry and map files from per-element numpy scalars and the
+pure-Python JSON encoder.
 """
+
+import io
+import json
 
 import numpy as np
 from scipy.signal import get_window
+
+from memsarray import geometry as geo
+from memsarray.spectral import to_db
 
 
 def emission_time_oracle(source, receiver, mach, c0=343.0):
@@ -281,3 +290,77 @@ def welch_csm_oracle(signals, rate, block=1024, overlap=0.5, window="hann", freq
     edge = (fsel == 0.0) | np.isclose(fsel, rate / 2.0)  # no one-sided doubling at DC and Nyquist
     acc[edge] *= 0.5
     return [(float(f), 0.5 * (v + v.conj().T), n_avg) for f, v in zip(fsel, acc)]
+
+
+def halton_oracle(start, count, base):
+    """Radical inverse of indices start+1 .. start+count, one index at a time."""
+    out = np.empty(count)
+    for i in range(count):
+        f = 1.0
+        r = 0.0
+        k = start + i + 1
+        while k > 0:
+            f /= base
+            r += f * (k % base)
+            k //= base
+        out[i] = r
+    return out
+
+
+def pcb_positions_oracle(design_id, seed):
+    """(50, 2) sensor positions of one PCB design: shifted Halton candidates,
+    each kept when it lies at least the minimum spacing from every sensor
+    accepted before it, tested one sensor at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, design_id, 0x9CB]))
+    shift = rng.random(2)
+    span_u = geo.PCB_SHORT - 2 * geo.EDGE_CLEARANCE
+    span_v = geo.PCB_LONG - 2 * geo.EDGE_CLEARANCE
+    accepted = []
+    offset = 0
+    while len(accepted) < geo.SENSORS_PER_PCB:
+        u = (halton_oracle(offset, 2000, 2) + shift[0]) % 1.0
+        v = (halton_oracle(offset, 2000, 3) + shift[1]) % 1.0
+        offset += 2000
+        for cu, cv in zip(geo.EDGE_CLEARANCE + u * span_u, geo.EDGE_CLEARANCE + v * span_v):
+            cand = np.array([cu, cv])
+            if all(np.hypot(*(cand - q)) >= geo.MIN_SENSOR_SPACING for q in accepted):
+                accepted.append(cand)
+                if len(accepted) == geo.SENSORS_PER_PCB:
+                    break
+    return np.array(accepted)
+
+
+def geometry_json_oracle(geometry):
+    """`geometry.json` text: sensor dicts from per-element numpy scalars,
+    written by `json.dump` to a file, which runs the pure-Python encoder."""
+    sensors = [
+        {
+            "id": i,
+            "x": float(geometry.positions[i, 0]),
+            "y": float(geometry.positions[i, 1]),
+            "z": float(geometry.positions[i, 2]),
+            "panel": int(geometry.panel_id[i]),
+            "pcb": int(geometry.pcb_id[i]),
+            "design": int(geometry.design_id[i]),
+        }
+        for i in range(geometry.sensor_count)
+    ]
+    data = {
+        "sensors": sensors,
+        "plane": {
+            "origin": [float(v) for v in geometry.plane.origin],
+            "normal": [float(v) for v in geometry.plane.normal],
+        },
+        "meta": {"extent": list(geometry.extent), "seed": geometry.seed},
+    }
+    text = io.StringIO()
+    json.dump(data, text, sort_keys=True)
+    return text.getvalue()
+
+
+def map_csv_oracle(bmap):
+    """Text of a map's CSV, one row written per grid node."""
+    rows = ["x,z,psd_db\n"]
+    for (x, z), v in zip(bmap.grid.local, to_db(bmap.values)):
+        rows.append(f"{float(x)!r},{float(z)!r},{float(v)!r}\n")
+    return "".join(rows)

@@ -4,10 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from oracles import map_csv_oracle
+
 from memsarray import acquisition, cli
 from memsarray.analysis import RegionOfInterest
+from memsarray.beamforming import BeamformingMap, make_focus_grid
 from memsarray.errors import ConfigError
 from memsarray.geometry import ArrayGeometry
+from memsarray.spectral import DB_FLOOR
 
 
 _BROADBAND_SCENE = {
@@ -129,6 +133,16 @@ class TestBeamformCommand:
         lines = (out / "map_2000Hz.csv").read_text().splitlines()
         assert lines[0] == "x,z,psd_db"
         assert len(lines) == 21 * 21 + 1
+
+    def test_map_csv_matches_row_loop(self, tmp_path):
+        grid = make_focus_grid((2.6, 3.4), (-0.9, -0.1), 0.04, y_plane=0.0)
+        values = np.random.default_rng(3).lognormal(-12.0, 4.0, grid.size)
+        values[::7] = 0.0  # written as DB_FLOOR rows
+        bmap = BeamformingMap(frequency=2000.0, values=values, grid=grid)
+        (path,) = cli.save_map(str(tmp_path), bmap, ("csv",))
+        text = open(path, "rb").read().decode("utf-8")
+        assert text == map_csv_oracle(bmap)
+        assert text.count(f",{DB_FLOOR!r}\n") == len(values[::7])
 
     def test_dnw_like_runs_140_sensors(self, tmp_path, scene_file):
         gout = tmp_path / "geo3"
@@ -637,6 +651,14 @@ FAILING_RUNS = [
             ("without sensors", lambda d: d.update(sensors=[])),
             ("with a string coordinate", lambda d: d["sensors"][0].update(x="1.0")),
             ("with a repeated sensor id", lambda d: d["sensors"][1].update(id=0)),
+            ("with an unknown sensor key", lambda d: d["sensors"][0].update(bogus=1)),
+            ("with a sensor without panel", lambda d: d["sensors"][0].pop("panel")),
+            ("with an unknown top-level key", lambda d: d.update(extra=1)),
+            ("with an unknown plane key", lambda d: d["plane"].update(up=[0.0, 0.0, 1.0])),
+            ("with an unknown meta key", lambda d: d["meta"].update(note="x")),
+            ("with a zero plane normal", lambda d: d["plane"].update(normal=[0.0, 0.0, 0.0])),
+            ("with two sensors at one position",
+             lambda d: d["sensors"][1].update({k: d["sensors"][0][k] for k in "xyz"})),
         )
     ),
     ("pipeline missing config", lambda t, s, g: ["pipeline", "--config", _missing(t)], 2, "config error at config:"),

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import sample_subarray_oracle
+from oracles import geometry_json_oracle, halton_oracle, pcb_positions_oracle, sample_subarray_oracle
 
 from memsarray import geometry as geo
 from memsarray.errors import ConfigError, ConstraintError
@@ -51,6 +51,16 @@ class TestPcbLayout:
     def test_bad_design_id(self):
         with pytest.raises(ValueError):
             geo.generate_pcb_layout(4, 42)
+
+    @pytest.mark.parametrize("design", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 987_654, 2**31 - 1])
+    def test_bit_identical_to_scalar_loops(self, design, seed):
+        layout = geo.generate_pcb_layout(design, seed)
+        assert layout.positions.tobytes() == pcb_positions_oracle(design, seed).tobytes()
+
+    @pytest.mark.parametrize("start, base", [(0, 2), (0, 3), (2_000, 2), (48_000, 3)])
+    def test_halton_bit_identical_to_scalar_loop(self, start, base):
+        assert geo._halton_range(start, 2_000, base).tobytes() == halton_oracle(start, 2_000, base).tobytes()
 
     def test_validate_catches_spacing(self):
         bad = geo.PcbLayout(design_id=0, positions=np.full((50, 2), 0.1))
@@ -116,6 +126,42 @@ class TestFullArray:
         path = tmp_path / "geom.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="sensor 7 has a non-finite coordinate") as exc:
+            geo.ArrayGeometry.load_json(path)
+        assert exc.value.field == "geometry"
+
+    @pytest.mark.parametrize("panels", [(1, 1), (3, 3)])
+    def test_json_bytes_match_pure_python_encoder(self, panels, tmp_path):
+        geometry = geo.assemble_full_array(*panels, seed=7)
+        path = tmp_path / "geom.json"
+        geometry.save_json(path)
+        assert path.read_text(encoding="utf-8") == geometry_json_oracle(geometry)
+
+    @pytest.mark.parametrize(
+        "alter, message",
+        [
+            (lambda d: d["sensors"][3].update(bogus=1), "sensor at index 3 has unknown key 'bogus'"),
+            (lambda d: d["sensors"][3].pop("panel"), "sensor at index 3 has no key 'panel'"),
+            (lambda d: d["sensors"].__setitem__(3, [1.0, 2.0]), "sensor at index 3 is list, expected an object"),
+            (lambda d: d.update(extra=1), "the file has unknown key 'extra'"),
+            (lambda d: d.pop("meta"), "the file has no key 'meta'"),
+            (lambda d: d["plane"].update(up=[0.0, 0.0, 1.0]), "plane has unknown key 'up'"),
+            (lambda d: d["meta"].update(note="x"), "meta has unknown key 'note'"),
+            (lambda d: d["meta"].pop("extent"), "meta has no key 'extent'"),
+            (lambda d: d["plane"].update(normal=[0.0, 0.0, 0.0]), "plane.normal is zero"),
+            (lambda d: d["plane"].update(normal=[0.0, 1.0]), "plane.normal is .* expected 3 numbers"),
+            (lambda d: d["plane"].update(origin=[0.0, float("nan"), 1.0]), "plane.origin is .* expected finite"),
+            (lambda d: d["meta"].update(extent="6x3"), "meta.extent is .* expected 2 numbers"),
+            (lambda d: d["meta"].update(seed=1.5), "meta.seed is 1.5, expected an integer or null"),
+            (lambda d: d["sensors"][5].update(pcb="2"), "sensor 5 has pcb '2', expected an integer"),
+            (lambda d: d["sensors"][9].update({k: d["sensors"][4][k] for k in "xyz"}), "sensors 4 and 9 share one position"),
+        ],
+    )
+    def test_malformed_file_rejected(self, one_panel, tmp_path, alter, message):
+        data = one_panel.to_dict()
+        alter(data)
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=message) as exc:
             geo.ArrayGeometry.load_json(path)
         assert exc.value.field == "geometry"
 
