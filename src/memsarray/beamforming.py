@@ -8,7 +8,8 @@ formulation III,
 with travel times from the propagation module (convected Green's function,
 optionally the Amiet shear-layer path) and r = c0 * tau the effective
 distances. Travel times do not depend on frequency: `steering_geometry`
-computes them once per grid, sub-array and medium, and `steering_vectors`
+turns them into relative delays and distances once per grid, sub-array and
+medium, in the (M, N) layout of the steering matrix, and `steering_vectors`
 computes phase and amplitude per frequency. Map values are re-referenced to
 the source power a monopole would show at 1 m, so a matched rank-1 CSM
 reproduces its injected power exactly.
@@ -142,13 +143,14 @@ def make_focus_grid(
 
 @dataclass(frozen=True)
 class SteeringGeometry:
-    """The frequency-independent part of formulation III steering over a grid:
-    travel times from every focus point to each sensor and to the array
-    reference, built once per (grid, sub-array, medium)."""
+    """The frequency-independent part of formulation III steering over a grid,
+    built once per (grid, sub-array, medium): relative travel times, effective
+    distances r = c0 tau to each sensor and r_0 to the array reference."""
 
     grid: FocusGrid
-    tau: np.ndarray  # (N, M) s, focus point -> sensor
-    tau0: np.ndarray  # (N,) s, focus point -> array reference
+    delay: np.ndarray  # (M, N) s, tau_m - tau_0 per sensor and focus point
+    r: np.ndarray  # (M, N) m, focus point -> sensor
+    r0: np.ndarray  # (N,) m, focus point -> array reference
     medium: MediumModel
 
 
@@ -163,40 +165,35 @@ def steering_geometry(
     medium = medium or MediumModel()
     mics = subarray.positions if isinstance(subarray, SubArray) else np.asarray(subarray, dtype=float)
     ref = mics.mean(axis=0) if reference_point is None else np.asarray(reference_point, dtype=float)
-    tau = path_delays(grid.points[:, None, :], mics[None, :, :], medium)
+    tau = path_delays(grid.points[:, None, :], mics[None, :, :], medium).T
     tau0 = path_delays(grid.points, ref[None, :], medium)
     c0 = medium.speed_of_sound
-    if (c0 * tau < 1e-9).any() or (c0 * tau0 < 1e-9).any():
+    r = np.ascontiguousarray(c0 * tau)
+    r0 = c0 * tau0
+    if (r < 1e-9).any() or (r0 < 1e-9).any():
         raise ValueError("focus point coincides with a sensor or the array reference")
-    return SteeringGeometry(grid=grid, tau=tau, tau0=tau0, medium=medium)
+    return SteeringGeometry(grid=grid, delay=np.ascontiguousarray(tau - tau0), r=r, r0=r0, medium=medium)
 
 
 def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absorption: bool = False) -> SteeringSet:
     """Level-true steering vectors at one frequency from precomputed travel times.
 
-    With `include_absorption` the per-channel effective distances r = c0 tau
-    are inflated by the atmospheric damping, which keeps the level-true
-    property when the synthesized field carries absorption too.
+    With `include_absorption` the per-channel effective distances are inflated
+    by the atmospheric damping, r exp(alpha ln10/20 r) = r 10^(alpha r/20),
+    which keeps the level-true property when the synthesized field carries
+    absorption too.
     """
     if frequency <= 0:
         raise ValueError("frequency must be > 0")
-    c0 = geometry.medium.speed_of_sound
-    tau, tau0 = geometry.tau, geometry.tau0
-    r = c0 * tau
-    r0 = c0 * tau0
+    r, r0 = geometry.r, geometry.r0
     if include_absorption:
-        alpha = atmospheric_absorption(frequency, geometry.medium)
-        r = r * 10.0 ** (alpha * r / 20.0)
-        r0 = r0 * 10.0 ** (alpha * r0 / 20.0)
-    inv_sq_sum = np.sum(r**-2.0, axis=1)  # (N,)
-    amp = 1.0 / (r * r0[:, None] * inv_sq_sum[:, None])
-    h = amp * np.exp(-2j * np.pi * frequency * (tau - tau0[:, None]))
-    return SteeringSet(
-        frequency=float(frequency),
-        matrix=np.ascontiguousarray(h.T),
-        reference_distance=r0,
-        grid=geometry.grid,
-    )
+        neper = atmospheric_absorption(frequency, geometry.medium) * (np.log(10.0) / 20.0)
+        r = r * np.exp(neper * r)
+        r0 = r0 * np.exp(neper * r0)
+    inv_sq_sum = np.sum(r**-2.0, axis=0)  # (N,)
+    amp = 1.0 / (r * r0 * inv_sq_sum)
+    h = amp * np.exp(-2j * np.pi * frequency * geometry.delay)
+    return SteeringSet(frequency=float(frequency), matrix=h, reference_distance=r0, grid=geometry.grid)
 
 
 def steering_formulation_iii(
