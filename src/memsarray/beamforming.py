@@ -165,14 +165,12 @@ def steering_geometry(
     medium = medium or MediumModel()
     mics = subarray.positions if isinstance(subarray, SubArray) else np.asarray(subarray, dtype=float)
     ref = mics.mean(axis=0) if reference_point is None else np.asarray(reference_point, dtype=float)
-    tau = path_delays(grid.points[:, None, :], mics[None, :, :], medium).T
+    tau = np.ascontiguousarray(path_delays(grid.points[:, None, :], mics[None, :, :], medium).T)
     tau0 = path_delays(grid.points, ref[None, :], medium)
-    c0 = medium.speed_of_sound
-    r = np.ascontiguousarray(c0 * tau)
-    r0 = c0 * tau0
+    r, r0 = medium.speed_of_sound * tau, medium.speed_of_sound * tau0
     if (r < 1e-9).any() or (r0 < 1e-9).any():
         raise ValueError("focus point coincides with a sensor or the array reference")
-    return SteeringGeometry(grid=grid, delay=np.ascontiguousarray(tau - tau0), r=r, r0=r0, medium=medium)
+    return SteeringGeometry(grid=grid, delay=tau - tau0, r=r, r0=r0, medium=medium)
 
 
 def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absorption: bool = False) -> SteeringSet:

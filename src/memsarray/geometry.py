@@ -69,7 +69,7 @@ class PcbLayout:
 @dataclass(frozen=True)
 class ArrayPlane:
     origin: np.ndarray  # (3,)
-    normal: np.ndarray  # (3,), unit, pointing from array toward the model
+    normal: np.ndarray  # (3,), unit, pointing from array toward the model; nothing in the chain reads it
 
 
 @dataclass(frozen=True)
