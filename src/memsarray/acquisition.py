@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sig
 
 from .errors import ProtocolError
 
@@ -161,6 +160,7 @@ def pdm_modulate(waveform: np.ndarray) -> PdmStream:
 @lru_cache(maxsize=1)
 def _decimation_filters():
     """The three FIR stages behind the CIC (designed once, deterministic)."""
+    from scipy import signal as sig  # slow to load, so imported only where it is used
     # 192 kHz -> 96 kHz; images of the final band fall at 72..120 kHz
     hb1 = sig.remez(HB1_TAPS, [0, 24_000, 72_000, 96_000], [1, 0], weight=[1, 10], fs=192_000)
     # 96 kHz -> 48 kHz; transition 20..28 kHz centered on 24 kHz
@@ -185,6 +185,8 @@ def cic_response(frequency) -> np.ndarray:
 
 def chain_frequency_response(frequency) -> np.ndarray:
     """Complex passband response of the complete decimation chain."""
+    from scipy import signal as sig
+
     hb1, hb2, comp = _decimation_filters()
     f = np.atleast_1d(np.asarray(frequency, dtype=float))
     h = cic_response(f).astype(complex)
@@ -223,6 +225,8 @@ def pdm_decimate(stream: PdmStream) -> PcmBlock:
             f"stream of {stream.n_bits} bits is shorter than the filter warm-up "
             f"({decimation_warmup_bits()} bits)"
         )
+    from scipy import signal as sig
+
     hb1, hb2, comp = _decimation_filters()
     x = stream.unpacked().astype(np.int64) * 2 - 1
     for _ in range(CIC_ORDER):

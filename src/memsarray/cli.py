@@ -24,7 +24,6 @@ from typing import Literal
 
 import numpy as np
 import scipy
-from scipy.signal import get_window
 
 from . import __version__, acquisition, analysis, beamforming, geometry, spectral, synthesis
 from .errors import ConfigError, _require, _require_positive, _require_range, check_keys, parse
@@ -145,6 +144,8 @@ class SpectralConfig:
             "block",
             f"expected 1 to {samples} samples (duration x rate), got {self.block!r}",
         )
+        from scipy.signal import get_window  # only the welch estimator reads this config; slow to load
+
         try:
             get_window(self.window, self.block)
         except ValueError as exc:
@@ -462,8 +463,9 @@ def run_beamforming(cfg: RunConfig, geo, scene, jobs: int = 1) -> list:
         key: beamforming.steering_geometry(grid, sub.positions, scene.medium) for key, (sub, _) in unique.items()
     }
     work = [(csm_by_freq[f], steering[id(subs[f])], bf) for f in bf.frequencies]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work))  # a fork pool starts every worker at its first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             maps = list(pool.map(_beamform_work, work))
     else:
         maps = [_beamform_work(w) for w in work]
@@ -599,7 +601,12 @@ def cmd_acquire(args) -> int:
     return 0
 
 
+def _require_jobs(jobs: int) -> None:
+    _require(jobs >= 1, "jobs", f"expected >= 1, got {jobs!r}")
+
+
 def cmd_beamform(args) -> int:
+    _require_jobs(args.jobs)
     freqs = args.freqs
     if args.band:
         lo, hi = parse(tuple[float, float], args.band_range, "band_range")
@@ -663,6 +670,7 @@ def cmd_directivity(args) -> int:
 
 
 def cmd_farfield(args) -> int:
+    _require_jobs(args.jobs)
     cfg = parse(RunConfig, {
         "geometry": {"load": args.geometry},
         "scene": {"load": args.scene},
@@ -700,6 +708,7 @@ def _virtual_mic_spectrum(scene, position, freqs) -> spectral.Spectrum:
 
 
 def cmd_pipeline(args) -> int:
+    _require_jobs(args.jobs)
     try:
         if args.config.startswith("bundled:"):
             cfg = bundled_config(args.config.split(":", 1)[1].replace("-", "_"))

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, ConstraintError
 
@@ -406,26 +405,32 @@ def sample_subarray(
 
     Targets are visited in order; a target is discarded when no unused sensor
     lies within `epsilon` (ties broken by lowest sensor index). 2D targets are
-    interpreted as (x, z) in the array plane.
+    interpreted as (x, z) in the array plane; a non-finite target matches no
+    sensor.
 
-    Each target's candidates are the sensors a k-d tree of the positions finds
-    within a radius a hair above `epsilon`; their distances are then computed
-    and tested against `epsilon` exactly as a scan over every sensor would, so
-    the match does not depend on the tree's own distance rounding.
+    Each target's candidates come from a strip search: the sensors sorted once
+    by x, and two `searchsorted` calls give every target the slice of sensors
+    whose x lies within a hair above `epsilon` of its own. The strip holds
+    every sensor of the target's epsilon-ball. Its unused sensors, in
+    ascending index order, get their distances computed and tested against
+    `epsilon` exactly as a scan over every sensor would.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     lifted = _lift_targets(geometry, targets)
     pos = geometry.positions
-    finite = np.flatnonzero(np.isfinite(lifted).all(axis=1))  # a non-finite target matches no sensor
-    nearby = cKDTree(pos).query_ball_point(lifted[finite], epsilon * (1.0 + 1e-9), return_sorted=True)
-    candidates_of = dict(zip(finite.tolist(), nearby))
+    order = np.argsort(pos[:, 0], kind="stable")
+    xs = pos[order, 0]
+    reach = epsilon * (1.0 + 1e-9)
+    lo = np.searchsorted(xs, lifted[:, 0] - reach, side="left")
+    hi = np.searchsorted(xs, lifted[:, 0] + reach, side="right")
+    hi = np.where(np.isfinite(lifted).all(axis=1), hi, lo)  # a non-finite target gets an empty strip
     available = np.ones(len(pos), dtype=bool)
     indices: list[int] = []
     dists: list[float] = []
-    for i, t in enumerate(lifted):
-        candidates = np.asarray(candidates_of.get(i, ()), dtype=int)
-        candidates = candidates[available[candidates]]
+    for t, a, b in zip(lifted, lo.tolist(), hi.tolist()):
+        candidates = order[a:b]
+        candidates = np.sort(candidates[available[candidates]])
         if not len(candidates):
             continue
         d = np.linalg.norm(pos[candidates] - t[None, :], axis=1)

@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import ConfigError, ProtocolError
 
@@ -167,6 +166,8 @@ def welch_csm(
     if hop < 1:
         raise ValueError("overlap leaves an empty hop")
     n_avg = (n - block) // hop + 1
+    from scipy.signal import get_window  # slow to load, so imported only where it is used
+
     w = get_window(window, block, fftbins=True)
     x = x - x.mean(axis=0, keepdims=True)
 

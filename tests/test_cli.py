@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from oracles import map_csv_oracle
 
+import memsarray
 from memsarray import acquisition, cli
 from memsarray.analysis import RegionOfInterest
 from memsarray.beamforming import BeamformingMap, make_focus_grid
@@ -532,6 +536,87 @@ def test_shear_pipeline_jobs_identical(tmp_path):
         runs[jobs] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert len(runs["1"]) == 9  # geometry, 3 maps x (csv, json), ROI spectrum, manifest
     assert runs["1"] == runs["2"]
+
+
+_JOBS_RUNS = {
+    "beamform": lambda scene, geo: [
+        "beamform", "--scene", scene, "--geometry", geo, "--freqs", "2000,4000", "--grid", "2.6,3.4,-0.9,-0.1,0.08",
+    ],
+    "farfield": lambda scene, geo: [
+        "farfield", "--scene", scene, "--geometry", geo, "--roi", "2.8,3.2,-0.7,-0.3", "--grid", "2.6,3.4,-0.9,-0.1,0.08",
+        "--freqs", "2000,4000", "--mics", "3.0,6.0,-0.5",
+    ],
+    "pipeline": lambda scene, geo: ["pipeline", "--config", "bundled:single-monopole"],
+}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(_JOBS_RUNS))
+def test_jobs_below_one_exits_two_before_any_output(tmp_path, scene_file, panel_geometry, capsys, command, jobs):
+    out = tmp_path / "run"
+    assert cli.main([*_JOBS_RUNS[command](scene_file, panel_geometry), "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error at jobs:")
+    assert not out.exists()
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records `max_workers`, maps in-process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("command", sorted(_JOBS_RUNS))
+def test_pool_has_no_more_workers_than_work_items(tmp_path, scene_file, panel_geometry, monkeypatch, command):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "created", [])
+    argv = [*_JOBS_RUNS[command](scene_file, panel_geometry), "--jobs", "5000", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    assert _RecordingExecutor.created == [2]  # two frequencies
+
+
+def test_one_work_item_runs_without_a_pool(tmp_path, scene_file, panel_geometry, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "created", [])
+    argv = [*_JOBS_RUNS["beamform"](scene_file, panel_geometry), "--freqs", "2000", "--jobs", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 0
+    assert _RecordingExecutor.created == []
+
+
+_IMPORT_GUARD = """
+import json, sys
+import memsarray, memsarray.cli as cli
+out, scene = sys.argv[1:]
+assert cli.main(["geometry", "--panels", "1x1", "--format", "json", "--out", out + "/geo"]) == 0
+geo = out + "/geo/geometry.json"
+assert cli.main(["beamform", "--scene", scene, "--geometry", geo, "--freqs", "2000",
+                 "--grid", "2.6,3.4,-0.9,-0.1,0.08", "--out", out + "/bf"]) == 0
+assert cli.main(["directivity", "--scene", scene, "--geometry", geo, "--roi", "2.8,3.2,-0.7,-0.3",
+                 "--freqs", "2000,4000", "--count", "3", "--mics", "60", "--aperture", "0.8", "--out", out + "/dir"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.spatial")))))
+"""
+
+
+def test_exact_runs_load_neither_scipy_signal_nor_spatial(tmp_path, scene_file):
+    # a fresh interpreter: this test process has scipy.signal loaded already
+    package_root = os.path.dirname(os.path.dirname(memsarray.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), scene_file],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(run.stdout.splitlines()[-1]) == []
 
 
 # the flags each command needs to run; a case's flags come after them, and the last of a repeated flag wins

@@ -231,7 +231,7 @@ class TestSampleSubarray:
 
 
 class TestSampleSubarrayOracle:
-    """The k-d tree candidate search against a scan over every sensor:
+    """The x-sorted strip candidate search against a scan over every sensor:
     identical indices and match distances, to the byte."""
 
     def test_pitch_series(self, full_array):
@@ -259,6 +259,9 @@ class TestSampleSubarrayOracle:
         sub = geo.sample_subarray(full_array, targets, 0.1)
         assert (sub.size, sub.discarded) == (2, 2)
         _assert_matches_oracle(full_array, sub)
+        # an infinite epsilon would accept an infinite distance: the target is skipped before that
+        sub = geo.sample_subarray(full_array, np.array([[3.0, np.inf], [3.0, np.nan], [3.0, -0.5]]), np.inf)
+        assert (sub.size, sub.discarded) == (1, 2)
 
     def test_sensor_at_exactly_epsilon_accepted(self, full_array, rng):
         # epsilon is each target's own distance to its nearest sensor, as
@@ -279,6 +282,50 @@ class TestSampleSubarrayOracle:
         geometry = _geometry_of([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
         sub = geo.sample_subarray(geometry, np.array([[1.0, 0.0, 0.0]]), 0.5)
         assert sub.indices.tolist() == [0]
+
+    def test_targets_beyond_the_x_range(self, full_array):
+        lo, hi = full_array.bounding_box()
+        z = np.linspace(lo[2], hi[2], 7)
+        for x in (lo[0] - 0.05, lo[0] - 0.2, hi[0] + 0.05, hi[0] + 0.2, -1e6, 1e6):
+            sub = geo.sample_subarray(full_array, np.stack([np.full(7, x), z], axis=1), 0.1)
+            _assert_matches_oracle(full_array, sub)
+        edge = geo.sample_subarray(full_array, np.array([[lo[0] - 0.05, -0.5], [hi[0] + 0.05, -0.5]]), 0.1)
+        assert edge.size == 2
+
+    def test_targets_off_the_plane(self, full_array, rng):
+        y = full_array.plane.origin[1]
+        targets = np.stack([rng.uniform(0.0, 6.0, 200), y + rng.uniform(-0.09, 0.09, 200), rng.uniform(-2.0, 1.0, 200)], axis=1)
+        for epsilon in (0.03, 0.1):
+            sub = geo.sample_subarray(full_array, targets, epsilon)
+            assert 0 < sub.size
+            _assert_matches_oracle(full_array, sub)
+
+    def test_targets_sharing_one_x(self, full_array):
+        targets = np.stack([np.full(40, 3.0), np.repeat(np.linspace(-1.0, 0.0, 20), 2)], axis=1)
+        for epsilon in (0.02, 0.1):
+            sub = geo.sample_subarray(full_array, targets, epsilon)
+            assert 0 < sub.size
+            _assert_matches_oracle(full_array, sub)
+
+    def test_sensor_columns_at_equal_x(self):
+        # five columns of sensors, each at one x, listed with x out of order
+        # and equidistant pairs for targets between columns
+        x, z = np.meshgrid([0.3, 0.0, 0.2, 0.1, 0.4], np.linspace(0.0, 0.4, 9))
+        geometry = _geometry_of(np.stack([x.ravel(), np.zeros(x.size), z.ravel()], axis=1))
+        tx, tz = np.meshgrid([0.05, 0.1, 0.15, 0.25, 0.45, -0.05], [0.0, 0.025, 0.05, 0.2])
+        targets = np.stack([tx.ravel(), tz.ravel()], axis=1)
+        for epsilon in (0.05, 0.06, 0.2):
+            sub = geo.sample_subarray(geometry, np.concatenate([targets, targets]), epsilon)
+            _assert_matches_oracle(geometry, sub)
+
+    @pytest.mark.parametrize("epsilon", [1.7e308, np.finfo(float).max], ids=["1.7e308", "max-float"])
+    def test_huge_epsilon(self, one_panel, rng, epsilon):
+        # with the largest float, epsilon x (1 + 1e-9) overflows to inf and every
+        # sensor is in every strip; each target takes its nearest unused sensor
+        targets = np.stack([rng.uniform(-5.0, 10.0, 60), rng.uniform(-5.0, 4.0, 60)], axis=1)
+        sub = geo.sample_subarray(one_panel, targets, float(epsilon))
+        assert sub.size == 60
+        _assert_matches_oracle(one_panel, sub)
 
 
 class TestSubarrayStats:
