@@ -538,23 +538,15 @@ def test_shear_pipeline_jobs_identical(tmp_path):
     assert runs["1"] == runs["2"]
 
 
-_JOBS_RUNS = {
-    "beamform": lambda scene, geo: [
-        "beamform", "--scene", scene, "--geometry", geo, "--freqs", "2000,4000", "--grid", "2.6,3.4,-0.9,-0.1,0.08",
-    ],
-    "farfield": lambda scene, geo: [
-        "farfield", "--scene", scene, "--geometry", geo, "--roi", "2.8,3.2,-0.7,-0.3", "--grid", "2.6,3.4,-0.9,-0.1,0.08",
-        "--freqs", "2000,4000", "--mics", "3.0,6.0,-0.5",
-    ],
-    "pipeline": lambda scene, geo: ["pipeline", "--config", "bundled:single-monopole"],
-}
+# two work items each: the bundled config has two frequencies
+_TWO_FREQUENCIES = {"beamform": ["--freqs", "2000,4000"], "farfield": ["--freqs", "2000,4000"], "pipeline": []}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
-@pytest.mark.parametrize("command", sorted(_JOBS_RUNS))
+@pytest.mark.parametrize("command", sorted(_TWO_FREQUENCIES))
 def test_jobs_below_one_exits_two_before_any_output(tmp_path, scene_file, panel_geometry, capsys, command, jobs):
     out = tmp_path / "run"
-    assert cli.main([*_JOBS_RUNS[command](scene_file, panel_geometry), "--jobs", jobs, "--out", str(out)]) == 2
+    assert cli.main([*CSV_RUNS[command](scene_file, panel_geometry), "--jobs", jobs, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error at jobs:")
     assert not out.exists()
 
@@ -577,44 +569,37 @@ class _RecordingExecutor:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("command", sorted(_JOBS_RUNS))
-def test_pool_has_no_more_workers_than_work_items(tmp_path, scene_file, panel_geometry, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, flags, pools",
+    [*((c, [*f, "--jobs", "5000"], [2]) for c, f in _TWO_FREQUENCIES.items()), ("beamform", ["--jobs", "2"], [])],
+    ids=[*_TWO_FREQUENCIES, "beamform one frequency"],
+)
+def test_pool_has_no_more_workers_than_work_items(
+    tmp_path, scene_file, panel_geometry, monkeypatch, command, flags, pools
+):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(_RecordingExecutor, "created", [])
-    argv = [*_JOBS_RUNS[command](scene_file, panel_geometry), "--jobs", "5000", "--out", str(tmp_path / "run")]
-    assert cli.main(argv) == 0
-    assert _RecordingExecutor.created == [2]  # two frequencies
-
-
-def test_one_work_item_runs_without_a_pool(tmp_path, scene_file, panel_geometry, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(_RecordingExecutor, "created", [])
-    argv = [*_JOBS_RUNS["beamform"](scene_file, panel_geometry), "--freqs", "2000", "--jobs", "2"]
-    assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 0
-    assert _RecordingExecutor.created == []
+    assert cli.main([*CSV_RUNS[command](scene_file, panel_geometry), *flags, "--out", str(tmp_path / "run")]) == 0
+    assert _RecordingExecutor.created == pools  # one work item runs in this process, without a pool
 
 
 _IMPORT_GUARD = """
 import json, sys
-import memsarray, memsarray.cli as cli
-out, scene = sys.argv[1:]
-assert cli.main(["geometry", "--panels", "1x1", "--format", "json", "--out", out + "/geo"]) == 0
-geo = out + "/geo/geometry.json"
-assert cli.main(["beamform", "--scene", scene, "--geometry", geo, "--freqs", "2000",
-                 "--grid", "2.6,3.4,-0.9,-0.1,0.08", "--out", out + "/bf"]) == 0
-assert cli.main(["directivity", "--scene", scene, "--geometry", geo, "--roi", "2.8,3.2,-0.7,-0.3",
-                 "--freqs", "2000,4000", "--count", "3", "--mics", "60", "--aperture", "0.8", "--out", out + "/dir"]) == 0
+import memsarray, memsarray.cli
+for argv in json.loads(sys.argv[1]):
+    assert memsarray.cli.main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.spatial")))))
 """
 
 
-def test_exact_runs_load_neither_scipy_signal_nor_spatial(tmp_path, scene_file):
+def test_exact_runs_load_neither_scipy_signal_nor_spatial(tmp_path, scene_file, panel_geometry):
     # a fresh interpreter: this test process has scipy.signal loaded already
-    package_root = os.path.dirname(os.path.dirname(memsarray.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    runs = [
+        [*CSV_RUNS[c](scene_file, panel_geometry), "--out", str(tmp_path / c)] for c in ("geometry", "beamform", "directivity")
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(memsarray.__file__))}
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), scene_file],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(run.stdout.splitlines()[-1]) == []
 

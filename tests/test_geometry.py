@@ -293,8 +293,8 @@ class TestSampleSubarrayOracle:
         assert edge.size == 2
 
     def test_targets_off_the_plane(self, full_array, rng):
-        y = full_array.plane.origin[1]
-        targets = np.stack([rng.uniform(0.0, 6.0, 200), y + rng.uniform(-0.09, 0.09, 200), rng.uniform(-2.0, 1.0, 200)], axis=1)
+        y = full_array.plane.origin[1] + rng.uniform(-0.09, 0.09, 200)
+        targets = np.stack([rng.uniform(0.0, 6.0, 200), y, rng.uniform(-2.0, 1.0, 200)], axis=1)
         for epsilon in (0.03, 0.1):
             sub = geo.sample_subarray(full_array, targets, epsilon)
             assert 0 < sub.size
