@@ -1,9 +1,9 @@
 """Ground-truth scene synthesis.
 
-Generates multichannel time series (fractional-delay sum of sources plus
-seeded incoherent noise) and exact rank-per-source cross-spectral matrices
-for a configured scene, so every downstream estimator can be validated
-against a closed-form reference.
+Generates multichannel time series (each source record passed through the
+path transfer of every channel, plus seeded incoherent noise) and exact
+rank-per-source cross-spectral matrices from the same transfer, so every
+downstream estimator can be validated against a closed-form reference.
 
 Source strengths are referenced to the pressure a monopole would produce at
 1 m; a channel at effective distance r receives amplitude * (1 m / r) with
@@ -26,9 +26,6 @@ from .propagation import (
     path_delays,
 )
 from .spectral import CrossSpectralMatrix
-
-SINC_TAPS = 64
-SINC_BETA = 8.0
 
 
 @dataclass(frozen=True)
@@ -178,37 +175,13 @@ def _path_gains(source: Source, positions: np.ndarray, medium: MediumModel):
     return delays, r_eff, gains
 
 
-def _absorbed(gains: np.ndarray, r_eff: np.ndarray, frequency: float, medium: MediumModel) -> np.ndarray:
-    """`gains` carrying a tone's atmospheric absorption over the distances `r_eff`."""
-    alpha = atmospheric_absorption(frequency, medium)
-    return gains * 10.0 ** (-alpha * r_eff / 20.0)
-
-
-def fractional_delay_kernel(frac: float) -> np.ndarray:
-    """Kaiser-windowed sinc interpolation kernel of SINC_TAPS taps for a 0..1 sample delay."""
-    n = np.arange(SINC_TAPS)
-    center = SINC_TAPS / 2.0 - 1.0 + frac
-    k = np.sinc(n - center)
-    # Kaiser taper sampled around the shifted center keeps the kernel symmetric
-    arg = np.clip((n - center) / (SINC_TAPS / 2.0), -1.0, 1.0)
-    w = np.i0(SINC_BETA * np.sqrt(1.0 - arg**2)) / np.i0(SINC_BETA)
-    return k * w
-
-
-def apply_fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
-    """Delay a signal by a non-integer number of samples (same length out)."""
-    n_int = int(np.floor(delay_samples))
-    frac = delay_samples - n_int
-    kernel = fractional_delay_kernel(frac)
-    y = np.convolve(x, kernel)[SINC_TAPS // 2 - 1 : SINC_TAPS // 2 - 1 + len(x)]
-    out = np.zeros_like(x)
-    if n_int >= len(x):
-        return out
-    if n_int >= 0:
-        out[n_int:] = y[: len(x) - n_int]
-    else:
-        out[: len(x) + n_int] = y[-n_int:]
-    return out
+def _transfer(delays, r_eff, gains, frequency, alpha):
+    """Path transfer `gains * 10**(-alpha r_eff / 20) * exp(-2 pi i f delays)`:
+    the amplitude gain, atmospheric absorption (`alpha` in dB/m, 0.0 without
+    absorption) and travel-time phase at `frequency`. Arguments broadcast, so
+    one frequency over all channels and one channel over all frequencies
+    both work."""
+    return gains * 10.0 ** (-alpha * r_eff / 20.0) * np.exp(-2j * np.pi * frequency * delays)
 
 
 def _source_signal(source: Source, rate: float, n: int, rng) -> np.ndarray:
@@ -232,44 +205,43 @@ def synthesize_timeseries(
 
     `positions` is (M, 3) receiver coordinates (pass `geometry.positions` or
     `subarray.positions`). Returns (signals (n, M), metadata).
+
+    Each channel is `irfft(rfft(s) * g(f_k), n)` per source record `s`, with
+    the path transfer `g` of `synthesize_csm`: the record delayed on its
+    periodic extension. A tone at or above `rate / 2` would alias, so it
+    raises ConfigError at `scene.sources[i].spectrum.frequency`.
     """
+    for si, src in enumerate(scene.sources):
+        spec = src.spectrum
+        if isinstance(spec, ToneSpectrum):
+            _require(
+                spec.frequency < rate / 2.0,
+                f"scene.sources[{si}].spectrum.frequency",
+                f"expected below {rate / 2.0!r} Hz (half the sample rate {rate!r}), got {spec.frequency!r}",
+            )
     pos = np.asarray(positions, dtype=float)
     n = int(round(rate * duration))
     m = len(pos)
     out = np.zeros((n, m))
-    warnings: list[str] = []
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
+    alpha = atmospheric_absorption(freqs, scene.medium) if include_absorption else 0.0
     root = np.random.SeedSequence([scene.seed & 0xFFFFFFFF, 0x515E])
     src_seeds, noise_seed = root.spawn(2)
     src_streams = src_seeds.spawn(max(len(scene.sources), 1))
 
     for si, src in enumerate(scene.sources):
         rng = np.random.default_rng(src_streams[si])
-        base = _source_signal(src, rate, n, rng)
-        spec = src.spectrum
-        tone = isinstance(spec, ToneSpectrum)
-        if tone and spec.frequency > 0.45 * rate:
-            warnings.append(
-                f"source {si}: tone at {spec.frequency:.0f} Hz is close to "
-                f"Nyquist; fractional-delay interpolation is inaccurate there"
-            )
+        spectrum = np.fft.rfft(_source_signal(src, rate, n, rng))
         delays, r_eff, gains = _path_gains(src, pos, scene.medium)
-        if include_absorption and tone:
-            gains = _absorbed(gains, r_eff, spec.frequency, scene.medium)
-        absorb = None
-        if include_absorption and not tone:
-            absorb = atmospheric_absorption(np.fft.rfftfreq(n, d=1.0 / rate), scene.medium)
         for mi in range(m):
-            sigch = apply_fractional_delay(base, delays[mi] * rate) * gains[mi]
-            if absorb is not None:
-                att = 10.0 ** (-absorb * r_eff[mi] / 20.0)
-                sigch = np.fft.irfft(np.fft.rfft(sigch) * att, n=n)
-            out[:, mi] += sigch
+            g = _transfer(delays[mi], r_eff[mi], gains[mi], freqs, alpha)
+            out[:, mi] += np.fft.irfft(spectrum * g, n=n)
 
     if scene.noise is not None:
         for mi, stream in enumerate(noise_seed.spawn(m)):
             out[:, mi] += scene.noise.noise(rate, n, np.random.default_rng(stream))
 
-    meta = {"rate": rate, "duration": duration, "channels": m, "warnings": warnings}
+    meta = {"rate": rate, "duration": duration, "channels": m}
     return out, meta
 
 
@@ -282,7 +254,8 @@ def synthesize_csm(
     """Exact CSMs: sum over sources of q^2 g g^H plus a diagonal noise term.
 
     Each source's travel times and gains are computed once, when it first
-    contributes; per frequency only the absorption and the phase are applied.
+    contributes; per frequency only the absorption and the phase of the path
+    transfer are applied.
     """
     pos = np.asarray(positions, dtype=float)
     paths = {}  # source index -> (delays, effective distances, gains without absorption)
@@ -293,6 +266,7 @@ def synthesize_csm(
         m = len(pos)
         c = np.zeros((m, m), dtype=complex)
         units = "Pa^2/Hz"
+        alpha = atmospheric_absorption(f, scene.medium) if include_absorption else 0.0
         for i, src in enumerate(scene.sources):
             q2 = src.power_at(f)
             if isinstance(src.spectrum, ToneSpectrum):
@@ -301,10 +275,7 @@ def synthesize_csm(
                 continue
             if i not in paths:
                 paths[i] = _path_gains(src, pos, scene.medium)
-            delays, r_eff, amp = paths[i]
-            if include_absorption:
-                amp = _absorbed(amp, r_eff, f, scene.medium)
-            g = amp * np.exp(-2j * np.pi * f * delays)
+            g = _transfer(*paths[i], f, alpha)
             c += q2 * np.outer(g, g.conj())
         if scene.noise is not None:
             c[np.diag_indices(m)] += scene.noise.at(f)

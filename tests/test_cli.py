@@ -239,6 +239,27 @@ class TestDirectivityCommand:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
+class TestSimulateCommand:
+    def test_timeseries_outputs_and_rerun_identical(self, tmp_path, scene_file, panel_geometry):
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            argv = [
+                "simulate", "--scene", scene_file, "--geometry", panel_geometry, "--mode", "timeseries",
+                "--channels", "8", "--duration", "0.05", "--out", str(out),
+            ]
+            assert cli.main(argv) == 0
+        sig = np.load(outs[0] / "timeseries.npy")
+        assert sig.shape == (2400, 8)
+        assert np.isfinite(sig).all()
+        assert np.abs(sig).max() > 0
+        meta = json.loads((outs[0] / "timeseries.json").read_text())
+        assert meta == {"rate": 48_000.0, "duration": 0.05, "channels": 8}
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == ["run_manifest.json", "timeseries.json", "timeseries.npy"]
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestFarfieldCommand:
     def test_comparison_output(self, tmp_path, scene_file, geometry_file):
         out = tmp_path / "ff"
@@ -689,6 +710,13 @@ def _config_text(tmp_path, text) -> list:
     return ["pipeline", "--config", str(path)]
 
 
+def _tone_scene(tmp_path, frequency) -> str:
+    path = tmp_path / "tone_scene.json"
+    source = {"position": [3.0, 0.0, -0.5], "spectrum": {"type": "tone", "frequency": frequency, "power": 1e-4}}
+    path.write_text(json.dumps({"sources": [source], "seed": 4}))
+    return str(path)
+
+
 def _missing(tmp_path) -> str:
     return str(tmp_path / "missing.json")
 
@@ -748,6 +776,8 @@ FAILING_RUNS = [
     ),
     ("directivity empty sub-arrays", lambda t, s, g: ["directivity", *_FLAG_BASES["directivity"](s, g), "--epsilon", "0.0001"],
      2, "config error at epsilon:"),
+    ("simulate aliased tone", lambda t, s, g: ["simulate", *_FLAG_BASES["simulate"](_tone_scene(t, 5000.0), g), "--rate", "8000"],
+     2, "config error at scene.sources[0].spectrum.frequency:"),
 ]
 
 
