@@ -72,7 +72,6 @@ from .spectral import (
     CrossSpectralMatrix,
     Spectrum,
     band_integrate,
-    csm_stats,
     welch_csm,
 )
 from .synthesis import Scene, Source, synthesize_csm, synthesize_timeseries

@@ -1,8 +1,7 @@
 """Cross-spectral estimation and spectrum bookkeeping.
 
 Welch-averaged cross-spectral matrices (one-sided PSD scaling with window
-power compensation), CSM population statistics, and third-octave/octave band
-integration.
+power compensation) and third-octave/octave band integration.
 """
 
 from __future__ import annotations
@@ -60,12 +59,6 @@ class CrossSpectralMatrix:
     def n_channels(self) -> int:
         return self.values.shape[0]
 
-    def min_eigenvalue_ratio(self) -> float:
-        """Most negative eigenvalue relative to the trace (PSD check)."""
-        w = np.linalg.eigvalsh(self.values)
-        tr = float(np.trace(self.values).real)
-        return float(w.min() / tr) if tr > 0 else float(w.min())
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -89,21 +82,6 @@ class Spectrum:
             fh.write("frequency,psd_db\n")
             for f, v in zip(self.frequencies, self.db()):
                 fh.write(f"{float(f)!r},{float(v)!r}\n")
-
-
-@dataclass(frozen=True)
-class CsmStats:
-    """Per-frequency statistics over CSM auto- and cross-powers."""
-
-    frequency: float
-    auto_mean: float
-    auto_std: float
-    auto_min: float
-    auto_max: float
-    cross_mean: float
-    cross_std: float
-    cross_min: float
-    cross_max: float
 
 
 def welch_bins(frequencies, rate: float, block: int) -> np.ndarray:
@@ -202,26 +180,6 @@ def welch_csm(
         )
         for f, v in zip(fsel, acc)
     ]
-
-
-def csm_stats(csm: CrossSpectralMatrix) -> CsmStats:
-    """Mean/std/min/max of auto-spectra and cross-spectrum magnitudes."""
-    if csm.n_channels < 2:
-        raise ValueError("CSM statistics need at least 2 channels")
-    auto = np.diag(csm.values).real
-    iu = np.triu_indices(csm.n_channels, k=1)
-    cross = np.abs(csm.values[iu])
-    return CsmStats(
-        frequency=csm.frequency,
-        auto_mean=float(auto.mean()),
-        auto_std=float(auto.std()),
-        auto_min=float(auto.min()),
-        auto_max=float(auto.max()),
-        cross_mean=float(cross.mean()),
-        cross_std=float(cross.std()),
-        cross_min=float(cross.min()),
-        cross_max=float(cross.max()),
-    )
 
 
 def band_centers(band_type: str, f_min: float, f_max: float) -> np.ndarray:

@@ -41,7 +41,7 @@ class TestWelchCsm:
         for c in csms[:: len(csms) // 7]:
             assert np.allclose(c.values, c.values.conj().T)
             assert (np.diag(c.values).real >= 0).all()
-            assert c.min_eigenvalue_ratio() >= -1e-10
+            assert np.linalg.eigvalsh(c.values).min() >= -1e-10 * np.trace(c.values).real
 
     def test_window_normalization(self, rng):
         # full-scale bin-centered sine: same integrated power under both windows
@@ -148,24 +148,6 @@ class TestCsmInvariants:
 
 
 class TestCsmStats:
-    def test_identical_channels_zero_std(self):
-        v = np.ones((4, 4), dtype=complex)
-        stats = sp.csm_stats(sp.CrossSpectralMatrix(frequency=1000.0, values=v))
-        assert stats.auto_std == 0.0
-        assert stats.cross_std == 0.0
-        assert stats.auto_mean == 1.0
-
-    def test_diagonal_only(self):
-        v = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        stats = sp.csm_stats(sp.CrossSpectralMatrix(frequency=1000.0, values=v))
-        assert stats.cross_mean == 0.0
-        assert sp.to_db(stats.cross_mean) == sp.DB_FLOOR
-
-    def test_needs_two_channels(self):
-        v = np.ones((1, 1), dtype=complex)
-        with pytest.raises(ValueError):
-            sp.csm_stats(sp.CrossSpectralMatrix(frequency=1000.0, values=v))
-
     def test_monopole_auto_mean_matches_propagation(self, rng):
         # Welch auto-spectrum mean agrees with the closed-form received PSD
         from memsarray.propagation import green_convected, MediumModel
@@ -181,7 +163,7 @@ class TestCsmStats:
         expected = np.mean(
             [psd0 / green_convected([0, 0, 0], m, medium).effective_distance ** 2 for m in mics]
         )
-        measured = np.mean([sp.csm_stats(c).auto_mean for c in csms])
+        measured = np.mean([np.diag(c.values).real.mean() for c in csms])
         assert abs(10 * np.log10(measured / expected)) <= 0.5
 
 
