@@ -209,7 +209,7 @@ def steering_formulation_iii(
 
 def _raw_map(csm_values: np.ndarray, h: np.ndarray) -> np.ndarray:
     """b_t = h_t^H C h_t for all columns at once."""
-    return np.einsum("mn,mk,kn->n", h.conj(), csm_values, h, optimize=True).real
+    return (h.conj() * (csm_values @ h)).sum(axis=0).real
 
 
 def conventional_beamform(csm, steering: SteeringSet, diagonal_removal: bool = False) -> BeamformingMap:

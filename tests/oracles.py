@@ -227,7 +227,7 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
     reference scaling}, iterations, residual dirty map)."""
 
     def dirty_map(d):
-        return np.einsum("mn,mk,kn->n", h.conj(), d, h, optimize=True).real
+        return (h.conj() * (d @ h)).sum(axis=0).real
 
     degraded = np.array(csm_values, dtype=complex)
     if diagonal_removal:
