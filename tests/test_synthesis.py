@@ -38,7 +38,7 @@ class TestPathTransfer:
             assert np.abs(sig[:, mi] - expected).max() <= 1e-9 * amp
 
     def test_exact_csm_uses_the_same_transfer(self):
-        # the bin-centred tone's Welch-free cross-power equals the exact CSM entry
+        # the cross-power of a bin-centred tone's record, from one rFFT, is the exact CSM
         rate, n = 48_000.0, 4800
         f0 = 1500.0
         scene = syn.Scene(sources=(tone_source([0, 0, 0], f0, 1e-4),), seed=1)
