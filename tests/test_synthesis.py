@@ -49,9 +49,9 @@ class TestPathTransfer:
         exact = syn.synthesize_csm(scene, mics, [f0])[0].values
         assert np.allclose(np.outer(spec, spec.conj()), exact, rtol=1e-9, atol=0.0)
 
-    @pytest.mark.parametrize("freq", [24_000.0, 30_000.0])
-    def test_aliased_tone_rejected(self, freq):
-        scene = syn.Scene(sources=(broadband_source([0, 0, 0]), tone_source([0, 0, 0], freq=freq)), seed=1)
+    def test_aliased_tone_rejected(self):
+        # a tone at exactly half the sample rate already aliases
+        scene = syn.Scene(sources=(broadband_source([0, 0, 0]), tone_source([0, 0, 0], freq=24_000.0)), seed=1)
         with pytest.raises(syn.ConfigError) as err:
             ma_synth(scene, np.array([[0.0, 3.0, 0.0]]), duration=0.1)
         assert err.value.field == "scene.sources[1].spectrum.frequency"
