@@ -239,6 +239,8 @@ class SimulateConfig:
     def __post_init__(self):
         _require_positive(self.rate, "rate")
         _require_positive(self.duration, "duration")
+        samples = round(self.rate * self.duration)
+        _require(samples >= 1, "duration", f"expected at least one sample at rate {self.rate!r}, got {samples!r}")
         _require_frequencies(self.frequencies)
         _require(self.channels >= 0, "channels", f"expected >= 0, got {self.channels!r}")
 
@@ -537,9 +539,14 @@ def cmd_geometry(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = config_from_flags(SimulateConfig, args)
-    out = _out_dir(args)
     scene = synthesis.Scene.load_json(cfg.scene)
     geo = geometry.ArrayGeometry.load_json(cfg.geometry)
+    _require(
+        cfg.channels <= geo.sensor_count,
+        "channels",
+        f"expected at most the geometry's {geo.sensor_count} sensors, got {cfg.channels!r}",
+    )
+    out = _out_dir(args)
     positions = geo.positions[: cfg.channels or None]
     outputs = []
     if cfg.mode == "timeseries":

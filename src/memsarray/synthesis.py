@@ -13,6 +13,7 @@ optional atmospheric damping and dipole directivity weighting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -175,13 +176,36 @@ def _path_gains(source: Source, positions: np.ndarray, medium: MediumModel):
     return delays, r_eff, gains
 
 
+def _amplitude(r_eff, gains, alpha):
+    """Path amplitude `gains * 10**(-alpha r_eff / 20)`: the amplitude gain and
+    atmospheric absorption (`alpha` in dB/m, 0.0 without absorption).
+    Arguments broadcast."""
+    return gains * 10.0 ** (-alpha * r_eff / 20.0)
+
+
 def _transfer(delays, r_eff, gains, frequency, alpha):
     """Path transfer `gains * 10**(-alpha r_eff / 20) * exp(-2 pi i f delays)`:
-    the amplitude gain, atmospheric absorption (`alpha` in dB/m, 0.0 without
-    absorption) and travel-time phase at `frequency`. Arguments broadcast, so
-    one frequency over all channels and one channel over all frequencies
-    both work."""
-    return gains * 10.0 ** (-alpha * r_eff / 20.0) * np.exp(-2j * np.pi * frequency * delays)
+    the `_amplitude` and travel-time phase at `frequency`. Arguments
+    broadcast, so one frequency over all channels and one channel over all
+    frequencies both work."""
+    return _amplitude(r_eff, gains, alpha) * np.exp(-2j * np.pi * frequency * delays)
+
+
+def _phase_ramp(delays, step, nb):
+    """`exp(-2 pi i k step delays)` for bins k < `nb`, one row per delay.
+
+    With k = a B + b and B = ceil(sqrt(nb)) the ramp is the outer product of
+    an A-long coarse and a B-long fine `exp` per row, so only about
+    2 sqrt(nb) complex exponentials are evaluated per row. Each factor's
+    angle is its step times an integer, so no rounding accumulates along
+    the ramp."""
+    fine_n = math.isqrt(nb - 1) + 1
+    coarse_n = -(-nb // fine_n)
+    w = -2.0 * np.pi * step * delays[:, None]
+    fine = np.exp(1j * (w * np.arange(fine_n)))
+    coarse = np.exp(1j * ((w * fine_n) * np.arange(coarse_n)))
+    ramp = coarse[:, :, None] * fine[:, None, :]
+    return ramp.reshape(len(delays), coarse_n * fine_n)[:, :nb]
 
 
 def _source_signal(source: Source, rate: float, n: int, rng) -> np.ndarray:
@@ -192,6 +216,27 @@ def _source_signal(source: Source, rate: float, n: int, rng) -> np.ndarray:
         amp = np.sqrt(2.0 * spec.power)  # power = amp^2 / 2
         return amp * np.sin(2.0 * np.pi * spec.frequency * t + spec.phase)
     return spec.noise(rate, n, rng)
+
+
+CHANNEL_BLOCK = 16  # channels whose spectra are summed and inverse-transformed together
+
+
+def _block_records(paths, blk, rate, n, alpha, noise, noise_streams):
+    """The (channels, n) records of the channels in `blk`: per bin, the sum
+    over sources of the record spectrum times the path amplitude and phase
+    ramp; one inverse FFT per channel; then each channel's noise from its
+    stream in `noise_streams`."""
+    nb = n // 2 + 1
+    spectra = np.zeros((blk.stop - blk.start, nb), dtype=complex)
+    for spectrum, delays, r_eff, gains in paths:
+        term = _phase_ramp(delays[blk], rate / n, nb)
+        term *= _amplitude(r_eff[blk, None], gains[blk, None], alpha)
+        term *= spectrum
+        spectra += term
+    block = np.fft.irfft(spectra, n=n, axis=1)
+    for row, stream in zip(block, noise_streams):
+        row += noise.noise(rate, n, np.random.default_rng(stream))
+    return block
 
 
 def synthesize_timeseries(
@@ -206,10 +251,15 @@ def synthesize_timeseries(
     `positions` is (M, 3) receiver coordinates (pass `geometry.positions` or
     `subarray.positions`). Returns (signals (n, M), metadata).
 
-    Each channel is `irfft(rfft(s) * g(f_k), n)` per source record `s`, with
-    the path transfer `g` of `synthesize_csm`: the record delayed on its
-    periodic extension. A tone at or above `rate / 2` would alias, so it
-    raises ConfigError at `scene.sources[i].spectrum.frequency`.
+    Each channel is `irfft(sum_s rfft(s) * g_s(f_k), n)` over the source
+    records `s`, with the path transfer `g` of `synthesize_csm`: every record
+    delayed on its periodic extension. Channels are formed `CHANNEL_BLOCK` at
+    a time, with one inverse FFT per channel. The transfer's amplitude is
+    `_amplitude`, as in `_transfer`; its phase at bin k comes from the
+    two-level ramp of `_phase_ramp`, which agrees with `_transfer` to
+    rounding. Each channel then gets its noise from its own seeded stream.
+    The result is C-contiguous float64. A tone at or above `rate / 2` would
+    alias, so it raises ConfigError at `scene.sources[i].spectrum.frequency`.
     """
     for si, src in enumerate(scene.sources):
         spec = src.spectrum
@@ -222,24 +272,21 @@ def synthesize_timeseries(
     pos = np.asarray(positions, dtype=float)
     n = int(round(rate * duration))
     m = len(pos)
-    out = np.zeros((n, m))
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    alpha = atmospheric_absorption(freqs, scene.medium) if include_absorption else 0.0
+    out = np.empty((n, m))
+    alpha = atmospheric_absorption(np.fft.rfftfreq(n, d=1.0 / rate), scene.medium) if include_absorption else 0.0
     root = np.random.SeedSequence([scene.seed & 0xFFFFFFFF, 0x515E])
     src_seeds, noise_seed = root.spawn(2)
     src_streams = src_seeds.spawn(max(len(scene.sources), 1))
+    noise_streams = noise_seed.spawn(m) if scene.noise is not None else []
 
+    paths = []  # per source: record spectrum, travel times, effective distances, gains
     for si, src in enumerate(scene.sources):
         rng = np.random.default_rng(src_streams[si])
-        spectrum = np.fft.rfft(_source_signal(src, rate, n, rng))
-        delays, r_eff, gains = _path_gains(src, pos, scene.medium)
-        for mi in range(m):
-            g = _transfer(delays[mi], r_eff[mi], gains[mi], freqs, alpha)
-            out[:, mi] += np.fft.irfft(spectrum * g, n=n)
+        paths.append((np.fft.rfft(_source_signal(src, rate, n, rng)), *_path_gains(src, pos, scene.medium)))
 
-    if scene.noise is not None:
-        for mi, stream in enumerate(noise_seed.spawn(m)):
-            out[:, mi] += scene.noise.noise(rate, n, np.random.default_rng(stream))
+    for c0 in range(0, m, CHANNEL_BLOCK):
+        blk = slice(c0, min(c0 + CHANNEL_BLOCK, m))
+        out[:, blk] = _block_records(paths, blk, rate, n, alpha, scene.noise, noise_streams[blk]).T
 
     meta = {"rate": rate, "duration": duration, "channels": m}
     return out, meta

@@ -8,10 +8,11 @@ least-squares sine fits, PDM bits from the delta-sigma loop run one numpy
 element at a time, sub-array matches from a scan over every sensor, and
 CLEAN-SC from a loop that forms the dirty map again from the whole degraded
 CSM after every component, Welch CSMs from a sum of per-block outer
-products over every bin in range, PCB layouts from a radical inverse taken
-one index at a time and a spacing test against one accepted sensor at a
-time, and the geometry and map files from per-element numpy scalars and the
-pure-Python JSON encoder.
+products over every bin in range, time series from one direct path
+transfer and one inverse FFT per channel and source, PCB layouts from a
+radical inverse taken one index at a time and a spacing test against one
+accepted sensor at a time, and the geometry and map files from
+per-element numpy scalars and the pure-Python JSON encoder.
 """
 
 import io
@@ -21,6 +22,8 @@ import numpy as np
 from scipy.signal import get_window
 
 from memsarray import geometry as geo
+from memsarray import synthesis as syn
+from memsarray.propagation import atmospheric_absorption
 from memsarray.spectral import to_db
 
 
@@ -290,6 +293,32 @@ def welch_csm_oracle(signals, rate, block=1024, overlap=0.5, window="hann", freq
     edge = (fsel == 0.0) | np.isclose(fsel, rate / 2.0)  # no one-sided doubling at DC and Nyquist
     acc[edge] *= 0.5
     return [(float(f), 0.5 * (v + v.conj().T), n_avg) for f, v in zip(fsel, acc)]
+
+
+def synthesize_timeseries_oracle(scene, positions, rate, duration, include_absorption=True):
+    """`synthesis.synthesize_timeseries` one channel and one source at a time:
+    each source record's spectrum times the full `_transfer` at every bin,
+    inverse-transformed and added to its column, then each channel's noise."""
+    pos = np.asarray(positions, dtype=float)
+    n = int(round(rate * duration))
+    m = len(pos)
+    out = np.zeros((n, m))
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
+    alpha = atmospheric_absorption(freqs, scene.medium) if include_absorption else 0.0
+    root = np.random.SeedSequence([scene.seed & 0xFFFFFFFF, 0x515E])
+    src_seeds, noise_seed = root.spawn(2)
+    src_streams = src_seeds.spawn(max(len(scene.sources), 1))
+    for si, src in enumerate(scene.sources):
+        rng = np.random.default_rng(src_streams[si])
+        spectrum = np.fft.rfft(syn._source_signal(src, rate, n, rng))
+        delays, r_eff, gains = syn._path_gains(src, pos, scene.medium)
+        for mi in range(m):
+            g = syn._transfer(delays[mi], r_eff[mi], gains[mi], freqs, alpha)
+            out[:, mi] += np.fft.irfft(spectrum * g, n=n)
+    if scene.noise is not None:
+        for mi, stream in enumerate(noise_seed.spawn(m)):
+            out[:, mi] += scene.noise.noise(rate, n, np.random.default_rng(stream))
+    return out
 
 
 def halton_oracle(start, count, base):

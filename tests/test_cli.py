@@ -778,6 +778,14 @@ FAILING_RUNS = [
      2, "config error at epsilon:"),
     ("simulate aliased tone", lambda t, s, g: ["simulate", *_FLAG_BASES["simulate"](_tone_scene(t, 5000.0), g), "--rate", "8000"],
      2, "config error at scene.sources[0].spectrum.frequency:"),
+    ("simulate zero-sample duration", lambda t, s, g: ["simulate", *_FLAG_BASES["simulate"](s, g), "--duration", "1e-6"], 2,
+     "config error at duration:"),
+    *(
+        (f"simulate --mode {mode} more channels than sensors",
+         lambda t, s, g, mode=mode: ["simulate", *_FLAG_BASES["simulate"](s, g), "--mode", mode, "--channels", "801"], 2,
+         "config error at channels:")
+        for mode in ("timeseries", "csm")
+    ),
 ]
 
 
@@ -787,6 +795,8 @@ def test_failing_run_exit_code(tmp_path, scene_file, panel_geometry, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert "Traceback" not in err
+    for pattern in ("*.npy", "*.bin"):
+        assert not list(tmp_path.rglob(pattern)), pattern
 
 
 def test_unexpected_failure_names_its_type(tmp_path, scene_file, panel_geometry, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import synthesize_timeseries_oracle
 
 from memsarray import synthesis as syn
 from memsarray import welch_csm
@@ -109,6 +110,59 @@ class TestTimeseries:
         far, _ = ma_synth(scene, np.array([[0.0, 4.0, 0.0]]))
         ratio = near[500:-500, 0].var() / far[500:-500, 0].var()
         assert ratio == pytest.approx(4.0, rel=0.01)
+
+
+ORACLE_SOURCES = {
+    "tone": (syn.Source(position=[0.2, 0.0, -0.1], spectrum={"type": "tone", "frequency": 4000.0, "power": 1e-4, "phase": 0.3}),),
+    "flat broadband": (broadband_source([0.2, 0.0, -0.1]),),
+    "shaped broadband": (
+        syn.Source(position=[-0.3, 0.1, 0.2], spectrum={"type": "broadband", "frequencies": [500.0, 4000.0, 12000.0], "psd": [1e-6, 4e-6, 5e-7]}),
+    ),
+    "dipole and monopole": (
+        syn.Source(position=[0.0, 0.0, 0.0], spectrum={"type": "broadband", "psd": 2e-6}, kind="dipole", axis=[0.0, 1.0, 0.3]),
+        broadband_source([0.4, 0.0, -0.2], psd=5e-7),
+    ),
+}
+
+
+def oracle_mics(m):
+    rng = np.random.default_rng(7)
+    return np.c_[rng.uniform(-1.0, 1.0, m), np.full(m, 3.0), rng.uniform(-0.5, 0.5, m)]
+
+
+def assert_matches_oracle(scene, m, n, absorption, rate=48_000.0):
+    mics = oracle_mics(m)
+    sig, meta = syn.synthesize_timeseries(scene, mics, rate=rate, duration=n / rate, include_absorption=absorption)
+    expected = synthesize_timeseries_oracle(scene, mics, rate, n / rate, include_absorption=absorption)
+    assert sig.shape == (n, m) and sig.dtype == np.float64 and sig.flags.c_contiguous
+    assert meta == {"rate": rate, "duration": n / rate, "channels": m}
+    assert np.abs(sig - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestTimeseriesOracle:
+    """Channels in blocks, sources summed per bin and phases from the two-level
+    ramp, against one `_transfer` and one inverse FFT per channel and source."""
+
+    @pytest.mark.parametrize("absorption", [False, True])
+    @pytest.mark.parametrize("name", ORACLE_SOURCES)
+    @pytest.mark.parametrize("m", [1, 15, 16, 17, 140])
+    def test_across_channel_blocks(self, m, name, absorption):
+        scene = syn.Scene(sources=ORACLE_SOURCES[name], medium=MediumModel(mach_vector=(0.1, 0.0, 0.0)), seed=4)
+        assert_matches_oracle(scene, m, 1200, absorption)
+
+    @pytest.mark.parametrize("absorption", [False, True])
+    @pytest.mark.parametrize("name", ORACLE_SOURCES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 601, 1201])
+    def test_any_record_length(self, n, name, absorption):
+        scene = syn.Scene(sources=ORACLE_SOURCES[name], noise={"psd": 1e-9}, seed=6)
+        assert_matches_oracle(scene, 17, n, absorption)
+
+    @pytest.mark.parametrize("noise", [{"psd": 1e-7}, {"frequencies": [100.0, 8000.0], "psd": [1e-6, 1e-8]}])
+    def test_noise_only_is_the_oracle_byte_for_byte(self, noise):
+        scene = syn.Scene(sources=(), noise=noise, seed=8)
+        mics = oracle_mics(33)
+        sig, _ = syn.synthesize_timeseries(scene, mics, rate=48_000.0, duration=0.02)
+        assert np.array_equal(sig, synthesize_timeseries_oracle(scene, mics, 48_000.0, 0.02))
 
 
 def ma_synth(scene, mics, duration=0.25, absorption=False):
