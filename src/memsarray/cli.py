@@ -293,11 +293,6 @@ class AcquireConfig:
             )
 
 
-def validate_pipeline_config(cfg: dict) -> RunConfig:
-    """Typed run config from a pipeline config's JSON object."""
-    return parse(RunConfig, cfg, "")
-
-
 def config_from_flags(kind, args):
     """`kind` from the flags stored under its field names, parsed like a config file."""
     names = {f.name for f in dataclasses.fields(kind)}
@@ -390,7 +385,7 @@ def _load_scene(spec: dict) -> synthesis.Scene:
 def _build_subarray(geo, spec: SubarrayConfig, frequencies):
     """Returns {frequency: SubArray}; a strategy-independent view for the runner."""
     if spec.strategy == "freq_dependent":
-        center = (geo.plane.origin[0], geo.plane.origin[2]) if spec.center is None else spec.center
+        center = (geo.origin[0], geo.origin[2]) if spec.center is None else spec.center
         subs = geometry.freq_dependent_subarrays(
             geo, center, d_ref=spec.d_ref, f_ref=spec.f_ref, mics=spec.mics, bands=frequencies,
             epsilon=spec.epsilon,
@@ -726,7 +721,7 @@ def cmd_pipeline(args) -> int:
             cfg_hash = _sha256(args.config)
     except (OSError, ValueError) as exc:
         raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
-    cfg = validate_pipeline_config(cfg)
+    cfg = parse(RunConfig, cfg, "")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     scene = _load_scene(cfg.scene)

@@ -46,7 +46,6 @@ F_MAX = 16_000.0  # frequency-dependent apertures stop shrinking above this
 class PcbLayout:
     """One PCB design: 50 sensor positions local to the board origin."""
 
-    design_id: int
     positions: np.ndarray  # (50, 2) in meters, (short-side, long-side) coords
     extent: tuple[float, float] = (PCB_SHORT, PCB_LONG)
 
@@ -66,20 +65,11 @@ class PcbLayout:
 
 
 @dataclass(frozen=True)
-class ArrayPlane:
-    origin: np.ndarray  # (3,)
-    normal: np.ndarray  # (3,), unit, pointing from array toward the model; nothing in the chain reads it
-
-
-@dataclass(frozen=True)
 class ArrayGeometry:
-    """Full hierarchical sensor layout in the tunnel frame."""
+    """Full sensor layout in the tunnel frame; a sensor's id is its row index."""
 
     positions: np.ndarray  # (N, 3)
-    panel_id: np.ndarray  # (N,) int
-    pcb_id: np.ndarray  # (N,) int, 0..15 within panel
-    design_id: np.ndarray  # (N,) int, 0..3
-    plane: ArrayPlane
+    origin: np.ndarray  # (3,) centre of the array plane
     extent: tuple[float, float]  # (x width, z height) of the panel tiling
     seed: int | None = None
 
@@ -91,16 +81,11 @@ class ArrayGeometry:
         return self.positions.min(axis=0), self.positions.max(axis=0)
 
     def to_dict(self) -> dict:
-        x, y, z = self.positions.T.tolist()
-        columns = zip(x, y, z, self.panel_id.tolist(), self.pcb_id.tolist(), self.design_id.tolist())
-        sensors = [
-            {"id": i, "x": xi, "y": yi, "z": zi, "panel": p, "pcb": b, "design": d}
-            for i, (xi, yi, zi, p, b, d) in enumerate(columns)
-        ]
         return {
-            "sensors": sensors,
-            "plane": {"origin": self.plane.origin.tolist(), "normal": self.plane.normal.tolist()},
-            "meta": {"extent": list(self.extent), "seed": self.seed},
+            "positions": self.positions.tolist(),
+            "origin": self.origin.tolist(),
+            "extent": list(self.extent),
+            "seed": self.seed,
         }
 
     def save_json(self, path):
@@ -117,32 +102,23 @@ class ArrayGeometry:
     @classmethod
     def from_dict(cls, data: dict) -> "ArrayGeometry":
         """Geometry of a `to_dict` object. ConfigError at `geometry` unless the
-        object has exactly the keys `to_dict` writes, at the top level, in
-        `plane`, in `meta` and in every sensor; sensor ids are 0..N-1;
-        coordinates are finite JSON numbers and no two sensors share a
-        position; `panel`, `pcb` and `design` are integers; the plane origin
-        and normal are 3 finite numbers and the normal is not zero."""
-        _require_keys(data, _TOP_KEYS, "the file")
-        plane, meta, sensors = data["plane"], data["meta"], data["sensors"]
-        _require_keys(plane, _PLANE_KEYS, "plane")
-        _require_keys(meta, _META_KEYS, "meta")
-        if type(sensors) is not list or not sensors:
-            raise ConfigError("geometry", "expected one or more sensors")
-        for i, s in enumerate(sensors):
-            if type(s) is not dict or s.keys() != _SENSOR_KEYS:
-                _require_keys(s, _SENSOR_KEYS, f"sensor at index {i}")
-        ids = [s["id"] for s in sensors]
-        if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
-            raise ConfigError("geometry", f"expected sensor ids 0 to {len(ids) - 1}, each once")
-        sensors = sorted(sensors, key=lambda s: s["id"])
-        columns = {key: [s[key] for s in sensors] for key in ("x", "y", "z", "panel", "pcb", "design")}
-        for key, values in columns.items():
-            kinds = (int, float) if key in "xyz" else (int,)
-            i = next((i for i, v in enumerate(values) if type(v) not in kinds), None)
-            if i is not None:
-                expected = "a number" if key in "xyz" else "an integer"
-                raise ConfigError("geometry", f"sensor {i} has {key} {values[i]!r}, expected {expected}")
-        pos = np.array([columns["x"], columns["y"], columns["z"]], dtype=float).T
+        object has exactly the keys `to_dict` writes; `positions` is a non-empty
+        list of rows of 3 finite JSON numbers, no two rows alike; `origin` is 3
+        finite numbers, `extent` 2, and `seed` an integer or null."""
+        if type(data) is not dict:
+            raise ConfigError("geometry", f"the file is {type(data).__name__}, expected an object")
+        missing, unknown = sorted(_FILE_KEYS - data.keys()), sorted(data.keys() - _FILE_KEYS)
+        if missing:
+            raise ConfigError("geometry", f"the file has no key {missing[0]!r}")
+        if unknown:
+            raise ConfigError("geometry", f"the file has unknown key {unknown[0]!r}")
+        rows = data["positions"]
+        if type(rows) is not list or not rows:
+            raise ConfigError("geometry", "expected one or more sensors in positions")
+        for i, row in enumerate(rows):
+            if type(row) is not list or len(row) != 3 or not _NUMBERS.issuperset(map(type, row)):
+                raise ConfigError("geometry", f"sensor {i} is {row!r}, expected 3 numbers")
+        pos = np.array(rows, dtype=float)
         bad = ~np.isfinite(pos).all(axis=1)
         if bad.any():
             raise ConfigError("geometry", f"sensor {int(np.argmax(bad))} has a non-finite coordinate")
@@ -152,21 +128,11 @@ class ArrayGeometry:
             k = int(np.argmax(same))
             a, b = sorted(order[k : k + 2].tolist())
             raise ConfigError("geometry", f"sensors {a} and {b} share one position")
-        origin, normal = (_finite_vector(plane[key], 3, f"plane.{key}") for key in ("origin", "normal"))
-        if not normal.any():
-            raise ConfigError("geometry", "plane.normal is zero")
-        extent = tuple(_finite_vector(meta["extent"], 2, "meta.extent").tolist())
-        if meta["seed"] is not None and type(meta["seed"]) is not int:
-            raise ConfigError("geometry", f"meta.seed is {meta['seed']!r}, expected an integer or null")
-        return cls(
-            positions=pos,
-            panel_id=np.array(columns["panel"], dtype=int),
-            pcb_id=np.array(columns["pcb"], dtype=int),
-            design_id=np.array(columns["design"], dtype=int),
-            plane=ArrayPlane(origin=origin, normal=normal),
-            extent=extent,
-            seed=meta["seed"],
-        )
+        origin = _finite_vector(data["origin"], 3, "origin")
+        extent = tuple(_finite_vector(data["extent"], 2, "extent").tolist())
+        if data["seed"] is not None and type(data["seed"]) is not int:
+            raise ConfigError("geometry", f"seed is {data['seed']!r}, expected an integer or null")
+        return cls(positions=pos, origin=origin, extent=extent, seed=data["seed"])
 
     @classmethod
     def load_json(cls, path) -> "ArrayGeometry":
@@ -176,32 +142,17 @@ class ArrayGeometry:
                 return cls.from_dict(json.load(fh))
         except ConfigError as exc:
             raise ConfigError(exc.field, f"{path}: {exc.message}") from exc
-        except KeyError as exc:
-            raise ConfigError("geometry", f"{path} has no key {exc}") from exc
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
             raise ConfigError("geometry", f"cannot read {path}: {exc}") from exc
 
 
-_TOP_KEYS = frozenset({"sensors", "plane", "meta"})
-_PLANE_KEYS = frozenset({"origin", "normal"})
-_META_KEYS = frozenset({"extent", "seed"})
-_SENSOR_KEYS = frozenset({"id", "x", "y", "z", "panel", "pcb", "design"})
-
-
-def _require_keys(entry, keys: frozenset, where: str) -> None:
-    """ConfigError at `geometry` unless `entry` is an object with exactly `keys`."""
-    if type(entry) is not dict:
-        raise ConfigError("geometry", f"{where} is {type(entry).__name__}, expected an object")
-    missing, unknown = sorted(keys - entry.keys()), sorted(entry.keys() - keys)
-    if missing:
-        raise ConfigError("geometry", f"{where} has no key {missing[0]!r}")
-    if unknown:
-        raise ConfigError("geometry", f"{where} has unknown key {unknown[0]!r}")
+_FILE_KEYS = frozenset({"positions", "origin", "extent", "seed"})
+_NUMBERS = frozenset({int, float})  # JSON numbers; bool and str are other types
 
 
 def _finite_vector(value, n: int, where: str) -> np.ndarray:
     """`value` as an array of `n` finite numbers, or ConfigError at `geometry`."""
-    if type(value) is not list or len(value) != n or any(type(v) not in (int, float) for v in value):
+    if type(value) is not list or len(value) != n or not _NUMBERS.issuperset(map(type, value)):
         raise ConfigError("geometry", f"{where} is {value!r}, expected {n} numbers")
     out = np.array(value, dtype=float)
     if not np.isfinite(out).all():
@@ -247,17 +198,17 @@ class ObservationAngles:
     phi_std: float = 0.0
 
 
-def generate_pcb_layout(design_id: int, seed: int) -> PcbLayout:
+def generate_pcb_layout(design: int, seed: int) -> PcbLayout:
     """Generate one of the four PCB sensor layouts.
 
     Placement uses a seeded Cranley-Patterson shift of a 2D Halton sequence,
     greedily filtered so every sensor keeps a 5 mm free radius (10 mm pairwise
-    spacing, 5 mm edge clearance). Identical (design_id, seed) pairs always
+    spacing, 5 mm edge clearance). Identical (design, seed) pairs always
     produce identical layouts.
     """
-    if design_id not in (0, 1, 2, 3):
-        raise ValueError(f"design_id must be 0..3, got {design_id}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, design_id, 0x9CB]))
+    if design not in (0, 1, 2, 3):
+        raise ValueError(f"design must be 0..3, got {design}")
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, design, 0x9CB]))
     shift = rng.random(2)
     span_u = PCB_SHORT - 2 * EDGE_CLEARANCE
     span_v = PCB_LONG - 2 * EDGE_CLEARANCE
@@ -279,7 +230,7 @@ def generate_pcb_layout(design_id: int, seed: int) -> PcbLayout:
                 n += 1
                 if n == SENSORS_PER_PCB:
                     break
-    layout = PcbLayout(design_id=design_id, positions=placed)
+    layout = PcbLayout(positions=placed)
     layout.validate()
     return layout
 
@@ -312,50 +263,31 @@ def assemble_full_array(panels_x: int, panels_z: int, seed: int) -> ArrayGeometr
         raise ValueError("panel counts must be >= 1")
     layouts = [generate_pcb_layout(d, seed) for d in range(4)]
 
-    n_total = SENSORS_PER_PANEL * panels_x * panels_z
-    positions = np.empty((n_total, 3))
-    panel_id = np.empty(n_total, dtype=int)
-    pcb_id = np.empty(n_total, dtype=int)
-    design_arr = np.empty(n_total, dtype=int)
-
+    positions = np.empty((SENSORS_PER_PANEL * panels_x * panels_z, 3))
     array_x0 = CENTER_X - panels_x * PANEL_X / 2.0
     array_z0 = CENTER_Z - panels_z * PANEL_Z / 2.0
     i = 0
     for pz in range(panels_z):
         for px in range(panels_x):
-            pid = pz * panels_x + px
             panel_x0 = array_x0 + px * PANEL_X
             panel_z0 = array_z0 + pz * PANEL_Z
-            pcb = 0
             # two pattern blocks per direction; within a block, 2 x 2 PCBs
             for bz in range(2):
                 for bx in range(2):
                     for dz in range(2):
                         for dx in range(2):
-                            d_id = dz * 2 + dx
                             # PCB long side lies along x
                             ox = panel_x0 + bx * 1.0 + dx * PCB_LONG
                             oz = panel_z0 + bz * 0.5 + dz * PCB_SHORT
-                            pts = layouts[d_id].positions
+                            pts = layouts[dz * 2 + dx].positions
                             n = len(pts)
                             positions[i : i + n, 0] = ox + pts[:, 1]
                             positions[i : i + n, 1] = PLANE_DISTANCE
                             positions[i : i + n, 2] = oz + pts[:, 0]
-                            panel_id[i : i + n] = pid
-                            pcb_id[i : i + n] = pcb
-                            design_arr[i : i + n] = d_id
                             i += n
-                            pcb += 1
-    plane = ArrayPlane(
-        origin=np.array([CENTER_X, PLANE_DISTANCE, CENTER_Z]),
-        normal=np.array([0.0, -1.0, 0.0]),
-    )
     return ArrayGeometry(
         positions=positions,
-        panel_id=panel_id,
-        pcb_id=pcb_id,
-        design_id=design_arr,
-        plane=plane,
+        origin=np.array([CENTER_X, PLANE_DISTANCE, CENTER_Z]),
         extent=(panels_x * PANEL_X, panels_z * PANEL_Z),
         seed=int(seed),
     )
@@ -387,7 +319,7 @@ def _lift_targets(geometry: ArrayGeometry, targets: np.ndarray) -> np.ndarray:
     if targets.ndim != 2 or targets.shape[1] not in (2, 3):
         raise ValueError("targets must be (N, 2) in-plane or (N, 3) points")
     if targets.shape[1] == 2:
-        y = float(geometry.plane.origin[1])
+        y = float(geometry.origin[1])
         lifted = np.empty((len(targets), 3))
         lifted[:, 0] = targets[:, 0]
         lifted[:, 1] = y
@@ -512,9 +444,9 @@ def pitch_subarray_series(
     if count < 1:
         raise ValueError("count must be >= 1")
     lo, hi = geometry.bounding_box()
-    z_center = geometry.plane.origin[2]
+    z_center = geometry.origin[2]
     if count == 1:
-        centers = np.array([geometry.plane.origin[0]])
+        centers = np.array([geometry.origin[0]])
     else:
         centers = np.linspace(lo[0], hi[0], count)
     return [sample_subarray(geometry, fermat_spiral(mics, aperture, center=(cx, z_center)), epsilon) for cx in centers]
@@ -554,5 +486,5 @@ def dnw_like_subarray(
 ) -> SubArray:
     """Stand-in for a conventional mid-size spiral array sampled from the panel."""
     if center is None:
-        center = (geometry.plane.origin[0], geometry.plane.origin[2])
+        center = (geometry.origin[0], geometry.origin[2])
     return sample_subarray(geometry, fermat_spiral(mics, aperture, center=center), epsilon)

@@ -259,7 +259,9 @@ def synthesize_timeseries(
     two-level ramp of `_phase_ramp`, which agrees with `_transfer` to
     rounding. Each channel then gets its noise from its own seeded stream.
     The result is C-contiguous float64. A tone at or above `rate / 2` would
-    alias, so it raises ConfigError at `scene.sources[i].spectrum.frequency`.
+    alias, so it raises ConfigError at `scene.sources[i].spectrum.frequency`;
+    a `rate * duration` that rounds to no sample raises ConfigError at
+    `duration`.
     """
     for si, src in enumerate(scene.sources):
         spec = src.spectrum
@@ -271,6 +273,7 @@ def synthesize_timeseries(
             )
     pos = np.asarray(positions, dtype=float)
     n = int(round(rate * duration))
+    _require(n >= 1, "duration", f"expected at least one sample at rate {rate!r}, got {n!r}")
     m = len(pos)
     out = np.empty((n, m))
     alpha = atmospheric_absorption(np.fft.rfftfreq(n, d=1.0 / rate), scene.medium) if include_absorption else 0.0

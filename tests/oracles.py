@@ -336,11 +336,11 @@ def halton_oracle(start, count, base):
     return out
 
 
-def pcb_positions_oracle(design_id, seed):
+def pcb_positions_oracle(design, seed):
     """(50, 2) sensor positions of one PCB design: shifted Halton candidates,
     each kept when it lies at least the minimum spacing from every sensor
     accepted before it, tested one sensor at a time."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, design_id, 0x9CB]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, design, 0x9CB]))
     shift = rng.random(2)
     span_u = geo.PCB_SHORT - 2 * geo.EDGE_CLEARANCE
     span_v = geo.PCB_LONG - 2 * geo.EDGE_CLEARANCE
@@ -360,27 +360,13 @@ def pcb_positions_oracle(design_id, seed):
 
 
 def geometry_json_oracle(geometry):
-    """`geometry.json` text: sensor dicts from per-element numpy scalars,
+    """`geometry.json` text: position rows from per-element numpy scalars,
     written by `json.dump` to a file, which runs the pure-Python encoder."""
-    sensors = [
-        {
-            "id": i,
-            "x": float(geometry.positions[i, 0]),
-            "y": float(geometry.positions[i, 1]),
-            "z": float(geometry.positions[i, 2]),
-            "panel": int(geometry.panel_id[i]),
-            "pcb": int(geometry.pcb_id[i]),
-            "design": int(geometry.design_id[i]),
-        }
-        for i in range(geometry.sensor_count)
-    ]
     data = {
-        "sensors": sensors,
-        "plane": {
-            "origin": [float(v) for v in geometry.plane.origin],
-            "normal": [float(v) for v in geometry.plane.normal],
-        },
-        "meta": {"extent": list(geometry.extent), "seed": geometry.seed},
+        "positions": [[float(v) for v in row] for row in geometry.positions],
+        "origin": [float(v) for v in geometry.origin],
+        "extent": list(geometry.extent),
+        "seed": geometry.seed,
     }
     text = io.StringIO()
     json.dump(data, text, sort_keys=True)

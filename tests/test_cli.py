@@ -13,7 +13,7 @@ import memsarray
 from memsarray import acquisition, cli
 from memsarray.analysis import RegionOfInterest
 from memsarray.beamforming import BeamformingMap, make_focus_grid
-from memsarray.errors import ConfigError
+from memsarray.errors import ConfigError, parse
 from memsarray.geometry import ArrayGeometry
 from memsarray.spectral import DB_FLOOR
 
@@ -63,14 +63,14 @@ class TestConfigValidation:
         cfg = json.loads(json.dumps(cli.bundled_config("single_monopole")))
         cfg["beamforming"]["typo_key"] = 1
         with pytest.raises(ConfigError) as err:
-            cli.validate_pipeline_config(cfg)
+            parse(cli.RunConfig, cfg, "")
         assert "typo_key" in err.value.field
 
     def test_missing_section_rejected(self):
         cfg = json.loads(json.dumps(cli.bundled_config("single_monopole")))
         del cfg["beamforming"]
         with pytest.raises(ConfigError):
-            cli.validate_pipeline_config(cfg)
+            parse(cli.RunConfig, cfg, "")
 
     def test_exit_code_two(self, tmp_path):
         cfg = cli.bundled_config("single_monopole")
@@ -81,7 +81,7 @@ class TestConfigValidation:
         assert rc == 2
 
     def test_bundled_config_is_valid(self):
-        cli.validate_pipeline_config(cli.bundled_config("single_monopole"))
+        parse(cli.RunConfig, cli.bundled_config("single_monopole"), "")
 
 
 class TestAcquireCommand:
@@ -731,6 +731,17 @@ def _altered_geometry(tmp_path, geo, alter) -> str:
     return str(path)
 
 
+def _old_geometry_format(data):
+    """Rewrite `data` in place as the earlier geometry format: per-sensor objects, a plane and meta."""
+    positions = data.pop("positions")
+    data["sensors"] = [
+        {"id": i, "x": x, "y": y, "z": z, "panel": 0, "pcb": i // 50, "design": 0}
+        for i, (x, y, z) in enumerate(positions)
+    ]
+    data["plane"] = {"origin": data.pop("origin"), "normal": [0.0, -1.0, 0.0]}
+    data["meta"] = {"extent": data.pop("extent"), "seed": data.pop("seed")}
+
+
 # runs that start but cannot finish: (id, argv before --out, exit code, stderr prefix)
 FAILING_RUNS = [
     *(
@@ -745,18 +756,18 @@ FAILING_RUNS = [
          2, "config error at geometry:")
         for command in ("beamform", "directivity")
         for name, alter in (
-            ("with a NaN coordinate", lambda d: d["sensors"][0].update(x=float("nan"))),
-            ("without sensors", lambda d: d.update(sensors=[])),
-            ("with a string coordinate", lambda d: d["sensors"][0].update(x="1.0")),
-            ("with a repeated sensor id", lambda d: d["sensors"][1].update(id=0)),
-            ("with an unknown sensor key", lambda d: d["sensors"][0].update(bogus=1)),
-            ("with a sensor without panel", lambda d: d["sensors"][0].pop("panel")),
+            ("with a NaN coordinate", lambda d: d["positions"][0].__setitem__(0, float("nan"))),
+            ("without sensors", lambda d: d.update(positions=[])),
+            ("with a string coordinate", lambda d: d["positions"][0].__setitem__(0, "1.0")),
+            ("with a boolean coordinate", lambda d: d["positions"][0].__setitem__(0, True)),
+            ("with a two-number position", lambda d: d["positions"][0].pop()),
             ("with an unknown top-level key", lambda d: d.update(extra=1)),
-            ("with an unknown plane key", lambda d: d["plane"].update(up=[0.0, 0.0, 1.0])),
-            ("with an unknown meta key", lambda d: d["meta"].update(note="x")),
-            ("with a zero plane normal", lambda d: d["plane"].update(normal=[0.0, 0.0, 0.0])),
-            ("with two sensors at one position",
-             lambda d: d["sensors"][1].update({k: d["sensors"][0][k] for k in "xyz"})),
+            ("without origin", lambda d: d.pop("origin")),
+            ("with a NaN origin", lambda d: d["origin"].__setitem__(1, float("nan"))),
+            ("with a three-number extent", lambda d: d["extent"].append(1.0)),
+            ("with a fractional seed", lambda d: d.update(seed=1.5)),
+            ("with two sensors at one position", lambda d: d["positions"].__setitem__(1, d["positions"][0])),
+            ("in the old sensors/plane/meta format", _old_geometry_format),
         )
     ),
     ("pipeline missing config", lambda t, s, g: ["pipeline", "--config", _missing(t)], 2, "config error at config:"),

@@ -9,10 +9,25 @@ from memsarray.errors import ConfigError, ConstraintError
 
 
 def _geometry_of(positions) -> geo.ArrayGeometry:
-    pos = np.asarray(positions, dtype=float)
-    zeros = np.zeros(len(pos), dtype=int)
-    plane = geo.ArrayPlane(origin=np.zeros(3), normal=np.array([0.0, -1.0, 0.0]))
-    return geo.ArrayGeometry(pos, zeros, zeros, zeros, plane, extent=(1.0, 1.0))
+    return geo.ArrayGeometry(np.asarray(positions, dtype=float), origin=np.zeros(3), extent=(1.0, 1.0))
+
+
+def _pcb_cells(panel):
+    """{(bx, bz, dx, dz): (cell origin (x, z), sensors in the cell as (x, z))} over one panel's
+    0.5 m x 0.25 m PCB cells; a PCB's long side lies along x."""
+    x0 = geo.CENTER_X - geo.PANEL_X / 2.0
+    z0 = geo.CENTER_Z - geo.PANEL_Z / 2.0
+    xz = panel.positions[:, [0, 2]]
+    cells = {}
+    for bz in range(2):
+        for bx in range(2):
+            for dz in range(2):
+                for dx in range(2):
+                    ox, oz = x0 + bx * 1.0 + dx * geo.PCB_LONG, z0 + bz * 0.5 + dz * geo.PCB_SHORT
+                    in_x = (xz[:, 0] >= ox) & (xz[:, 0] < ox + geo.PCB_LONG)
+                    inside = in_x & (xz[:, 1] >= oz) & (xz[:, 1] < oz + geo.PCB_SHORT)
+                    cells[bx, bz, dx, dz] = (np.array([ox, oz]), xz[inside])
+    return cells
 
 
 def _assert_matches_oracle(geometry, sub):
@@ -63,7 +78,7 @@ class TestPcbLayout:
         assert geo._halton_range(start, 2_000, base).tobytes() == halton_oracle(start, 2_000, base).tobytes()
 
     def test_validate_catches_spacing(self):
-        bad = geo.PcbLayout(design_id=0, positions=np.full((50, 2), 0.1))
+        bad = geo.PcbLayout(positions=np.full((50, 2), 0.1))
         with pytest.raises(ConstraintError):
             bad.validate()
 
@@ -78,11 +93,12 @@ class TestFullArray:
 
     def test_one_panel(self, one_panel):
         assert one_panel.sensor_count == 800
-        # 16 PCBs, 50 sensors each
-        pcbs = set(zip(one_panel.panel_id, one_panel.pcb_id))
-        assert len(pcbs) == 16
-        counts = np.bincount(one_panel.pcb_id)
-        assert (counts == 50).all()
+        assert np.array_equal(one_panel.origin, [geo.CENTER_X, geo.PLANE_DISTANCE, geo.CENTER_Z])
+        assert (one_panel.positions[:, 1] == geo.PLANE_DISTANCE).all()
+        # 16 PCB cells, 50 sensors each, and no sensor outside them
+        cells = _pcb_cells(one_panel)
+        assert len(cells) == 16
+        assert [len(xz) for _, xz in cells.values()] == [50] * 16
 
     def test_no_duplicate_positions(self, full_array):
         uniq = np.unique(full_array.positions, axis=0)
@@ -93,19 +109,19 @@ class TestFullArray:
         assert np.array_equal(full_array.positions, again.positions)
 
     def test_design_tiling(self, one_panel):
-        # every PCB carries exactly one of the four designs
-        for pcb in range(16):
-            designs = np.unique(one_panel.design_id[one_panel.pcb_id == pcb])
-            assert len(designs) == 1
-        assert set(one_panel.design_id) == {0, 1, 2, 3}
+        # the cell at (dx, dz) of either pattern block carries design dz * 2 + dx
+        for (_, _, dx, dz), (origin, xz) in _pcb_cells(one_panel).items():
+            local = (xz - origin)[:, ::-1]  # (short side along z, long side along x)
+            design = geo.generate_pcb_layout(dz * 2 + dx, 42).positions
+            assert np.abs(local - design).max() <= 1e-12
 
     def test_sensors_inside_pcb_extent(self, one_panel):
-        # tiling closure: recompute each PCB's origin from its sensors
-        for pcb in range(16):
-            mask = one_panel.pcb_id == pcb
-            p = one_panel.positions[mask]
-            assert p[:, 0].max() - p[:, 0].min() <= 0.5
-            assert p[:, 2].max() - p[:, 2].min() <= 0.25
+        # every sensor keeps the edge clearance of its 0.5 m x 0.25 m cell
+        for origin, xz in _pcb_cells(one_panel).values():
+            local = xz - origin
+            assert local.min() >= geo.EDGE_CLEARANCE - 1e-12
+            assert local[:, 0].max() <= geo.PCB_LONG - geo.EDGE_CLEARANCE + 1e-12
+            assert local[:, 1].max() <= geo.PCB_SHORT - geo.EDGE_CLEARANCE + 1e-12
 
     def test_bad_panel_count(self):
         with pytest.raises(ValueError):
@@ -115,14 +131,15 @@ class TestFullArray:
         path = tmp_path / "geom.json"
         one_panel.save_json(path)
         back = geo.ArrayGeometry.load_json(path)
-        assert np.allclose(back.positions, one_panel.positions)
-        assert np.array_equal(back.panel_id, one_panel.panel_id)
-        assert back.extent == one_panel.extent
+        assert back.positions.tobytes() == one_panel.positions.tobytes()
+        assert back.origin.tobytes() == one_panel.origin.tobytes()
+        assert back.extent == one_panel.extent == (2.0, 1.0)
+        assert back.seed == one_panel.seed == 42
 
     @pytest.mark.parametrize("key, value", [("x", float("nan")), ("y", float("inf")), ("z", float("-inf"))])
     def test_non_finite_coordinate_rejected(self, one_panel, tmp_path, key, value):
         data = one_panel.to_dict()
-        data["sensors"][7][key] = value
+        data["positions"][7]["xyz".index(key)] = value
         path = tmp_path / "geom.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="sensor 7 has a non-finite coordinate") as exc:
@@ -139,21 +156,20 @@ class TestFullArray:
     @pytest.mark.parametrize(
         "alter, message",
         [
-            (lambda d: d["sensors"][3].update(bogus=1), "sensor at index 3 has unknown key 'bogus'"),
-            (lambda d: d["sensors"][3].pop("panel"), "sensor at index 3 has no key 'panel'"),
-            (lambda d: d["sensors"].__setitem__(3, [1.0, 2.0]), "sensor at index 3 is list, expected an object"),
             (lambda d: d.update(extra=1), "the file has unknown key 'extra'"),
-            (lambda d: d.pop("meta"), "the file has no key 'meta'"),
-            (lambda d: d["plane"].update(up=[0.0, 0.0, 1.0]), "plane has unknown key 'up'"),
-            (lambda d: d["meta"].update(note="x"), "meta has unknown key 'note'"),
-            (lambda d: d["meta"].pop("extent"), "meta has no key 'extent'"),
-            (lambda d: d["plane"].update(normal=[0.0, 0.0, 0.0]), "plane.normal is zero"),
-            (lambda d: d["plane"].update(normal=[0.0, 1.0]), "plane.normal is .* expected 3 numbers"),
-            (lambda d: d["plane"].update(origin=[0.0, float("nan"), 1.0]), "plane.origin is .* expected finite"),
-            (lambda d: d["meta"].update(extent="6x3"), "meta.extent is .* expected 2 numbers"),
-            (lambda d: d["meta"].update(seed=1.5), "meta.seed is 1.5, expected an integer or null"),
-            (lambda d: d["sensors"][5].update(pcb="2"), "sensor 5 has pcb '2', expected an integer"),
-            (lambda d: d["sensors"][9].update({k: d["sensors"][4][k] for k in "xyz"}), "sensors 4 and 9 share one position"),
+            (lambda d: d.pop("extent"), "the file has no key 'extent'"),
+            (lambda d: d.update(positions={}), "expected one or more sensors in positions"),
+            (lambda d: d["positions"].__setitem__(3, [1.0, 2.0]), "sensor 3 is .* expected 3 numbers"),
+            (lambda d: d["positions"].__setitem__(4, {"x": 1.0}), "sensor 4 is .* expected 3 numbers"),
+            (lambda d: d["positions"][5].__setitem__(2, "2"), "sensor 5 is .*'2'.* expected 3 numbers"),
+            (lambda d: d["positions"][6].__setitem__(0, True), "sensor 6 is .*True.* expected 3 numbers"),
+            (lambda d: d["positions"][5].__setitem__(1, 10**400), "int too large to convert to float"),
+            (lambda d: d["positions"].__setitem__(9, d["positions"][4]), "sensors 4 and 9 share one position"),
+            (lambda d: d.update(origin=[0.0, 1.0]), "origin is .* expected 3 numbers"),
+            (lambda d: d.update(origin=[0.0, float("nan"), 1.0]), "origin is .* expected finite"),
+            (lambda d: d.update(extent="6x3"), "extent is .* expected 2 numbers"),
+            (lambda d: d.update(seed=1.5), "seed is 1.5, expected an integer or null"),
+            (lambda d: d.update(sensors=d.pop("positions")), "the file has no key 'positions'"),
         ],
     )
     def test_malformed_file_rejected(self, one_panel, tmp_path, alter, message):
@@ -268,7 +284,7 @@ class TestSampleSubarrayOracle:
         # np.linalg.norm computes it
         for _ in range(200):
             t = full_array.positions[rng.integers(full_array.sensor_count)] + rng.uniform(-0.03, 0.03, 3)
-            t[1] = full_array.plane.origin[1]
+            t[1] = full_array.origin[1]
             j, d = sample_subarray_oracle(full_array.positions, t[None, :], np.inf)
             sub = geo.sample_subarray(full_array, t[None, :], float(d[0]))
             assert sub.indices.tolist() == j.tolist()
@@ -293,7 +309,7 @@ class TestSampleSubarrayOracle:
         assert edge.size == 2
 
     def test_targets_off_the_plane(self, full_array, rng):
-        y = full_array.plane.origin[1] + rng.uniform(-0.09, 0.09, 200)
+        y = full_array.origin[1] + rng.uniform(-0.09, 0.09, 200)
         targets = np.stack([rng.uniform(0.0, 6.0, 200), y, rng.uniform(-2.0, 1.0, 200)], axis=1)
         for epsilon in (0.03, 0.1):
             sub = geo.sample_subarray(full_array, targets, epsilon)

@@ -57,6 +57,14 @@ class TestPathTransfer:
             ma_synth(scene, np.array([[0.0, 3.0, 0.0]]), duration=0.1)
         assert err.value.field == "scene.sources[1].spectrum.frequency"
 
+    @pytest.mark.parametrize("include_absorption", [True, False])
+    def test_zero_sample_duration_rejected(self, include_absorption):
+        # 1 us at 48 kHz rounds to no sample
+        scene = syn.Scene(sources=(broadband_source([0, 0, 0]),), noise={"psd": 1e-7}, seed=1)
+        with pytest.raises(syn.ConfigError) as err:
+            syn.synthesize_timeseries(scene, np.array([[0.0, 3.0, 0.0]]), 48_000.0, 1e-6, include_absorption)
+        assert err.value.field == "duration"
+
 
 class TestTimeseries:
     def test_symmetric_mics_identical(self):
