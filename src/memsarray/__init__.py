@@ -48,7 +48,6 @@ from .errors import ConfigError, ConstraintError, NumericalError, ProtocolError
 from .geometry import (
     ArrayGeometry,
     ObservationAngles,
-    PcbLayout,
     SubArray,
     assemble_full_array,
     dnw_like_subarray,

@@ -56,10 +56,6 @@ class PdmStream:
     def unpacked(self) -> np.ndarray:
         return np.unpackbits(self.bits, count=self.n_bits)
 
-    @property
-    def duration(self) -> float:
-        return self.n_bits / self.rate
-
 
 @dataclass
 class PcmBlock:

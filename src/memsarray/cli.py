@@ -403,13 +403,7 @@ def _build_subarray(geo, spec: SubarrayConfig, frequencies):
             )
         if len(np.unique(idx)) != len(idx):
             raise ConfigError("subarray.indices", "a sensor index appears twice")
-        sub = geometry.SubArray(
-            parent=geo,
-            indices=idx,
-            target_positions=geo.positions[idx],
-            match_distances=np.zeros(len(idx)),
-            epsilon=0.0,
-        )
+        sub = geometry.SubArray(parent=geo, indices=idx)
         return {float(f): sub for f in frequencies}
     for f, sub in subs.items():
         _require(sub.size > 0, "subarray.epsilon", f"no sensor lies within {spec.epsilon!r} m of a target at {f!r} Hz")

@@ -28,8 +28,6 @@ SENSORS_PER_PCB = 50
 EDGE_CLEARANCE = 0.005  # each sensor centers a 5 mm free circle
 MIN_SENSOR_SPACING = 0.010
 
-PCBS_PER_PANEL = 16
-SENSORS_PER_PANEL = 800
 PANEL_X = 2.0  # panel extent along x (two blocks of the 1.0 m pattern)
 PANEL_Z = 1.0
 
@@ -40,28 +38,6 @@ CENTER_X = 3.0  # array centre in the plane
 CENTER_Z = -0.5
 MAX_CANDIDATES = 50_000  # Halton candidates tried per PCB before giving up
 F_MAX = 16_000.0  # frequency-dependent apertures stop shrinking above this
-
-
-@dataclass(frozen=True)
-class PcbLayout:
-    """One PCB design: 50 sensor positions local to the board origin."""
-
-    positions: np.ndarray  # (50, 2) in meters, (short-side, long-side) coords
-    extent: tuple[float, float] = (PCB_SHORT, PCB_LONG)
-
-    def validate(self):
-        p = self.positions
-        if p.shape != (SENSORS_PER_PCB, 2):
-            raise ConstraintError(f"expected {SENSORS_PER_PCB} sensor positions, got {p.shape}")
-        lo = EDGE_CLEARANCE - 1e-12
-        hi_u = self.extent[0] - EDGE_CLEARANCE + 1e-12
-        hi_v = self.extent[1] - EDGE_CLEARANCE + 1e-12
-        if (p[:, 0] < lo).any() or (p[:, 0] > hi_u).any() or (p[:, 1] < lo).any() or (p[:, 1] > hi_v).any():
-            raise ConstraintError("sensor outside PCB clearance region")
-        d = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=2)
-        np.fill_diagonal(d, np.inf)
-        if d.min() < MIN_SENSOR_SPACING - 1e-12:
-            raise ConstraintError(f"sensor spacing {d.min():.4f} m below {MIN_SENSOR_SPACING} m")
 
 
 @dataclass(frozen=True)
@@ -162,22 +138,15 @@ def _finite_vector(value, n: int, where: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubArray:
-    """Index subset of an ArrayGeometry with sampling provenance."""
+    """Index subset of an ArrayGeometry."""
 
     parent: ArrayGeometry
     indices: np.ndarray  # (K,) unique sensor indices
-    target_positions: np.ndarray  # (T, 3) the optimal design points
-    match_distances: np.ndarray  # (K,) sensor-to-target distance
-    epsilon: float
     discarded: int = 0  # targets without a sensor within epsilon
 
     def __post_init__(self):
         if len(np.unique(self.indices)) != len(self.indices):
             raise ValueError("sub-array reuses a sensor index")
-        if len(self.indices) > len(self.target_positions):
-            raise ValueError("more matched sensors than targets")
-        if len(self.match_distances) and self.match_distances.max() > self.epsilon + 1e-12:
-            raise ValueError("match distance exceeds epsilon")
 
     @property
     def positions(self) -> np.ndarray:
@@ -190,16 +159,15 @@ class SubArray:
 
 @dataclass(frozen=True)
 class ObservationAngles:
-    """Pitch/roll observation angles (degrees) with angular spreads."""
+    """Pitch observation angle (degrees) with its angular spread."""
 
     theta: float
-    phi: float
     theta_std: float = 0.0
-    phi_std: float = 0.0
 
 
-def generate_pcb_layout(design: int, seed: int) -> PcbLayout:
-    """Generate one of the four PCB sensor layouts.
+def generate_pcb_layout(design: int, seed: int) -> np.ndarray:
+    """(50, 2) sensor positions of one of the four PCB designs, in meters
+    local to the board origin as (short-side, long-side) coordinates.
 
     Placement uses a seeded Cranley-Patterson shift of a 2D Halton sequence,
     greedily filtered so every sensor keeps a 5 mm free radius (10 mm pairwise
@@ -230,9 +198,24 @@ def generate_pcb_layout(design: int, seed: int) -> PcbLayout:
                 n += 1
                 if n == SENSORS_PER_PCB:
                     break
-    layout = PcbLayout(positions=placed)
-    layout.validate()
-    return layout
+    _check_pcb_layout(placed)
+    return placed
+
+
+def _check_pcb_layout(p: np.ndarray):
+    """ConstraintError unless `p` holds 50 sensors inside the board's edge
+    clearance, each at least the minimum spacing from every other."""
+    if p.shape != (SENSORS_PER_PCB, 2):
+        raise ConstraintError(f"expected {SENSORS_PER_PCB} sensor positions, got {p.shape}")
+    lo = EDGE_CLEARANCE - 1e-12
+    hi_u = PCB_SHORT - EDGE_CLEARANCE + 1e-12
+    hi_v = PCB_LONG - EDGE_CLEARANCE + 1e-12
+    if (p[:, 0] < lo).any() or (p[:, 0] > hi_u).any() or (p[:, 1] < lo).any() or (p[:, 1] > hi_v).any():
+        raise ConstraintError("sensor outside PCB clearance region")
+    d = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=2)
+    np.fill_diagonal(d, np.inf)
+    if d.min() < MIN_SENSOR_SPACING - 1e-12:
+        raise ConstraintError(f"sensor spacing {d.min():.4f} m below {MIN_SENSOR_SPACING} m")
 
 
 def _halton_range(start: int, count: int, base: int) -> np.ndarray:
@@ -261,32 +244,18 @@ def assemble_full_array(panels_x: int, panels_z: int, seed: int) -> ArrayGeometr
     """
     if panels_x < 1 or panels_z < 1:
         raise ValueError("panel counts must be >= 1")
-    layouts = [generate_pcb_layout(d, seed) for d in range(4)]
-
-    positions = np.empty((SENSORS_PER_PANEL * panels_x * panels_z, 3))
-    array_x0 = CENTER_X - panels_x * PANEL_X / 2.0
-    array_z0 = CENTER_Z - panels_z * PANEL_Z / 2.0
-    i = 0
-    for pz in range(panels_z):
-        for px in range(panels_x):
-            panel_x0 = array_x0 + px * PANEL_X
-            panel_z0 = array_z0 + pz * PANEL_Z
-            # two pattern blocks per direction; within a block, 2 x 2 PCBs
-            for bz in range(2):
-                for bx in range(2):
-                    for dz in range(2):
-                        for dx in range(2):
-                            # PCB long side lies along x
-                            ox = panel_x0 + bx * 1.0 + dx * PCB_LONG
-                            oz = panel_z0 + bz * 0.5 + dz * PCB_SHORT
-                            pts = layouts[dz * 2 + dx].positions
-                            n = len(pts)
-                            positions[i : i + n, 0] = ox + pts[:, 1]
-                            positions[i : i + n, 1] = PLANE_DISTANCE
-                            positions[i : i + n, 2] = oz + pts[:, 0]
-                            i += n
+    pts = np.stack([generate_pcb_layout(d, seed) for d in range(4)]).reshape(2, 2, SENSORS_PER_PCB, 2)
+    # index grid (panel z, panel x, block z, block x, PCB z, PCB x): two pattern
+    # blocks per direction, 2 x 2 PCBs per block, design dz * 2 + dx, long side along x
+    pz, px, bz, bx, dz, dx = np.ix_(range(panels_z), range(panels_x), range(2), range(2), range(2), range(2))
+    ox = (CENTER_X - panels_x * PANEL_X / 2.0) + px * PANEL_X + bx * 1.0 + dx * PCB_LONG
+    oz = (CENTER_Z - panels_z * PANEL_Z / 2.0) + pz * PANEL_Z + bz * 0.5 + dz * PCB_SHORT
+    positions = np.empty((panels_z, panels_x, 2, 2, 2, 2, SENSORS_PER_PCB, 3))
+    positions[..., 0] = ox[..., None] + pts[..., 1]
+    positions[..., 1] = PLANE_DISTANCE
+    positions[..., 2] = oz[..., None] + pts[..., 0]
     return ArrayGeometry(
-        positions=positions,
+        positions=positions.reshape(-1, 3),
         origin=np.array([CENTER_X, PLANE_DISTANCE, CENTER_Z]),
         extent=(panels_x * PANEL_X, panels_z * PANEL_Z),
         seed=int(seed),
@@ -319,12 +288,7 @@ def _lift_targets(geometry: ArrayGeometry, targets: np.ndarray) -> np.ndarray:
     if targets.ndim != 2 or targets.shape[1] not in (2, 3):
         raise ValueError("targets must be (N, 2) in-plane or (N, 3) points")
     if targets.shape[1] == 2:
-        y = float(geometry.origin[1])
-        lifted = np.empty((len(targets), 3))
-        lifted[:, 0] = targets[:, 0]
-        lifted[:, 1] = y
-        lifted[:, 2] = targets[:, 1]
-        return lifted
+        return np.stack([targets[:, 0], np.full(len(targets), float(geometry.origin[1])), targets[:, 1]], axis=1)
     return targets
 
 
@@ -359,7 +323,6 @@ def sample_subarray(
     hi = np.where(np.isfinite(lifted).all(axis=1), hi, lo)  # a non-finite target gets an empty strip
     available = np.ones(len(pos), dtype=bool)
     indices: list[int] = []
-    dists: list[float] = []
     for t, a, b in zip(lifted, lo.tolist(), hi.tolist()):
         candidates = order[a:b]
         candidates = np.sort(candidates[available[candidates]])
@@ -370,16 +333,8 @@ def sample_subarray(
         if d[k] <= epsilon:
             j = int(candidates[k])
             indices.append(j)
-            dists.append(float(d[k]))
             available[j] = False
-    return SubArray(
-        parent=geometry,
-        indices=np.array(indices, dtype=int),
-        target_positions=lifted,
-        match_distances=np.array(dists),
-        epsilon=float(epsilon),
-        discarded=len(lifted) - len(indices),
-    )
+    return SubArray(parent=geometry, indices=np.array(indices, dtype=int), discarded=len(lifted) - len(indices))
 
 
 def subarray_stats(sub: SubArray):
@@ -391,11 +346,11 @@ def subarray_stats(sub: SubArray):
 
 
 def observation_angles(observer, reference, spread=None) -> ObservationAngles:
-    """Pitch/roll angles of an observer relative to a reference point.
+    """Pitch angle of an observer relative to a reference point.
 
     theta = 90 deg + atan(dx / d_perp) (90 deg is broadside, x downstream),
-    phi = atan(dz / d_perp), with d_perp the distance along y. An optional
-    positional spread (3-vector of stds) is mapped through the same relation.
+    with d_perp the distance along y. An optional positional spread (3-vector
+    of stds) is mapped through the same relation.
     """
     observer = np.asarray(observer, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -405,11 +360,8 @@ def observation_angles(observer, reference, spread=None) -> ObservationAngles:
     if d_perp <= 0:
         raise ValueError("zero perpendicular distance between observer and reference")
     dx = observer[0] - reference[0]
-    dz = observer[2] - reference[2]
     theta = 90.0 + math.degrees(math.atan(dx / d_perp))
-    phi = math.degrees(math.atan(dz / d_perp))
     theta_std = 0.0
-    phi_std = 0.0
     if spread is not None:
         spread = np.asarray(spread, dtype=float)
         if (spread < 0).any():
@@ -417,14 +369,11 @@ def observation_angles(observer, reference, spread=None) -> ObservationAngles:
         th_hi = math.degrees(math.atan((dx + spread[0]) / d_perp))
         th_lo = math.degrees(math.atan((dx - spread[0]) / d_perp))
         theta_std = (th_hi - th_lo) / 2.0
-        ph_hi = math.degrees(math.atan((dz + spread[2]) / d_perp))
-        ph_lo = math.degrees(math.atan((dz - spread[2]) / d_perp))
-        phi_std = (ph_hi - ph_lo) / 2.0
-    return ObservationAngles(theta=theta, phi=phi, theta_std=theta_std, phi_std=phi_std)
+    return ObservationAngles(theta=theta, theta_std=theta_std)
 
 
 def subarray_observation(sub: SubArray, reference) -> ObservationAngles:
-    """Observation angles of a sub-array's geometric mean, with spreads."""
+    """Observation angle of a sub-array's geometric mean, with its spread."""
     mean, std = subarray_stats(sub)
     return observation_angles(mean, reference, spread=std)
 
@@ -467,14 +416,18 @@ def freq_dependent_subarrays(
     bands,
     epsilon: float,
 ) -> dict[float, SubArray]:
-    """One sampled sub-array per frequency band, aperture shrinking with f."""
+    """One sampled sub-array per frequency band, aperture shrinking with f.
+
+    Bands whose apertures are equal (clamped below f_ref or above F_MAX) map
+    to one SubArray object, sampled once."""
     if d_ref <= 0 or f_ref <= 0:
         raise ValueError("d_ref and f_ref must be > 0")
-    out: dict[float, SubArray] = {}
-    for f in bands:
-        aperture = frequency_dependent_aperture(f, d_ref, f_ref)
-        out[float(f)] = sample_subarray(geometry, fermat_spiral(mics, aperture, center=center), epsilon)
-    return out
+    apertures = {float(f): frequency_dependent_aperture(f, d_ref, f_ref) for f in bands}
+    subs = {
+        a: sample_subarray(geometry, fermat_spiral(mics, a, center=center), epsilon)
+        for a in dict.fromkeys(apertures.values())
+    }
+    return {f: subs[a] for f, a in apertures.items()}
 
 
 def dnw_like_subarray(

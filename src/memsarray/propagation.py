@@ -35,9 +35,6 @@ class ShearLayerPlane:
             _require_finite(v, f"point[{i}]")
         object.__setattr__(self, "normal", n / np.linalg.norm(n))
 
-    def side(self, x) -> float:
-        return float(np.dot(np.asarray(x, dtype=float) - self.point, self.normal))
-
 
 @dataclass(frozen=True)
 class MediumModel:

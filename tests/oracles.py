@@ -11,7 +11,8 @@ CSM after every component, Welch CSMs from a sum of per-block outer
 products over every bin in range, time series from one direct path
 transfer and one inverse FFT per channel and source, PCB layouts from a
 radical inverse taken one index at a time and a spacing test against one
-accepted sensor at a time, and the geometry and map files from
+accepted sensor at a time, the panel tiling from nested loops over every
+PCB, and the geometry and map files from
 per-element numpy scalars and the pure-Python JSON encoder.
 """
 
@@ -227,7 +228,7 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
                     diagonal_removal=True, inner_iterations=20):
     """CLEAN-SC with the dirty map b_n = h_n^H D h_n formed again from the whole
     degraded CSM D after every component; returns ({grid index: power before
-    reference scaling}, iterations, residual dirty map)."""
+    reference scaling}, iterations, initial dirty map, residual dirty map)."""
 
     def dirty_map(d):
         return (h.conj() * (d @ h)).sum(axis=0).real
@@ -235,7 +236,7 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
     degraded = np.array(csm_values, dtype=complex)
     if diagonal_removal:
         np.fill_diagonal(degraded, 0.0)
-    dirty = dirty_map(degraded)
+    dirty = initial = dirty_map(degraded)
     initial_peak = dirty.max()
     prev_norm = np.abs(degraded).sum(axis=0).max()
     components = {}
@@ -265,7 +266,7 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
             components[t] = components.get(t, 0.0) + loop_gain * peak
             dirty = dirty_map(degraded)
             iterations += 1
-    return components, iterations, dirty
+    return components, iterations, initial, dirty
 
 
 def welch_csm_oracle(signals, rate, block=1024, overlap=0.5, window="hann", freq_range=None):
@@ -357,6 +358,33 @@ def pcb_positions_oracle(design, seed):
                 if len(accepted) == geo.SENSORS_PER_PCB:
                     break
     return np.array(accepted)
+
+
+def assemble_full_array_oracle(panels_x, panels_z, seed):
+    """(N, 3) sensor positions of the panel tiling, one PCB at a time in nested
+    loops over panel z, panel x, block z, block x, PCB z and PCB x."""
+    layouts = [geo.generate_pcb_layout(d, seed) for d in range(4)]
+    positions = np.empty((geo.SENSORS_PER_PCB * 16 * panels_x * panels_z, 3))
+    array_x0 = geo.CENTER_X - panels_x * geo.PANEL_X / 2.0
+    array_z0 = geo.CENTER_Z - panels_z * geo.PANEL_Z / 2.0
+    i = 0
+    for pz in range(panels_z):
+        for px in range(panels_x):
+            panel_x0 = array_x0 + px * geo.PANEL_X
+            panel_z0 = array_z0 + pz * geo.PANEL_Z
+            for bz in range(2):
+                for bx in range(2):
+                    for dz in range(2):
+                        for dx in range(2):
+                            ox = panel_x0 + bx * 1.0 + dx * geo.PCB_LONG
+                            oz = panel_z0 + bz * 0.5 + dz * geo.PCB_SHORT
+                            pts = layouts[dz * 2 + dx]
+                            n = len(pts)
+                            positions[i : i + n, 0] = ox + pts[:, 1]
+                            positions[i : i + n, 1] = geo.PLANE_DISTANCE
+                            positions[i : i + n, 2] = oz + pts[:, 0]
+                            i += n
+    return positions
 
 
 def geometry_json_oracle(geometry):

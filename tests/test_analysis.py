@@ -72,7 +72,7 @@ def spectra_at_angles(levels_db, freqs=(1000.0, 2000.0)):
     out = []
     for i, row in enumerate(levels_db):
         psd = 4e-10 * 10.0 ** (np.asarray(row, dtype=float) / 10.0)
-        ang = ObservationAngles(theta=60.0 + 5.0 * i, phi=0.0)
+        ang = ObservationAngles(theta=60.0 + 5.0 * i)
         out.append((ang, Spectrum(frequencies=np.asarray(freqs), psd=psd)))
     return out
 
@@ -118,7 +118,7 @@ class TestDirectivity:
 
     def test_mismatched_axes(self):
         a = spectra_at_angles([[50.0, 50.0]])[0]
-        b = (ObservationAngles(theta=80.0, phi=0.0), Spectrum(frequencies=np.array([1.0, 2.0, 3.0]), psd=np.ones(3)))
+        b = (ObservationAngles(theta=80.0), Spectrum(frequencies=np.array([1.0, 2.0, 3.0]), psd=np.ones(3)))
         with pytest.raises(ValueError):
             an.directivity([a, b])
 
@@ -131,7 +131,7 @@ class TestOctavePolar:
         pairs = []
         for i, row in enumerate(rows):
             psd = 4e-10 * 10.0 ** (np.asarray(row) / 10.0)
-            pairs.append((ObservationAngles(theta=60.0 + 10 * i, phi=0.0), Spectrum(frequencies=freqs, psd=psd)))
+            pairs.append((ObservationAngles(theta=60.0 + 10 * i), Spectrum(frequencies=freqs, psd=psd)))
         return an.directivity(pairs)
 
     def test_flat_surface_zero(self):
@@ -151,8 +151,8 @@ class TestOctavePolar:
         hot = psd.copy()
         hot[band] = 1e-6
         pairs = [
-            (ObservationAngles(theta=60.0, phi=0.0), Spectrum(frequencies=freqs, psd=hot)),
-            (ObservationAngles(theta=90.0, phi=0.0), Spectrum(frequencies=freqs, psd=psd)),
+            (ObservationAngles(theta=60.0), Spectrum(frequencies=freqs, psd=hot)),
+            (ObservationAngles(theta=90.0), Spectrum(frequencies=freqs, psd=psd)),
         ]
         polar = an.octave_polar(an.directivity(pairs))
         k = int(np.argmin(np.abs(polar["centers"] - 1000.0)))
@@ -162,7 +162,7 @@ class TestOctavePolar:
         # the median spacing (3 kHz) exceeds the lowest frequencies; no band may be lost
         freqs = np.array([1000.0, 2000.0, 4000.0, 8000.0, 16000.0])
         pairs = [
-            (ObservationAngles(theta=theta, phi=0.0), Spectrum(frequencies=freqs, psd=np.full(5, level)))
+            (ObservationAngles(theta=theta), Spectrum(frequencies=freqs, psd=np.full(5, level)))
             for theta, level in ((60.0, 1e-6), (90.0, 2e-6))
         ]
         polar = an.octave_polar(an.directivity(pairs))

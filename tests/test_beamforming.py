@@ -253,18 +253,20 @@ def pitch_case(full_array_module):
 
 
 def _assert_matches_clean_sc_oracle(csm, steer, **kwargs):
-    """Same cells and iterations as the full-recompute loop; components within
-    1e-12 and the residual map within 1e-10 of its largest magnitude."""
+    """Same cells and iterations as the full-recompute loop; every component
+    and the residual map within 1e-13 of the initial dirty-map peak, all in
+    reference-scaled units. A bound on the initial peak does not depend on how
+    either side rounds a residual that CLEAN-SC has made small."""
     bmap = bf.clean_sc(csm, steer, **kwargs)
     values = csm.values if hasattr(csm, "values") else csm
-    comps, iterations, dirty = clean_sc_oracle(values, steer.matrix, **kwargs)
+    comps, iterations, initial, dirty = clean_sc_oracle(values, steer.matrix, **kwargs)
     scale = (steer.reference_distance / bf.REFERENCE_DISTANCE) ** 2
+    tolerance = 1e-13 * (initial * scale).max()
     assert bmap.iterations == iterations
     assert [t for t, _ in bmap.components] == sorted(comps)
     for t, p in bmap.components:
-        assert p == pytest.approx(comps[t] * scale[t], rel=1e-12, abs=0.0)
-    residual = dirty * scale
-    assert np.abs(bmap.raw_values - residual).max() <= 1e-10 * np.abs(residual).max()
+        assert abs(p - comps[t] * scale[t]) <= tolerance
+    assert np.abs(bmap.raw_values - dirty * scale).max() <= tolerance
     return bmap
 
 

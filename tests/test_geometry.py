@@ -2,7 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from oracles import geometry_json_oracle, halton_oracle, pcb_positions_oracle, sample_subarray_oracle
+from oracles import (
+    assemble_full_array_oracle,
+    geometry_json_oracle,
+    halton_oracle,
+    pcb_positions_oracle,
+    sample_subarray_oracle,
+)
 
 from memsarray import geometry as geo
 from memsarray.errors import ConfigError, ConstraintError
@@ -30,22 +36,21 @@ def _pcb_cells(panel):
     return cells
 
 
-def _assert_matches_oracle(geometry, sub):
-    indices, dists = sample_subarray_oracle(geometry.positions, sub.target_positions, sub.epsilon)
+def _assert_matches_oracle(geometry, targets, epsilon, sub):
+    indices, _ = sample_subarray_oracle(geometry.positions, geo._lift_targets(geometry, targets), epsilon)
     assert np.array_equal(sub.indices, indices)
-    assert sub.match_distances.tobytes() == dists.tobytes()
+    assert sub.discarded == len(targets) - len(indices)
 
 
 class TestPcbLayout:
     def test_deterministic(self):
         a = geo.generate_pcb_layout(0, 42)
         b = geo.generate_pcb_layout(0, 42)
-        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("design", [0, 1, 2, 3])
     def test_constraints(self, design):
-        layout = geo.generate_pcb_layout(design, 42)
-        p = layout.positions
+        p = geo.generate_pcb_layout(design, 42)
         assert p.shape == (50, 2)
         d = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=2)
         np.fill_diagonal(d, np.inf)
@@ -56,12 +61,12 @@ class TestPcbLayout:
     def test_designs_differ(self):
         a = geo.generate_pcb_layout(0, 42)
         b = geo.generate_pcb_layout(1, 42)
-        assert not np.array_equal(a.positions, b.positions)
+        assert not np.array_equal(a, b)
 
     def test_seeds_differ(self):
         a = geo.generate_pcb_layout(0, 42)
         b = geo.generate_pcb_layout(0, 43)
-        assert not np.array_equal(a.positions, b.positions)
+        assert not np.array_equal(a, b)
 
     def test_bad_design_id(self):
         with pytest.raises(ValueError):
@@ -70,17 +75,15 @@ class TestPcbLayout:
     @pytest.mark.parametrize("design", [0, 1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 42, 987_654, 2**31 - 1])
     def test_bit_identical_to_scalar_loops(self, design, seed):
-        layout = geo.generate_pcb_layout(design, seed)
-        assert layout.positions.tobytes() == pcb_positions_oracle(design, seed).tobytes()
+        assert geo.generate_pcb_layout(design, seed).tobytes() == pcb_positions_oracle(design, seed).tobytes()
 
     @pytest.mark.parametrize("start, base", [(0, 2), (0, 3), (2_000, 2), (48_000, 3)])
     def test_halton_bit_identical_to_scalar_loop(self, start, base):
         assert geo._halton_range(start, 2_000, base).tobytes() == halton_oracle(start, 2_000, base).tobytes()
 
     def test_validate_catches_spacing(self):
-        bad = geo.PcbLayout(positions=np.full((50, 2), 0.1))
         with pytest.raises(ConstraintError):
-            bad.validate()
+            geo._check_pcb_layout(np.full((50, 2), 0.1))
 
 
 class TestFullArray:
@@ -112,7 +115,7 @@ class TestFullArray:
         # the cell at (dx, dz) of either pattern block carries design dz * 2 + dx
         for (_, _, dx, dz), (origin, xz) in _pcb_cells(one_panel).items():
             local = (xz - origin)[:, ::-1]  # (short side along z, long side along x)
-            design = geo.generate_pcb_layout(dz * 2 + dx, 42).positions
+            design = geo.generate_pcb_layout(dz * 2 + dx, 42)
             assert np.abs(local - design).max() <= 1e-12
 
     def test_sensors_inside_pcb_extent(self, one_panel):
@@ -122,6 +125,11 @@ class TestFullArray:
             assert local.min() >= geo.EDGE_CLEARANCE - 1e-12
             assert local[:, 0].max() <= geo.PCB_LONG - geo.EDGE_CLEARANCE + 1e-12
             assert local[:, 1].max() <= geo.PCB_SHORT - geo.EDGE_CLEARANCE + 1e-12
+
+    @pytest.mark.parametrize("panels_x, panels_z, seed", [(1, 1, 0), (2, 3, 7), (3, 3, 42)])
+    def test_bit_identical_to_nested_loops(self, panels_x, panels_z, seed):
+        geometry = geo.assemble_full_array(panels_x, panels_z, seed)
+        assert geometry.positions.tobytes() == assemble_full_array_oracle(panels_x, panels_z, seed).tobytes()
 
     def test_bad_panel_count(self):
         with pytest.raises(ValueError):
@@ -219,8 +227,8 @@ class TestSampleSubarray:
     def test_exact_targets(self, full_array):
         targets = full_array.positions[100:150]
         sub = geo.sample_subarray(full_array, targets, 0.1)
-        assert sub.size == 50
-        assert np.allclose(sub.match_distances, 0.0)
+        assert sub.indices.tolist() == list(range(100, 150))
+        assert np.array_equal(sub.positions, targets)
 
     def test_far_target_discarded(self, full_array):
         targets = np.array([[100.0, 100.0]])  # 0.2+ m from every sensor
@@ -233,13 +241,14 @@ class TestSampleSubarray:
         sub = geo.sample_subarray(full_array, np.array([t, t]), 0.1)
         assert sub.size == 2  # second target takes the next-nearest sensor
         assert len(np.unique(sub.indices)) == 2
-        assert sub.match_distances[0] == 0.0
+        assert sub.indices[0] == 500
 
     def test_fermat_on_full_array(self, full_array):
         targets = geo.fermat_spiral(150, 2.0, center=(3.0, -0.5))
         sub = geo.sample_subarray(full_array, targets, 0.1)
         assert sub.size == 150
-        assert sub.match_distances.max() <= 0.1
+        # every target is matched, in order: each sensor lies within epsilon of its own target
+        assert np.linalg.norm(sub.positions - geo._lift_targets(full_array, targets), axis=1).max() <= 0.1
 
     def test_epsilon_positive(self, full_array):
         with pytest.raises(ValueError):
@@ -248,18 +257,21 @@ class TestSampleSubarray:
 
 class TestSampleSubarrayOracle:
     """The x-sorted strip candidate search against a scan over every sensor:
-    identical indices and match distances, to the byte."""
+    identical indices and discard counts."""
 
     def test_pitch_series(self, full_array):
         subs = geo.pitch_subarray_series(full_array, 13, 2.0, 150, 0.1)
-        for sub in subs:
-            _assert_matches_oracle(full_array, sub)
+        lo, hi = full_array.bounding_box()
+        for cx, sub in zip(np.linspace(lo[0], hi[0], 13), subs, strict=True):
+            targets = geo.fermat_spiral(150, 2.0, center=(cx, full_array.origin[2]))
+            _assert_matches_oracle(full_array, targets, 0.1, sub)
 
     def test_freq_dependent_series(self, full_array):
         bands = [1000.0, 1250.0, 2000.0, 4000.0, 8000.0, 16000.0]
         subs = geo.freq_dependent_subarrays(full_array, (3.0, -0.5), 2.0, 1000.0, 150, bands, 0.1)
-        for sub in subs.values():
-            _assert_matches_oracle(full_array, sub)
+        for f, sub in subs.items():
+            aperture = geo.frequency_dependent_aperture(f, 2.0, 1000.0)
+            _assert_matches_oracle(full_array, geo.fermat_spiral(150, aperture, center=(3.0, -0.5)), 0.1, sub)
 
     @pytest.mark.parametrize("epsilon", [0.004, 0.02, 0.1, 0.5])
     def test_seeded_random_targets(self, full_array, rng, epsilon):
@@ -268,13 +280,13 @@ class TestSampleSubarrayOracle:
         targets = np.stack([rng.uniform(-1.0, 7.0, 400), rng.uniform(-3.0, 2.0, 400)], axis=1)
         sub = geo.sample_subarray(full_array, targets, epsilon)
         assert 0 < sub.discarded < len(targets)
-        _assert_matches_oracle(full_array, sub)
+        _assert_matches_oracle(full_array, targets, epsilon, sub)
 
     def test_non_finite_targets_discarded(self, full_array):
         targets = np.array([[np.nan, -0.5], [3.0, -0.5], [np.inf, 0.0], [3.0, -0.5]])
         sub = geo.sample_subarray(full_array, targets, 0.1)
         assert (sub.size, sub.discarded) == (2, 2)
-        _assert_matches_oracle(full_array, sub)
+        _assert_matches_oracle(full_array, targets, 0.1, sub)
         # an infinite epsilon would accept an infinite distance: the target is skipped before that
         sub = geo.sample_subarray(full_array, np.array([[3.0, np.inf], [3.0, np.nan], [3.0, -0.5]]), np.inf)
         assert (sub.size, sub.discarded) == (1, 2)
@@ -288,13 +300,13 @@ class TestSampleSubarrayOracle:
             j, d = sample_subarray_oracle(full_array.positions, t[None, :], np.inf)
             sub = geo.sample_subarray(full_array, t[None, :], float(d[0]))
             assert sub.indices.tolist() == j.tolist()
-            assert sub.match_distances[0] == d[0]
+            assert np.linalg.norm(sub.positions - t[None, :], axis=1)[0] == d[0]
 
     def test_equidistant_sensors_resolve_to_lower_index(self):
         geometry = _geometry_of([[9.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.5]])
         sub = geo.sample_subarray(geometry, np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.5)
         assert sub.indices.tolist() == [1, 2]
-        assert sub.match_distances.tolist() == [0.5, 0.5]
+        assert np.linalg.norm(sub.positions - [1.0, 0.0, 0.0], axis=1).tolist() == [0.5, 0.5]
         geometry = _geometry_of([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
         sub = geo.sample_subarray(geometry, np.array([[1.0, 0.0, 0.0]]), 0.5)
         assert sub.indices.tolist() == [0]
@@ -303,8 +315,8 @@ class TestSampleSubarrayOracle:
         lo, hi = full_array.bounding_box()
         z = np.linspace(lo[2], hi[2], 7)
         for x in (lo[0] - 0.05, lo[0] - 0.2, hi[0] + 0.05, hi[0] + 0.2, -1e6, 1e6):
-            sub = geo.sample_subarray(full_array, np.stack([np.full(7, x), z], axis=1), 0.1)
-            _assert_matches_oracle(full_array, sub)
+            targets = np.stack([np.full(7, x), z], axis=1)
+            _assert_matches_oracle(full_array, targets, 0.1, geo.sample_subarray(full_array, targets, 0.1))
         edge = geo.sample_subarray(full_array, np.array([[lo[0] - 0.05, -0.5], [hi[0] + 0.05, -0.5]]), 0.1)
         assert edge.size == 2
 
@@ -314,14 +326,14 @@ class TestSampleSubarrayOracle:
         for epsilon in (0.03, 0.1):
             sub = geo.sample_subarray(full_array, targets, epsilon)
             assert 0 < sub.size
-            _assert_matches_oracle(full_array, sub)
+            _assert_matches_oracle(full_array, targets, epsilon, sub)
 
     def test_targets_sharing_one_x(self, full_array):
         targets = np.stack([np.full(40, 3.0), np.repeat(np.linspace(-1.0, 0.0, 20), 2)], axis=1)
         for epsilon in (0.02, 0.1):
             sub = geo.sample_subarray(full_array, targets, epsilon)
             assert 0 < sub.size
-            _assert_matches_oracle(full_array, sub)
+            _assert_matches_oracle(full_array, targets, epsilon, sub)
 
     def test_sensor_columns_at_equal_x(self):
         # five columns of sensors, each at one x, listed with x out of order
@@ -331,8 +343,8 @@ class TestSampleSubarrayOracle:
         tx, tz = np.meshgrid([0.05, 0.1, 0.15, 0.25, 0.45, -0.05], [0.0, 0.025, 0.05, 0.2])
         targets = np.stack([tx.ravel(), tz.ravel()], axis=1)
         for epsilon in (0.05, 0.06, 0.2):
-            sub = geo.sample_subarray(geometry, np.concatenate([targets, targets]), epsilon)
-            _assert_matches_oracle(geometry, sub)
+            doubled = np.concatenate([targets, targets])
+            _assert_matches_oracle(geometry, doubled, epsilon, geo.sample_subarray(geometry, doubled, epsilon))
 
     @pytest.mark.parametrize("epsilon", [1.7e308, np.finfo(float).max], ids=["1.7e308", "max-float"])
     def test_huge_epsilon(self, one_panel, rng, epsilon):
@@ -341,7 +353,7 @@ class TestSampleSubarrayOracle:
         targets = np.stack([rng.uniform(-5.0, 10.0, 60), rng.uniform(-5.0, 4.0, 60)], axis=1)
         sub = geo.sample_subarray(one_panel, targets, float(epsilon))
         assert sub.size == 60
-        _assert_matches_oracle(one_panel, sub)
+        _assert_matches_oracle(one_panel, targets, float(epsilon), sub)
 
 
 class TestSubarrayStats:
@@ -353,13 +365,7 @@ class TestSubarrayStats:
 
     def test_two_sensors_population_std(self, full_array):
         parent = full_array
-        sub = geo.SubArray(
-            parent=parent,
-            indices=np.array([0, 1]),
-            target_positions=parent.positions[:2],
-            match_distances=np.zeros(2),
-            epsilon=0.1,
-        )
+        sub = geo.SubArray(parent=parent, indices=np.array([0, 1]))
         mean, std = geo.subarray_stats(sub)
         p = parent.positions[:2]
         assert np.allclose(mean, p.mean(axis=0))
@@ -384,7 +390,6 @@ class TestObservationAngles:
     def test_broadside(self):
         oa = geo.observation_angles([2.4, 3.39, 0.0], [2.4, 0.0, 0.0])
         assert oa.theta == pytest.approx(90.0)
-        assert oa.phi == pytest.approx(0.0)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 6.0, 25)
@@ -433,3 +438,13 @@ class TestFreqDependentSubarrays:
         # aperture 1.375 m plus the matching tolerance
         assert r4.max() <= 1.375 / 2 + 0.05 + 1e-9
         assert out[1000.0].size <= 200
+
+    def test_clamped_bands_share_one_subarray(self, full_array):
+        bands = [500.0, 800.0, 1000.0, 2000.0, 16000.0, 20000.0]
+        subs = geo.freq_dependent_subarrays(full_array, (3.0, -0.5), 5.5, 1000.0, 200, bands, 0.1)
+        # below f_ref and above F_MAX the aperture clamps: one sampling serves those bands
+        assert subs[500.0] is subs[800.0] is subs[1000.0]
+        assert subs[16000.0] is subs[20000.0]
+        assert len({id(s) for s in subs.values()}) == 3
+        alone = geo.freq_dependent_subarrays(full_array, (3.0, -0.5), 5.5, 1000.0, 200, [800.0], 0.1)
+        assert np.array_equal(subs[800.0].indices, alone[800.0].indices)
