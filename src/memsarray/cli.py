@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Literal
@@ -26,7 +25,9 @@ import numpy as np
 import scipy
 
 from . import __version__, acquisition, analysis, beamforming, geometry, spectral, synthesis
-from .errors import ConfigError, _require, _require_positive, _require_range, check_keys, parse
+from .errors import (
+    ConfigError, _require, _require_finite, _require_finite_each, _require_positive, _require_range, check_keys, parse,
+)
 
 OUTPUT_ROOT_ENV = "MEMSARRAY_OUTPUT_ROOT"
 
@@ -122,6 +123,9 @@ class GridConfig:
         _require_range(self.x_range, "x_range")
         _require_range(self.z_range, "z_range")
         _require_positive(self.spacing, "spacing")
+        _require_finite(self.y_plane, "y_plane")
+        _require_finite(self.delta_angle, "delta_angle")
+        _require_finite(self.aoa, "aoa")
 
 
 @dataclass(frozen=True)
@@ -259,6 +263,7 @@ class DirectivityConfig:
     octave_polar: bool = False
 
     def __post_init__(self):
+        _require_finite_each(self.reference, "reference")
         _require_frequencies(self.frequencies)
         _require(self.count >= 2, "count", f"expected >= 2 sub-arrays, got {self.count!r}")
         _require_positive(self.aperture, "aperture")
@@ -382,84 +387,62 @@ def _load_scene(spec: dict) -> synthesis.Scene:
     return synthesis.Scene.load_json(spec["load"])
 
 
-def _build_subarray(geo, spec: SubarrayConfig, frequencies):
-    """Returns {frequency: SubArray}; a strategy-independent view for the runner."""
+def _distinct_subarrays(geo, spec: SubarrayConfig, frequencies) -> list:
+    """The distinct sub-arrays as (SubArray, its frequencies), in the order of their first frequency."""
+    if spec.strategy == "explicit":
+        idx = np.asarray(spec.indices, dtype=int)
+        in_range = len(idx) > 0 and idx.min() >= 0 and idx.max() < geo.sensor_count
+        _require(in_range, "subarray.indices", f"expected one or more sensor indices within 0..{geo.sensor_count - 1}")
+        _require(len(np.unique(idx)) == len(idx), "subarray.indices", "a sensor index appears twice")
+        return [(geometry.SubArray(parent=geo, indices=idx), list(frequencies))]
     if spec.strategy == "freq_dependent":
         center = (geo.origin[0], geo.origin[2]) if spec.center is None else spec.center
         subs = geometry.freq_dependent_subarrays(
             geo, center, d_ref=spec.d_ref, f_ref=spec.f_ref, mics=spec.mics, bands=frequencies,
             epsilon=spec.epsilon,
         )
-    elif spec.strategy == "dnw_like":
+    else:
         sub = geometry.dnw_like_subarray(
             geo, mics=spec.mics, aperture=spec.aperture, epsilon=spec.epsilon, center=spec.center
         )
-        subs = {float(f): sub for f in frequencies}
-    else:
-        idx = np.asarray(spec.indices, dtype=int)
-        if not len(idx) or idx.min() < 0 or idx.max() >= geo.sensor_count:
-            raise ConfigError(
-                "subarray.indices", f"expected one or more sensor indices within 0..{geo.sensor_count - 1}"
-            )
-        if len(np.unique(idx)) != len(idx):
-            raise ConfigError("subarray.indices", "a sensor index appears twice")
-        sub = geometry.SubArray(parent=geo, indices=idx)
-        return {float(f): sub for f in frequencies}
-    for f, sub in subs.items():
-        _require(sub.size > 0, "subarray.epsilon", f"no sensor lies within {spec.epsilon!r} m of a target at {f!r} Hz")
-    return subs
-
-
-def _beamform_work(item):
-    """Worker for per-frequency beamforming (picklable)."""
-    csm, steering, bf = item
-    steer = beamforming.steering_vectors(steering, csm.frequency, include_absorption=bf.include_absorption)
-    if bf.clean_sc:
-        return beamforming.clean_sc(
-            csm, steer, steering.grid, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
-            stop_threshold=bf.stop_threshold, diagonal_removal=bf.diagonal_removal,
-        )
-    return beamforming.conventional_beamform(csm, steer, bf.diagonal_removal)
-
-
-def run_beamforming(cfg: RunConfig, geo, scene, jobs: int = 1) -> list:
-    """Maps for `beamform`, `farfield` and `pipeline`, sorted by frequency.
-
-    CSMs and steering travel times are computed once per distinct sub-array
-    for all of its frequencies; each work item carries its CSM and geometry.
-    """
-    bf = cfg.beamforming
-    g = bf.grid
-    grid = beamforming.make_focus_grid(
-        g.x_range, g.z_range, g.spacing, y_plane=g.y_plane, delta_angle=g.delta_angle, aoa=g.aoa
-    )
-    subs = _build_subarray(geo, cfg.subarray, bf.frequencies)
+        subs = dict.fromkeys(frequencies, sub)
     unique = {}  # id of a distinct sub-array -> (sub-array, its frequencies)
     for f, sub in subs.items():
+        _require(sub.size > 0, "subarray.epsilon", f"no sensor lies within {spec.epsilon!r} m of a target at {f!r} Hz")
         unique.setdefault(id(sub), (sub, []))[1].append(f)
-    csm_by_freq = {}
-    if bf.estimator == "welch":
-        sp = cfg.spectral or SpectralConfig()
-        for sub, flist in unique.values():
+    return list(unique.values())
+
+
+def run_beamforming(cfg: RunConfig, geo, scene) -> list:
+    """Maps for `beamform`, `farfield` and `pipeline`, sorted by frequency.
+
+    Runs in the calling process, one distinct sub-array at a time: its CSMs
+    and steering travel times are formed once for all of its frequencies.
+    """
+    bf = cfg.beamforming
+    grid = beamforming.make_focus_grid(**vars(bf.grid))  # GridConfig's fields are its parameters
+    maps = []
+    for sub, frequencies in _distinct_subarrays(geo, cfg.subarray, bf.frequencies):
+        if bf.estimator == "welch":
+            sp = cfg.spectral or SpectralConfig()
             sig, _ = synthesis.synthesize_timeseries(scene, sub.positions, rate=sp.rate, duration=sp.duration)
             csms = spectral.welch_csm(
-                sig, sp.rate, block=sp.block, overlap=sp.overlap, window=sp.window, frequencies=flist
+                sig, sp.rate, block=sp.block, overlap=sp.overlap, window=sp.window, frequencies=frequencies
             )
-            csm_by_freq.update(zip(flist, csms))
-    else:
-        for sub, flist in unique.values():
-            csm_by_freq.update(zip(flist, synthesis.synthesize_csm(scene, sub.positions, flist)))
-
-    steering = {
-        key: beamforming.steering_geometry(grid, sub.positions, scene.medium) for key, (sub, _) in unique.items()
-    }
-    work = [(csm_by_freq[f], steering[id(subs[f])], bf) for f in bf.frequencies]
-    workers = min(jobs, len(work))  # a fork pool starts every worker at its first submit
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            maps = list(pool.map(_beamform_work, work))
-    else:
-        maps = [_beamform_work(w) for w in work]
+            del sig
+        else:
+            csms = synthesis.synthesize_csm(scene, sub.positions, frequencies)
+        steering = beamforming.steering_geometry(grid, sub.positions, scene.medium)
+        for csm in csms:
+            steer = beamforming.steering_vectors(steering, csm.frequency, include_absorption=bf.include_absorption)
+            if bf.clean_sc:
+                maps.append(beamforming.clean_sc(
+                    csm, steer, grid, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
+                    stop_threshold=bf.stop_threshold, diagonal_removal=bf.diagonal_removal,
+                ))
+            else:
+                maps.append(beamforming.conventional_beamform(csm, steer, bf.diagonal_removal))
+        del csms, steering, steer  # freed before the next sub-array's are formed
     return sorted(maps, key=lambda m: m.frequency)
 
 
@@ -597,12 +580,7 @@ def cmd_acquire(args) -> int:
     return 0
 
 
-def _require_jobs(jobs: int) -> None:
-    _require(jobs >= 1, "jobs", f"expected >= 1, got {jobs!r}")
-
-
 def cmd_beamform(args) -> int:
-    _require_jobs(args.jobs)
     freqs = args.freqs
     if args.band:
         lo, hi = parse(tuple[float, float], args.band_range, "band_range")
@@ -625,7 +603,7 @@ def cmd_beamform(args) -> int:
     scene = _load_scene(cfg.scene)
     geo = _load_geometry(cfg)
     outputs = []
-    for bmap in run_beamforming(cfg, geo, scene, jobs=args.jobs):
+    for bmap in run_beamforming(cfg, geo, scene):
         outputs += save_map(out, bmap, cfg.outputs.formats)
     write_manifest(
         out,
@@ -650,9 +628,9 @@ def cmd_directivity(args) -> int:
     surface.save_csv(gpath)
     mpath = os.path.join(out, "directivity_meta.json")
     surface.save_meta(mpath)
-    polar = analysis.octave_polar(surface) if cfg.octave_polar else None
     outputs = [gpath, mpath]
-    if polar is not None:
+    if cfg.octave_polar:
+        polar = analysis.octave_polar(surface)
         ppath = os.path.join(out, "octave_polar.csv")
         with open(ppath, "w", encoding="utf-8") as fh:
             fh.write("theta_deg," + ",".join(repr(float(c)) for c in polar["centers"]) + "\n")
@@ -666,7 +644,6 @@ def cmd_directivity(args) -> int:
 
 
 def cmd_farfield(args) -> int:
-    _require_jobs(args.jobs)
     cfg = parse(RunConfig, {
         "geometry": {"load": args.geometry},
         "scene": {"load": args.scene},
@@ -674,15 +651,18 @@ def cmd_farfield(args) -> int:
         "subarray": {"strategy": args.subarray},
         "analysis": {"roi": args.roi},
     }, "")
-    mics = np.array(parse(tuple[tuple[float, float, float], ...], args.mics, "mics"))
-    reference = np.array(parse(tuple[float, float, float], args.reference, "reference"))
+    mics = parse(tuple[tuple[float, float, float], ...], args.mics, "mics")
+    reference = parse(tuple[float, float, float], args.reference, "reference")
+    for i, mic in enumerate(mics):
+        _require_finite_each(mic, f"mics[{i}]")
+    _require_finite_each(reference, "reference")
     out = _out_dir(args)
     scene = _load_scene(cfg.scene)
-    maps = run_beamforming(cfg, _load_geometry(cfg), scene, jobs=args.jobs)
+    maps = run_beamforming(cfg, _load_geometry(cfg), scene)
     integrated = analysis.maps_to_spectrum(maps, cfg.analysis.roi)
 
     mic_specs = []
-    for mic in mics:
+    for mic in np.array(mics):
         spec = _virtual_mic_spectrum(scene, mic, integrated.frequencies)
         mic_specs.append((spec, float(np.linalg.norm(mic - reference))))
     comparison = analysis.farfield_compare(integrated, mic_specs)
@@ -704,7 +684,6 @@ def _virtual_mic_spectrum(scene, position, freqs) -> spectral.Spectrum:
 
 
 def cmd_pipeline(args) -> int:
-    _require_jobs(args.jobs)
     try:
         if args.config.startswith("bundled:"):
             cfg = bundled_config(args.config.split(":", 1)[1].replace("-", "_"))
@@ -728,7 +707,7 @@ def cmd_pipeline(args) -> int:
     geo.save_json(gpath)
     outputs = [gpath]
 
-    maps = run_beamforming(cfg, geo, scene, jobs=args.jobs)
+    maps = run_beamforming(cfg, geo, scene)
     bf_dir = os.path.join(out, "beamforming")
     os.makedirs(bf_dir, exist_ok=True)
     for bmap in maps:
@@ -805,7 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--overlap", type=float, default=SpectralConfig.overlap)
     b.add_argument("--duration", type=float, default=SpectralConfig.duration)
     b.add_argument("--format", type=_flag_list, default=list(OutputsConfig.formats))
-    b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--out", default="run")
     b.set_defaults(func=cmd_beamform)
 
@@ -834,14 +812,14 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--reference", type=_flag_list, default=list(DirectivityConfig.reference))
     f.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=["dnw_like", "freq_dependent"])
     f.add_argument("--dr", choices=["on", "off"], default="on")
-    f.add_argument("--jobs", type=int, default=1)
     f.add_argument("--out", default="run")
     f.set_defaults(func=cmd_farfield)
 
     pl = sub.add_parser("pipeline", help="config-driven full run")
     pl.add_argument("--config", required=True, help="path or bundled:<name>")
     pl.add_argument("--seed", type=int, default=None)
-    pl.add_argument("--jobs", type=int, default=1)
+    # kept only because the benchmark's argv passes `--jobs 1`
+    pl.add_argument("--jobs", type=int, choices=[1], default=1, help="1 only: beamforming runs in this process")
     pl.add_argument("--out", default="run")
     pl.set_defaults(func=cmd_pipeline)
 

@@ -110,6 +110,12 @@ def _require_finite(value: float, path: str) -> None:
     _require(math.isfinite(value), path, f"expected a finite number, got {value!r}")
 
 
+def _require_finite_each(values, path: str) -> None:
+    """ConfigError at `path[i]` for the first non-finite `values[i]`."""
+    for i, v in enumerate(values):
+        _require_finite(v, f"{path}[{i}]")
+
+
 def _require_range(bounds: tuple[float, float], path: str, strict: bool = False) -> None:
     lo, hi = bounds
     ok = math.isfinite(lo) and math.isfinite(hi) and (lo < hi if strict else lo <= hi)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _require, _require_finite, _require_positive
+from .errors import ConfigError, NumericalError, _require, _require_finite, _require_finite_each, _require_positive
 
 REFERENCE_DISTANCE = 1.0  # m, level reference for source strengths
 
@@ -31,8 +31,7 @@ class ShearLayerPlane:
         n = np.asarray(self.normal, dtype=float)
         _require(np.linalg.norm(n) > 0, "normal", f"expected a non-zero vector, got {list(self.normal)!r}")
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        for i, v in enumerate(self.point):
-            _require_finite(v, f"point[{i}]")
+        _require_finite_each(self.point, "point")
         object.__setattr__(self, "normal", n / np.linalg.norm(n))
 
 

@@ -47,7 +47,10 @@ class CrossSpectralMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("CSM must be square")
-        herm_err = np.abs(v - v.conj().T).max()
+        with np.errstate(invalid="ignore"):  # inf - inf: reported below as non-finite
+            herm_err = np.abs(v - v.conj().T).max()
+        if not np.isfinite(herm_err):
+            raise ValueError("CSM contains non-finite entries")
         scale = max(np.abs(v).max(), 1.0e-300)
         if herm_err > 1e-9 * scale:
             raise ValueError(f"CSM is not Hermitian (max asymmetry {herm_err:.3e})")

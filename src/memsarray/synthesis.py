@@ -19,7 +19,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, _require, _require_finite, _require_non_negative, parse
+from .errors import ConfigError, _require, _require_finite, _require_finite_each, _require_non_negative, parse
 from .propagation import (
     REFERENCE_DISTANCE,
     MediumModel,
@@ -112,8 +112,7 @@ class Source:
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        for i, v in enumerate(self.position):
-            _require_finite(v, f"position[{i}]")
+        _require_finite_each(self.position, "position")
         if isinstance(self.spectrum, dict):
             object.__setattr__(self, "spectrum", parse(ToneSpectrum | BroadbandSpectrum, self.spectrum, "spectrum"))
         if self.kind not in ("monopole", "dipole"):
@@ -172,6 +171,11 @@ def _path_gains(source: Source, positions: np.ndarray, medium: MediumModel):
     dipole weighting) from a source to each receiver."""
     delays = path_delays(source.position[None, :], positions, medium)
     r_eff = medium.speed_of_sound * delays
+    if (r_eff < 1e-9).any():
+        i = int(np.argmin(r_eff))
+        raise ValueError(
+            f"receiver {i} at {positions[i].tolist()} coincides with the source at {source.position.tolist()}"
+        )
     gains = (REFERENCE_DISTANCE / r_eff) * np.sqrt(source.directivity_gain(positions))
     return delays, r_eff, gains
 

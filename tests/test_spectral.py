@@ -137,6 +137,14 @@ class TestCsmInvariants:
         with pytest.raises(ValueError):
             sp.CrossSpectralMatrix(frequency=100.0, values=bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, at, bad):
+        values = np.eye(2, dtype=complex)
+        values[at] = values[at[::-1]] = bad
+        with pytest.raises(ValueError, match="CSM contains non-finite entries"):
+            sp.CrossSpectralMatrix(frequency=100.0, values=values)
+
     def test_rejects_negative_diagonal(self):
         bad = np.array([[-1.0 + 0j, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -250,6 +258,16 @@ class TestCsmContainerErrors:
             path.write_bytes(data[:n])
             with pytest.raises(ProtocolError):
                 sp.load_csm_set(path)
+
+    def test_non_finite_entry_raises_protocol_error(self, rng, tmp_path):
+        path = tmp_path / "set.csm"
+        sp.save_csm_set(path, small_csm_set(rng))
+        raw = bytearray(path.read_bytes())
+        payload = 8 + int.from_bytes(raw[4:8], "little")
+        raw[payload : payload + 16] = np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ProtocolError, match="CSM contains non-finite entries"):
+            sp.load_csm_set(path)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
