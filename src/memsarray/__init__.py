@@ -40,7 +40,6 @@ from .beamforming import (
     clean_sc,
     conventional_beamform,
     make_focus_grid,
-    steering_formulation_iii,
     steering_geometry,
     steering_vectors,
 )

@@ -112,10 +112,9 @@ def maps_to_spectrum(maps: list[BeamformingMap], roi: RegionOfInterest) -> Spect
 def directivity(spectra: list[tuple]) -> DirectivitySurface:
     """Build a directivity surface from per-angle spectra.
 
-    `spectra` is a list of (angles, spectrum) where `angles` is an
-    ObservationAngles (or a bare theta in degrees). All spectra must share one
-    frequency axis; missing bins (NaN or non-positive power) stay masked.
-    The angle average is taken over dB values.
+    `spectra` is a list of (ObservationAngles, Spectrum) pairs. All spectra
+    must share one frequency axis; missing bins (NaN or non-positive power)
+    stay masked. The angle average is taken over dB values.
     """
     if len(spectra) < 2:
         raise ValueError("directivity needs spectra from at least 2 angles")
@@ -124,12 +123,8 @@ def directivity(spectra: list[tuple]) -> DirectivitySurface:
     rows = []
     freqs = None
     for ang, spec in spectra:
-        if hasattr(ang, "theta"):
-            thetas.append(ang.theta)
-            spreads.append(ang.theta_std)
-        else:
-            thetas.append(float(ang))
-            spreads.append(0.0)
+        thetas.append(ang.theta)
+        spreads.append(ang.theta_std)
         if freqs is None:
             freqs = np.asarray(spec.frequencies, dtype=float)
         elif len(spec.frequencies) != len(freqs) or not np.allclose(spec.frequencies, freqs):
@@ -240,8 +235,8 @@ def directivity_pipeline(
     per_angle = []
     for sub in subarrays:
         angles = subarray_observation(sub, reference_point)
-        steering = steering_geometry(grid, sub, scene.medium)
+        steering = steering_geometry(grid, sub.positions, scene.medium)
         csms = synthesize_csm(scene, sub.positions, freqs)
-        maps = [clean_sc(c, steering_vectors(steering, c.frequency), grid) for c in csms]
+        maps = [clean_sc(c, steering_vectors(steering, c.frequency)) for c in csms]
         per_angle.append((angles, maps_to_spectrum(maps, roi)))
     return directivity(per_angle)

@@ -6,8 +6,9 @@ formulation III,
     h_m = exp(-j 2 pi f (tau_m - tau_0)) / (r_m * r_0 * sum_l r_l^-2),
 
 with travel times from the propagation module (convected Green's function,
-optionally the Amiet shear-layer path) and r = c0 * tau the effective
-distances. Travel times do not depend on frequency: `steering_geometry`
+optionally the Amiet shear-layer path), r = c0 * tau the effective
+distances and r_0 measured to the array centre, the mean of the sensor
+positions. Travel times do not depend on frequency: `steering_geometry`
 turns them into relative delays and distances once per grid, sub-array and
 medium, in the (M, N) layout of the steering matrix, and `steering_vectors`
 computes phase and amplitude per frequency. Map values are re-referenced to
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SubArray
 from .propagation import REFERENCE_DISTANCE, MediumModel, atmospheric_absorption, path_delays
+from .spectral import CrossSpectralMatrix
 
 CLEAN_SC_INNER_ITERATIONS = 20  # fixed-point steps per component under diagonal removal
 LOBE_DROP_DB = 3.0  # `lobe_width_db` measures the main lobe this far below its peak
@@ -154,17 +155,12 @@ class SteeringGeometry:
     medium: MediumModel
 
 
-def steering_geometry(
-    grid: FocusGrid,
-    subarray: SubArray | np.ndarray,
-    medium: MediumModel | None = None,
-    reference_point=None,
-) -> SteeringGeometry:
-    """Travel times for `steering_vectors`; the reference point defaults to the
-    sub-array geometric mean."""
+def steering_geometry(grid: FocusGrid, positions: np.ndarray, medium: MediumModel | None = None) -> SteeringGeometry:
+    """Travel times for `steering_vectors` from every grid point to the (M, 3)
+    sensor `positions` and to the array reference, their mean."""
     medium = medium or MediumModel()
-    mics = subarray.positions if isinstance(subarray, SubArray) else np.asarray(subarray, dtype=float)
-    ref = mics.mean(axis=0) if reference_point is None else np.asarray(reference_point, dtype=float)
+    mics = np.asarray(positions, dtype=float)
+    ref = mics.mean(axis=0)
     tau = np.ascontiguousarray(path_delays(grid.points[:, None, :], mics[None, :, :], medium).T)
     tau0 = path_delays(grid.points, ref[None, :], medium)
     r, r0 = medium.speed_of_sound * tau, medium.speed_of_sound * tau0
@@ -194,32 +190,21 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
     return SteeringSet(frequency=float(frequency), matrix=h, reference_distance=r0, grid=geometry.grid)
 
 
-def steering_formulation_iii(
-    grid: FocusGrid,
-    subarray: SubArray | np.ndarray,
-    frequency: float,
-    reference_point=None,
-) -> SteeringSet:
-    """Level-true free-field steering vectors for every grid point at one
-    frequency: `steering_vectors` of `steering_geometry`. Callers steering one
-    geometry at several frequencies, or through a moving medium, build the
-    geometry themselves."""
-    return steering_vectors(steering_geometry(grid, subarray, reference_point=reference_point), frequency)
-
-
 def _raw_map(csm_values: np.ndarray, h: np.ndarray) -> np.ndarray:
     """b_t = h_t^H C h_t for all columns at once."""
     return (h.conj() * (csm_values @ h)).sum(axis=0).real
 
 
-def conventional_beamform(csm, steering: SteeringSet, diagonal_removal: bool = False) -> BeamformingMap:
+def conventional_beamform(
+    csm: CrossSpectralMatrix, steering: SteeringSet, diagonal_removal: bool = False
+) -> BeamformingMap:
     """Delay-and-sum map; values referenced to the source power at 1 m.
 
     With diagonal removal the CSM diagonal is zeroed first, which makes the
     output exactly invariant to any per-channel (incoherent) auto-power.
     Negative values are clamped for display but kept in `raw_values`.
     """
-    values = np.asarray(csm.values) if hasattr(csm, "values") else np.asarray(csm)
+    values = csm.values
     if values.shape[0] != steering.n_channels:
         raise ValueError(
             f"CSM has {values.shape[0]} channels but steering expects {steering.n_channels}"
@@ -231,9 +216,8 @@ def conventional_beamform(csm, steering: SteeringSet, diagonal_removal: bool = F
     ref_scale = (steering.reference_distance / REFERENCE_DISTANCE) ** 2
     raw = raw * ref_scale
     clamped = np.maximum(raw, 0.0)
-    freq = getattr(csm, "frequency", steering.frequency)
     return BeamformingMap(
-        frequency=float(freq),
+        frequency=float(csm.frequency),
         values=clamped,
         grid=steering.grid,
         kind="conventional",
@@ -245,9 +229,8 @@ def conventional_beamform(csm, steering: SteeringSet, diagonal_removal: bool = F
 
 
 def clean_sc(
-    csm,
+    csm: CrossSpectralMatrix,
     steering: SteeringSet,
-    grid: FocusGrid | None = None,
     loop_gain: float = 1.0,
     max_iterations: int = 100,
     stop_threshold: float = 1e-3,
@@ -270,9 +253,7 @@ def clean_sc(
     """
     if not 0.0 < loop_gain <= 1.0:
         raise ValueError("loop gain must be in (0, 1]")
-    if grid is None:
-        grid = steering.grid
-    values = np.asarray(csm.values) if hasattr(csm, "values") else np.asarray(csm)
+    values = csm.values
     if not np.isfinite(values).all():
         raise ValueError("CSM contains non-finite entries")
     if values.shape[0] != steering.n_channels:
@@ -328,11 +309,10 @@ def clean_sc(
     for t, p in comp_list:
         clean_map[t] += p
     residual = dirty * ref_scale
-    freq = getattr(csm, "frequency", steering.frequency)
     return BeamformingMap(
-        frequency=float(freq),
+        frequency=float(csm.frequency),
         values=clean_map,
-        grid=grid,
+        grid=steering.grid,
         kind="clean_sc",
         raw_values=residual,
         components=comp_list,

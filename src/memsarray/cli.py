@@ -437,7 +437,7 @@ def run_beamforming(cfg: RunConfig, geo, scene) -> list:
             steer = beamforming.steering_vectors(steering, csm.frequency, include_absorption=bf.include_absorption)
             if bf.clean_sc:
                 maps.append(beamforming.clean_sc(
-                    csm, steer, grid, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
+                    csm, steer, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
                     stop_threshold=bf.stop_threshold, diagonal_removal=bf.diagonal_removal,
                 ))
             else:
@@ -656,15 +656,17 @@ def cmd_farfield(args) -> int:
     for i, mic in enumerate(mics):
         _require_finite_each(mic, f"mics[{i}]")
     _require_finite_each(reference, "reference")
+    distances = [float(np.linalg.norm(np.subtract(mic, reference))) for mic in mics]
+    for i, d in enumerate(distances):
+        _require(d > 0, f"mics[{i}]", f"expected a position away from the reference {list(reference)!r}")
     out = _out_dir(args)
     scene = _load_scene(cfg.scene)
     maps = run_beamforming(cfg, _load_geometry(cfg), scene)
     integrated = analysis.maps_to_spectrum(maps, cfg.analysis.roi)
 
-    mic_specs = []
-    for mic in np.array(mics):
-        spec = _virtual_mic_spectrum(scene, mic, integrated.frequencies)
-        mic_specs.append((spec, float(np.linalg.norm(mic - reference))))
+    mic_specs = [
+        (_virtual_mic_spectrum(scene, mic, integrated.frequencies), d) for mic, d in zip(np.array(mics), distances)
+    ]
     comparison = analysis.farfield_compare(integrated, mic_specs)
     path = os.path.join(out, "farfield_comparison.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -118,7 +118,6 @@ def welch_csm(
     block: int = 1024,
     overlap: float = 0.5,
     window: str = "hann",
-    freq_range=None,
     frequencies=None,
 ) -> list[CrossSpectralMatrix]:
     """Welch-averaged CSMs at the selected rFFT bins (all bins up to Nyquist by default).
@@ -126,18 +125,12 @@ def welch_csm(
     `signals` is (n_samples, n_channels). The per-channel mean is removed over
     the full record; blocks are not detrended individually. One-sided PSD
     normalization: 2 / (fs * sum(w**2)), halved at DC and Nyquist.
-    `freq_range=(lo, hi)` keeps the bins within [lo, hi], in ascending order.
     `frequencies` gives one CSM per requested frequency, in request order, at
     its nearest bin (`welch_bins` checks the requests); each CSM's `frequency`
-    is its bin's. At most one of the two selectors may be given. Only the
-    selected bins of each block's spectrum are kept, so the cost of the
-    products grows with the bins asked for, not with the block.
+    is its bin's. Only the selected bins of each block's spectrum are kept, so
+    the cost of the products grows with the bins asked for, not with the block.
     """
-    if freq_range is not None and frequencies is not None:
-        raise ValueError("give freq_range or frequencies, not both")
     x = np.asarray(signals, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     n, m = x.shape
     if n < block:
         raise ValueError(f"signal of {n} samples is shorter than one block ({block})")
@@ -153,12 +146,7 @@ def welch_csm(
     x = x - x.mean(axis=0, keepdims=True)
 
     freqs = np.fft.rfftfreq(block, d=1.0 / rate)
-    if frequencies is not None:
-        idx = welch_bins(frequencies, rate, block)
-    elif freq_range is not None:
-        idx = np.flatnonzero((freqs >= freq_range[0]) & (freqs <= freq_range[1]))
-    else:
-        idx = np.arange(len(freqs))
+    idx = np.arange(len(freqs)) if frequencies is None else welch_bins(frequencies, rate, block)
     fsel = freqs[idx]
     spec = np.empty((len(idx), n_avg, m), dtype=complex)  # selected bin, block, channel
     for b in range(n_avg):
@@ -223,8 +211,9 @@ def _band_masks(frequencies, centers, band_type: str) -> list[tuple[float, np.nd
     return out
 
 
-def band_integrate(spectrum: Spectrum, band_type: str = "third_octave", centers=None) -> Spectrum:
-    """Integrate a narrowband PSD into band powers (sum of PSD * df).
+def band_integrate(spectrum: Spectrum, band_type: str = "third_octave") -> Spectrum:
+    """Integrate a narrowband PSD into band powers (sum of PSD * df) over the
+    standard bands from its lowest positive to its highest frequency.
 
     Bands that contain no narrowband bins are dropped from the output rather
     than reported as zero.
@@ -235,9 +224,7 @@ def band_integrate(spectrum: Spectrum, band_type: str = "third_octave", centers=
     if len(f) < 2:
         raise ValueError("narrowband spectrum must have at least 2 bins")
     df = float(np.median(np.diff(f)))
-    if centers is None:
-        centers = band_centers_spanning(f, band_type)
-    bands = _band_masks(f, centers, band_type)
+    bands = _band_masks(f, band_centers_spanning(f, band_type), band_type)
     return Spectrum(
         frequencies=np.array([c for c, _ in bands]),
         psd=np.array([float(np.sum(spectrum.psd[mask]) * df) for _, mask in bands]),

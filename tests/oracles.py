@@ -269,10 +269,10 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
     return components, iterations, initial, dirty
 
 
-def welch_csm_oracle(signals, rate, block=1024, overlap=0.5, window="hann", freq_range=None):
-    """Welch CSMs of (n_samples, n_channels) `signals` at every rFFT bin in
-    `freq_range` (all bins by default), summing each block's (bins, M, M)
-    outer product; returns [(bin frequency, (M, M) values, n_averages)]."""
+def welch_csm_oracle(signals, rate, block=1024, overlap=0.5, window="hann"):
+    """Welch CSMs of (n_samples, n_channels) `signals` at every rFFT bin,
+    summing each block's (bins, M, M) outer product; returns
+    [(bin frequency, (M, M) values, n_averages)]."""
     x = np.asarray(signals, dtype=float)
     n, m = x.shape
     hop = int(round(block * (1.0 - overlap)))
@@ -280,20 +280,15 @@ def welch_csm_oracle(signals, rate, block=1024, overlap=0.5, window="hann", freq
     w = get_window(window, block, fftbins=True)
     x = x - x.mean(axis=0, keepdims=True)
     freqs = np.fft.rfftfreq(block, d=1.0 / rate)
-    if freq_range is not None:
-        sel = (freqs >= freq_range[0]) & (freqs <= freq_range[1])
-    else:
-        sel = np.ones(len(freqs), dtype=bool)
-    fsel = freqs[sel]
-    acc = np.zeros((len(fsel), m, m), dtype=complex)
+    acc = np.zeros((len(freqs), m, m), dtype=complex)
     for b in range(n_avg):
         seg = x[b * hop : b * hop + block] * w[:, None]
-        spec = np.fft.rfft(seg, axis=0)[sel]
+        spec = np.fft.rfft(seg, axis=0)
         acc += spec[:, :, None] * spec.conj()[:, None, :]
     acc *= 2.0 / (rate * np.sum(w * w) * n_avg)
-    edge = (fsel == 0.0) | np.isclose(fsel, rate / 2.0)  # no one-sided doubling at DC and Nyquist
+    edge = (freqs == 0.0) | np.isclose(freqs, rate / 2.0)  # no one-sided doubling at DC and Nyquist
     acc[edge] *= 0.5
-    return [(float(f), 0.5 * (v + v.conj().T), n_avg) for f, v in zip(fsel, acc)]
+    return [(float(f), 0.5 * (v + v.conj().T), n_avg) for f, v in zip(freqs, acc)]
 
 
 def synthesize_timeseries_oracle(scene, positions, rate, duration, include_absorption=True):

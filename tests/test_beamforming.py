@@ -65,31 +65,27 @@ class TestFocusGrid:
 
 class TestSteering:
     def test_single_sensor_reduction(self):
+        # one sensor is its own reference: r_m = r_0, so h = 1 at every focus point
         mics = np.array([[0.0, 3.0, 0.0]])
         grid = bf.make_focus_grid((-0.5, 0.5), (-0.5, 0.5), 0.5)
-        steer = bf.steering_formulation_iii(grid, mics, 1000.0, reference_point=np.array([0.3, 2.0, 0.1]))
-        r_m = np.linalg.norm(grid.points - mics[0], axis=1)
-        r_0 = np.linalg.norm(grid.points - np.array([0.3, 2.0, 0.1]), axis=1)
-        assert np.allclose(np.abs(steer.matrix[0]), r_m / r_0, rtol=1e-12)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, mics), 1000.0)
+        assert np.allclose(steer.matrix, 1.0, rtol=0.0, atol=1e-12)
 
     def test_equidistant_magnitude(self):
-        # ring of sensors, focus at the center: |h_m| = 1 / (M r_0)
+        # ring of sensors at y = 3 around its mean, focus at the origin: |h_m| = r / (M r_0)
         m = 8
         ang = 2 * np.pi * np.arange(m) / m
         mics = np.stack([np.cos(ang), np.full(m, 3.0), np.sin(ang)], axis=1)
-        grid = bf.FocusGrid(
-            points=np.array([[0.0, 3.0, 0.0]]), local=np.zeros((1, 2)), shape=(1, 1), spacing=1.0
-        )
-        ref = np.array([0.0, 6.0, 0.0])
-        steer = bf.steering_formulation_iii(grid, mics, 2000.0, reference_point=ref)
-        r0 = 3.0
-        assert np.allclose(np.abs(steer.matrix[:, 0]), 1.0 / (m * r0), rtol=1e-12)
+        grid = bf.FocusGrid(points=np.zeros((1, 3)), local=np.zeros((1, 2)), shape=(1, 1), spacing=1.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, mics), 2000.0)
+        r, r0 = np.sqrt(10.0), 3.0
+        assert np.allclose(np.abs(steer.matrix[:, 0]), r / (m * r0), rtol=1e-12)
 
     def test_level_true_at_source(self, setup):
         _, sub, grid = setup
         idx = grid.index_of([3.0, 0.0, -0.5])
         csm = monopole_csm(sub.positions, grid.points[idx], 4000.0)
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
         bmap = bf.conventional_beamform(csm, steer)
         peak_idx, peak_val = bmap.peak()
         assert peak_idx == idx
@@ -98,21 +94,21 @@ class TestSteering:
     def test_frequency_positive(self, setup):
         _, sub, grid = setup
         with pytest.raises(ValueError):
-            bf.steering_formulation_iii(grid, sub, 0.0)
+            bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 0.0)
 
     def test_focus_on_sensor_rejected(self, setup):
         geo_, sub, _ = setup
         pt = sub.positions[0]
         grid = bf.FocusGrid(points=pt[None, :], local=np.zeros((1, 2)), shape=(1, 1), spacing=1.0)
         with pytest.raises(ValueError):
-            bf.steering_formulation_iii(grid, sub, 1000.0)
+            bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 1000.0)
 
 
 class TestConventional:
     def test_dr_invariance_exact(self, setup):
         _, sub, grid = setup
         csm = monopole_csm(sub.positions, grid.points[grid.index_of([3.0, 0.0, -0.5])], 2000.0)
-        steer = bf.steering_formulation_iii(grid, sub, 2000.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 2000.0)
         base = bf.conventional_beamform(csm, steer, diagonal_removal=True)
         perturbed = CrossSpectralMatrix(
             frequency=csm.frequency,
@@ -125,7 +121,7 @@ class TestConventional:
 
     def test_zero_csm(self, setup):
         _, sub, grid = setup
-        steer = bf.steering_formulation_iii(grid, sub, 2000.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 2000.0)
         zero = CrossSpectralMatrix(frequency=2000.0, values=np.zeros((sub.size, sub.size), dtype=complex))
         bmap = bf.conventional_beamform(zero, steer)
         assert not bmap.values.any()
@@ -133,15 +129,23 @@ class TestConventional:
 
     def test_dimension_mismatch(self, setup):
         _, sub, grid = setup
-        steer = bf.steering_formulation_iii(grid, sub, 2000.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 2000.0)
         small = CrossSpectralMatrix(frequency=2000.0, values=np.zeros((10, 10), dtype=complex))
         with pytest.raises(ValueError):
             bf.conventional_beamform(small, steer)
 
+    def test_maps_carry_the_steering_grid(self, setup):
+        _, sub, grid = setup
+        csm = monopole_csm(sub.positions, grid.points[grid.index_of([3.0, 0.0, -0.5])], 4000.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
+        for bmap in (bf.conventional_beamform(csm, steer), bf.clean_sc(csm, steer)):
+            assert bmap.grid is steer.grid is grid
+            assert bmap.frequency == csm.frequency
+
     def test_dr_negative_clamping(self, setup):
         _, sub, grid = setup
         csm = monopole_csm(sub.positions, grid.points[grid.index_of([3.0, 0.0, -0.5])], 4000.0)
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
         bmap = bf.conventional_beamform(csm, steer, diagonal_removal=True)
         assert bmap.n_negative > 0  # sidelobe regions dip negative under DR
         assert (bmap.values >= 0).all()
@@ -153,8 +157,8 @@ class TestCleanSc:
         _, sub, grid = setup
         idx = grid.index_of([3.0, 0.0, -0.5])
         csm = monopole_csm(sub.positions, grid.points[idx], 4000.0)
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
-        bmap = bf.clean_sc(csm, steer, grid)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
+        bmap = bf.clean_sc(csm, steer)
         assert bmap.kind == "clean_sc"
         # dominant component within one grid cell of the truth
         comp_idx = max(bmap.components, key=lambda tp: tp[1])[0]
@@ -165,9 +169,9 @@ class TestCleanSc:
 
     def test_zero_csm_empty(self, setup):
         _, sub, grid = setup
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
         zero = CrossSpectralMatrix(frequency=4000.0, values=np.zeros((sub.size, sub.size), dtype=complex))
-        bmap = bf.clean_sc(zero, steer, grid)
+        bmap = bf.clean_sc(zero, steer)
         assert bmap.components == ()
         assert (bmap.iterations, bmap.stop_reason) == (0, "threshold")
 
@@ -178,8 +182,8 @@ class TestCleanSc:
         c1 = monopole_csm(sub.positions, grid.points[i1], 4000.0)
         c2 = monopole_csm(sub.positions, grid.points[i2], 4000.0)
         csm = CrossSpectralMatrix(frequency=4000.0, values=c1.values + c2.values, units=c1.units)
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
-        bmap = bf.clean_sc(csm, steer, grid)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
+        bmap = bf.clean_sc(csm, steer)
         tops = sorted(bmap.components, key=lambda tp: -tp[1])[:2]
         found = {t for t, _ in tops}
         for want in (i1, i2):
@@ -194,25 +198,25 @@ class TestCleanSc:
         _, sub, grid = setup
         idx = grid.index_of([3.0, 0.0, -0.5])
         csm = monopole_csm(sub.positions, grid.points[idx], 4000.0)
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
-        bmap = bf.clean_sc(csm, steer, grid, loop_gain=0.8)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
+        bmap = bf.clean_sc(csm, steer, loop_gain=0.8)
         assert bmap.iterations > 1
         assert abs(10 * np.log10(bmap.component_power() / Q2)) <= 0.1
 
     def test_invalid_loop_gain(self, setup):
         _, sub, grid = setup
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
         csm = monopole_csm(sub.positions, grid.points[0], 4000.0)
         with pytest.raises(ValueError):
-            bf.clean_sc(csm, steer, grid, loop_gain=0.0)
+            bf.clean_sc(csm, steer, loop_gain=0.0)
 
     def test_non_finite_rejected(self, setup):
         _, sub, grid = setup
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
-        vals = np.zeros((sub.size, sub.size), dtype=complex)
-        vals[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            bf.clean_sc(vals, steer, grid)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
+        csm = CrossSpectralMatrix(frequency=4000.0, values=np.zeros((sub.size, sub.size), dtype=complex))
+        csm.values[0, 0] = np.nan  # after the constructor's own check
+        with pytest.raises(ValueError, match="CSM contains non-finite entries"):
+            bf.clean_sc(csm, steer)
 
     def test_norm_monotone(self, setup):
         # accepted iterations never increase the degraded-CSM 1-norm: rerun
@@ -222,8 +226,9 @@ class TestCleanSc:
         vals = np.zeros((sub.size, sub.size), dtype=complex)
         for x, z in rngs:
             vals += monopole_csm(sub.positions, grid.points[grid.index_of([x, 0.0, z])], 4000.0).values
-        steer = bf.steering_formulation_iii(grid, sub, 4000.0)
-        bmap = bf.clean_sc(vals, steer, grid, loop_gain=0.9, max_iterations=40)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
+        csm = CrossSpectralMatrix(frequency=4000.0, values=vals)
+        bmap = bf.clean_sc(csm, steer, loop_gain=0.9, max_iterations=40)
         assert 0 < bmap.iterations <= 40
         total = bmap.component_power()
         assert abs(10 * np.log10(total / (3 * Q2))) < 0.5
@@ -258,8 +263,7 @@ def _assert_matches_clean_sc_oracle(csm, steer, **kwargs):
     reference-scaled units. A bound on the initial peak does not depend on how
     either side rounds a residual that CLEAN-SC has made small."""
     bmap = bf.clean_sc(csm, steer, **kwargs)
-    values = csm.values if hasattr(csm, "values") else csm
-    comps, iterations, initial, dirty = clean_sc_oracle(values, steer.matrix, **kwargs)
+    comps, iterations, initial, dirty = clean_sc_oracle(csm.values, steer.matrix, **kwargs)
     scale = (steer.reference_distance / bf.REFERENCE_DISTANCE) ** 2
     tolerance = 1e-13 * (initial * scale).max()
     assert bmap.iterations == iterations
@@ -301,7 +305,8 @@ class TestCleanScOracle:
         steer = bf.steering_vectors(steering, 4000.0)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((steer.n_channels, 60)) + 1j * rng.standard_normal((steer.n_channels, 60))
-        bmap = _assert_matches_clean_sc_oracle(x @ x.conj().T / 60, steer, stop_threshold=0.0, diagonal_removal=False)
+        csm = CrossSpectralMatrix(frequency=4000.0, values=x @ x.conj().T / 60)
+        bmap = _assert_matches_clean_sc_oracle(csm, steer, stop_threshold=0.0, diagonal_removal=False)
         assert bmap.iterations > 5
         assert bmap.stop_reason == "norm_increase"
 
@@ -314,7 +319,7 @@ class TestResolutionScaling:
         grid = bf.make_focus_grid((2.2, 3.8), (-0.5, -0.5), 0.004)
         idx = grid.index_of([3.0, 0.0, -0.5])
         csm = monopole_csm(sub.positions, grid.points[idx], freq)
-        steer = bf.steering_formulation_iii(grid, sub, freq)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), freq)
         bmap = bf.conventional_beamform(csm, steer)
         return bf.lobe_width_db(bmap.values, grid.local[:, 0])
 

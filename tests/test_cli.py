@@ -15,7 +15,8 @@ from memsarray.analysis import RegionOfInterest
 from memsarray.beamforming import BeamformingMap, make_focus_grid
 from memsarray.errors import ConfigError, parse
 from memsarray.geometry import ArrayGeometry
-from memsarray.spectral import DB_FLOOR
+from memsarray.spectral import DB_FLOOR, load_csm_set
+from memsarray.synthesis import Scene, synthesize_csm
 
 
 _BROADBAND_SCENE = {
@@ -249,6 +250,19 @@ class TestSimulateCommand:
         assert files == ["run_manifest.json", "timeseries.json", "timeseries.npy"]
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_exact_csm_reads_back(self, tmp_path, scene_file, panel_geometry):
+        argv = [
+            "simulate", "--scene", scene_file, "--geometry", panel_geometry, "--mode", "csm",
+            "--channels", "6", "--freqs", "1000,4000", "--out", str(tmp_path / "sim"),
+        ]
+        assert cli.main(argv) == 0
+        back = load_csm_set(tmp_path / "sim" / "exact_csm.bin")
+        positions = ArrayGeometry.load_json(panel_geometry).positions[:6]
+        exact = synthesize_csm(Scene.load_json(scene_file), positions, [1000.0, 4000.0])
+        assert [(c.frequency, c.units) for c in back] == [(c.frequency, c.units) for c in exact]
+        for got, want in zip(back, exact):
+            assert np.array_equal(got.values, want.values)
 
 
 class TestFarfieldCommand:
@@ -628,6 +642,7 @@ BAD_FLAGS = [
     ("farfield", ["--mics", "3,6"], "mics[0]"),
     ("farfield", ["--mics", "NaN,3,-0.5"], "mics[0][0]"),
     ("farfield", ["--reference", "NaN,0,0"], "reference[0]"),
+    ("farfield", ["--reference", "3.0,6.0,-0.5"], "mics[0]"),
     ("farfield", ["--roi", "5.0,6.0,5.0,6.0"], "analysis.roi"),
     ("farfield", ["--roi", "2.61,2.62,-0.55,-0.45", "--grid", "2.6,3.4,-0.9,-0.1,0.04"], "analysis.roi"),
 ]
