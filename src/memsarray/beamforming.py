@@ -18,13 +18,21 @@ reproduces its injected power exactly.
 CLEAN-SC deconvolution follows Sijtsma's formulation: per iteration the CSM
 component spatially coherent with the dirty-map peak is estimated (with a
 fixed-point inner iteration when the diagonal is removed) and subtracted.
-The dirty map is formed once from the CSM and then updated by the map of each
-subtracted rank-1 component, O(MN) per iteration instead of the O(M^2 N) of
-forming it again from the degraded CSM.
+The dirty map is formed once and then updated by the map of each subtracted
+rank-1 component, O(MN) per iteration instead of the O(M^2 N) of forming it
+again from the degraded CSM. An exact CSM carries its rank-K factor
+F F^H + diag(d) (see `CrossSpectralMatrix`), and CLEAN-SC forms its first
+map from F and d in O(KMN); a CSM without a factor (Welch, loaded from a
+file, built by hand) gives it from the dense matrix in O(M^2 N).
+Conventional maps are always formed from the dense matrix: the factored
+form rounds differently, and the diagonal-removed map of an exact CSM is
+meant to be bit-identical to that of the same matrix with any diagonal
+added.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +162,18 @@ class SteeringGeometry:
     r0: np.ndarray  # (N,) m, focus point -> array reference
     medium: MediumModel
 
+    @functools.cached_property
+    def amplitude(self) -> np.ndarray:
+        """(M, N) steering amplitude without absorption, which does not depend
+        on frequency: formed on first use and kept."""
+        return _amplitude(self.r, self.r0)
+
+
+def _amplitude(r: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Formulation III amplitude 1 / (r_m r_0 sum_l r_l^-2) per sensor and focus point."""
+    inv_sq_sum = np.sum(r**-2.0, axis=0)  # (N,)
+    return 1.0 / (r * r0 * inv_sq_sum)
+
 
 def steering_geometry(grid: FocusGrid, positions: np.ndarray, medium: MediumModel | None = None) -> SteeringGeometry:
     """Travel times for `steering_vectors` from every grid point to the (M, 3)
@@ -175,24 +195,41 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
     With `include_absorption` the per-channel effective distances are inflated
     by the atmospheric damping, r exp(alpha ln10/20 r) = r 10^(alpha r/20),
     which keeps the level-true property when the synthesized field carries
-    absorption too.
+    absorption too; without it the amplitude is the geometry's cached one.
+    The phase's cosine and sine are written into one complex array, which is
+    then scaled in place.
     """
     if frequency <= 0:
         raise ValueError("frequency must be > 0")
-    r, r0 = geometry.r, geometry.r0
+    r0 = geometry.r0
     if include_absorption:
         neper = atmospheric_absorption(frequency, geometry.medium) * (np.log(10.0) / 20.0)
-        r = r * np.exp(neper * r)
         r0 = r0 * np.exp(neper * r0)
-    inv_sq_sum = np.sum(r**-2.0, axis=0)  # (N,)
-    amp = 1.0 / (r * r0 * inv_sq_sum)
-    h = amp * np.exp(-2j * np.pi * frequency * geometry.delay)
+        amp = _amplitude(geometry.r * np.exp(neper * geometry.r), r0)
+    else:
+        amp = geometry.amplitude
+    phase = geometry.delay * (-2.0 * np.pi * frequency)
+    h = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=h.real)
+    np.sin(phase, out=h.imag)
+    h *= amp
     return SteeringSet(frequency=float(frequency), matrix=h, reference_distance=r0, grid=geometry.grid)
 
 
 def _raw_map(csm_values: np.ndarray, h: np.ndarray) -> np.ndarray:
     """b_t = h_t^H C h_t for all columns at once."""
     return (h.conj() * (csm_values @ h)).sum(axis=0).real
+
+
+def _factored_map(csm: CrossSpectralMatrix, h: np.ndarray, h_sq: np.ndarray, diagonal_removal: bool) -> np.ndarray:
+    """`_raw_map` of C = F F^H + diag(d), diagonal removed or not, from F and
+    d in O(KMN): sum_k |F_k^H h_t|^2 minus (sum_k |F_mk|^2)^T |h|^2, or plus
+    d^T |h|^2. `h_sq` is |h|^2."""
+    f = csm.factor
+    coherent = np.abs(f.conj().T @ h) ** 2
+    if diagonal_removal:
+        return coherent.sum(axis=0) - (np.abs(f) ** 2).sum(axis=1) @ h_sq
+    return coherent.sum(axis=0) + csm.diagonal @ h_sq
 
 
 def conventional_beamform(
@@ -241,7 +278,9 @@ def clean_sc(
     Per iteration: find the dirty-map peak, estimate the source component
     vector c from the degraded CSM column space at the peak (fixed-point inner
     iterations when the diagonal is removed), subtract loop_gain times the
-    induced CSM peak c c^H, and accumulate the clean component. The dirty map
+    induced CSM peak c c^H, and accumulate the clean component. The first
+    dirty map comes from the CSM's factor when it has one (`_factored_map`,
+    O(KMN)) and from its dense values otherwise (`_raw_map`, O(M^2 N)). It
     is not formed again from the degraded CSM; it loses the map of the
     subtracted component, loop_gain peak (|h^H c|^2 - (|h|^2)^T |c|^2), where
     the second term applies only when the diagonal is removed.
@@ -259,13 +298,16 @@ def clean_sc(
     if values.shape[0] != steering.n_channels:
         raise ValueError("CSM/steering dimension mismatch")
     h = steering.matrix
-    h_sq = np.abs(h) ** 2 if diagonal_removal else None
+    h_sq = np.abs(h) ** 2
     ref_scale = (steering.reference_distance / REFERENCE_DISTANCE) ** 2
 
     degraded = values.copy()
     if diagonal_removal:
         np.fill_diagonal(degraded, 0.0)
-    dirty = _raw_map(degraded, h)
+    if csm.factor is None:
+        dirty = _raw_map(degraded, h)
+    else:
+        dirty = _factored_map(csm, h, h_sq, diagonal_removal)
     initial_peak = dirty.max() if dirty.size else 0.0
     prev_norm = np.linalg.norm(degraded, 1)
     components: dict[int, float] = {}

@@ -31,20 +31,41 @@ def to_db(values, reference: float = P_REF_SQ) -> np.ndarray:
     return np.maximum(out, DB_FLOOR)
 
 
+MIRROR_BLOCK = 256  # rows of a factored CSM mirrored onto its lower triangle at a time
+
+
 @dataclass(frozen=True)
 class CrossSpectralMatrix:
-    """Hermitian cross-power matrix at one frequency."""
+    """Hermitian cross-power matrix at one frequency.
+
+    Give either `values`, or its rank-K `factor` F (M, K) and real noise
+    `diagonal` d (M,), from which `values` = F F^H + diag(d) is built once.
+    A given `values` is checked for shape, finiteness, Hermitian symmetry
+    and a non-negative diagonal; a given factor is checked for shape,
+    finiteness and d >= 0, and the matrix it builds is Hermitian exactly.
+    Exact CSMs carry their factor, so maps can be formed from it in O(KMN)
+    instead of O(M^2 N); measured (Welch) and loaded CSMs have none.
+    """
 
     frequency: float
-    values: np.ndarray  # (M, M) complex
+    values: np.ndarray | None = None  # (M, M) complex
     n_averages: int = 1
     window: str = "exact"
     block_size: int = 0
     overlap: float = 0.0
     units: str = "Pa^2/Hz"
+    factor: np.ndarray | None = None  # (M, K) complex: one column per coherent source
+    diagonal: np.ndarray | None = None  # (M,) real, incoherent auto-power per channel
 
     def __post_init__(self):
+        if self.factor is not None or self.diagonal is not None:
+            if self.values is not None:
+                raise ValueError("CSM takes values or a factor and diagonal, not both")
+            object.__setattr__(self, "values", _factored_values(self.factor, self.diagonal))
+            return
         v = self.values
+        if v is None:
+            raise ValueError("CSM needs values or a factor and diagonal")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("CSM must be square")
         with np.errstate(invalid="ignore"):  # inf - inf: reported below as non-finite
@@ -61,6 +82,33 @@ class CrossSpectralMatrix:
     @property
     def n_channels(self) -> int:
         return self.values.shape[0]
+
+
+def _factored_values(factor, diagonal) -> np.ndarray:
+    """F F^H + diag(d) for `CrossSpectralMatrix`, after checking F and d.
+
+    The BLAS product is Hermitian only to rounding (its kernel need not
+    round F_i F_j^* and F_j F_i^* alike), so its upper triangle is mirrored
+    onto the lower one, `MIRROR_BLOCK` rows at a time, and its diagonal is
+    made real: the matrix then survives the upper-triangle round trip of
+    `save_csm_set` / `load_csm_set` bit for bit."""
+    if factor is None or diagonal is None:
+        raise ValueError("a factored CSM needs both its factor and its diagonal")
+    if factor.ndim != 2 or diagonal.ndim != 1 or factor.shape[0] != len(diagonal) or np.iscomplexobj(diagonal):
+        raise ValueError(
+            f"factor {factor.shape} and diagonal {diagonal.shape} are not an (M, K) array and a real (M,) array"
+        )
+    if not (np.isfinite(factor).all() and np.isfinite(diagonal).all()):
+        raise ValueError("CSM factor or diagonal contains non-finite entries")
+    if (diagonal < 0).any():
+        raise ValueError("CSM diagonal must be non-negative")
+    m = len(diagonal)
+    v = factor @ factor.conj().T
+    for i in range(0, m, MIRROR_BLOCK):
+        j = min(i + MIRROR_BLOCK, m)
+        np.copyto(v[i:j, :j], v[:j, i:j].conj().T, where=np.tri(j - i, j, i - 1, dtype=bool))  # columns < row
+    v.flat[:: m + 1] = v.flat[:: m + 1].real + diagonal
+    return v
 
 
 @dataclass(frozen=True)

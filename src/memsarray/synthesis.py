@@ -305,20 +305,25 @@ def synthesize_csm(
     frequencies,
     include_absorption: bool = True,
 ) -> list[CrossSpectralMatrix]:
-    """Exact CSMs: sum over sources of q^2 g g^H plus a diagonal noise term.
+    """Exact CSMs: sum over sources of q^2 g g^H plus a diagonal noise term,
+    each built from its factor.
 
-    Each source's travel times and gains are computed once, when it first
-    contributes; per frequency only the absorption and the phase of the path
-    transfer are applied.
+    At each frequency the factor F holds one column sqrt(q^2) g per source
+    with power there (none, an (M, 0) factor, when no source has), and the
+    diagonal holds the noise PSD per channel (zeros without noise); the CSM
+    is F F^H + diag(d) and keeps F and d for `clean_sc`. Each source's
+    travel times and gains are computed once, when it first contributes;
+    per frequency only the absorption and the phase of the path transfer are
+    applied.
     """
     pos = np.asarray(positions, dtype=float)
+    m = len(pos)
     paths = {}  # source index -> (delays, effective distances, gains without absorption)
     out = []
     for f in np.atleast_1d(np.asarray(frequencies, dtype=float)):
         if f <= 0:
             raise ValueError("CSM frequencies must be > 0")
-        m = len(pos)
-        c = np.zeros((m, m), dtype=complex)
+        columns = []
         units = "Pa^2/Hz"
         alpha = atmospheric_absorption(f, scene.medium) if include_absorption else 0.0
         for i, src in enumerate(scene.sources):
@@ -329,14 +334,14 @@ def synthesize_csm(
                 continue
             if i not in paths:
                 paths[i] = _path_gains(src, pos, scene.medium)
-            g = _transfer(*paths[i], f, alpha)
-            c += q2 * np.outer(g, g.conj())
-        if scene.noise is not None:
-            c[np.diag_indices(m)] += scene.noise.at(f)
+            columns.append(np.sqrt(q2) * _transfer(*paths[i], f, alpha))
+        factor = np.stack(columns, axis=1) if columns else np.zeros((m, 0), dtype=complex)
+        noise = 0.0 if scene.noise is None else scene.noise.at(f)
         out.append(
             CrossSpectralMatrix(
                 frequency=float(f),
-                values=0.5 * (c + c.conj().T),
+                factor=factor,
+                diagonal=np.full(m, noise, dtype=float),
                 n_averages=1,
                 window="exact",
                 units=units,

@@ -311,6 +311,54 @@ class TestCleanScOracle:
         assert bmap.stop_reason == "norm_increase"
 
 
+DNW_CASES = {
+    # acceptance criterion 05: a 4 kHz tone on a node of a 60 x 60 grid
+    "tone-4k": ({"type": "tone", "frequency": 4000.0, "power": Q2}, 4000.0, ((2.42, 3.60), (-1.08, 0.10))),
+    # acceptance criterion 06: broadband at 1 kHz on a 41 x 41 grid
+    "broadband-1k": ({"type": "broadband", "psd": 4e-6}, 1000.0, ((2.6, 3.4), (-0.9, -0.1))),
+}
+
+
+class TestFactoredCleanSc:
+    """CLEAN-SC of an exact CSM, whose first map comes from its factor,
+    against CLEAN-SC of the same dense values without a factor."""
+
+    @pytest.mark.parametrize("noise", [None, {"psd": 1e-7}], ids=["no-noise", "noise"])
+    @pytest.mark.parametrize("diagonal_removal", [True, False])
+    @pytest.mark.parametrize("case", sorted(DNW_CASES))
+    def test_matches_the_dense_csm(self, dnw_sub, case, diagonal_removal, noise):
+        spectrum, freq, (x_range, z_range) = DNW_CASES[case]
+        scene = Scene(sources=(Source(position=[3.0, 0.0, -0.5], spectrum=spectrum),), noise=noise, seed=21)
+        csm = synthesize_csm(scene, dnw_sub.positions, [freq], include_absorption=False)[0]
+        dense = CrossSpectralMatrix(frequency=csm.frequency, values=csm.values, units=csm.units)
+        assert csm.factor is not None and dense.factor is None
+        grid = bf.make_focus_grid(x_range, z_range, 0.02)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, dnw_sub.positions), freq)
+        got = bf.clean_sc(csm, steer, diagonal_removal=diagonal_removal)
+        want = bf.clean_sc(dense, steer, diagonal_removal=diagonal_removal)
+        tolerance = 1e-12 * bf.conventional_beamform(dense, steer, diagonal_removal).raw_values.max()
+        assert got.iterations == want.iterations > 0
+        assert got.stop_reason == want.stop_reason
+        assert [t for t, _ in got.components] == [t for t, _ in want.components]
+        for (_, p), (_, q) in zip(got.components, want.components):
+            assert abs(p - q) <= tolerance
+        assert np.abs(got.raw_values - want.raw_values).max() <= tolerance
+
+    def test_no_source_power_leaves_no_components(self, dnw_sub):
+        # noise only at 1 kHz, the tone is at 4 kHz: an (M, 0) factor and a diagonal-removed map of zeros
+        tone = Source(position=[3.0, 0.0, -0.5], spectrum={"type": "tone", "frequency": 4000.0, "power": Q2})
+        scene = Scene(sources=(tone,), noise={"psd": 1e-4}, seed=0)
+        csm = synthesize_csm(scene, dnw_sub.positions, [1000.0], include_absorption=False)[0]
+        assert csm.factor.shape == (dnw_sub.size, 0)
+        grid = bf.make_focus_grid((2.6, 3.4), (-0.9, -0.1), 0.1)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, dnw_sub.positions), 1000.0)
+        bmap = bf.clean_sc(csm, steer, diagonal_removal=True)
+        assert bmap.components == ()
+        assert bmap.iterations == 0
+        assert bmap.stop_reason == "threshold"
+        assert not bmap.raw_values.any()
+
+
 class TestResolutionScaling:
     @staticmethod
     def width_at(geo_, freq, aperture):

@@ -144,10 +144,74 @@ class TestCsmInvariants:
             sp.CrossSpectralMatrix(frequency=100.0, values=np.ones((2, 3), dtype=complex))
 
 
+def random_factor(rng, m, k):
+    return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+
+
+class TestFactoredCsm:
+    @pytest.mark.parametrize("m, k", [(1, 1), (7, 3), (300, 2), (513, 4)])
+    def test_values_are_the_factor_product(self, rng, m, k):
+        # blocks of 256 rows: one partial block, exactly two, and a third with one row
+        factor = random_factor(rng, m, k)
+        diagonal = rng.uniform(0.0, 2.0, m)
+        csm = sp.CrossSpectralMatrix(frequency=100.0, factor=factor, diagonal=diagonal)
+        expected = factor @ factor.conj().T + np.diag(diagonal)
+        assert np.abs(csm.values - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(csm.values, csm.values.conj().T)
+        assert csm.n_channels == m
+
+    def test_no_columns_leave_the_diagonal(self):
+        diagonal = np.array([1.0, 0.0, 2.5])
+        csm = sp.CrossSpectralMatrix(frequency=100.0, factor=np.zeros((3, 0), dtype=complex), diagonal=diagonal)
+        assert np.array_equal(csm.values, np.diag(diagonal).astype(complex))
+
+    def test_round_trip_is_bit_exact(self, rng, tmp_path):
+        # the container keeps only the upper triangle, so the lower one must be its mirror
+        csms = [
+            sp.CrossSpectralMatrix(frequency=f, factor=random_factor(rng, 150, 3), diagonal=np.full(150, 0.1))
+            for f in (1000.0, 2000.0)
+        ]
+        sp.save_csm_set(tmp_path / "set.csm", csms)
+        for got, want in zip(sp.load_csm_set(tmp_path / "set.csm"), csms):
+            assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize(
+        "factor, diagonal",
+        [
+            (np.array([[np.nan + 0j], [1.0]]), np.zeros(2)),
+            (np.array([[complex(0.0, np.inf)], [1.0]]), np.zeros(2)),
+            (np.ones((2, 1), dtype=complex), np.array([0.0, np.inf])),
+            (np.ones((2, 1), dtype=complex), np.array([0.0, -1e-30])),
+            (np.ones((3, 1), dtype=complex), np.zeros(2)),
+            (np.ones(2, dtype=complex), np.zeros(2)),
+            (np.ones((2, 1), dtype=complex), np.zeros(2, dtype=complex)),
+            (np.ones((2, 1), dtype=complex), None),
+            (None, np.zeros(2)),
+        ],
+        ids=[
+            "nan", "inf", "inf-diagonal", "negative-diagonal", "rows", "1-d", "complex-diagonal", "no-diagonal",
+            "no-factor",
+        ],
+    )
+    def test_bad_factor_rejected(self, factor, diagonal):
+        with pytest.raises(ValueError):
+            sp.CrossSpectralMatrix(frequency=100.0, factor=factor, diagonal=diagonal)
+
+    def test_values_and_factor_not_both(self):
+        with pytest.raises(ValueError, match="not both"):
+            sp.CrossSpectralMatrix(
+                frequency=100.0, values=np.eye(2, dtype=complex), factor=np.ones((2, 1)), diagonal=np.zeros(2)
+            )
+
+    def test_values_or_factor_required(self):
+        with pytest.raises(ValueError):
+            sp.CrossSpectralMatrix(frequency=100.0)
+
+
 class TestCsmStats:
     def test_monopole_auto_mean_matches_propagation(self, rng):
         # Welch auto-spectrum mean agrees with the closed-form received PSD
-        from memsarray.propagation import green_convected, MediumModel
+        from memsarray.propagation import MediumModel, convected_delays
         from memsarray.synthesis import Scene, Source, synthesize_timeseries
 
         psd0 = 4e-6
@@ -158,7 +222,7 @@ class TestCsmStats:
         csms = [c for c in sp.welch_csm(sig, 48_000.0) if 2000.0 <= c.frequency <= 4000.0]
         medium = MediumModel()
         expected = np.mean(
-            [psd0 / green_convected([0, 0, 0], m, medium).effective_distance ** 2 for m in mics]
+            [psd0 / (medium.speed_of_sound * convected_delays([0, 0, 0], m, medium)) ** 2 for m in mics]
         )
         measured = np.mean([np.diag(c.values).real.mean() for c in csms])
         assert abs(10 * np.log10(measured / expected)) <= 0.5

@@ -6,7 +6,7 @@ from oracles import synthesize_timeseries_oracle
 
 from memsarray import synthesis as syn
 from memsarray import welch_csm
-from memsarray.propagation import MediumModel, atmospheric_absorption, green_convected
+from memsarray.propagation import MediumModel, atmospheric_absorption, convected_delays
 
 
 def tone_source(pos, freq=4000.0, power=1e-4):
@@ -32,10 +32,10 @@ class TestPathTransfer:
         alpha = atmospheric_absorption(f0, scene.medium) if absorption else 0.0
         t = np.arange(n) / rate
         for mi, mic in enumerate(mics):
-            path = green_convected([0, 0, 0], mic, scene.medium)
-            r = path.effective_distance
+            delay = convected_delays([0, 0, 0], mic, scene.medium)
+            r = scene.medium.speed_of_sound * delay
             amp = np.sqrt(2 * power) / r * 10 ** (-alpha * r / 20)
-            expected = amp * np.sin(2 * np.pi * f0 * (t - path.delay) + phase)
+            expected = amp * np.sin(2 * np.pi * f0 * (t - delay) + phase)
             assert np.abs(sig[:, mi] - expected).max() <= 1e-9 * amp
 
     def test_exact_csm_uses_the_same_transfer(self):
@@ -80,7 +80,7 @@ class TestTimeseries:
         mic = np.array([[0.0, 3.0, 0.0]])
         sig, _ = ma_synth(scene, mic, absorption=True)
         medium = scene.medium
-        r = green_convected([0, 0, 0], mic[0], medium).effective_distance
+        r = medium.speed_of_sound * convected_delays([0, 0, 0], mic[0], medium)
         alpha = atmospheric_absorption(f0, medium)
         expected_rms = np.sqrt(power) * (1.0 / r) * 10 ** (-alpha * r / 20.0)
         measured = sig[500:-500, 0].std()
@@ -204,6 +204,37 @@ class TestExactCsm:
         )[0]
         mask = ~np.eye(4, dtype=bool)
         assert np.array_equal(clean.values[mask], noisy.values[mask])
+
+    @pytest.mark.parametrize(
+        "sources, noise",
+        [
+            ((), {"psd": 1e-6}),
+            ((tone_source([0, 0, 0], freq=4000.0),), None),
+            ((tone_source([0, 0, 0], freq=4000.0),), {"psd": 1e-6}),
+        ],
+        ids=["noise-only", "tone-elsewhere", "tone-elsewhere-and-noise"],
+    )
+    def test_no_source_power_gives_an_empty_factor(self, sources, noise):
+        scene = syn.Scene(sources=sources, noise=noise, seed=1)
+        csm = syn.synthesize_csm(scene, self.MICS, [1000.0])[0]
+        assert csm.factor.shape == (4, 0)
+        psd = 0.0 if noise is None else noise["psd"]
+        assert np.array_equal(csm.diagonal, np.full(4, psd))
+        assert np.array_equal(csm.values, np.diag(np.full(4, psd)).astype(complex))
+
+    def test_factor_holds_one_column_per_source(self):
+        # a broadband source and a tone at 4 kHz; at 1 kHz only the broadband one has power
+        scene = syn.Scene(
+            sources=(broadband_source([0, 0, 0], psd=4e-6), tone_source([0.3, 0, 0.1], freq=4000.0)),
+            noise={"psd": 1e-7},
+            seed=1,
+        )
+        at_1k, at_4k = syn.synthesize_csm(scene, self.MICS, [1000.0, 4000.0])
+        assert at_1k.factor.shape == (4, 1)
+        assert at_4k.factor.shape == (4, 2)
+        for csm in (at_1k, at_4k):
+            expected = csm.factor @ csm.factor.conj().T + np.diag(np.full(4, 1e-7))
+            assert np.abs(csm.values - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_positive_frequency_required(self):
         scene = syn.Scene(sources=(), seed=1)
