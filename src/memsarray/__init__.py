@@ -60,11 +60,8 @@ from .geometry import (
 )
 from .propagation import (
     MediumModel,
-    PathResult,
     ShearLayerPlane,
-    amiet_correction,
     atmospheric_absorption,
-    green_convected,
 )
 from .spectral import (
     CrossSpectralMatrix,

@@ -307,9 +307,11 @@ def sample_subarray(
     Each target's candidates come from a strip search: the sensors sorted once
     by x, and two `searchsorted` calls give every target the slice of sensors
     whose x lies within a hair above `epsilon` of its own. The strip holds
-    every sensor of the target's epsilon-ball. Its unused sensors, in
-    ascending index order, get their distances computed and tested against
-    `epsilon` exactly as a scan over every sensor would.
+    every sensor of the target's epsilon-ball. All strips are gathered into
+    one array and cut to the sensors within that hair in z too; their
+    distances are computed in one call and tested against `epsilon`, and each
+    target's sensors within it are ranked by (distance, sensor index). The
+    greedy pass takes each target's first unused sensor from that short list.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -320,20 +322,27 @@ def sample_subarray(
     reach = epsilon * (1.0 + 1e-9)
     lo = np.searchsorted(xs, lifted[:, 0] - reach, side="left")
     hi = np.searchsorted(xs, lifted[:, 0] + reach, side="right")
-    hi = np.where(np.isfinite(lifted).all(axis=1), hi, lo)  # a non-finite target gets an empty strip
-    available = np.ones(len(pos), dtype=bool)
+    counts = np.where(np.isfinite(lifted).all(axis=1), hi - lo, 0)  # a non-finite target gets an empty strip
+    owner = np.repeat(np.arange(len(lifted)), counts)
+    # strip k's i-th sensor is order[lo[k] + i]; its row in the gathered array is starts[k] + i
+    starts = np.cumsum(counts) - counts
+    candidate = order[np.arange(len(owner)) + np.repeat(lo - starts, counts)]
+    # a sensor more than `reach` away in z lies outside the epsilon-ball too
+    inside = np.abs(pos[candidate, 2] - lifted[owner, 2]) <= reach
+    owner, candidate = owner[inside], candidate[inside]
+    d = np.linalg.norm(pos[candidate] - lifted[owner], axis=1)
+    near = d <= epsilon
+    owner, candidate, d = owner[near], candidate[near], d[near]
+    ranked = np.lexsort((candidate, d, owner))
+    bounds = np.searchsorted(owner[ranked], np.arange(len(lifted) + 1)).tolist()
+    ranked_candidates = candidate[ranked].tolist()
+    taken: set[int] = set()
     indices: list[int] = []
-    for t, a, b in zip(lifted, lo.tolist(), hi.tolist()):
-        candidates = order[a:b]
-        candidates = np.sort(candidates[available[candidates]])
-        if not len(candidates):
-            continue
-        d = np.linalg.norm(pos[candidates] - t[None, :], axis=1)
-        k = int(np.argmin(d))
-        if d[k] <= epsilon:
-            j = int(candidates[k])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        j = next((j for j in ranked_candidates[a:b] if j not in taken), None)
+        if j is not None:
             indices.append(j)
-            available[j] = False
+            taken.add(j)
     return SubArray(parent=geometry, indices=np.array(indices, dtype=int), discarded=len(lifted) - len(indices))
 
 

@@ -1,6 +1,6 @@
 """Propagation models shared by synthesis and steering.
 
-Covers the closed-form monopole Green's function in uniform flow, pure-tone
+Covers closed-form travel times in uniform flow, pure-tone
 atmospheric absorption after ISO 9613-1, and the Amiet planar shear-layer
 refraction correction (Fermat path through the layer, found by damped Newton
 iteration on the in-plane crossing coordinates with the closed-form Hessian).
@@ -59,46 +59,32 @@ class MediumModel:
         _require_positive(self.pressure, "pressure")
 
 
-@dataclass(frozen=True)
-class PathResult:
-    """Travel quantities for one source-receiver path."""
+def convected_delays(sources, receivers, medium: MediumModel) -> np.ndarray:
+    """Uniform-flow travel times from `sources` to `receivers` (..., 3), broadcast.
 
-    delay: float  # s
-    amplitude: float  # 1/m, free-field 1/(4 pi r) convention
-    effective_distance: float  # m, c0 * delay
-
-
-def _convected(d, medium: MediumModel):
-    """Travel times over the separation vectors `d` (..., 3) in uniform flow,
-    and the convected distances R they are formed from.
-
-    With M the Mach vector and beta^2 = 1 - M.M:
-    R = sqrt((M.d)^2 + beta^2 |d|^2) and c * tau = (-M.d + R) / beta^2,
-    the positive root of the retarded-time equation |d - c M tau| = c tau.
+    With d = (x, y, z) = receiver - source, M the Mach vector and
+    beta^2 = 1 - M.M: c * tau = (-M.d + R) / beta^2 with
+    R = sqrt((M.d)^2 + beta^2 |d|^2), the positive root of the retarded-time
+    equation |d - c M tau| = c tau. M.d and |d|^2 are summed in place from
+    x, y and z, each of the broadcast shape; no (..., 3) array is formed.
     """
+    sources, receivers = np.asarray(sources, dtype=float), np.asarray(receivers, dtype=float)
     m = medium.mach_vector
     beta2 = 1.0 - float(np.dot(m, m))
-    md = d @ m
-    rr = np.sqrt(md * md + beta2 * np.sum(d * d, axis=-1))
-    return (-md + rr) / (medium.speed_of_sound * beta2), rr
-
-
-def convected_delays(sources, receivers, medium: MediumModel) -> np.ndarray:
-    """Travel times source -> receiver in uniform flow (broadcasting shapes)."""
-    return _convected(np.asarray(receivers, dtype=float) - np.asarray(sources, dtype=float), medium)[0]
-
-
-def green_convected(source, receiver, medium: MediumModel) -> PathResult:
-    """Monopole Green's function quantities for uniform subsonic flow."""
-    d = np.asarray(receiver, dtype=float) - np.asarray(source, dtype=float)
-    if np.dot(d, d) == 0.0:
-        raise ValueError("source and receiver coincide")
-    delay, rr = (float(v) for v in _convected(d, medium))
-    return PathResult(
-        delay=delay,
-        amplitude=1.0 / (4.0 * np.pi * rr),
-        effective_distance=medium.speed_of_sound * delay,
-    )
+    x, y, z = (np.asarray(receivers[..., i] - sources[..., i]) for i in range(3))
+    md = m[0] * x
+    md += m[1] * y
+    md += m[2] * z
+    # x becomes beta^2 |d|^2 + (M.d)^2 = R^2, then R, then tau = (R - M.d) / (c beta^2)
+    x *= x
+    x += y * y
+    x += z * z
+    x *= beta2
+    x += md * md
+    np.sqrt(x, out=x)
+    x -= md
+    x /= medium.speed_of_sound * beta2
+    return x
 
 
 def atmospheric_absorption(frequency, medium: MediumModel) -> np.ndarray | float:
@@ -312,23 +298,6 @@ def shear_crossing_delays(
         delays[on_plane] = convected_delays(src[on_plane], rcv[on_plane], medium)
         crossing[on_plane] = rcv[on_plane]
     return delays.reshape(lead_shape), crossing.reshape(lead_shape + (3,))
-
-
-def amiet_correction(source, receiver, medium: MediumModel) -> PathResult:
-    """Shear-layer corrected path from an in-flow source to an out-of-flow receiver.
-
-    The amplitude keeps the spherical-spreading form over the effective
-    (delay-consistent) total distance, so it reduces exactly to the straight
-    ray at M = 0.
-    """
-    delays, _ = shear_crossing_delays(
-        np.asarray(source, dtype=float)[None, :],
-        np.asarray(receiver, dtype=float)[None, :],
-        medium,
-    )
-    delay = float(delays[0])
-    r_eff = medium.speed_of_sound * delay
-    return PathResult(delay=delay, amplitude=1.0 / (4.0 * np.pi * r_eff), effective_distance=r_eff)
 
 
 def path_delays(sources, receivers, medium: MediumModel) -> np.ndarray:

@@ -1,19 +1,19 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: travel times come from
-bisection on the retarded-time equation, air absorption from the Bass
-formula, shear-layer crossings from a shrinking grid search or from a damped
-Newton search with a finite-difference Hessian, tone levels from
-least-squares sine fits, PDM bits from the delta-sigma loop run one numpy
-element at a time, sub-array matches from a scan over every sensor, and
-CLEAN-SC from a loop that forms the dirty map again from the whole degraded
-CSM after every component, Welch CSMs from a sum of per-block outer
-products over every bin in range, time series from one direct path
-transfer and one inverse FFT per channel and source, PCB layouts from a
-radical inverse taken one index at a time and a spacing test against one
-accepted sensor at a time, the panel tiling from nested loops over every
-PCB, and the geometry and map files from
-per-element numpy scalars and the pure-Python JSON encoder.
+bisection on the retarded-time equation or from a (..., 3) difference array,
+air absorption from the Bass formula, shear-layer crossings from a shrinking
+grid search or from a damped Newton search with a finite-difference Hessian,
+tone levels from least-squares sine fits, PDM bits from the delta-sigma loop
+run one numpy element at a time, sub-array matches from a scan over every
+sensor or from one x-strip search per target, CLEAN-SC from a loop that forms
+the dirty map again from the whole degraded CSM after every component, Welch
+CSMs from a sum of per-block outer products over every bin in range, time
+series from one direct path transfer and one inverse FFT per channel and
+source, PCB layouts from a radical inverse taken one index at a time and a
+spacing test against one accepted sensor at a time, the panel tiling from
+nested loops over every PCB, and the geometry and map files from per-element
+numpy scalars and the pure-Python JSON encoder.
 """
 
 import io
@@ -46,6 +46,17 @@ def emission_time_oracle(source, receiver, mach, c0=343.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def convected_delays_oracle(sources, receivers, medium):
+    """Uniform-flow travel times from the (..., 3) difference array d, with
+    M.d as the product `d @ M` and |d|^2 as a last-axis sum."""
+    d = np.asarray(receivers, dtype=float) - np.asarray(sources, dtype=float)
+    m = medium.mach_vector
+    beta2 = 1.0 - float(np.dot(m, m))
+    md = d @ m
+    rr = np.sqrt(md * md + beta2 * np.sum(d * d, axis=-1))
+    return (-md + rr) / (medium.speed_of_sound * beta2)
 
 
 def bass_absorption_oracle(f, temp_c=20.0, rh=70.0, ps=1.0):
@@ -222,6 +233,35 @@ def sample_subarray_oracle(positions, targets, epsilon):
             dists.append(float(d[j]))
             available[j] = False
     return np.array(indices, dtype=int), np.array(dists)
+
+
+def sample_subarray_strip_oracle(geometry, targets, epsilon):
+    """Greedy matching of (T, 3) targets with one x-strip search per target:
+    the strip's unused sensors in ascending index order, their distances, and
+    the first nearest one kept if within `epsilon`; returns (indices,
+    discarded)."""
+    pos = geometry.positions
+    targets = np.asarray(targets, dtype=float)
+    order = np.argsort(pos[:, 0], kind="stable")
+    xs = pos[order, 0]
+    reach = epsilon * (1.0 + 1e-9)
+    lo = np.searchsorted(xs, targets[:, 0] - reach, side="left")
+    hi = np.searchsorted(xs, targets[:, 0] + reach, side="right")
+    hi = np.where(np.isfinite(targets).all(axis=1), hi, lo)
+    available = np.ones(len(pos), dtype=bool)
+    indices = []
+    for t, a, b in zip(targets, lo.tolist(), hi.tolist()):
+        candidates = order[a:b]
+        candidates = np.sort(candidates[available[candidates]])
+        if not len(candidates):
+            continue
+        d = np.linalg.norm(pos[candidates] - t[None, :], axis=1)
+        k = int(np.argmin(d))
+        if d[k] <= epsilon:
+            j = int(candidates[k])
+            indices.append(j)
+            available[j] = False
+    return np.array(indices, dtype=int), len(targets) - len(indices)
 
 
 def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_threshold=1e-3,

@@ -4,8 +4,9 @@ from oracles import clean_sc_oracle
 
 from memsarray import beamforming as bf
 from memsarray import geometry as geo
+from memsarray import propagation as prop
 from memsarray.errors import parse
-from memsarray.propagation import MediumModel
+from memsarray.propagation import MediumModel, ShearLayerPlane, atmospheric_absorption
 from memsarray.spectral import CrossSpectralMatrix
 from memsarray.synthesis import Scene, Source, synthesize_csm
 
@@ -102,6 +103,94 @@ class TestSteering:
         grid = bf.FocusGrid(points=pt[None, :], local=np.zeros((1, 2)), shape=(1, 1), spacing=1.0)
         with pytest.raises(ValueError):
             bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 1000.0)
+
+
+    @pytest.mark.parametrize(
+        "medium",
+        [
+            MediumModel(mach_vector=[0.1, 0.0, 0.0]),
+            MediumModel(
+                mach_vector=[0.2, 0.0, 0.0], shear_layer=ShearLayerPlane(point=[0.0, 1.5, 0.0], normal=[0.0, 1.0, 0.0])
+            ),
+        ],
+        ids=["free-field", "shear-layer"],
+    )
+    def test_delays_are_the_transposed_grid_to_sensor_solve(self, dnw_sub, medium):
+        # 81 points x 140 sensors: the Amiet pairs span two solver blocks
+        grid = bf.make_focus_grid((2.6, 3.4), (-0.9, -0.1), 0.1)
+        mics = dnw_sub.positions
+        geometry = bf.steering_geometry(grid, mics, medium)
+        tau = prop.path_delays(grid.points[:, None, :], mics[None, :, :], medium).T
+        tau0 = prop.path_delays(grid.points, mics.mean(axis=0)[None, :], medium)
+        assert geometry.delay.shape == (140, 81)
+        assert np.array_equal(geometry.delay, tau - tau0)
+        assert np.array_equal(geometry.r, medium.speed_of_sound * tau)
+
+
+class TestSteeringPhasor:
+    """The phasor built from one `tan` of the half-turn remainder against the
+    complex exponential it replaced, on synthetic delays up to 10 ms and
+    effective distances of 1-5 m."""
+
+    FREQS = [1000.0, 2500.0, 5000.0, 10000.0, 20000.0]
+
+    @staticmethod
+    def _geometry(delay, rng):
+        m, n = delay.shape
+        grid = bf.make_focus_grid((0.0, 0.01 * (n - 1)), (0.0, 0.0), 0.01)
+        r = rng.uniform(1.0, 5.0, (m, n))
+        return bf.SteeringGeometry(grid=grid, delay=delay, r=r, r0=rng.uniform(1.0, 5.0, n), medium=MediumModel())
+
+    @staticmethod
+    def _amplitude(geometry, frequency, include_absorption):
+        r, r0 = geometry.r, geometry.r0
+        if include_absorption:
+            neper = atmospheric_absorption(frequency, geometry.medium) * (np.log(10.0) / 20.0)
+            r, r0 = r * np.exp(neper * r), r0 * np.exp(neper * r0)
+        return 1.0 / (r * r0 * np.sum(r**-2.0, axis=0))
+
+    @pytest.mark.parametrize("include_absorption", [False, True])
+    def test_matches_the_exponential(self, rng, include_absorption):
+        geometry = self._geometry(rng.uniform(-1e-2, 1e-2, (40, 60)), rng)
+        for f in self.FREQS:
+            h = bf.steering_vectors(geometry, f, include_absorption).matrix
+            phase = -2.0 * np.pi * f * geometry.delay
+            want = self._amplitude(geometry, f, include_absorption) * np.exp(1j * phase)
+            # both forms round their phase argument, each by about one ulp of
+            # its largest value (1257 rad at 20 kHz and 10 ms, 2.3e-13 rad)
+            rounding = 2.0 * np.finfo(float).eps * np.abs(phase).max()
+            assert np.abs(h - want).max() <= (1e-14 + rounding) * np.abs(h).max()
+
+    @pytest.mark.parametrize("include_absorption", [False, True])
+    def test_exact_half_turn_phase(self, rng, include_absorption):
+        # delays of k 2^-20 s give u = -2 f delay exactly in half turns, so the
+        # reference phase pi (u mod 2) is exact up to the rounding of one product
+        k = rng.integers(-10486, 10487, (40, 60))
+        geometry = self._geometry(k * 2.0**-20, rng)
+        for f in self.FREQS:
+            h = bf.steering_vectors(geometry, f, include_absorption).matrix
+            turns = np.mod(-2 * int(f) * k, 2**21) * 2.0**-20
+            want = self._amplitude(geometry, f, include_absorption) * np.exp(1j * np.pi * turns)
+            assert np.abs(h - want).max() <= 1e-14 * np.abs(h).max()
+
+    @pytest.mark.parametrize("include_absorption", [False, True])
+    def test_magnitude_is_the_amplitude(self, rng, include_absorption):
+        geometry = self._geometry(rng.uniform(-1e-2, 1e-2, (40, 60)), rng)
+        for f in self.FREQS:
+            h = bf.steering_vectors(geometry, f, include_absorption).matrix
+            amp = self._amplitude(geometry, f, include_absorption)
+            assert np.all(np.abs(np.abs(h) - amp) <= 4 * np.spacing(amp))
+
+    @pytest.mark.parametrize("include_absorption", [False, True])
+    def test_whole_half_turns_give_plus_or_minus_the_amplitude(self, rng, include_absorption):
+        # a delay of k / (2 f) is k half turns: h = (-1)^k amp, with no imaginary part
+        k = rng.integers(-400, 401, (40, 60))
+        for f in (1024.0, 4096.0, 16384.0):
+            geometry = self._geometry(k / (2.0 * f), rng)
+            h = bf.steering_vectors(geometry, f, include_absorption).matrix
+            amp = self._amplitude(geometry, f, include_absorption)
+            assert np.array_equal(h.real, np.where(k % 2 == 0, amp, -amp))
+            assert np.array_equal(h.imag, np.zeros_like(amp))
 
 
 class TestConventional:

@@ -552,9 +552,9 @@ def test_travel_times_solved_once_per_subarray(tmp_path, monkeypatch, subarray, 
     monkeypatch.setattr(propagation, "shear_crossing_delays", counting)
     assert cli.main(_pipeline_config(tmp_path, _shear_config(subarray)) + ["--out", str(tmp_path / "run")]) == 0
     assert len(list((tmp_path / "run" / "beamforming").glob("map_*.json"))) == 3
-    # per distinct sub-array: the 5 x 5 grid to every sensor, the grid to the
+    # per distinct sub-array: every sensor to the 5 x 5 grid, the grid to the
     # array reference, and the one source to every sensor
-    assert sorted(solved) == sorted([(25, 60), (25,), (60,)] * grid_solves)
+    assert sorted(solved) == sorted([(60, 25), (25,), (60,)] * grid_solves)
 
 
 # `beamform` and `farfield` have no --jobs; `pipeline` accepts `--jobs 1` only, for the benchmark's argv

@@ -8,6 +8,7 @@ from oracles import (
     halton_oracle,
     pcb_positions_oracle,
     sample_subarray_oracle,
+    sample_subarray_strip_oracle,
 )
 
 from memsarray import geometry as geo
@@ -354,6 +355,44 @@ class TestSampleSubarrayOracle:
         sub = geo.sample_subarray(one_panel, targets, float(epsilon))
         assert sub.size == 60
         _assert_matches_oracle(one_panel, targets, float(epsilon), sub)
+
+
+
+class TestSampleSubarrayStripOracle:
+    """The one-pass candidate gather against the loop it replaced, one strip
+    search per target: identical indices and discard counts."""
+
+    @staticmethod
+    def _assert_same(geometry, targets, epsilon):
+        sub = geo.sample_subarray(geometry, targets, epsilon)
+        indices, discarded = sample_subarray_strip_oracle(geometry, geo._lift_targets(geometry, targets), epsilon)
+        assert np.array_equal(sub.indices, indices)
+        assert sub.indices.dtype == indices.dtype
+        assert sub.discarded == discarded
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_pitch_centres(self, seed):
+        geometry = geo.assemble_full_array(3, 3, seed=seed)
+        lo, hi = geometry.bounding_box()
+        for cx in np.linspace(lo[0], hi[0], 13):
+            self._assert_same(geometry, geo.fermat_spiral(150, 2.0, center=(cx, geometry.origin[2])), 0.1)
+
+    def test_random_targets(self, full_array, rng):
+        for epsilon in (0.01, 0.05, 0.1, 0.3):
+            targets = np.stack([rng.uniform(-0.5, 6.5, 300), rng.uniform(-2.5, 1.5, 300)], axis=1)
+            self._assert_same(full_array, targets, epsilon)
+
+    def test_non_finite_target(self, full_array):
+        targets = np.array([[3.0, -0.5], [np.nan, -0.5], [3.0, -0.5], [3.0, np.inf], [3.0, -0.5]])
+        self._assert_same(full_array, targets, 0.1)
+
+    def test_two_equidistant_sensors(self):
+        geometry = _geometry_of([[9.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.5]])
+        for epsilon in (0.4, 0.5, 0.6):
+            self._assert_same(geometry, np.array([[1.0, 0.0, 0.0]] * 3), epsilon)
+
+    def test_no_targets(self, full_array):
+        self._assert_same(full_array, np.zeros((0, 2)), 0.1)
 
 
 class TestSubarrayStats:

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import bass_absorption_oracle, emission_time_oracle, fd_newton_shear_oracle, fermat_grid_oracle
+from oracles import (
+    bass_absorption_oracle,
+    convected_delays_oracle,
+    emission_time_oracle,
+    fd_newton_shear_oracle,
+    fermat_grid_oracle,
+)
 
 from memsarray import propagation as prop
 from memsarray.beamforming import make_focus_grid
@@ -9,20 +15,29 @@ from memsarray.errors import NumericalError
 C0 = 343.0
 
 
+def _convected(src, rcv, medium):
+    """Travel time of one source-receiver pair in uniform flow."""
+    return float(prop.convected_delays(src, rcv, medium))
+
+
+def _amiet(src, rcv, medium):
+    """Travel time of one source-receiver pair across the shear layer."""
+    delays, _ = prop.shear_crossing_delays(np.asarray(src, dtype=float)[None], np.asarray(rcv, dtype=float)[None], medium)
+    return float(delays[0])
+
+
 class TestGreenConvected:
     def test_quiescent_limit(self):
         medium = prop.MediumModel()
         r = 3.7
-        pr = prop.green_convected([0, 0, 0], [r, 0, 0], medium)
-        assert pr.delay == pytest.approx(r / C0, rel=1e-12)
-        assert pr.amplitude == pytest.approx(1.0 / (4 * np.pi * r), rel=1e-12)
-        assert pr.effective_distance == pytest.approx(r, rel=1e-12)
+        delay = _convected([0, 0, 0], [r, 0, 0], medium)
+        assert delay == pytest.approx(r / C0, rel=1e-12)
+        assert C0 * delay == pytest.approx(r, rel=1e-12)
 
     def test_downstream_axis(self):
         medium = prop.MediumModel(mach_vector=[0.2, 0.0, 0.0])
         r = 2.0
-        pr = prop.green_convected([0, 0, 0], [r, 0, 0], medium)
-        assert pr.delay == pytest.approx(r / (C0 * 1.2), rel=1e-12)
+        assert _convected([0, 0, 0], [r, 0, 0], medium) == pytest.approx(r / (C0 * 1.2), rel=1e-12)
 
     @pytest.mark.parametrize("trial", range(8))
     def test_emission_time_oracle(self, trial, rng):
@@ -30,27 +45,55 @@ class TestGreenConvected:
         rcv = src + rng.uniform(0.5, 5.0) * _unit(rng.standard_normal(3))
         mvec = 0.25 * _unit(rng.standard_normal(3)) * rng.uniform(0.2, 1.0)
         medium = prop.MediumModel(mach_vector=mvec)
-        pr = prop.green_convected(src, rcv, medium)
-        assert pr.delay == pytest.approx(emission_time_oracle(src, rcv, mvec), abs=1e-10)
-
-    def test_coincident_raises(self):
-        with pytest.raises(ValueError):
-            prop.green_convected([1, 2, 3], [1, 2, 3], prop.MediumModel())
+        assert _convected(src, rcv, medium) == pytest.approx(emission_time_oracle(src, rcv, mvec), abs=1e-10)
 
     def test_delay_lipschitz(self, rng):
         medium = prop.MediumModel(mach_vector=[0.2, 0.0, 0.0])
         src = np.zeros(3)
         rcv = np.array([1.5, 2.0, 0.3])
-        base = prop.green_convected(src, rcv, medium).delay
+        base = _convected(src, rcv, medium)
         bound = 1.0 / (C0 * (1.0 - 0.2))
         for _ in range(20):
             step = 1e-3 * _unit(rng.standard_normal(3))
-            new = prop.green_convected(src, rcv + step, medium).delay
+            new = _convected(src, rcv + step, medium)
             assert abs(new - base) <= np.linalg.norm(step) * bound + 1e-15
 
     def test_mach_limit(self):
         with pytest.raises(ValueError):
             prop.MediumModel(mach_vector=[1.0, 0.0, 0.0])
+
+
+class TestConvectedDelays:
+    """Travel times summed per coordinate against the (..., 3) difference-array
+    formula they replaced."""
+
+    SHAPES = [((9, 1, 3), (1, 11, 3)), ((3,), (13, 3)), ((13, 3), (13, 3))]
+
+    @staticmethod
+    def _points(rng, sources_shape, receivers_shape):
+        sources = rng.uniform(-2.0, 2.0, sources_shape)
+        receivers = rng.uniform(-2.0, 2.0, receivers_shape) + np.array([0.0, 3.39, 0.0])
+        return sources, receivers
+
+    @pytest.mark.parametrize("sources_shape, receivers_shape", SHAPES)
+    def test_x_only_mach_bit_for_bit(self, rng, sources_shape, receivers_shape):
+        sources, receivers = self._points(rng, sources_shape, receivers_shape)
+        for mach in (0.0, 0.1, -0.2):
+            medium = prop.MediumModel(mach_vector=[mach, 0.0, 0.0])
+            got = prop.convected_delays(sources, receivers, medium)
+            want = convected_delays_oracle(sources, receivers, medium)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sources_shape, receivers_shape", SHAPES)
+    def test_three_component_mach_within_2_ulp(self, rng, sources_shape, receivers_shape):
+        sources, receivers = self._points(rng, sources_shape, receivers_shape)
+        for _ in range(4):
+            medium = prop.MediumModel(mach_vector=0.3 * _unit(rng.standard_normal(3)))
+            got = prop.convected_delays(sources, receivers, medium)
+            want = convected_delays_oracle(sources, receivers, medium)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
 
 class TestAtmosphericAbsorption:
@@ -97,37 +140,31 @@ class TestAmietCorrection:
     RCV = np.array([3.0, 3.39, 0.0])
 
     def test_no_flow_equals_straight_ray(self):
-        pr = prop.amiet_correction(self.SRC, self.RCV, _shear_medium(0.0))
         straight = np.linalg.norm(self.RCV - self.SRC) / C0
-        assert abs(pr.delay - straight) < 1e-9
-        assert pr.amplitude == pytest.approx(1.0 / (4 * np.pi * C0 * straight), rel=1e-9)
+        assert abs(_amiet(self.SRC, self.RCV, _shear_medium(0.0)) - straight) < 1e-9
 
     def test_receiver_on_plane(self):
         medium = _shear_medium(0.2)
         rcv = np.array([2.8, 1.5, 0.1])
-        pr = prop.amiet_correction(self.SRC, rcv, medium)
-        conv = prop.green_convected(self.SRC, rcv, medium)
-        assert pr.delay == pytest.approx(conv.delay, abs=1e-12)
+        assert _amiet(self.SRC, rcv, medium) == pytest.approx(_convected(self.SRC, rcv, medium), abs=1e-12)
 
     def test_matches_grid_search_oracle(self):
         medium = _shear_medium(0.2)
-        pr = prop.amiet_correction(self.SRC, self.RCV, medium)
         oracle = fermat_grid_oracle(self.SRC, self.RCV, medium)
-        assert abs(pr.delay - oracle) < 1e-7
+        assert abs(_amiet(self.SRC, self.RCV, medium) - oracle) < 1e-7
 
     @pytest.mark.parametrize("offset", [(-1.2, 0.4), (0.8, -0.9), (2.5, 1.5)])
     def test_oracle_other_geometries(self, offset):
         medium = _shear_medium(0.15)
         rcv = self.RCV + np.array([offset[0], 0.0, offset[1]])
-        pr = prop.amiet_correction(self.SRC, rcv, medium)
-        assert abs(pr.delay - fermat_grid_oracle(self.SRC, rcv, medium)) < 1e-7
+        assert abs(_amiet(self.SRC, rcv, medium) - fermat_grid_oracle(self.SRC, rcv, medium)) < 1e-7
 
     def test_monotone_convergence_to_straight(self):
         gaps = []
         for m in (0.1, 0.01, 0.001):
             medium = _shear_medium(m)
-            corrected = prop.amiet_correction(self.SRC, self.RCV, medium).delay
-            uncorrected = prop.green_convected(self.SRC, self.RCV, medium).delay
+            corrected = _amiet(self.SRC, self.RCV, medium)
+            uncorrected = _convected(self.SRC, self.RCV, medium)
             gaps.append(abs(corrected - uncorrected))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -139,29 +176,26 @@ class TestAmietCorrection:
         for du in (-1e-3, 1e-3):
             for dv in (-1e-3, 0.0, 1e-3):
                 q = p + np.array([du, 0.0, dv])
-                t = (
-                    prop.green_convected(self.SRC, q, medium).delay
-                    + np.linalg.norm(self.RCV - q) / C0
-                )
+                t = _convected(self.SRC, q, medium) + np.linalg.norm(self.RCV - q) / C0
                 assert t >= base - 1e-12
 
     def test_same_side_raises(self):
         medium = _shear_medium(0.2)
         with pytest.raises(ValueError):
-            prop.amiet_correction([2.4, 2.0, 0.0], self.RCV, medium)  # source above plane
+            _amiet([2.4, 2.0, 0.0], self.RCV, medium)  # source above plane
         with pytest.raises(ValueError):
-            prop.amiet_correction(self.SRC, [3.0, 1.0, 0.0], medium)  # receiver below plane
+            _amiet(self.SRC, [3.0, 1.0, 0.0], medium)  # receiver below plane
 
     def test_no_shear_layer(self):
         with pytest.raises(ValueError):
-            prop.amiet_correction(self.SRC, self.RCV, prop.MediumModel(mach_vector=[0.2, 0, 0]))
+            _amiet(self.SRC, self.RCV, prop.MediumModel(mach_vector=[0.2, 0, 0]))
 
     def test_vectorized_matches_scalar(self):
         medium = _shear_medium(0.2)
         receivers = np.array([[3.0, 3.39, 0.0], [1.0, 3.39, 0.8], [5.0, 2.5, -1.0]])
         delays, _ = prop.shear_crossing_delays(self.SRC[None, :], receivers, medium)
         for rcv, d in zip(receivers, delays):
-            assert d == pytest.approx(prop.amiet_correction(self.SRC, rcv, medium).delay, abs=1e-12)
+            assert d == pytest.approx(_amiet(self.SRC, rcv, medium), abs=1e-12)
 
 
 class TestClosedFormNewton:
