@@ -13,7 +13,6 @@ from .analysis import (
     FarFieldComparison,
     RegionOfInterest,
     directivity,
-    directivity_pipeline,
     distance_normalize,
     farfield_compare,
     integrate_map,

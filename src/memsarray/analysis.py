@@ -16,17 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import (
-    BeamformingMap,
-    clean_sc,
-    make_focus_grid,
-    steering_geometry,
-    steering_vectors,
-)
-from .errors import _require, _require_range
-from .geometry import ArrayGeometry, pitch_subarray_series, subarray_observation
+from .beamforming import BeamformingMap
+from .errors import _require_range
 from .spectral import Spectrum, _band_masks, band_centers_spanning, to_db
-from .synthesis import Scene, synthesize_csm
 
 
 @dataclass(frozen=True)
@@ -202,41 +194,3 @@ def farfield_compare(integrated: Spectrum, mics: list[tuple[Spectrum, float]]) -
         delta_psd_db=integ_db - mic_db,
     )
 
-
-def directivity_pipeline(
-    scene: Scene,
-    geometry: ArrayGeometry,
-    reference_point,
-    roi: RegionOfInterest,
-    frequencies,
-    count: int = 13,
-    aperture: float = 2.0,
-    mics: int = 150,
-    epsilon: float = 0.1,
-    grid_spec: dict | None = None,
-) -> DirectivitySurface:
-    """End-to-end directivity: pitch sub-array series, CLEAN-SC per band,
-    ROI integration, then the angle-average subtraction. A pitch sub-array of
-    fewer than 2 sensors raises ConfigError at `epsilon` before any work."""
-    reference_point = np.asarray(reference_point, dtype=float)
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    subarrays = pitch_subarray_series(geometry, count, aperture, mics, epsilon)
-    if len(subarrays) < 2:
-        raise ValueError("directivity needs at least 2 sub-arrays")
-    for i, sub in enumerate(subarrays):
-        _require(sub.size >= 2, "epsilon", f"pitch sub-array {i} holds {sub.size} sensor(s), fewer than 2")
-    grid_spec = grid_spec or {}
-    (x_lo, x_hi), (z_lo, z_hi) = roi.x_range, roi.z_range
-    x_rng = grid_spec.get("x_range", (x_lo - 0.1, x_hi + 0.1))
-    z_rng = grid_spec.get("z_range", (z_lo - 0.1, z_hi + 0.1))
-    spacing = grid_spec.get("spacing", 0.02)
-    grid = make_focus_grid(x_rng, z_rng, spacing, y_plane=grid_spec.get("y_plane", 0.0))
-
-    per_angle = []
-    for sub in subarrays:
-        angles = subarray_observation(sub, reference_point)
-        steering = steering_geometry(grid, sub.positions, scene.medium)
-        csms = synthesize_csm(scene, sub.positions, freqs)
-        maps = [clean_sc(c, steering_vectors(steering, c.frequency)) for c in csms]
-        per_angle.append((angles, maps_to_spectrum(maps, roi)))
-    return directivity(per_angle)

@@ -177,11 +177,11 @@ class BeamformingConfig:
             "stop_threshold",
             f"expected a number in [0, 1), got {self.stop_threshold!r}",
         )
-        names = {}  # map file name -> requested frequency
+        names = {}  # 1 Hz map name -> requested frequency
         for f in self.frequencies:
             name = _map_name(f)
             if name in names:
-                raise ConfigError("frequencies", f"{names[name]!r} Hz and {f!r} Hz both write {name}")
+                raise ConfigError("frequencies", f"{names[name]!r} Hz and {f!r} Hz share the 1 Hz name {name}")
             names[name] = f
 
 
@@ -267,7 +267,7 @@ class DirectivityConfig:
         _require_frequencies(self.frequencies)
         _require(self.count >= 2, "count", f"expected >= 2 sub-arrays, got {self.count!r}")
         _require_positive(self.aperture, "aperture")
-        _require(self.mics >= 1, "mics", f"expected >= 1, got {self.mics!r}")
+        _require(self.mics >= 2, "mics", f"expected >= 2 (a sub-array needs 2 sensors), got {self.mics!r}")
         _require_positive(self.epsilon, "epsilon")
 
 
@@ -413,18 +413,19 @@ def _distinct_subarrays(geo, spec: SubarrayConfig, frequencies) -> list:
     return list(unique.values())
 
 
-def run_beamforming(cfg: RunConfig, geo, scene) -> list:
-    """Maps for `beamform`, `farfield` and `pipeline`, sorted by frequency.
+def _subarray_maps(bf: BeamformingConfig, spectral_cfg: SpectralConfig | None, scene, subarrays):
+    """Yield (SubArray, its maps) for each (SubArray, frequencies) pair, in order.
 
-    Runs in the calling process, one distinct sub-array at a time: its CSMs
-    and steering travel times are formed once for all of its frequencies.
+    One sub-array at a time: its CSMs and steering travel times are formed
+    once for all of its frequencies. The travel times, the larger, are freed
+    before the next sub-array's time series or CSMs are formed, the CSMs when
+    the next replace them: freeing both at once made the heap give back and
+    re-fault their pages, 5-10 % of a pitch-series job in the benchmark.
     """
-    bf = cfg.beamforming
     grid = beamforming.make_focus_grid(**vars(bf.grid))  # GridConfig's fields are its parameters
-    maps = []
-    for sub, frequencies in _distinct_subarrays(geo, cfg.subarray, bf.frequencies):
+    for sub, frequencies in subarrays:
         if bf.estimator == "welch":
-            sp = cfg.spectral or SpectralConfig()
+            sp = spectral_cfg or SpectralConfig()
             sig, _ = synthesis.synthesize_timeseries(scene, sub.positions, rate=sp.rate, duration=sp.duration)
             csms = spectral.welch_csm(
                 sig, sp.rate, block=sp.block, overlap=sp.overlap, window=sp.window, frequencies=frequencies
@@ -433,16 +434,26 @@ def run_beamforming(cfg: RunConfig, geo, scene) -> list:
         else:
             csms = synthesis.synthesize_csm(scene, sub.positions, frequencies)
         steering = beamforming.steering_geometry(grid, sub.positions, scene.medium)
-        for csm in csms:
-            steer = beamforming.steering_vectors(steering, csm.frequency, include_absorption=bf.include_absorption)
-            if bf.clean_sc:
-                maps.append(beamforming.clean_sc(
-                    csm, steer, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
-                    stop_threshold=bf.stop_threshold, diagonal_removal=bf.diagonal_removal,
-                ))
-            else:
-                maps.append(beamforming.conventional_beamform(csm, steer, bf.diagonal_removal))
-        del csms, steering, steer  # freed before the next sub-array's are formed
+        maps = [_map(bf, csm, steering) for csm in csms]
+        del steering
+        yield sub, maps
+
+
+def _map(bf: BeamformingConfig, csm, steering):
+    """The map of one CSM that `bf` asks for, steered at the CSM's frequency."""
+    steer = beamforming.steering_vectors(steering, csm.frequency, include_absorption=bf.include_absorption)
+    if bf.clean_sc:
+        return beamforming.clean_sc(
+            csm, steer, loop_gain=bf.loop_gain, max_iterations=bf.max_iterations,
+            stop_threshold=bf.stop_threshold, diagonal_removal=bf.diagonal_removal,
+        )
+    return beamforming.conventional_beamform(csm, steer, bf.diagonal_removal)
+
+
+def run_beamforming(cfg: RunConfig, geo, scene) -> list:
+    """Maps for `beamform`, `farfield` and `pipeline`, sorted by frequency."""
+    subarrays = _distinct_subarrays(geo, cfg.subarray, cfg.beamforming.frequencies)
+    maps = [m for _, sub_maps in _subarray_maps(cfg.beamforming, cfg.spectral, scene, subarrays) for m in sub_maps]
     return sorted(maps, key=lambda m: m.frequency)
 
 
@@ -617,13 +628,18 @@ def cmd_beamform(args) -> int:
 
 def cmd_directivity(args) -> int:
     cfg = config_from_flags(DirectivityConfig, args)
-    out = _out_dir(args)
+    (x0, x1), (z0, z1) = cfg.roi.x_range, cfg.roi.z_range
+    bf = BeamformingConfig(cfg.frequencies, GridConfig((x0 - 0.1, x1 + 0.1), (z0 - 0.1, z1 + 0.1)))
     scene = synthesis.Scene.load_json(cfg.scene)
     geo = geometry.ArrayGeometry.load_json(cfg.geometry)
-    surface = analysis.directivity_pipeline(
-        scene, geo, cfg.reference, cfg.roi, cfg.frequencies,
-        count=cfg.count, aperture=cfg.aperture, mics=cfg.mics, epsilon=cfg.epsilon,
-    )
+    subarrays = geometry.pitch_subarray_series(geo, cfg.count, cfg.aperture, cfg.mics, cfg.epsilon)
+    for i, sub in enumerate(subarrays):
+        _require(sub.size >= 2, "epsilon", f"pitch sub-array {i} holds {sub.size} sensor(s), fewer than 2")
+    out = _out_dir(args)
+    surface = analysis.directivity([
+        (geometry.subarray_observation(sub, cfg.reference), analysis.maps_to_spectrum(maps, cfg.roi))
+        for sub, maps in _subarray_maps(bf, None, scene, [(sub, bf.frequencies) for sub in subarrays])
+    ])
     gpath = os.path.join(out, "directivity.csv")
     surface.save_csv(gpath)
     mpath = os.path.join(out, "directivity_meta.json")

@@ -6,7 +6,9 @@ use exact arithmetic; level criteria run on synthetic scenes with closed-form
 ground truth.
 """
 
+import csv
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import memsarray as ma
 from memsarray import acquisition as acq
 from memsarray import analysis as an
 from memsarray import beamforming as bf
+from memsarray import cli
 from memsarray import geometry as geo
 from memsarray import propagation as prop
 from memsarray import spectral as sp
@@ -195,30 +198,39 @@ def test_criterion_07_subarray_equivalence(dnw, rng):
 
 
 @criterion(8, "directivity recovery: dipole peak at ~90 deg, monopole |Gamma| <= 0.5 dB")
-def test_criterion_08_directivity(big_array):
-    src = np.array([2.4, 0.0, 0.0])
-    roi = an.RegionOfInterest(x_range=(2.1, 2.7), z_range=(-0.3, 0.3))
-    grid_spec = {"x_range": (2.0, 2.8), "z_range": (-0.4, 0.4), "spacing": 0.02}
-    freqs = [2000.0, 4000.0]
+def test_criterion_08_directivity(big_array, tmp_path):
+    geometry = tmp_path / "geometry.json"
+    big_array.save_json(geometry)
+    src = [2.4, 0.0, 0.0]
 
-    def run(source):
-        scene = syn.Scene(sources=(source,), seed=5)
-        return an.directivity_pipeline(
-            scene, big_array, src, roi, freqs,
-            count=13, aperture=2.0, mics=150, epsilon=0.1, grid_spec=grid_spec,
-        )
+    def run(name, source):
+        scene = tmp_path / f"{name}.json"
+        scene.write_text(json.dumps({"sources": [source], "seed": 5}))
+        out = tmp_path / name
+        # the default grid is the ROI +-0.1 m at 0.02 m: (2.0, 2.8) x (-0.4, 0.4)
+        argv = [
+            "directivity", "--scene", str(scene), "--geometry", str(geometry), "--roi", "2.1,2.7,-0.3,0.3",
+            "--reference", "2.4,0.0,0.0", "--freqs", "2000,4000",
+            "--count", "13", "--aperture", "2.0", "--mics", "150", "--epsilon", "0.1", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        angles = np.array(json.loads((out / "directivity_meta.json").read_text())["angles_deg"])
+        with open(out / "directivity.csv", newline="", encoding="utf-8") as fh:
+            gamma = np.array([[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]])
+        return angles, gamma
 
-    iso = run(broadband(src, psd=1e-6))
-    assert np.nanmax(np.abs(iso.gamma_db)) <= 0.5
+    _, iso_gamma = run("monopole", {"position": src, "spectrum": {"type": "broadband", "psd": 1e-6}})
+    assert np.nanmax(np.abs(iso_gamma)) <= 0.5
 
-    dip = run(broadband(src, psd=1e-6, kind="dipole", axis=[0.0, 1.0, 0.0]))
-    steps = np.diff(dip.angles)
-    for col in range(dip.gamma_db.shape[1]):
-        peak_angle = dip.angles[np.nanargmax(dip.gamma_db[:, col])]
-        k = np.argmin(np.abs(dip.angles - 90.0))
+    dipole = {"position": src, "spectrum": {"type": "broadband", "psd": 1e-6}, "kind": "dipole", "axis": [0.0, 1.0, 0.0]}
+    angles, gamma = run("dipole", dipole)
+    steps = np.diff(angles)
+    for col in range(gamma.shape[1]):
+        peak_angle = angles[np.nanargmax(gamma[:, col])]
+        k = np.argmin(np.abs(angles - 90.0))
         local_step = max(steps[max(k - 1, 0)], steps[min(k, len(steps) - 1)])
         assert abs(peak_angle - 90.0) <= local_step + 1e-9
-    assert len(dip.angles) == 13
+    assert len(angles) == 13
 
 
 @criterion(9, "frequency-dependent aperture: D(f) exact, -3 dB width ratio <= 1.5 over 1-16 kHz")

@@ -219,18 +219,3 @@ class TestFarfieldCompare:
         integrated = Spectrum(frequencies=np.array([100.0]), psd=np.ones(1))
         with pytest.raises(ValueError):
             an.farfield_compare(integrated, [])
-
-
-class TestDirectivityPipeline:
-    def test_rejects_single_subarray(self):
-        from memsarray.geometry import assemble_full_array
-        from memsarray.synthesis import Scene, Source
-
-        geo = assemble_full_array(1, 1, seed=42)
-        scene = Scene(
-            sources=(Source(position=[3.0, 0.0, -0.5], spectrum={"type": "broadband", "psd": 1e-6}),),
-            seed=1,
-        )
-        roi = an.RegionOfInterest(x_range=(2.8, 3.2), z_range=(-0.7, -0.3))
-        with pytest.raises(ValueError):
-            an.directivity_pipeline(scene, geo, [3.0, 0.0, -0.5], roi, [2000.0], count=1)

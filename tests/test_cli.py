@@ -537,10 +537,15 @@ def _shear_config(subarray: dict) -> dict:
 
 @pytest.mark.parametrize(
     "subarray, grid_solves",
-    [({"strategy": "dnw_like", "mics": 60}, 1), ({"strategy": "freq_dependent", "mics": 60}, 3)],
+    [
+        ({"strategy": "dnw_like", "mics": 60}, 1),
+        ({"strategy": "freq_dependent", "mics": 60}, 3),
+        pytest.param(None, 3, id="directivity-3"),  # `directivity --count 3`: 3 pitch sub-arrays
+    ],
 )
-def test_travel_times_solved_once_per_subarray(tmp_path, monkeypatch, subarray, grid_solves):
+def test_travel_times_solved_once_per_subarray(tmp_path, monkeypatch, panel_geometry, subarray, grid_solves):
     from memsarray import propagation
+    from memsarray.geometry import pitch_subarray_series
 
     solved = []  # source-receiver shape of each Amiet call
     original = propagation.shear_crossing_delays
@@ -550,11 +555,29 @@ def test_travel_times_solved_once_per_subarray(tmp_path, monkeypatch, subarray, 
         return original(sources, receivers, medium, **kwargs)
 
     monkeypatch.setattr(propagation, "shear_crossing_delays", counting)
-    assert cli.main(_pipeline_config(tmp_path, _shear_config(subarray)) + ["--out", str(tmp_path / "run")]) == 0
-    assert len(list((tmp_path / "run" / "beamforming").glob("map_*.json"))) == 3
-    # per distinct sub-array: every sensor to the 5 x 5 grid, the grid to the
-    # array reference, and the one source to every sensor
-    assert sorted(solved) == sorted([(60, 25), (25,), (60,)] * grid_solves)
+    out = tmp_path / "run"
+    if subarray is None:
+        scene = tmp_path / "shear_scene.json"
+        scene.write_text(json.dumps(_SHEAR_SCENE))
+        argv = [
+            "directivity", "--scene", str(scene), "--geometry", panel_geometry, "--roi", "2.9,3.1,-0.6,-0.4",
+            "--count", "3", "--mics", "60", "--freqs", "2000,4000,8000",
+        ]
+        pitch = pitch_subarray_series(ArrayGeometry.load_json(panel_geometry), 3, 2.0, 60, 0.1)
+        sizes, points = [sub.size for sub in pitch], 21 * 21  # the ROI +-0.1 m at 0.02 m
+    else:
+        argv = _pipeline_config(tmp_path, _shear_config(subarray))
+        sizes, points = [60] * grid_solves, 5 * 5
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    if subarray is None:
+        gamma = list(csv.reader((out / "directivity.csv").read_text().splitlines()))
+        assert [len(row) for row in gamma] == [4] * 4  # theta and 3 frequencies, a header and 3 angles
+    else:
+        assert len(list((out / "beamforming").glob("map_*.json"))) == 3
+    # per sub-array, not per frequency: every sensor to the grid, the grid to
+    # the array reference, and the one source to every sensor
+    assert len(sizes) == grid_solves
+    assert sorted(solved) == sorted(shape for m in sizes for shape in [(m, points), (points,), (m,)])
 
 
 # `beamform` and `farfield` have no --jobs; `pipeline` accepts `--jobs 1` only, for the benchmark's argv
@@ -617,7 +640,10 @@ BAD_FLAGS = [
     ("simulate", ["--rate", "0"], "rate"),
     ("simulate", ["--channels", "-3"], "channels"),
     ("directivity", ["--freqs=-2000"], "frequencies[0]"),
+    ("directivity", ["--freqs", "2000,2000"], "frequencies"),
+    ("directivity", ["--mics", "1"], "mics"),
     ("directivity", ["--epsilon", "0"], "epsilon"),
+    ("directivity", ["--epsilon", "1e-6"], "epsilon"),  # a pitch sub-array of fewer than 2 sensors
     ("directivity", ["--count", "1"], "count"),
     ("directivity", ["--roi", "2.8,3.2"], "roi.z_range"),
     ("directivity", ["--roi", "3.2,2.8,-0.7,-0.3"], "roi.x_range"),
