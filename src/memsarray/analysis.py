@@ -10,8 +10,6 @@ removed before Gamma is formed.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +46,6 @@ class DirectivitySurface:
     frequencies: np.ndarray  # (F,)
     psd_db: np.ndarray  # (A, F), NaN where masked
     gamma_db: np.ndarray  # (A, F)
-
-    def save_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["theta_deg"] + [repr(float(f)) for f in self.frequencies])
-            for a, row in zip(self.angles, self.gamma_db):
-                w.writerow([repr(float(a))] + [repr(float(v)) for v in row])
-
-    def save_meta(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "angles_deg": [float(a) for a in self.angles],
-                    "angle_spreads_deg": [float(a) for a in self.angle_spreads],
-                    "frequencies_hz": [float(f) for f in self.frequencies],
-                },
-                fh,
-                sort_keys=True,
-            )
 
 
 @dataclass(frozen=True)

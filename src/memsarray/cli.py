@@ -199,6 +199,11 @@ class AnalysisConfig:
 class OutputsConfig:
     formats: tuple[Literal["csv", "json", "bin"], ...] = ("csv", "json")
 
+    def __post_init__(self):
+        _require(len(self.formats) > 0, "formats", "expected at least one format")
+        # a raw map is float32 values only; its map JSON holds its shape and frequency
+        _require("bin" not in self.formats or "json" in self.formats, "formats", "'bin' needs 'json' beside it")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -334,7 +339,7 @@ def bundled_config(name: str) -> dict:
         return json.load(fh)
 
 
-# ---------------------------------------------------------------- manifest
+# ---------------------------------------------------------------- report files
 
 
 def _sha256(path) -> str:
@@ -349,18 +354,37 @@ def _sha256_obj(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def write_manifest(out_dir, command: str, inputs: dict, outputs: list, seed=None):
+def _write_csv(path, header, rows) -> str:
+    """A report table: the header line, then one line per row of Python numbers as `repr`, LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    return path
+
+
+def _write_json(path, obj, indent=None) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent))  # dumps runs the C encoder, json.dump the Python one
+    return path
+
+
+def _write_gamma(path, columns, angles, gamma_db) -> str:
+    """A Gamma table: one row per angle (deg), one column per frequency or band center."""
+    rows = ([a, *g] for a, g in zip(angles.tolist(), gamma_db.tolist()))
+    return _write_csv(path, ["theta_deg", *map(repr, columns.tolist())], rows)
+
+
+def write_manifest(out_dir, command: str, config, files: dict, outputs: list, seed=None):
+    """`run_manifest.json`. Its `inputs` hold the sha256 of `config`, the run's parsed config as
+    a JSON-shaped object, and of each file the run read (`files`: its role -> its path)."""
     manifest = {
         "command": command,
         "package": {"memsarray": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "seed": seed,
-        "inputs": inputs,
+        "inputs": {"config": _sha256_obj(config), **{role: _sha256(path) for role, path in files.items()}},
         "outputs": {os.path.relpath(p, out_dir): _sha256(p) for p in sorted(map(str, outputs))},
     }
-    path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-    return path
+    return _write_json(os.path.join(out_dir, "run_manifest.json"), manifest, indent=1)
 
 
 def _out_dir(args) -> str:
@@ -465,38 +489,33 @@ def save_map(out_dir, bmap, formats):
     base = os.path.join(out_dir, _map_name(bmap.frequency))
     written = []
     if "csv" in formats:
-        path = base + ".csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,z,psd_db\n")
-            db = spectral.to_db(bmap.values).tolist()
-            fh.writelines(f"{x!r},{z!r},{v!r}\n" for (x, z), v in zip(bmap.grid.local.tolist(), db))
-        written.append(path)
+        db = spectral.to_db(bmap.values).tolist()
+        written.append(_write_csv(base + ".csv", ["x", "z", "psd_db"], zip(*bmap.grid.local.T.tolist(), db)))
     if "json" in formats:
-        path = base + ".json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "frequency": bmap.frequency,
-                    "kind": bmap.kind,
-                    "diagonal_removal": bmap.diagonal_removed,
-                    "reference": "source power at 1 m, dB re 20 uPa",
-                    "shape": list(bmap.grid.shape),
-                    "spacing": bmap.grid.spacing,
-                    "n_sensors": bmap.n_channels,
-                    "components": [[int(t), float(p)] for t, p in bmap.components],
-                    "n_negative": bmap.n_negative,
-                    "iterations": bmap.iterations,
-                    "stop_reason": bmap.stop_reason,
-                },
-                fh,
-                sort_keys=True,
-            )
-        written.append(path)
+        written.append(_write_json(base + ".json", {
+            "frequency": bmap.frequency,
+            "kind": bmap.kind,
+            "diagonal_removal": bmap.diagonal_removed,
+            "reference": "source power at 1 m, dB re 20 uPa",
+            "shape": list(bmap.grid.shape),
+            "spacing": bmap.grid.spacing,
+            "n_sensors": bmap.n_channels,
+            "components": [[int(t), float(p)] for t, p in bmap.components],
+            "n_negative": bmap.n_negative,
+            "iterations": bmap.iterations,
+            "stop_reason": bmap.stop_reason,
+        }))
     if "bin" in formats:
         path = base + ".raw"
         bmap.values.astype("<f4").tofile(path)
         written.append(path)
     return written
+
+
+def _run_files(cfg: RunConfig) -> dict:
+    """The files a run config names, by role: `geometry.load` and a scene's `load`."""
+    files = {"geometry": cfg.geometry.load, "scene": cfg.scene.get("load")}
+    return {role: path for role, path in files.items() if path is not None}
 
 
 # ---------------------------------------------------------------- commands
@@ -512,10 +531,9 @@ def cmd_geometry(args) -> int:
     geo.save_json(jpath)
     outputs = [jpath]
     if "csv" in formats:
-        cpath = os.path.join(out, "geometry.csv")
-        geo.save_csv(cpath)
-        outputs.append(cpath)
-    write_manifest(out, "geometry", {"panels": args.panels}, outputs, seed=args.seed)
+        rows = ([i, *p] for i, p in enumerate(geo.positions.tolist()))
+        outputs.append(_write_csv(os.path.join(out, "geometry.csv"), ["id", "x", "y", "z"], rows))
+    write_manifest(out, "geometry", {**dataclasses.asdict(gen), "format": formats}, {}, outputs, seed=args.seed)
     print(f"geometry: {geo.sensor_count} sensors, extent {geo.extent[0]} m x {geo.extent[1]} m")
     return 0
 
@@ -531,23 +549,18 @@ def cmd_simulate(args) -> int:
     )
     out = _out_dir(args)
     positions = geo.positions[: cfg.channels or None]
-    outputs = []
     if cfg.mode == "timeseries":
         sig, meta = synthesis.synthesize_timeseries(scene, positions, rate=cfg.rate, duration=cfg.duration)
         npy = os.path.join(out, "timeseries.npy")
         np.save(npy, sig)
-        side = os.path.join(out, "timeseries.json")
-        with open(side, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True)
-        outputs += [npy, side]
+        outputs = [npy, _write_json(os.path.join(out, "timeseries.json"), meta)]
     else:
         csms = synthesis.synthesize_csm(scene, positions, cfg.frequencies)
         path = os.path.join(out, "exact_csm.bin")
         spectral.save_csm_set(path, csms, geometry_hash=_sha256(cfg.geometry))
-        outputs.append(path)
-    write_manifest(
-        out, "simulate", {"scene": _sha256(cfg.scene), "geometry": _sha256(cfg.geometry)}, outputs, seed=scene.seed
-    )
+        outputs = [path]
+    files = {"scene": cfg.scene, "geometry": cfg.geometry}
+    write_manifest(out, "simulate", dataclasses.asdict(cfg), files, outputs, seed=scene.seed)
     return 0
 
 
@@ -570,22 +583,12 @@ def cmd_acquire(args) -> int:
     streams_by_fpga, gaps = acquisition.depacketize(acquisition.read_capture(cap), allow_gaps=True)
     blocks = [acquisition.pdm_decimate(s) for s in streams_by_fpga[cfg.fpga_id]]
     pcm = acquisition.write_pcm_raw(os.path.join(out, "pcm"), blocks)
-    gap_path = os.path.join(out, "gaps.json")
-    with open(gap_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            [
-                {
-                    "fpga": g.fpga_id,
-                    "sequences": [g.first_sequence, g.last_sequence],
-                    "samples": [g.start_sample, g.end_sample],
-                }
-                for g in gaps
-            ],
-            fh,
-            sort_keys=True,
-        )
+    gap_path = _write_json(os.path.join(out, "gaps.json"), [
+        {"fpga": g.fpga_id, "sequences": [g.first_sequence, g.last_sequence], "samples": [g.start_sample, g.end_sample]}
+        for g in gaps
+    ])
     outputs = [cap, pcm, os.path.join(out, "pcm.json"), gap_path]
-    write_manifest(out, "acquire", {"tone": cfg.tone, "duration": cfg.duration}, outputs, seed=cfg.seed)
+    write_manifest(out, "acquire", dataclasses.asdict(cfg), {}, outputs, seed=cfg.seed)
     print(f"acquire: {len(packets)} packets, {len(gaps)} gaps, group delay "
           f"{acquisition.decimation_group_delay()} samples")
     return 0
@@ -616,13 +619,7 @@ def cmd_beamform(args) -> int:
     outputs = []
     for bmap in run_beamforming(cfg, geo, scene):
         outputs += save_map(out, bmap, cfg.outputs.formats)
-    write_manifest(
-        out,
-        "beamform",
-        {"scene": _sha256(args.scene), "geometry": _sha256(args.geometry), "config": _sha256_obj(dataclasses.asdict(cfg))},
-        outputs,
-        seed=scene.seed,
-    )
+    write_manifest(out, "beamform", dataclasses.asdict(cfg), _run_files(cfg), outputs, seed=scene.seed)
     return 0
 
 
@@ -640,22 +637,20 @@ def cmd_directivity(args) -> int:
         (geometry.subarray_observation(sub, cfg.reference), analysis.maps_to_spectrum(maps, cfg.roi))
         for sub, maps in _subarray_maps(bf, None, scene, [(sub, bf.frequencies) for sub in subarrays])
     ])
-    gpath = os.path.join(out, "directivity.csv")
-    surface.save_csv(gpath)
-    mpath = os.path.join(out, "directivity_meta.json")
-    surface.save_meta(mpath)
-    outputs = [gpath, mpath]
+    outputs = [
+        _write_gamma(os.path.join(out, "directivity.csv"), surface.frequencies, surface.angles, surface.gamma_db),
+        _write_json(os.path.join(out, "directivity_meta.json"), {
+            "angles_deg": surface.angles.tolist(),
+            "angle_spreads_deg": surface.angle_spreads.tolist(),
+            "frequencies_hz": surface.frequencies.tolist(),
+        }),
+    ]
     if cfg.octave_polar:
         polar = analysis.octave_polar(surface)
         ppath = os.path.join(out, "octave_polar.csv")
-        with open(ppath, "w", encoding="utf-8") as fh:
-            fh.write("theta_deg," + ",".join(repr(float(c)) for c in polar["centers"]) + "\n")
-            for a, row in zip(polar["angles"], polar["gamma_db"]):
-                fh.write(repr(float(a)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-        outputs.append(ppath)
-    write_manifest(
-        out, "directivity", {"scene": _sha256(cfg.scene), "geometry": _sha256(cfg.geometry)}, outputs, seed=scene.seed
-    )
+        outputs.append(_write_gamma(ppath, polar["centers"], polar["angles"], polar["gamma_db"]))
+    files = {"scene": cfg.scene, "geometry": cfg.geometry}
+    write_manifest(out, "directivity", dataclasses.asdict(cfg), files, outputs, seed=scene.seed)
     return 0
 
 
@@ -675,23 +670,27 @@ def cmd_farfield(args) -> int:
     distances = [float(np.linalg.norm(np.subtract(mic, reference))) for mic in mics]
     for i, d in enumerate(distances):
         _require(d > 0, f"mics[{i}]", f"expected a position away from the reference {list(reference)!r}")
-    out = _out_dir(args)
     scene = _load_scene(cfg.scene)
-    maps = run_beamforming(cfg, _load_geometry(cfg), scene)
+    for i, mic in enumerate(mics):
+        for src in scene.sources:  # synthesis has no distance to propagate over
+            near = math.dist(mic, src.position) < synthesis.MIN_DISTANCE
+            _require(not near, f"mics[{i}]", f"expected a position away from the source at {src.position.tolist()!r}")
+    geo = _load_geometry(cfg)
+    out = _out_dir(args)
+    maps = run_beamforming(cfg, geo, scene)
     integrated = analysis.maps_to_spectrum(maps, cfg.analysis.roi)
 
     mic_specs = [
         (_virtual_mic_spectrum(scene, mic, integrated.frequencies), d) for mic, d in zip(np.array(mics), distances)
     ]
-    comparison = analysis.farfield_compare(integrated, mic_specs)
-    path = os.path.join(out, "farfield_comparison.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frequency,integrated_db,mic_average_db,delta_db\n")
-        for row in zip(comparison.frequencies, comparison.integrated_db, comparison.mic_average_db, comparison.delta_psd_db):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    write_manifest(
-        out, "farfield", {"scene": _sha256(args.scene), "geometry": _sha256(args.geometry)}, [path], seed=scene.seed
+    c = analysis.farfield_compare(integrated, mic_specs)
+    columns = (c.frequencies, c.integrated_db, c.mic_average_db, c.delta_psd_db)
+    path = _write_csv(
+        os.path.join(out, "farfield_comparison.csv"), ["frequency", "integrated_db", "mic_average_db", "delta_db"],
+        zip(*(v.tolist() for v in columns)),
     )
+    config = {**dataclasses.asdict(cfg), "mics": mics, "reference": reference}
+    write_manifest(out, "farfield", config, _run_files(cfg), [path], seed=scene.seed)
     return 0
 
 
@@ -702,14 +701,13 @@ def _virtual_mic_spectrum(scene, position, freqs) -> spectral.Spectrum:
 
 
 def cmd_pipeline(args) -> int:
+    bundled = args.config.startswith("bundled:")
     try:
-        if args.config.startswith("bundled:"):
+        if bundled:
             cfg = bundled_config(args.config.split(":", 1)[1].replace("-", "_"))
-            cfg_hash = _sha256_obj(cfg)
         else:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-            cfg_hash = _sha256(args.config)
     except (OSError, ValueError) as exc:
         raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
     cfg = parse(RunConfig, cfg, "")
@@ -737,11 +735,11 @@ def cmd_pipeline(args) -> int:
             spectrum = spectral.band_integrate(spectrum, cfg.analysis.band)
         an_dir = os.path.join(out, "analysis")
         os.makedirs(an_dir, exist_ok=True)
-        spath = os.path.join(an_dir, "roi_spectrum.csv")
-        spectrum.save_csv(spath)
-        outputs.append(spath)
+        rows = zip(spectrum.frequencies.tolist(), spectrum.db().tolist())
+        outputs.append(_write_csv(os.path.join(an_dir, "roi_spectrum.csv"), ["frequency", "psd_db"], rows))
 
-    write_manifest(out, "pipeline", {"config": cfg_hash}, outputs, seed=cfg.seed)
+    files = _run_files(cfg) if bundled else {"config_file": args.config, **_run_files(cfg)}
+    write_manifest(out, "pipeline", dataclasses.asdict(cfg), files, outputs, seed=cfg.seed)
     print(f"pipeline: {len(outputs)} artifacts in {out}")
     return 0
 

@@ -12,7 +12,6 @@ z vertical. The array plane sits at y = 3.39 m, centred on (x, z) = (3.0, -0.5).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -68,12 +67,6 @@ class ArrayGeometry:
         # json.dump with a file runs the pure-Python encoder; dumps uses the C one, same bytes
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(self.to_dict(), sort_keys=True))
-
-    def save_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "x", "y", "z"])
-            w.writerows([i, repr(x), repr(y), repr(z)] for i, (x, y, z) in enumerate(self.positions.tolist()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrayGeometry":

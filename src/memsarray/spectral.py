@@ -128,12 +128,6 @@ class Spectrum:
     def db(self) -> np.ndarray:
         return to_db(self.psd)
 
-    def save_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("frequency,psd_db\n")
-            for f, v in zip(self.frequencies, self.db()):
-                fh.write(f"{float(f)!r},{float(v)!r}\n")
-
 
 def welch_bins(frequencies, rate: float, block: int) -> np.ndarray:
     """rFFT bin index nearest to each requested frequency, in request order

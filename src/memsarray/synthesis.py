@@ -166,12 +166,15 @@ class Scene:
         return parse(cls, d, "scene")
 
 
+MIN_DISTANCE = 1e-9  # m; a receiver nearer to a source than this coincides with it
+
+
 def _path_gains(source: Source, positions: np.ndarray, medium: MediumModel):
     """Travel times, effective distances and amplitude gains (1 m reference,
     dipole weighting) from a source to each receiver."""
     delays = path_delays(source.position[None, :], positions, medium)
     r_eff = medium.speed_of_sound * delays
-    if (r_eff < 1e-9).any():
+    if (r_eff < MIN_DISTANCE).any():
         i = int(np.argmin(r_eff))
         raise ValueError(
             f"receiver {i} at {positions[i].tolist()} coincides with the source at {source.position.tolist()}"

@@ -190,13 +190,6 @@ class TestFullArray:
             geo.ArrayGeometry.load_json(path)
         assert exc.value.field == "geometry"
 
-    def test_csv_export(self, one_panel, tmp_path):
-        path = tmp_path / "geom.csv"
-        one_panel.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id,x,y,z"
-        assert len(lines) == 801
-
 
 class TestFermatSpiral:
     def test_single_point(self):

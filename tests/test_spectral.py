@@ -278,13 +278,6 @@ class TestSpectrumIO:
         assert db[0] == sp.DB_FLOOR
         assert db[1] == pytest.approx(0.0)
 
-    def test_csv(self, tmp_path):
-        spec = sp.Spectrum(frequencies=np.array([1.0, 2.0]), psd=np.array([1.0, 2.0]))
-        spec.save_csv(tmp_path / "s.csv")
-        lines = (tmp_path / "s.csv").read_text().splitlines()
-        assert lines[0] == "frequency,psd_db"
-        assert len(lines) == 3
-
     def test_csm_container_round_trip(self, rng, tmp_path):
         x = rng.standard_normal((8192, 3))
         csms = sp.welch_csm(x, 48_000.0, block=256, frequencies=[1000.0, 2000.0, 4000.0])
