@@ -11,6 +11,7 @@ from oracles import (
     sample_subarray_strip_oracle,
 )
 
+from memsarray import cli
 from memsarray import geometry as geo
 from memsarray.errors import ConfigError, ConstraintError
 
@@ -189,6 +190,15 @@ class TestFullArray:
         with pytest.raises(ConfigError, match=message) as exc:
             geo.ArrayGeometry.load_json(path)
         assert exc.value.field == "geometry"
+
+    def test_csv_export(self, one_panel, tmp_path):
+        assert cli.main(["geometry", "--panels", "1x1", "--seed", "42", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "geometry.csv").read_text().splitlines()
+        assert lines[0] == "id,x,y,z"
+        assert len(lines) == 801
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        np.testing.assert_array_equal(rows[:, 0], np.arange(800))
+        np.testing.assert_array_equal(rows[:, 1:], one_panel.positions)
 
 
 class TestFermatSpiral:

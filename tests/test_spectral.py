@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import welch_csm_oracle
 
+from memsarray import cli
 from memsarray import spectral as sp
 from memsarray.errors import ConfigError, ProtocolError
 
@@ -277,6 +278,15 @@ class TestSpectrumIO:
         db = spec.db()
         assert db[0] == sp.DB_FLOOR
         assert db[1] == pytest.approx(0.0)
+
+    def test_csv(self, tmp_path):
+        spec = sp.Spectrum(frequencies=np.array([1.0, 2.0]), psd=np.array([1.0, 2.0]))
+        rows = zip(spec.frequencies.tolist(), spec.db().tolist())
+        cli._write_csv(tmp_path / "s.csv", ["frequency", "psd_db"], rows)
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == "frequency,psd_db"
+        assert len(lines) == 3
+        assert [float(v) for v in lines[1].split(",")] == [1.0, spec.db()[0]]
 
     def test_csm_container_round_trip(self, rng, tmp_path):
         x = rng.standard_normal((8192, 3))
