@@ -22,14 +22,11 @@ component spatially coherent with the dirty-map peak is estimated (with a
 fixed-point inner iteration when the diagonal is removed) and subtracted.
 The dirty map is formed once and then updated by the map of each subtracted
 rank-1 component, O(MN) per iteration instead of the O(M^2 N) of forming it
-again from the degraded CSM. An exact CSM carries its rank-K factor
-F F^H + diag(d) (see `CrossSpectralMatrix`), and CLEAN-SC forms its first
-map from F and d in O(KMN); a CSM without a factor (Welch, loaded from a
-file, built by hand) gives it from the dense matrix in O(M^2 N).
-Conventional maps are always formed from the dense matrix: the factored
-form rounds differently, and the diagonal-removed map of an exact CSM is
-meant to be bit-identical to that of the same matrix with any diagonal
-added.
+again from the degraded CSM. Every CSM is F F^H + diag(d) (see
+`CrossSpectralMatrix`): K columns per source for an exact CSM, one per block
+for a Welch one. Conventional maps and CLEAN-SC's first map are formed from
+F and d in O(KMN). The diagonal-removed map does not read d, so it is
+bit-identical for any diagonal added.
 """
 
 from __future__ import annotations
@@ -241,15 +238,10 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
     return SteeringSet(frequency=float(frequency), matrix=h, reference_distance=r0, grid=geometry.grid)
 
 
-def _raw_map(csm_values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """b_t = h_t^H C h_t for all columns at once."""
-    return (h.conj() * (csm_values @ h)).sum(axis=0).real
-
-
 def _factored_map(csm: CrossSpectralMatrix, h: np.ndarray, h_sq: np.ndarray, diagonal_removal: bool) -> np.ndarray:
-    """`_raw_map` of C = F F^H + diag(d), diagonal removed or not, from F and
-    d in O(KMN): sum_k |F_k^H h_t|^2 minus (sum_k |F_mk|^2)^T |h|^2, or plus
-    d^T |h|^2. `h_sq` is |h|^2."""
+    """b_t = h_t^H C h_t for all columns at once, C = F F^H + diag(d) with
+    its diagonal removed or not, from F and d in O(KMN): sum_k |F_k^H h_t|^2
+    minus (sum_k |F_mk|^2)^T |h|^2, or plus d^T |h|^2. `h_sq` is |h|^2."""
     f = csm.factor
     coherent = np.abs(f.conj().T @ h) ** 2
     if diagonal_removal:
@@ -262,19 +254,14 @@ def conventional_beamform(
 ) -> BeamformingMap:
     """Delay-and-sum map; values referenced to the source power at 1 m.
 
-    With diagonal removal the CSM diagonal is zeroed first, which makes the
+    With diagonal removal the CSM diagonal is left out, which makes the
     output exactly invariant to any per-channel (incoherent) auto-power.
     Negative values are clamped for display but kept in `raw_values`.
     """
-    values = csm.values
-    if values.shape[0] != steering.n_channels:
-        raise ValueError(
-            f"CSM has {values.shape[0]} channels but steering expects {steering.n_channels}"
-        )
-    if diagonal_removal:
-        values = values.copy()
-        np.fill_diagonal(values, 0.0)
-    raw = _raw_map(values, steering.matrix)
+    if csm.n_channels != steering.n_channels:
+        raise ValueError(f"CSM has {csm.n_channels} channels but steering expects {steering.n_channels}")
+    h = steering.matrix
+    raw = _factored_map(csm, h, np.abs(h) ** 2, diagonal_removal)
     ref_scale = (steering.reference_distance / REFERENCE_DISTANCE) ** 2
     raw = raw * ref_scale
     clamped = np.maximum(raw, 0.0)
@@ -304,9 +291,8 @@ def clean_sc(
     vector c from the degraded CSM column space at the peak (fixed-point inner
     iterations when the diagonal is removed), subtract loop_gain times the
     induced CSM peak c c^H, and accumulate the clean component. The first
-    dirty map comes from the CSM's factor when it has one (`_factored_map`,
-    O(KMN)) and from its dense values otherwise (`_raw_map`, O(M^2 N)). It
-    is not formed again from the degraded CSM; it loses the map of the
+    dirty map comes from the CSM's factor (`_factored_map`, O(KMN)). It is
+    not formed again from the degraded CSM; it loses the map of the
     subtracted component, loop_gain peak (|h^H c|^2 - (|h|^2)^T |c|^2), where
     the second term applies only when the diagonal is removed.
 
@@ -329,10 +315,7 @@ def clean_sc(
     degraded = values.copy()
     if diagonal_removal:
         np.fill_diagonal(degraded, 0.0)
-    if csm.factor is None:
-        dirty = _raw_map(degraded, h)
-    else:
-        dirty = _factored_map(csm, h, h_sq, diagonal_removal)
+    dirty = _factored_map(csm, h, h_sq, diagonal_removal)
     initial_peak = dirty.max() if dirty.size else 0.0
     prev_norm = np.linalg.norm(degraded, 1)
     components: dict[int, float] = {}

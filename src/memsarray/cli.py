@@ -525,6 +525,8 @@ def cmd_geometry(args) -> int:
     px, pz = parse(tuple[int, int], _flag_list(args.panels.replace("x", ",")), "panels")
     gen = parse(GenerateConfig, {"panels_x": px, "panels_z": pz, "seed": args.seed}, "")
     formats = parse(tuple[Literal["json", "csv"], ...], args.format, "format")
+    # geometry.json is always written, so a list without "json" would not say what is written
+    _require("json" in formats, "format", f"expected a list with 'json', got {list(formats)!r}")
     out = _out_dir(args)
     geo = geometry.assemble_full_array(gen.panels_x, gen.panels_z, gen.seed)
     jpath = os.path.join(out, "geometry.json")
@@ -613,9 +615,9 @@ def cmd_beamform(args) -> int:
         "spectral": welch if args.estimator == "welch" else None,
         "outputs": {"formats": args.format},
     }, "")
-    out = _out_dir(args)
     scene = _load_scene(cfg.scene)
     geo = _load_geometry(cfg)
+    out = _out_dir(args)
     outputs = []
     for bmap in run_beamforming(cfg, geo, scene):
         outputs += save_map(out, bmap, cfg.outputs.formats)
@@ -714,9 +716,9 @@ def cmd_pipeline(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     scene = _load_scene(cfg.scene)
+    geo = _load_geometry(cfg)
     out = _out_dir(args)
 
-    geo = _load_geometry(cfg)
     geo_dir = os.path.join(out, "geometry")
     os.makedirs(geo_dir, exist_ok=True)
     gpath = os.path.join(geo_dir, "geometry.json")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,57 +31,36 @@ def to_db(values, reference: float = P_REF_SQ) -> np.ndarray:
     return np.maximum(out, DB_FLOOR)
 
 
-MIRROR_BLOCK = 256  # rows of a factored CSM mirrored onto its lower triangle at a time
+MIRROR_BLOCK = 256  # rows of a CSM's product mirrored onto its lower triangle at a time
 
 
 @dataclass(frozen=True)
 class CrossSpectralMatrix:
-    """Hermitian cross-power matrix at one frequency.
+    """Hermitian cross-power matrix at one frequency, C = F F^H + diag(d).
 
-    Give either `values`, or its rank-K `factor` F (M, K) and real noise
-    `diagonal` d (M,), from which `values` = F F^H + diag(d) is built once.
-    A given `values` is checked for shape, finiteness, Hermitian symmetry
-    and a non-negative diagonal; a given factor is checked for shape,
-    finiteness and d >= 0, and the matrix it builds is Hermitian exactly.
-    Exact CSMs carry their factor, so maps can be formed from it in O(KMN)
-    instead of O(M^2 N); measured (Welch) and loaded CSMs have none.
+    The factor F (M, K) holds one column per coherent part (a source of an
+    exact CSM, a Welch block of a measured one) and the real diagonal d (M,)
+    the incoherent auto-power per channel. Both are checked for shape,
+    finiteness and d >= 0; `values` is built from them once, Hermitian
+    exactly, so maps can be formed from F in O(KMN) instead of O(M^2 N).
     """
 
     frequency: float
-    values: np.ndarray | None = None  # (M, M) complex
+    factor: np.ndarray  # (M, K) complex
+    diagonal: np.ndarray  # (M,) real
     n_averages: int = 1
     window: str = "exact"
     block_size: int = 0
     overlap: float = 0.0
     units: str = "Pa^2/Hz"
-    factor: np.ndarray | None = None  # (M, K) complex: one column per coherent source
-    diagonal: np.ndarray | None = None  # (M,) real, incoherent auto-power per channel
+    values: np.ndarray = field(init=False, repr=False)  # (M, M) complex
 
     def __post_init__(self):
-        if self.factor is not None or self.diagonal is not None:
-            if self.values is not None:
-                raise ValueError("CSM takes values or a factor and diagonal, not both")
-            object.__setattr__(self, "values", _factored_values(self.factor, self.diagonal))
-            return
-        v = self.values
-        if v is None:
-            raise ValueError("CSM needs values or a factor and diagonal")
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("CSM must be square")
-        with np.errstate(invalid="ignore"):  # inf - inf: reported below as non-finite
-            herm_err = np.abs(v - v.conj().T).max()
-        if not np.isfinite(herm_err):
-            raise ValueError("CSM contains non-finite entries")
-        scale = max(np.abs(v).max(), 1.0e-300)
-        if herm_err > 1e-9 * scale:
-            raise ValueError(f"CSM is not Hermitian (max asymmetry {herm_err:.3e})")
-        d = np.diag(v)
-        if (d.real < -1e-12 * scale).any():
-            raise ValueError("CSM diagonal must be non-negative")
+        object.__setattr__(self, "values", _factored_values(self.factor, self.diagonal))
 
     @property
     def n_channels(self) -> int:
-        return self.values.shape[0]
+        return len(self.diagonal)
 
 
 def _factored_values(factor, diagonal) -> np.ndarray:
@@ -90,16 +69,13 @@ def _factored_values(factor, diagonal) -> np.ndarray:
     The BLAS product is Hermitian only to rounding (its kernel need not
     round F_i F_j^* and F_j F_i^* alike), so its upper triangle is mirrored
     onto the lower one, `MIRROR_BLOCK` rows at a time, and its diagonal is
-    made real: the matrix then survives the upper-triangle round trip of
-    `save_csm_set` / `load_csm_set` bit for bit."""
-    if factor is None or diagonal is None:
-        raise ValueError("a factored CSM needs both its factor and its diagonal")
-    if factor.ndim != 2 or diagonal.ndim != 1 or factor.shape[0] != len(diagonal) or np.iscomplexobj(diagonal):
+    made real: the matrix is then Hermitian exactly, as a CSM is."""
+    if np.ndim(factor) != 2 or np.ndim(diagonal) != 1 or len(factor) != len(diagonal) or np.iscomplexobj(diagonal):
         raise ValueError(
-            f"factor {factor.shape} and diagonal {diagonal.shape} are not an (M, K) array and a real (M,) array"
+            f"factor {np.shape(factor)} and diagonal {np.shape(diagonal)} are not an (M, K) array and a real (M,) array"
         )
     if not (np.isfinite(factor).all() and np.isfinite(diagonal).all()):
-        raise ValueError("CSM factor or diagonal contains non-finite entries")
+        raise ValueError("CSM contains non-finite entries")
     if (diagonal < 0).any():
         raise ValueError("CSM diagonal must be non-negative")
     m = len(diagonal)
@@ -170,7 +146,9 @@ def welch_csm(
     `frequencies` gives one CSM per requested frequency, in request order, at
     its nearest bin (`welch_bins` checks the requests); each CSM's `frequency`
     is its bin's. Only the selected bins of each block's spectrum are kept, so
-    the cost of the products grows with the bins asked for, not with the block.
+    the cost grows with the bins asked for, not with the block. A bin's CSM is
+    its scaled block spectra as the factor F (M, n_averages), with a zero
+    diagonal.
     """
     x = np.asarray(signals, dtype=float)
     n, m = x.shape
@@ -190,28 +168,27 @@ def welch_csm(
     freqs = np.fft.rfftfreq(block, d=1.0 / rate)
     idx = np.arange(len(freqs)) if frequencies is None else welch_bins(frequencies, rate, block)
     fsel = freqs[idx]
-    spec = np.empty((len(idx), n_avg, m), dtype=complex)  # selected bin, block, channel
+    spec = np.empty((len(idx), m, n_avg), dtype=complex)  # selected bin, channel, block
     for b in range(n_avg):
         seg = x[b * hop : b * hop + block] * w[:, None]
-        spec[:, b] = np.fft.rfft(seg, axis=0)[idx]
-    acc = spec.transpose(0, 2, 1) @ spec.conj()  # (bins, M, M): sum over blocks of X X^H
-    scale = 2.0 / (rate * np.sum(w * w) * n_avg)
-    acc *= scale
+        spec[:, :, b] = np.fft.rfft(seg, axis=0)[idx]
+    # each bin's factor is its block spectra, so F F^H is the sum over blocks of X X^H times the PSD scale;
     # DC and Nyquist carry no one-sided doubling
-    edge = (fsel == 0.0) | np.isclose(fsel, rate / 2.0)
-    acc[edge] *= 0.5
-    acc = 0.5 * (acc + acc.conj().transpose(0, 2, 1))  # enforce Hermitian symmetry exactly
+    scale = np.full(len(idx), np.sqrt(2.0 / (rate * np.sum(w * w) * n_avg)))
+    scale[(fsel == 0.0) | np.isclose(fsel, rate / 2.0)] *= np.sqrt(0.5)
+    spec *= scale[:, None, None]
 
     return [
         CrossSpectralMatrix(
             frequency=float(f),
-            values=v,
+            factor=factor,
+            diagonal=np.zeros(m),
             n_averages=n_avg,
             window=window,
             block_size=block,
             overlap=overlap,
         )
-        for f, v in zip(fsel, acc)
+        for f, factor in zip(fsel, spec)
     ]
 
 
@@ -276,11 +253,12 @@ def band_integrate(spectrum: Spectrum, band_type: str = "third_octave") -> Spect
 
 
 def save_csm_set(path, csms: list[CrossSpectralMatrix], geometry_hash: str = ""):
-    """Binary CSM container: JSON header + upper-triangle-packed complex values."""
-    m = csms[0].n_channels
+    """Binary CSM container: JSON header, then each CSM's factor F (`<c16`,
+    row-major) and diagonal d (`<f8`); the header's `ranks` holds each K."""
     header = {
         "frequencies": [c.frequency for c in csms],
-        "n_channels": m,
+        "ranks": [c.factor.shape[1] for c in csms],
+        "n_channels": csms[0].n_channels,
         "n_averages": csms[0].n_averages,
         "window": csms[0].window,
         "block_size": csms[0].block_size,
@@ -289,14 +267,13 @@ def save_csm_set(path, csms: list[CrossSpectralMatrix], geometry_hash: str = "")
         "geometry_hash": geometry_hash,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    iu = np.triu_indices(m)
     with open(path, "wb") as fh:
         fh.write(b"CSMF")
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for c in csms:
-            packed = np.ascontiguousarray(c.values[iu], dtype="<c16")
-            fh.write(packed.tobytes())
+            fh.write(np.ascontiguousarray(c.factor, dtype="<c16").tobytes())
+            fh.write(np.ascontiguousarray(c.diagonal, dtype="<f8").tobytes())
 
 
 def load_csm_set(path) -> list[CrossSpectralMatrix]:
@@ -312,24 +289,26 @@ def load_csm_set(path) -> list[CrossSpectralMatrix]:
         header = json.loads(data[8 : 8 + hlen])
         m = header["n_channels"]
         freqs = [float(f) for f in header["frequencies"]]
+        ranks = list(header["ranks"])
         meta = {k: header[k] for k in ("n_averages", "window", "block_size", "overlap", "units")}
     except (ValueError, KeyError, TypeError) as exc:
         raise ProtocolError(f"corrupt CSM header: {exc}") from exc
     if type(m) is not int or m < 1:
         raise ProtocolError(f"corrupt CSM header: n_channels {m!r}")
-    n_vals = m * (m + 1) // 2  # upper triangle
-    if len(data) != 8 + hlen + 16 * n_vals * len(freqs):
+    if len(ranks) != len(freqs) or any(type(k) is not int or k < 0 for k in ranks):
+        raise ProtocolError(f"corrupt CSM header: ranks {ranks!r} for {len(freqs)} frequencies")
+    if len(data) != 8 + hlen + sum(16 * m * k + 8 * m for k in ranks):
         raise ProtocolError(
-            f"CSM container of {len(data)} bytes does not hold {len(freqs)} matrices of {m} channels"
+            f"CSM container of {len(data)} bytes does not hold {len(freqs)} matrices of {m} channels and ranks {ranks}"
         )
-    iu = np.triu_indices(m)
     out = []
-    for i, f in enumerate(freqs):
-        v = np.zeros((m, m), dtype=complex)
-        v[iu] = np.frombuffer(data, dtype="<c16", count=n_vals, offset=8 + hlen + 16 * n_vals * i)
-        v = v + np.triu(v, k=1).conj().T
+    offset = 8 + hlen
+    for f, k in zip(freqs, ranks):
+        factor = np.frombuffer(data, dtype="<c16", count=m * k, offset=offset).reshape(m, k)
+        diagonal = np.frombuffer(data, dtype="<f8", count=m, offset=offset + 16 * m * k)
+        offset += 16 * m * k + 8 * m
         try:
-            out.append(CrossSpectralMatrix(frequency=f, values=v, **meta))
+            out.append(CrossSpectralMatrix(frequency=f, factor=factor, diagonal=diagonal, **meta))
         except ValueError as exc:
             raise ProtocolError(f"corrupt CSM at {f} Hz: {exc}") from exc
     return out

@@ -6,8 +6,9 @@ air absorption from the Bass formula, shear-layer crossings from a shrinking
 grid search or from a damped Newton search with a finite-difference Hessian,
 tone levels from least-squares sine fits, PDM bits from the delta-sigma loop
 run one numpy element at a time, sub-array matches from a scan over every
-sensor or from one x-strip search per target, CLEAN-SC from a loop that forms
-the dirty map again from the whole degraded CSM after every component, Welch
+sensor or from one x-strip search per target, conventional maps from the
+dense M x M matrix, CLEAN-SC from a loop that forms the dirty map again from
+the whole degraded CSM after every component, Welch
 CSMs from a sum of per-block outer products over every bin in range, time
 series from one direct path transfer and one inverse FFT per channel and
 source, PCB layouts from a radical inverse taken one index at a time and a
@@ -264,19 +265,26 @@ def sample_subarray_strip_oracle(geometry, targets, epsilon):
     return np.array(indices, dtype=int), len(targets) - len(indices)
 
 
+def dense_map_oracle(csm_values, h, diagonal_removal=False):
+    """b_t = h_t^H C h_t for all columns at once, from the dense (M, M)
+    matrix C with its diagonal zeroed under diagonal removal; before
+    reference scaling."""
+    c = np.array(csm_values, dtype=complex)
+    if diagonal_removal:
+        np.fill_diagonal(c, 0.0)
+    return (h.conj() * (c @ h)).sum(axis=0).real
+
+
 def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_threshold=1e-3,
                     diagonal_removal=True, inner_iterations=20):
     """CLEAN-SC with the dirty map b_n = h_n^H D h_n formed again from the whole
     degraded CSM D after every component; returns ({grid index: power before
     reference scaling}, iterations, initial dirty map, residual dirty map)."""
 
-    def dirty_map(d):
-        return (h.conj() * (d @ h)).sum(axis=0).real
-
     degraded = np.array(csm_values, dtype=complex)
     if diagonal_removal:
         np.fill_diagonal(degraded, 0.0)
-    dirty = initial = dirty_map(degraded)
+    dirty = initial = dense_map_oracle(degraded, h)
     initial_peak = dirty.max()
     prev_norm = np.abs(degraded).sum(axis=0).max()
     components = {}
@@ -304,7 +312,7 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
             degraded = trial
             prev_norm = norm
             components[t] = components.get(t, 0.0) + loop_gain * peak
-            dirty = dirty_map(degraded)
+            dirty = dense_map_oracle(degraded, h)
             iterations += 1
     return components, iterations, initial, dirty
 

@@ -133,8 +133,9 @@ def test_criterion_06_dr_noise_immunity(dnw):
 
     # exact-CSM route: diagonal noise cannot change a DR map at all
     clean_csm = syn.synthesize_csm(scene, dnw.positions, [freq], include_absorption=False)[0]
-    noisy_vals = clean_csm.values + np.diag(np.full(dnw.size, 1e-4))
-    noisy_csm = sp.CrossSpectralMatrix(frequency=freq, values=noisy_vals, units=clean_csm.units)
+    noisy_csm = sp.CrossSpectralMatrix(
+        frequency=freq, factor=clean_csm.factor, diagonal=clean_csm.diagonal + 1e-4, units=clean_csm.units
+    )
     map_a = bf.conventional_beamform(clean_csm, steer, diagonal_removal=True)
     map_b = bf.conventional_beamform(noisy_csm, steer, diagonal_removal=True)
     assert np.array_equal(map_a.values, map_b.values)

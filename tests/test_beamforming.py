@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from oracles import clean_sc_oracle
+from oracles import clean_sc_oracle, dense_map_oracle
 
 from memsarray import beamforming as bf
 from memsarray import geometry as geo
 from memsarray import propagation as prop
 from memsarray.errors import parse
 from memsarray.propagation import MediumModel, ShearLayerPlane, atmospheric_absorption
-from memsarray.spectral import CrossSpectralMatrix
-from memsarray.synthesis import Scene, Source, synthesize_csm
+from memsarray.spectral import CrossSpectralMatrix, welch_csm
+from memsarray.synthesis import Scene, Source, synthesize_csm, synthesize_timeseries
 
 Q2 = 2.5e-4
 
@@ -20,6 +20,20 @@ def monopole_csm(positions, src, freq, power=Q2, noise=None):
         seed=0,
     )
     return synthesize_csm(scene, positions, [freq], include_absorption=False)[0]
+
+
+def zero_csm(freq, m):
+    return CrossSpectralMatrix(frequency=freq, factor=np.zeros((m, 0), dtype=complex), diagonal=np.zeros(m))
+
+
+def summed_csm(csms):
+    """The CSM of uncorrelated parts: their factors side by side, their diagonals added."""
+    return CrossSpectralMatrix(
+        frequency=csms[0].frequency,
+        factor=np.hstack([c.factor for c in csms]),
+        diagonal=sum(c.diagonal for c in csms),
+        units=csms[0].units,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +215,8 @@ class TestConventional:
         base = bf.conventional_beamform(csm, steer, diagonal_removal=True)
         perturbed = CrossSpectralMatrix(
             frequency=csm.frequency,
-            values=csm.values + np.diag(np.linspace(1.0, 2.0, sub.size)),
+            factor=csm.factor,
+            diagonal=csm.diagonal + np.linspace(1.0, 2.0, sub.size),
             units=csm.units,
         )
         again = bf.conventional_beamform(perturbed, steer, diagonal_removal=True)
@@ -211,7 +226,7 @@ class TestConventional:
     def test_zero_csm(self, setup):
         _, sub, grid = setup
         steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 2000.0)
-        zero = CrossSpectralMatrix(frequency=2000.0, values=np.zeros((sub.size, sub.size), dtype=complex))
+        zero = zero_csm(2000.0, sub.size)
         bmap = bf.conventional_beamform(zero, steer)
         assert not bmap.values.any()
         assert bmap.stop_reason is None
@@ -219,7 +234,7 @@ class TestConventional:
     def test_dimension_mismatch(self, setup):
         _, sub, grid = setup
         steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 2000.0)
-        small = CrossSpectralMatrix(frequency=2000.0, values=np.zeros((10, 10), dtype=complex))
+        small = zero_csm(2000.0, 10)
         with pytest.raises(ValueError):
             bf.conventional_beamform(small, steer)
 
@@ -259,7 +274,7 @@ class TestCleanSc:
     def test_zero_csm_empty(self, setup):
         _, sub, grid = setup
         steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
-        zero = CrossSpectralMatrix(frequency=4000.0, values=np.zeros((sub.size, sub.size), dtype=complex))
+        zero = zero_csm(4000.0, sub.size)
         bmap = bf.clean_sc(zero, steer)
         assert bmap.components == ()
         assert (bmap.iterations, bmap.stop_reason) == (0, "threshold")
@@ -270,7 +285,7 @@ class TestCleanSc:
         i2 = grid.index_of([3.4, 0.0, -0.1])
         c1 = monopole_csm(sub.positions, grid.points[i1], 4000.0)
         c2 = monopole_csm(sub.positions, grid.points[i2], 4000.0)
-        csm = CrossSpectralMatrix(frequency=4000.0, values=c1.values + c2.values, units=c1.units)
+        csm = summed_csm([c1, c2])
         steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
         bmap = bf.clean_sc(csm, steer)
         tops = sorted(bmap.components, key=lambda tp: -tp[1])[:2]
@@ -302,8 +317,12 @@ class TestCleanSc:
     def test_non_finite_rejected(self, setup):
         _, sub, grid = setup
         steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
-        csm = CrossSpectralMatrix(frequency=4000.0, values=np.zeros((sub.size, sub.size), dtype=complex))
-        csm.values[0, 0] = np.nan  # after the constructor's own check
+        # a finite factor passes the constructor, but its product overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            csm = CrossSpectralMatrix(
+                frequency=4000.0, factor=np.full((sub.size, 1), 1e200, dtype=complex), diagonal=np.zeros(sub.size)
+            )
+        assert not np.isfinite(csm.values).all()
         with pytest.raises(ValueError, match="CSM contains non-finite entries"):
             bf.clean_sc(csm, steer)
 
@@ -312,11 +331,10 @@ class TestCleanSc:
         # with unit loop gain on a 3-source CSM and watch the iteration count
         _, sub, grid = setup
         rngs = [(2.6, -0.9), (3.1, -0.4), (3.5, -0.9)]
-        vals = np.zeros((sub.size, sub.size), dtype=complex)
-        for x, z in rngs:
-            vals += monopole_csm(sub.positions, grid.points[grid.index_of([x, 0.0, z])], 4000.0).values
+        csm = summed_csm(
+            [monopole_csm(sub.positions, grid.points[grid.index_of([x, 0.0, z])], 4000.0) for x, z in rngs]
+        )
         steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
-        csm = CrossSpectralMatrix(frequency=4000.0, values=vals)
         bmap = bf.clean_sc(csm, steer, loop_gain=0.9, max_iterations=40)
         assert 0 < bmap.iterations <= 40
         total = bmap.component_power()
@@ -394,7 +412,7 @@ class TestCleanScOracle:
         steer = bf.steering_vectors(steering, 4000.0)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((steer.n_channels, 60)) + 1j * rng.standard_normal((steer.n_channels, 60))
-        csm = CrossSpectralMatrix(frequency=4000.0, values=x @ x.conj().T / 60)
+        csm = CrossSpectralMatrix(frequency=4000.0, factor=x / np.sqrt(60), diagonal=np.zeros(steer.n_channels))
         bmap = _assert_matches_clean_sc_oracle(csm, steer, stop_threshold=0.0, diagonal_removal=False)
         assert bmap.iterations > 5
         assert bmap.stop_reason == "norm_increase"
@@ -410,7 +428,7 @@ DNW_CASES = {
 
 class TestFactoredCleanSc:
     """CLEAN-SC of an exact CSM, whose first map comes from its factor,
-    against CLEAN-SC of the same dense values without a factor."""
+    against the loop that forms every map from the dense matrix."""
 
     @pytest.mark.parametrize("noise", [None, {"psd": 1e-7}], ids=["no-noise", "noise"])
     @pytest.mark.parametrize("diagonal_removal", [True, False])
@@ -419,19 +437,10 @@ class TestFactoredCleanSc:
         spectrum, freq, (x_range, z_range) = DNW_CASES[case]
         scene = Scene(sources=(Source(position=[3.0, 0.0, -0.5], spectrum=spectrum),), noise=noise, seed=21)
         csm = synthesize_csm(scene, dnw_sub.positions, [freq], include_absorption=False)[0]
-        dense = CrossSpectralMatrix(frequency=csm.frequency, values=csm.values, units=csm.units)
-        assert csm.factor is not None and dense.factor is None
         grid = bf.make_focus_grid(x_range, z_range, 0.02)
         steer = bf.steering_vectors(bf.steering_geometry(grid, dnw_sub.positions), freq)
-        got = bf.clean_sc(csm, steer, diagonal_removal=diagonal_removal)
-        want = bf.clean_sc(dense, steer, diagonal_removal=diagonal_removal)
-        tolerance = 1e-12 * bf.conventional_beamform(dense, steer, diagonal_removal).raw_values.max()
-        assert got.iterations == want.iterations > 0
-        assert got.stop_reason == want.stop_reason
-        assert [t for t, _ in got.components] == [t for t, _ in want.components]
-        for (_, p), (_, q) in zip(got.components, want.components):
-            assert abs(p - q) <= tolerance
-        assert np.abs(got.raw_values - want.raw_values).max() <= tolerance
+        bmap = _assert_matches_clean_sc_oracle(csm, steer, diagonal_removal=diagonal_removal)
+        assert bmap.iterations > 0
 
     def test_no_source_power_leaves_no_components(self, dnw_sub):
         # noise only at 1 kHz, the tone is at 4 kHz: an (M, 0) factor and a diagonal-removed map of zeros
@@ -446,6 +455,43 @@ class TestFactoredCleanSc:
         assert bmap.iterations == 0
         assert bmap.stop_reason == "threshold"
         assert not bmap.raw_values.any()
+
+
+class TestConventionalFromFactor:
+    """Conventional maps formed from F and d against the dense M x M matrix,
+    within 1e-12 of the map's peak, for an exact CSM with sensor noise and a
+    Welch CSM of the same scene."""
+
+    @staticmethod
+    def _scene():
+        return Scene(
+            sources=(
+                Source(position=[3.0, 0.0, -0.5], spectrum={"type": "broadband", "psd": 4e-6}),
+                Source(position=[3.2, 0.0, -0.3], spectrum={"type": "broadband", "psd": 1e-6}),
+            ),
+            noise={"psd": 1e-8},
+            seed=11,
+        )
+
+    @pytest.fixture(scope="class")
+    def csms(self, dnw_sub):
+        freq = 3000.0
+        exact = synthesize_csm(self._scene(), dnw_sub.positions, [freq], include_absorption=False)[0]
+        sig, _ = synthesize_timeseries(self._scene(), dnw_sub.positions, 48_000.0, 0.1, include_absorption=False)
+        (welch,) = welch_csm(sig, 48_000.0, block=256, frequencies=[freq])
+        assert welch.factor.shape == (dnw_sub.size, welch.n_averages)
+        return {"exact": exact, "welch": welch}
+
+    @pytest.mark.parametrize("diagonal_removal", [False, True])
+    @pytest.mark.parametrize("kind", ["exact", "welch"])
+    def test_matches_the_dense_map(self, dnw_sub, csms, kind, diagonal_removal):
+        csm = csms[kind]
+        grid = bf.make_focus_grid((2.6, 3.4), (-0.9, -0.1), 0.02)
+        steer = bf.steering_vectors(bf.steering_geometry(grid, dnw_sub.positions), csm.frequency)
+        bmap = bf.conventional_beamform(csm, steer, diagonal_removal=diagonal_removal)
+        scale = (steer.reference_distance / bf.REFERENCE_DISTANCE) ** 2
+        want = dense_map_oracle(csm.values, steer.matrix, diagonal_removal) * scale
+        assert np.abs(bmap.raw_values - want).max() <= 1e-12 * want.max()
 
 
 class TestResolutionScaling:

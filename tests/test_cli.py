@@ -15,7 +15,7 @@ from memsarray.analysis import RegionOfInterest
 from memsarray.beamforming import BeamformingMap, make_focus_grid
 from memsarray.errors import ConfigError, parse
 from memsarray.geometry import ArrayGeometry
-from memsarray.spectral import DB_FLOOR, load_csm_set
+from memsarray.spectral import DB_FLOOR, load_csm_set, to_db
 from memsarray.synthesis import Scene, synthesize_csm
 
 
@@ -148,6 +148,21 @@ class TestBeamformCommand:
         text = open(path, "rb").read().decode("utf-8")
         assert text == map_csv_oracle(bmap)
         assert text.count(f",{DB_FLOOR!r}\n") == len(values[::7])
+
+    def test_raw_map_is_the_csv_map_in_float32(self, tmp_path, scene_file, panel_geometry):
+        # map_<f>Hz.raw: little-endian float32 in FocusGrid.local order, x-major (ix * nz + iz)
+        out = tmp_path / "bf"
+        argv = ["beamform", "--scene", scene_file, "--geometry", panel_geometry, "--freqs", "2000",
+                "--grid", "2.6,3.4,-0.9,-0.1,0.04", "--format", "csv,json,bin", "--out", str(out)]
+        assert cli.main(argv) == 0
+        shape = tuple(json.loads((out / "map_2000Hz.json").read_text())["shape"])
+        raw = np.fromfile(out / "map_2000Hz.raw", dtype="<f4").reshape(shape)
+        rows = np.loadtxt(out / "map_2000Hz.csv", delimiter=",", skiprows=1)
+        x, z, psd_db = (col.reshape(shape) for col in rows.T)
+        assert shape == (21, 21)
+        assert (np.diff(x, axis=0) > 0).all() and (np.diff(x, axis=1) == 0).all()
+        assert (np.diff(z, axis=1) > 0).all() and (np.diff(z, axis=0) == 0).all()
+        assert np.abs(to_db(raw.astype(float)) - psd_db).max() <= 1e-6  # float32 rounds by <= 6e-8 relative
 
     def test_dnw_like_runs_140_sensors(self, tmp_path, scene_file):
         gout = tmp_path / "geo3"
@@ -701,6 +716,8 @@ BAD_FLAGS = [
     ("geometry", ["--panels", "3"], "panels"),
     ("geometry", ["--panels", "0x3"], "panels_x"),
     ("geometry", ["--format", "xml"], "format[0]"),
+    ("geometry", ["--format", ""], "format"),
+    ("geometry", ["--format", "csv"], "format"),  # geometry.json is always written
     ("acquire", ["--drop", "a"], "drop[0]"),
     ("acquire", ["--duration", "0"], "duration"),
     ("acquire", ["--duration", "0.0001"], "duration"),
@@ -858,6 +875,22 @@ def test_failing_run_exit_code(tmp_path, scene_file, panel_geometry, capsys, arg
     assert "Traceback" not in err
     for pattern in ("*.npy", "*.bin"):
         assert not list(tmp_path.rglob(pattern)), pattern
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda t, s, g: ["beamform", *_FLAG_BASES["beamform"](s, _missing(t))],
+        lambda t, s, g: ["beamform", *_FLAG_BASES["beamform"](_missing(t), g)],
+        lambda t, s, g: _panel_pipeline(t, _missing(t)),
+        lambda t, s, g: _panel_pipeline(t, g, scene={"load": _missing(t)}),
+    ],
+    ids=["beamform missing geometry", "beamform missing scene", "pipeline missing geometry.load", "pipeline missing scene.load"],
+)
+def test_config_error_makes_no_output_directory(tmp_path, scene_file, panel_geometry, argv):
+    out = tmp_path / "f2" / "bf"
+    assert cli.main([*argv(tmp_path, scene_file, panel_geometry), "--out", str(out)]) == 2
+    assert not (tmp_path / "f2").exists()
 
 
 def test_unexpected_failure_names_its_type(tmp_path, scene_file, panel_geometry, capsys, monkeypatch):

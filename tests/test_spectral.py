@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,26 +126,26 @@ def test_welch_csm_matches_the_per_block_outer_product(rng, block, overlap, wind
 
 class TestCsmInvariants:
     def test_rejects_non_hermitian(self):
-        bad = np.array([[1.0, 1.0j], [1.0j, 1.0]])
+        # a complex diagonal would put a non-real entry on the diagonal of F F^H + diag(d)
         with pytest.raises(ValueError):
-            sp.CrossSpectralMatrix(frequency=100.0, values=bad)
+            sp.CrossSpectralMatrix(frequency=100.0, factor=np.eye(2, dtype=complex), diagonal=np.array([1.0, 1.0j]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
     @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
     def test_rejects_non_finite(self, at, bad):
-        values = np.eye(2, dtype=complex)
-        values[at] = values[at[::-1]] = bad
+        factor = np.eye(2, dtype=complex)
+        factor[at] = bad
         with pytest.raises(ValueError, match="CSM contains non-finite entries"):
-            sp.CrossSpectralMatrix(frequency=100.0, values=values)
+            sp.CrossSpectralMatrix(frequency=100.0, factor=factor, diagonal=np.zeros(2))
 
     def test_rejects_negative_diagonal(self):
-        bad = np.array([[-1.0 + 0j, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            sp.CrossSpectralMatrix(frequency=100.0, values=bad)
+            sp.CrossSpectralMatrix(frequency=100.0, factor=np.eye(2, dtype=complex), diagonal=np.array([-1.0, 1.0]))
 
     def test_rejects_non_square(self):
+        # three factor rows against two diagonal entries
         with pytest.raises(ValueError):
-            sp.CrossSpectralMatrix(frequency=100.0, values=np.ones((2, 3), dtype=complex))
+            sp.CrossSpectralMatrix(frequency=100.0, factor=np.ones((3, 2), dtype=complex), diagonal=np.zeros(2))
 
 
 def random_factor(rng, m, k):
@@ -167,13 +170,15 @@ class TestFactoredCsm:
         assert np.array_equal(csm.values, np.diag(diagonal).astype(complex))
 
     def test_round_trip_is_bit_exact(self, rng, tmp_path):
-        # the container keeps only the upper triangle, so the lower one must be its mirror
+        # the container keeps F and d, of ranks 3 and 0, so the matrices are built again alike
         csms = [
-            sp.CrossSpectralMatrix(frequency=f, factor=random_factor(rng, 150, 3), diagonal=np.full(150, 0.1))
-            for f in (1000.0, 2000.0)
+            sp.CrossSpectralMatrix(frequency=f, factor=random_factor(rng, 150, k), diagonal=np.full(150, 0.1))
+            for f, k in ((1000.0, 3), (2000.0, 0))
         ]
         sp.save_csm_set(tmp_path / "set.csm", csms)
         for got, want in zip(sp.load_csm_set(tmp_path / "set.csm"), csms):
+            assert np.array_equal(got.factor, want.factor)
+            assert np.array_equal(got.diagonal, want.diagonal)
             assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize(
@@ -198,14 +203,9 @@ class TestFactoredCsm:
         with pytest.raises(ValueError):
             sp.CrossSpectralMatrix(frequency=100.0, factor=factor, diagonal=diagonal)
 
-    def test_values_and_factor_not_both(self):
-        with pytest.raises(ValueError, match="not both"):
-            sp.CrossSpectralMatrix(
-                frequency=100.0, values=np.eye(2, dtype=complex), factor=np.ones((2, 1)), diagonal=np.zeros(2)
-            )
-
     def test_values_or_factor_required(self):
-        with pytest.raises(ValueError):
+        # the factor and the diagonal are the only way to give a CSM's values
+        with pytest.raises(TypeError):
             sp.CrossSpectralMatrix(frequency=100.0)
 
 
@@ -303,7 +303,7 @@ class TestSpectrumIO:
 
 def small_csm_set(rng):
     a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-    return [sp.CrossSpectralMatrix(frequency=f, values=x @ x.conj().T) for f, x in zip((1000.0, 2000.0), a)]
+    return [sp.CrossSpectralMatrix(frequency=f, factor=x, diagonal=np.zeros(3)) for f, x in zip((1000.0, 2000.0), a)]
 
 
 class TestCsmContainerErrors:
@@ -324,6 +324,34 @@ class TestCsmContainerErrors:
         raw[payload : payload + 16] = np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(ProtocolError, match="CSM contains non-finite entries"):
+            sp.load_csm_set(path)
+
+    def test_old_format_raises_protocol_error(self, rng, tmp_path):
+        # the dense format: a header without ranks, then each matrix's upper triangle
+        csms = small_csm_set(rng)
+        header = {
+            "frequencies": [c.frequency for c in csms], "n_channels": 3, "n_averages": 1, "window": "exact",
+            "block_size": 0, "overlap": 0.0, "units": "Pa^2/Hz", "geometry_hash": "",
+        }
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        iu = np.triu_indices(3)
+        packed = b"".join(np.ascontiguousarray(c.values[iu], dtype="<c16").tobytes() for c in csms)
+        path = tmp_path / "old.csm"
+        path.write_bytes(b"CSMF" + struct.pack("<I", len(blob)) + blob + packed)
+        with pytest.raises(ProtocolError, match="corrupt CSM header: 'ranks'"):
+            sp.load_csm_set(path)
+
+    @pytest.mark.parametrize("ranks", [[3], [3, 3, 3], [-1, 7], [3.0, 3], ["3", 3], [True, 5], None, 6])
+    def test_bad_ranks_raise_protocol_error(self, rng, tmp_path, ranks):
+        path = tmp_path / "set.csm"
+        sp.save_csm_set(path, small_csm_set(rng))
+        data = path.read_bytes()
+        hlen = int.from_bytes(data[4:8], "little")
+        header = json.loads(data[8 : 8 + hlen])
+        header["ranks"] = ranks
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(b"CSMF" + struct.pack("<I", len(blob)) + blob + data[8 + hlen :])
+        with pytest.raises(ProtocolError, match="corrupt CSM header"):
             sp.load_csm_set(path)
 
     @settings(max_examples=300, deadline=None)
