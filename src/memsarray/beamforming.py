@@ -26,7 +26,9 @@ again from the degraded CSM. Every CSM is F F^H + diag(d) (see
 `CrossSpectralMatrix`): K columns per source for an exact CSM, one per block
 for a Welch one. Conventional maps and CLEAN-SC's first map are formed from
 F and d in O(KMN). The diagonal-removed map does not read d, so it is
-bit-identical for any diagonal added.
+bit-identical for any diagonal added. The CSM is never held as a dense
+(M, M) matrix except by CLEAN-SC, which builds one (`_dense_csm`) to
+degrade.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .propagation import REFERENCE_DISTANCE, MediumModel, atmospheric_absorption
 from .spectral import CrossSpectralMatrix
 
 CLEAN_SC_INNER_ITERATIONS = 20  # fixed-point steps per component under diagonal removal
+MIRROR_BLOCK = 256  # rows of CLEAN-SC's CSM product mirrored onto its lower triangle at a time
 LOBE_DROP_DB = 3.0  # `lobe_width_db` measures the main lobe this far below its peak
 
 
@@ -277,6 +280,23 @@ def conventional_beamform(
     )
 
 
+def _dense_csm(csm: CrossSpectralMatrix) -> np.ndarray:
+    """F F^H + diag(d) as a dense (M, M) array: CLEAN-SC's degraded CSM
+    before its first component, and the only dense CSM formed.
+
+    The BLAS product is Hermitian only to rounding (its kernel need not
+    round F_i F_j^* and F_j F_i^* alike), so its upper triangle is mirrored
+    onto the lower one, `MIRROR_BLOCK` rows at a time, and its diagonal is
+    made real: the matrix is then Hermitian exactly, as a CSM is."""
+    factor, m = csm.factor, csm.n_channels
+    v = factor @ factor.conj().T
+    for i in range(0, m, MIRROR_BLOCK):
+        j = min(i + MIRROR_BLOCK, m)
+        np.copyto(v[i:j, :j], v[:j, i:j].conj().T, where=np.tri(j - i, j, i - 1, dtype=bool))  # columns < row
+    v.flat[:: m + 1] = v.flat[:: m + 1].real + csm.diagonal
+    return v
+
+
 def clean_sc(
     csm: CrossSpectralMatrix,
     steering: SteeringSet,
@@ -290,11 +310,12 @@ def clean_sc(
     Per iteration: find the dirty-map peak, estimate the source component
     vector c from the degraded CSM column space at the peak (fixed-point inner
     iterations when the diagonal is removed), subtract loop_gain times the
-    induced CSM peak c c^H, and accumulate the clean component. The first
-    dirty map comes from the CSM's factor (`_factored_map`, O(KMN)). It is
-    not formed again from the degraded CSM; it loses the map of the
-    subtracted component, loop_gain peak (|h^H c|^2 - (|h|^2)^T |c|^2), where
-    the second term applies only when the diagonal is removed.
+    induced CSM peak c c^H, and accumulate the clean component. The degraded
+    CSM starts as the dense copy `_dense_csm` builds, the one (M, M) array
+    formed. The first dirty map comes from the CSM's factor (`_factored_map`,
+    O(KMN)). It is not formed again from the degraded CSM; it loses the map
+    of the subtracted component, loop_gain peak (|h^H c|^2 - (|h|^2)^T |c|^2),
+    where the second term applies only when the diagonal is removed.
 
     Stops, and records why in `stop_reason`, when the peak drops to
     stop_threshold times the initial peak or below (`threshold`), when the
@@ -303,16 +324,13 @@ def clean_sc(
     """
     if not 0.0 < loop_gain <= 1.0:
         raise ValueError("loop gain must be in (0, 1]")
-    values = csm.values
-    if not np.isfinite(values).all():
-        raise ValueError("CSM contains non-finite entries")
-    if values.shape[0] != steering.n_channels:
-        raise ValueError("CSM/steering dimension mismatch")
+    if csm.n_channels != steering.n_channels:
+        raise ValueError(f"CSM has {csm.n_channels} channels but steering expects {steering.n_channels}")
     h = steering.matrix
     h_sq = np.abs(h) ** 2
     ref_scale = (steering.reference_distance / REFERENCE_DISTANCE) ** 2
 
-    degraded = values.copy()
+    degraded = _dense_csm(csm)
     if diagonal_removal:
         np.fill_diagonal(degraded, 0.0)
     dirty = _factored_map(csm, h, h_sq, diagonal_removal)

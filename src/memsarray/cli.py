@@ -698,7 +698,7 @@ def cmd_farfield(args) -> int:
 
 def _virtual_mic_spectrum(scene, position, freqs) -> spectral.Spectrum:
     csm = synthesis.synthesize_csm(scene, position[None, :], freqs)
-    p = np.array([c.values[0, 0].real for c in csm])
+    p = np.array([c.auto_power[0] for c in csm])
     return spectral.Spectrum(frequencies=np.asarray(freqs, dtype=float), psd=p, units=csm[0].units)
 
 

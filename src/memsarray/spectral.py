@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +31,17 @@ def to_db(values, reference: float = P_REF_SQ) -> np.ndarray:
     return np.maximum(out, DB_FLOOR)
 
 
-MIRROR_BLOCK = 256  # rows of a CSM's product mirrored onto its lower triangle at a time
-
-
 @dataclass(frozen=True)
 class CrossSpectralMatrix:
     """Hermitian cross-power matrix at one frequency, C = F F^H + diag(d).
 
     The factor F (M, K) holds one column per coherent part (a source of an
     exact CSM, a Welch block of a measured one) and the real diagonal d (M,)
-    the incoherent auto-power per channel. Both are checked for shape,
-    finiteness and d >= 0; `values` is built from them once, Hermitian
-    exactly, so maps can be formed from F in O(KMN) instead of O(M^2 N).
+    the incoherent auto-power per channel. The matrix itself is never
+    formed: maps are formed from F and d in O(KMN), and only CLEAN-SC builds
+    the dense (M, M) copy it degrades. The constructor checks the shapes,
+    d >= 0 and that every `auto_power` is finite; by Cauchy-Schwarz,
+    |C_ij| <= sqrt(C_ii C_jj), so that bounds every entry of C.
     """
 
     frequency: float
@@ -53,38 +52,31 @@ class CrossSpectralMatrix:
     block_size: int = 0
     overlap: float = 0.0
     units: str = "Pa^2/Hz"
-    values: np.ndarray = field(init=False, repr=False)  # (M, M) complex
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _factored_values(self.factor, self.diagonal))
+        f, d = self.factor, self.diagonal
+        if np.ndim(f) != 2 or np.ndim(d) != 1 or len(f) != len(d) or np.iscomplexobj(d):
+            raise ValueError(
+                f"factor {np.shape(f)} and diagonal {np.shape(d)} are not an (M, K) array and a real (M,) array"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.auto_power).all()
+        if not finite:
+            raise ValueError("CSM contains non-finite entries")
+        if (d < 0).any():
+            raise ValueError("CSM diagonal must be non-negative")
 
     @property
     def n_channels(self) -> int:
         return len(self.diagonal)
 
-
-def _factored_values(factor, diagonal) -> np.ndarray:
-    """F F^H + diag(d) for `CrossSpectralMatrix`, after checking F and d.
-
-    The BLAS product is Hermitian only to rounding (its kernel need not
-    round F_i F_j^* and F_j F_i^* alike), so its upper triangle is mirrored
-    onto the lower one, `MIRROR_BLOCK` rows at a time, and its diagonal is
-    made real: the matrix is then Hermitian exactly, as a CSM is."""
-    if np.ndim(factor) != 2 or np.ndim(diagonal) != 1 or len(factor) != len(diagonal) or np.iscomplexobj(diagonal):
-        raise ValueError(
-            f"factor {np.shape(factor)} and diagonal {np.shape(diagonal)} are not an (M, K) array and a real (M,) array"
-        )
-    if not (np.isfinite(factor).all() and np.isfinite(diagonal).all()):
-        raise ValueError("CSM contains non-finite entries")
-    if (diagonal < 0).any():
-        raise ValueError("CSM diagonal must be non-negative")
-    m = len(diagonal)
-    v = factor @ factor.conj().T
-    for i in range(0, m, MIRROR_BLOCK):
-        j = min(i + MIRROR_BLOCK, m)
-        np.copyto(v[i:j, :j], v[:j, i:j].conj().T, where=np.tri(j - i, j, i - 1, dtype=bool))  # columns < row
-    v.flat[:: m + 1] = v.flat[:: m + 1].real + diagonal
-    return v
+    @property
+    def auto_power(self) -> np.ndarray:
+        """(M,) diagonal of C, sum_k |F_mk|^2 + d_m, formed in O(MK). Each row's
+        sum is its own product F_m F_m^H, so it rounds as F F^H of that one
+        channel does."""
+        f = self.factor
+        return (f[:, None, :] @ f[:, :, None].conj())[:, 0, 0].real + self.diagonal
 
 
 @dataclass(frozen=True)

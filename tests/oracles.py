@@ -265,6 +265,11 @@ def sample_subarray_strip_oracle(geometry, targets, epsilon):
     return np.array(indices, dtype=int), len(targets) - len(indices)
 
 
+def dense_values(csm):
+    """The CSM as a dense (M, M) matrix, F F^H + diag(d), without mirroring."""
+    return csm.factor @ csm.factor.conj().T + np.diag(csm.diagonal)
+
+
 def dense_map_oracle(csm_values, h, diagonal_removal=False):
     """b_t = h_t^H C h_t for all columns at once, from the dense (M, M)
     matrix C with its diagonal zeroed under diagonal removal; before

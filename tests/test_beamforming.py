@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import clean_sc_oracle, dense_map_oracle
+from oracles import clean_sc_oracle, dense_map_oracle, dense_values
 
 from memsarray import beamforming as bf
 from memsarray import geometry as geo
@@ -235,8 +235,25 @@ class TestConventional:
         _, sub, grid = setup
         steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 2000.0)
         small = zero_csm(2000.0, 10)
-        with pytest.raises(ValueError):
-            bf.conventional_beamform(small, steer)
+        for beamform in (bf.conventional_beamform, bf.clean_sc):
+            with pytest.raises(ValueError, match=f"CSM has 10 channels but steering expects {sub.size}"):
+                beamform(small, steer)
+
+    @pytest.mark.parametrize("diagonal_removal", [False, True])
+    def test_overflowing_factor_rejected(self, setup, diagonal_removal):
+        # a factor of 1e200 overflows |F|^2 and would map to inf (nan under DR); 1e150 is accepted and maps finite
+        _, sub, grid = setup
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 2000.0)
+
+        def csm(level):
+            factor = np.full((sub.size, 1), level, dtype=complex)
+            return CrossSpectralMatrix(frequency=2000.0, factor=factor, diagonal=np.zeros(sub.size))
+
+        with pytest.raises(ValueError, match="CSM contains non-finite entries"):
+            csm(1e200)
+        bmap = bf.conventional_beamform(csm(1e150), steer, diagonal_removal=diagonal_removal)
+        assert np.isfinite(bmap.raw_values).all()
+        assert bmap.values.max() > 0.0
 
     def test_maps_carry_the_steering_grid(self, setup):
         _, sub, grid = setup
@@ -315,16 +332,12 @@ class TestCleanSc:
             bf.clean_sc(csm, steer, loop_gain=0.0)
 
     def test_non_finite_rejected(self, setup):
-        _, sub, grid = setup
-        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
-        # a finite factor passes the constructor, but its product overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            csm = CrossSpectralMatrix(
+        # a finite factor whose product overflows is rejected when the CSM is made, before CLEAN-SC sees it
+        _, sub, _ = setup
+        with pytest.raises(ValueError, match="CSM contains non-finite entries"):
+            CrossSpectralMatrix(
                 frequency=4000.0, factor=np.full((sub.size, 1), 1e200, dtype=complex), diagonal=np.zeros(sub.size)
             )
-        assert not np.isfinite(csm.values).all()
-        with pytest.raises(ValueError, match="CSM contains non-finite entries"):
-            bf.clean_sc(csm, steer)
 
     def test_norm_monotone(self, setup):
         # accepted iterations never increase the degraded-CSM 1-norm: rerun
@@ -370,7 +383,7 @@ def _assert_matches_clean_sc_oracle(csm, steer, **kwargs):
     reference-scaled units. A bound on the initial peak does not depend on how
     either side rounds a residual that CLEAN-SC has made small."""
     bmap = bf.clean_sc(csm, steer, **kwargs)
-    comps, iterations, initial, dirty = clean_sc_oracle(csm.values, steer.matrix, **kwargs)
+    comps, iterations, initial, dirty = clean_sc_oracle(dense_values(csm), steer.matrix, **kwargs)
     scale = (steer.reference_distance / bf.REFERENCE_DISTANCE) ** 2
     tolerance = 1e-13 * (initial * scale).max()
     assert bmap.iterations == iterations
@@ -490,7 +503,7 @@ class TestConventionalFromFactor:
         steer = bf.steering_vectors(bf.steering_geometry(grid, dnw_sub.positions), csm.frequency)
         bmap = bf.conventional_beamform(csm, steer, diagonal_removal=diagonal_removal)
         scale = (steer.reference_distance / bf.REFERENCE_DISTANCE) ** 2
-        want = dense_map_oracle(csm.values, steer.matrix, diagonal_removal) * scale
+        want = dense_map_oracle(dense_values(csm), steer.matrix, diagonal_removal) * scale
         assert np.abs(bmap.raw_values - want).max() <= 1e-12 * want.max()
 
 

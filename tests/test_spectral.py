@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import welch_csm_oracle
+from oracles import dense_values, welch_csm_oracle
 
+from memsarray import beamforming as bf
 from memsarray import cli
 from memsarray import spectral as sp
 from memsarray.errors import ConfigError, ProtocolError
@@ -28,7 +29,7 @@ class TestWelchCsm:
         x /= x.std()
         csms = sp.welch_csm(x, 48_000.0)
         df = 48_000.0 / 1024
-        total = sum(c.values[0, 0].real for c in csms) * df
+        total = sum(dense_values(c)[0, 0].real for c in csms) * df
         assert total == pytest.approx(1.0, rel=0.05)
 
     def test_duplicated_channel_full_coherence(self, rng):
@@ -36,16 +37,16 @@ class TestWelchCsm:
         both = np.concatenate([x, x], axis=1)
         csms = sp.welch_csm(both, 48_000.0)
         for c in csms[3:-3:50]:
-            msc = abs(c.values[0, 1]) ** 2 / (c.values[0, 0].real * c.values[1, 1].real)
+            msc = abs(dense_values(c)[0, 1]) ** 2 / (dense_values(c)[0, 0].real * dense_values(c)[1, 1].real)
             assert msc == pytest.approx(1.0, abs=1e-9)
 
     def test_hermitian_and_psd(self, rng):
         x = white_signals(rng, 24_000, 4)
         csms = sp.welch_csm(x, 48_000.0)
         for c in csms[:: len(csms) // 7]:
-            assert np.allclose(c.values, c.values.conj().T)
-            assert (np.diag(c.values).real >= 0).all()
-            assert np.linalg.eigvalsh(c.values).min() >= -1e-10 * np.trace(c.values).real
+            assert np.allclose(dense_values(c), dense_values(c).conj().T)
+            assert (np.diag(dense_values(c)).real >= 0).all()
+            assert np.linalg.eigvalsh(dense_values(c)).min() >= -1e-10 * np.trace(dense_values(c)).real
 
     def test_window_normalization(self, rng):
         # full-scale bin-centered sine: same integrated power under both windows
@@ -57,7 +58,7 @@ class TestWelchCsm:
         for window in ("boxcar", "hann"):
             csms = sp.welch_csm(x, rate, block=block, window=window)
             df = rate / block
-            bins = [c.values[0, 0].real for c in csms if abs(c.frequency - f0) <= 3.5 * df]
+            bins = [dense_values(c)[0, 0].real for c in csms if abs(c.frequency - f0) <= 3.5 * df]
             powers[window] = sum(bins) * df
         ratio_db = 10 * np.log10(powers["hann"] / powers["boxcar"])
         assert abs(ratio_db) <= 0.2
@@ -70,7 +71,7 @@ class TestWelchCsm:
         stds = []
         for n in (48_000, 96_000):
             csms = sp.welch_csm(x[:n], rate, block=block)
-            vals = np.array([c.values[0, 1] for c in csms[5:-5]])
+            vals = np.array([dense_values(c)[0, 1] for c in csms[5:-5]])
             stds.append(np.concatenate([vals.real, vals.imag]).std())
         ratio = stds[1] / stds[0]
         assert 0.8 / np.sqrt(2) <= ratio <= 1.2 / np.sqrt(2)
@@ -121,7 +122,7 @@ def test_welch_csm_matches_the_per_block_outer_product(rng, block, overlap, wind
         assert [c.frequency for c in got] == [f for f, _, _ in expected], selector
         for c, (f, values, n_avg) in zip(got, expected):
             assert c.n_averages == n_avg
-            assert np.abs(c.values - values).max() <= 1e-12 * np.abs(values).max(), (selector, f)
+            assert np.abs(dense_values(c) - values).max() <= 1e-12 * np.abs(values).max(), (selector, f)
 
 
 class TestCsmInvariants:
@@ -130,7 +131,7 @@ class TestCsmInvariants:
         with pytest.raises(ValueError):
             sp.CrossSpectralMatrix(frequency=100.0, factor=np.eye(2, dtype=complex), diagonal=np.array([1.0, 1.0j]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf), 1e200])  # 1e200 overflows |F|^2
     @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
     def test_rejects_non_finite(self, at, bad):
         factor = np.eye(2, dtype=complex)
@@ -155,19 +156,33 @@ def random_factor(rng, m, k):
 class TestFactoredCsm:
     @pytest.mark.parametrize("m, k", [(1, 1), (7, 3), (300, 2), (513, 4)])
     def test_values_are_the_factor_product(self, rng, m, k):
-        # blocks of 256 rows: one partial block, exactly two, and a third with one row
+        # CLEAN-SC's dense copy; blocks of 256 rows: one partial block, exactly two, and a third with one row
         factor = random_factor(rng, m, k)
         diagonal = rng.uniform(0.0, 2.0, m)
         csm = sp.CrossSpectralMatrix(frequency=100.0, factor=factor, diagonal=diagonal)
-        expected = factor @ factor.conj().T + np.diag(diagonal)
-        assert np.abs(csm.values - expected).max() <= 1e-14 * np.abs(expected).max()
-        assert np.array_equal(csm.values, csm.values.conj().T)
+        expected = dense_values(csm)
+        values = bf._dense_csm(csm)
+        assert np.abs(values - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(values, values.conj().T)
         assert csm.n_channels == m
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (7, 3), (300, 2)])
+    def test_auto_power_is_the_diagonal(self, rng, m, k):
+        factor = random_factor(rng, m, k)
+        diagonal = rng.uniform(0.0, 2.0, m)
+        csm = sp.CrossSpectralMatrix(frequency=100.0, factor=factor, diagonal=diagonal)
+        expected = np.diag(dense_values(csm)).real
+        assert np.abs(csm.auto_power - expected).max() <= 1e-14 * expected.max()
+        # each channel's auto-power is bit for bit that of its own one-channel CSM, as a virtual mic reads it
+        for i in range(m):
+            one = sp.CrossSpectralMatrix(frequency=100.0, factor=factor[i : i + 1], diagonal=diagonal[i : i + 1])
+            assert csm.auto_power[i] == dense_values(one)[0, 0].real
 
     def test_no_columns_leave_the_diagonal(self):
         diagonal = np.array([1.0, 0.0, 2.5])
         csm = sp.CrossSpectralMatrix(frequency=100.0, factor=np.zeros((3, 0), dtype=complex), diagonal=diagonal)
-        assert np.array_equal(csm.values, np.diag(diagonal).astype(complex))
+        assert np.array_equal(bf._dense_csm(csm), np.diag(diagonal).astype(complex))
+        assert np.array_equal(csm.auto_power, diagonal)
 
     def test_round_trip_is_bit_exact(self, rng, tmp_path):
         # the container keeps F and d, of ranks 3 and 0, so the matrices are built again alike
@@ -179,7 +194,7 @@ class TestFactoredCsm:
         for got, want in zip(sp.load_csm_set(tmp_path / "set.csm"), csms):
             assert np.array_equal(got.factor, want.factor)
             assert np.array_equal(got.diagonal, want.diagonal)
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(dense_values(got), dense_values(want))
 
     @pytest.mark.parametrize(
         "factor, diagonal",
@@ -225,7 +240,7 @@ class TestCsmStats:
         expected = np.mean(
             [psd0 / (medium.speed_of_sound * convected_delays([0, 0, 0], m, medium)) ** 2 for m in mics]
         )
-        measured = np.mean([np.diag(c.values).real.mean() for c in csms])
+        measured = np.mean([np.diag(dense_values(c)).real.mean() for c in csms])
         assert abs(10 * np.log10(measured / expected)) <= 0.5
 
 
@@ -297,7 +312,7 @@ class TestSpectrumIO:
         assert len(back) == len(csms)
         for a, b in zip(csms, back):
             assert a.frequency == b.frequency
-            assert np.allclose(a.values, b.values)
+            assert np.allclose(dense_values(a), dense_values(b))
             assert b.n_averages == a.n_averages
 
 
@@ -317,14 +332,16 @@ class TestCsmContainerErrors:
                 sp.load_csm_set(path)
 
     def test_non_finite_entry_raises_protocol_error(self, rng, tmp_path):
+        # a NaN, and a finite entry whose square overflows the channel's auto-power
         path = tmp_path / "set.csm"
-        sp.save_csm_set(path, small_csm_set(rng))
-        raw = bytearray(path.read_bytes())
-        payload = 8 + int.from_bytes(raw[4:8], "little")
-        raw[payload : payload + 16] = np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ProtocolError, match="CSM contains non-finite entries"):
-            sp.load_csm_set(path)
+        for entry in (complex(np.nan, 0.0), complex(1e200, 0.0)):
+            sp.save_csm_set(path, small_csm_set(rng))
+            raw = bytearray(path.read_bytes())
+            payload = 8 + int.from_bytes(raw[4:8], "little")
+            raw[payload : payload + 16] = np.array([entry], dtype="<c16").tobytes()
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ProtocolError, match="corrupt CSM at 1000.0 Hz: CSM contains non-finite entries"):
+                sp.load_csm_set(path)
 
     def test_old_format_raises_protocol_error(self, rng, tmp_path):
         # the dense format: a header without ranks, then each matrix's upper triangle
@@ -335,7 +352,7 @@ class TestCsmContainerErrors:
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         iu = np.triu_indices(3)
-        packed = b"".join(np.ascontiguousarray(c.values[iu], dtype="<c16").tobytes() for c in csms)
+        packed = b"".join(np.ascontiguousarray(dense_values(c)[iu], dtype="<c16").tobytes() for c in csms)
         path = tmp_path / "old.csm"
         path.write_bytes(b"CSMF" + struct.pack("<I", len(blob)) + blob + packed)
         with pytest.raises(ProtocolError, match="corrupt CSM header: 'ranks'"):
@@ -369,4 +386,4 @@ class TestCsmContainerErrors:
             back = sp.load_csm_set(path)
         except ProtocolError:
             return
-        assert [c.values.tolist() for c in back] == [c.values.tolist() for c in intact]
+        assert [dense_values(c).tolist() for c in back] == [dense_values(c).tolist() for c in intact]

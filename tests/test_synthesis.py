@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import synthesize_timeseries_oracle
+from oracles import dense_values, synthesize_timeseries_oracle
 
+from memsarray import cli
 from memsarray import synthesis as syn
 from memsarray import welch_csm
+from memsarray.errors import parse
 from memsarray.propagation import MediumModel, atmospheric_absorption, convected_delays
 
 
@@ -47,7 +50,7 @@ class TestPathTransfer:
         sig, _ = syn.synthesize_timeseries(scene, mics, rate=rate, duration=n / rate)
         k = int(round(f0 * n / rate))
         spec = np.fft.rfft(sig, axis=0)[k] * np.sqrt(2.0) / n  # one-sided complex amplitude, RMS
-        exact = syn.synthesize_csm(scene, mics, [f0])[0].values
+        exact = dense_values(syn.synthesize_csm(scene, mics, [f0])[0])
         assert np.allclose(np.outer(spec, spec.conj()), exact, rtol=1e-9, atol=0.0)
 
     def test_aliased_tone_rejected(self):
@@ -93,9 +96,10 @@ class TestTimeseries:
         csms = [c for c in welch_csm(sig, 48_000.0) if 500.0 <= c.frequency <= 4000.0]
         msc = []
         for c in csms:
+            v = dense_values(c)
             for i in range(3):
                 for j in range(i + 1, 3):
-                    msc.append(abs(c.values[i, j]) ** 2 / (c.values[i, i].real * c.values[j, j].real))
+                    msc.append(abs(v[i, j]) ** 2 / (v[i, i].real * v[j, j].real))
         assert np.mean(msc) < 0.05
 
     def test_zero_sources_noise_level(self):
@@ -185,16 +189,16 @@ class TestExactCsm:
     def test_rank_one_monopole(self):
         scene = syn.Scene(sources=(tone_source([0, 0, 0]),), seed=1)
         csm = syn.synthesize_csm(scene, self.MICS, [4000.0])[0]
-        w = np.linalg.eigvalsh(csm.values)
+        w = np.linalg.eigvalsh(dense_values(csm))
         assert w[-1] > 0
         assert np.allclose(w[:-1], 0.0, atol=1e-12 * w[-1])
 
     def test_noise_only_diagonal(self):
         scene = syn.Scene(sources=(), noise={"psd": 1e-6}, seed=1)
         csm = syn.synthesize_csm(scene, self.MICS, [1000.0])[0]
-        off = csm.values - np.diag(np.diag(csm.values))
+        off = dense_values(csm) - np.diag(np.diag(dense_values(csm)))
         assert np.allclose(off, 0.0)
-        assert np.allclose(np.diag(csm.values).real, 1e-6)
+        assert np.allclose(np.diag(dense_values(csm)).real, 1e-6)
 
     def test_noise_leaves_cross_terms(self):
         src = tone_source([0, 0, 0])
@@ -203,7 +207,7 @@ class TestExactCsm:
             syn.Scene(sources=(src,), noise={"psd": 1e-5}, seed=1), self.MICS, [4000.0]
         )[0]
         mask = ~np.eye(4, dtype=bool)
-        assert np.array_equal(clean.values[mask], noisy.values[mask])
+        assert np.array_equal(dense_values(clean)[mask], dense_values(noisy)[mask])
 
     @pytest.mark.parametrize(
         "sources, noise",
@@ -220,7 +224,7 @@ class TestExactCsm:
         assert csm.factor.shape == (4, 0)
         psd = 0.0 if noise is None else noise["psd"]
         assert np.array_equal(csm.diagonal, np.full(4, psd))
-        assert np.array_equal(csm.values, np.diag(np.full(4, psd)).astype(complex))
+        assert np.array_equal(dense_values(csm), np.diag(np.full(4, psd)).astype(complex))
 
     def test_factor_holds_one_column_per_source(self):
         # a broadband source and a tone at 4 kHz; at 1 kHz only the broadband one has power
@@ -234,7 +238,7 @@ class TestExactCsm:
         assert at_4k.factor.shape == (4, 2)
         for csm in (at_1k, at_4k):
             expected = csm.factor @ csm.factor.conj().T + np.diag(np.full(4, 1e-7))
-            assert np.abs(csm.values - expected).max() <= 1e-15 * np.abs(expected).max()
+            assert np.abs(dense_values(csm) - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_positive_frequency_required(self):
         scene = syn.Scene(sources=(), seed=1)
@@ -250,8 +254,8 @@ class TestExactCsm:
         mask = ~np.eye(len(mics), dtype=bool)
         errs = []
         for c in csms[:: max(len(csms) // 12, 1)]:
-            exact = syn.synthesize_csm(scene, mics, [c.frequency], include_absorption=False)[0]
-            err = np.linalg.norm((c.values - exact.values)[mask]) / np.linalg.norm(exact.values[mask])
+            exact = dense_values(syn.synthesize_csm(scene, mics, [c.frequency], include_absorption=False)[0])
+            err = np.linalg.norm((dense_values(c) - exact)[mask]) / np.linalg.norm(exact[mask])
             errs.append(err)
         assert np.median(errs) <= 0.15
 
@@ -265,14 +269,28 @@ class TestExactCsm:
         oblique = np.array([[3.0, 3.0, 0.0]])
         c_b = syn.synthesize_csm(syn.Scene(sources=(dip,), seed=1), broadside, [2000.0], include_absorption=False)[0]
         c_o = syn.synthesize_csm(syn.Scene(sources=(dip,), seed=1), oblique, [2000.0], include_absorption=False)[0]
-        gain_b = c_b.values[0, 0].real * np.linalg.norm(broadside[0]) ** 2
-        gain_o = c_o.values[0, 0].real * np.linalg.norm(oblique[0]) ** 2
+        gain_b = dense_values(c_b)[0, 0].real * np.linalg.norm(broadside[0]) ** 2
+        gain_o = dense_values(c_o)[0, 0].real * np.linalg.norm(oblique[0]) ** 2
         # cos^2 of 45 degrees halves the power
         assert gain_o / gain_b == pytest.approx(0.5, rel=1e-6)
 
     def test_dipole_needs_axis(self):
         with pytest.raises(ValueError):
             syn.Source(position=[0, 0, 0], spectrum={"type": "tone", "frequency": 1e3, "power": 1.0}, kind="dipole")
+
+    def test_paper_aperture_stays_factored(self, rng):
+        # 7200 sensors over the 6 m x 3 m aperture of the 3x3-panel array: a dense CSM alone takes 829 MB
+        m = 7200
+        positions = np.column_stack([rng.uniform(0.0, 6.0, m), np.full(m, 3.39), rng.uniform(-2.0, 1.0, m)])
+        scene = parse(syn.Scene, cli.bundled_config("single_monopole")["scene"], "scene")
+        tracemalloc.start()
+        try:
+            (csm,) = syn.synthesize_csm(scene, positions, [4000.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert csm.factor.shape == (m, 1)
+        assert peak <= 50e6
 
 
 class TestSceneIO:
