@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import REFERENCE_DISTANCE, MediumModel, atmospheric_absorption, path_delays
-from .spectral import CrossSpectralMatrix
+from .spectral import CrossSpectralMatrix, _factor_power
 
 CLEAN_SC_INNER_ITERATIONS = 20  # fixed-point steps per component under diagonal removal
 MIRROR_BLOCK = 256  # rows of CLEAN-SC's CSM product mirrored onto its lower triangle at a time
@@ -244,11 +244,12 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
 def _factored_map(csm: CrossSpectralMatrix, h: np.ndarray, h_sq: np.ndarray, diagonal_removal: bool) -> np.ndarray:
     """b_t = h_t^H C h_t for all columns at once, C = F F^H + diag(d) with
     its diagonal removed or not, from F and d in O(KMN): sum_k |F_k^H h_t|^2
-    minus (sum_k |F_mk|^2)^T |h|^2, or plus d^T |h|^2. `h_sq` is |h|^2."""
+    minus (sum_k |F_mk|^2)^T |h|^2 (`_factor_power`), or plus d^T |h|^2.
+    `h_sq` is |h|^2."""
     f = csm.factor
     coherent = np.abs(f.conj().T @ h) ** 2
     if diagonal_removal:
-        return coherent.sum(axis=0) - (np.abs(f) ** 2).sum(axis=1) @ h_sq
+        return coherent.sum(axis=0) - _factor_power(f) @ h_sq
     return coherent.sum(axis=0) + csm.diagonal @ h_sq
 
 

@@ -4,6 +4,9 @@ Covers closed-form travel times in uniform flow, pure-tone
 atmospheric absorption after ISO 9613-1, and the Amiet planar shear-layer
 refraction correction (Fermat path through the layer, found by damped Newton
 iteration on the in-plane crossing coordinates with the closed-form Hessian).
+Each Newton step evaluates the travel time, gradient and Hessian together, once,
+at its trial point, and the line search takes a trial as no increase unless it
+exceeds the current time by more than a few ulps of it.
 """
 
 from __future__ import annotations
@@ -62,29 +65,38 @@ class MediumModel:
 def convected_delays(sources, receivers, medium: MediumModel) -> np.ndarray:
     """Uniform-flow travel times from `sources` to `receivers` (..., 3), broadcast.
 
-    With d = (x, y, z) = receiver - source, M the Mach vector and
-    beta^2 = 1 - M.M: c * tau = (-M.d + R) / beta^2 with
-    R = sqrt((M.d)^2 + beta^2 |d|^2), the positive root of the retarded-time
-    equation |d - c M tau| = c tau. M.d and |d|^2 are summed in place from
-    x, y and z, each of the broadcast shape; no (..., 3) array is formed.
+    With d = receiver - source, M the Mach vector and beta^2 = 1 - M.M,
+    c * tau = (R - M.d) / beta^2 is the positive root of the retarded-time
+    equation |d - c M tau| = c tau, with R from `_convected_root`. No (..., 3)
+    array is formed.
     """
     sources, receivers = np.asarray(sources, dtype=float), np.asarray(receivers, dtype=float)
     m = medium.mach_vector
     beta2 = 1.0 - float(np.dot(m, m))
     x, y, z = (np.asarray(receivers[..., i] - sources[..., i]) for i in range(3))
+    md, r = _convected_root(x, y, z, m, beta2)
+    r -= md
+    r /= medium.speed_of_sound * beta2
+    return r
+
+
+def _convected_root(x, y, z, m, beta2):
+    """(M.d, R) with R = sqrt((M.d)^2 + beta^2 |d|^2), for d = (x, y, z) given
+    as three arrays of one broadcast shape. The only implementation of the
+    convected leg's root: `convected_delays` and the Amiet solver read it.
+    M.d and |d|^2 are summed in place from x, y and z; R is formed in `x`,
+    which is overwritten."""
     md = m[0] * x
     md += m[1] * y
     md += m[2] * z
-    # x becomes beta^2 |d|^2 + (M.d)^2 = R^2, then R, then tau = (R - M.d) / (c beta^2)
+    # x becomes beta^2 |d|^2 + (M.d)^2 = R^2, then R
     x *= x
     x += y * y
     x += z * z
     x *= beta2
     x += md * md
     np.sqrt(x, out=x)
-    x -= md
-    x /= medium.speed_of_sound * beta2
-    return x
+    return md, x
 
 
 def atmospheric_absorption(frequency, medium: MediumModel) -> np.ndarray | float:
@@ -130,113 +142,152 @@ def _plane_basis(normal: np.ndarray):
 _CROSSING_BLOCK = 8192
 # Newton stops once no crossing coordinate moves more than this (m)
 CROSSING_TOLERANCE = 1e-10
+# the line search accepts a trial whose travel time exceeds the current one by
+# at most this many ulps of it: rounding noise, not an increase
+_ACCEPT_ULPS = 4
 
 
-def _crossing_derivatives(uv, sources, receivers, medium: MediumModel):
-    """Gradient and Hessian of the two-leg travel time over the crossing
-    coordinates (u, v), one pair per row, in the plane frame: the plane is
-    z = 0, `sources` (K, 3) lie below it and `medium.mach_vector` is given
-    in the same frame.
+def _crossing_terms(p1, p2, pairs, medium: MediumModel) -> np.ndarray:
+    """Two-leg travel time through the crossing point (p1, p2, 0), with its
+    gradient and Hessian over (p1, p2), one pair per column, in the plane
+    frame: the plane is z = 0, `pairs` (6, K) holds each source (below the
+    plane) and receiver as rows sx, sy, sz, rx, ry, rz, and
+    `medium.mach_vector` is given in the same frame.
 
-    With d = p - source, g = (M.d) M + beta^2 d and
-    R = sqrt((M.d)^2 + beta^2 |d|^2), the convected leg has gradient
-    (g/R - M)/(c beta^2) and Hessian ((M M^T + beta^2 I)/R - g g^T/R^3)/(c beta^2);
-    with u the unit vector from p to the receiver at distance seg, the
-    straight leg has gradient -u/c and Hessian (I - u u^T)/(c seg). Only the
-    in-plane (x, y) block enters. Returns (g1, g2), (h11, h12, h22) as (K,)
-    arrays.
+    With d = p - source and (M.d, R) from `_convected_root`, the convected leg
+    takes (R - M.d)/(c beta^2), with k = (M.d) M + beta^2 d its gradient is
+    (k/R - M)/(c beta^2) and its Hessian ((M M^T + beta^2 I)/R - k k^T/R^3)/(c beta^2).
+    With u the unit vector from p to the receiver at distance seg, the
+    straight leg takes seg/c, with gradient -u/c and Hessian (I - u u^T)/(c seg).
+    Only the in-plane (x, y) block enters. Returns the (6, K) rows
+    time, g1, g2, h11, h12, h22.
     """
+    sx, sy, sz, rx, ry, rz = pairs
     c0 = medium.speed_of_sound
-    m1, m2, mn = medium.mach_vector
-    beta2 = 1.0 - float(medium.mach_vector @ medium.mach_vector)
+    m = medium.mach_vector
+    m1, m2 = m[0], m[1]
+    beta2 = 1.0 - float(m @ m)
     cb = c0 * beta2
-    d1 = uv[:, 0] - sources[:, 0]
-    d2 = uv[:, 1] - sources[:, 1]
-    dn = -sources[:, 2]
-    md = m1 * d1 + m2 * d2 + mn * dn
-    r = np.sqrt(md * md + beta2 * (d1 * d1 + d2 * d2 + dn * dn))
-    k1 = md * m1 + beta2 * d1
-    k2 = md * m2 + beta2 * d2
-    q1 = receivers[:, 0] - uv[:, 0]
-    q2 = receivers[:, 1] - uv[:, 1]
-    seg = np.sqrt(q1 * q1 + q2 * q2 + receivers[:, 2] ** 2)
+    out = np.empty((6, len(p1)))
+    time, g1, g2, h11, h12, h22 = out
+    # d = p - source; `_convected_root` overwrites its own copy of d1 with R
+    k1 = p1 - sx
+    k2 = p2 - sy
+    md, r = _convected_root(p1 - sx, k2, -sz, m, beta2)
+    np.subtract(r, md, out=time)
+    time /= cb
+    # straight leg: q = receiver - p becomes u, seg becomes c seg
+    q1 = rx - p1
+    q2 = ry - p2
+    seg = q1 * q1
+    seg += q2 * q2
+    seg += rz * rz
+    np.sqrt(seg, out=seg)
+    time += seg / c0
     seg = np.where(seg > 1e-15, seg, 1.0)
-    u1 = q1 / seg
-    u2 = q2 / seg
-    cs = c0 * seg
+    q1 /= seg
+    q2 /= seg
+    seg *= c0
+    # d becomes k = (M.d) M + beta^2 d
+    k1 *= beta2
+    k1 += md * m1
+    k2 *= beta2
+    k2 += md * m2
     r3 = r**3
-    g1 = (-m1 + k1 / r) / cb - u1 / c0
-    g2 = (-m2 + k2 / r) / cb - u2 / c0
-    h11 = ((m1 * m1 + beta2) / r - k1 * k1 / r3) / cb + (1.0 - u1 * u1) / cs
-    h12 = (m1 * m2 / r - k1 * k2 / r3) / cb - u1 * u2 / cs
-    h22 = ((m2 * m2 + beta2) / r - k2 * k2 / r3) / cb + (1.0 - u2 * u2) / cs
-    return (g1, g2), (h11, h12, h22)
+    w = md  # M.d is spent: its buffer holds each product below
+    # the convected leg's gradient and Hessian
+    for g, h, k, mi in ((g1, h11, k1, m1), (g2, h22, k2, m2)):
+        np.divide(k, r, out=g)
+        g += -mi
+        g /= cb
+        np.divide(mi * mi + beta2, r, out=h)
+        np.multiply(k, k, out=w)
+        w /= r3
+        h -= w
+        h /= cb
+    np.divide(m1 * m2, r, out=h12)
+    np.multiply(k1, k2, out=w)
+    w /= r3
+    h12 -= w
+    h12 /= cb
+    # plus the straight leg's
+    for g, h, u in ((g1, h11, q1), (g2, h22, q2)):
+        np.divide(u, c0, out=w)
+        g -= w
+        np.multiply(u, u, out=w)
+        np.subtract(1.0, w, out=w)
+        w /= seg
+        h += w
+    np.multiply(q1, q2, out=w)
+    w /= seg
+    h12 -= w
+    return out
 
 
-def _solve_crossings(sources, receivers, medium: MediumModel, max_iterations: int):
-    """Damped Newton search for the crossing coordinates of pairs given in the
-    plane frame of `_crossing_derivatives`, iterating only on the pairs not
-    yet converged.
+def _solve_crossings(pairs, medium: MediumModel, max_iterations: int):
+    """Damped Newton search for the crossing coordinates of `pairs` (6, K)
+    given in the plane frame of `_crossing_terms`, iterating only on the pairs
+    not yet converged. Each step makes one `_crossing_terms` evaluation at its
+    trial point, and more only for the pairs whose line search halves the
+    step; the accepted trial's terms serve the next step.
 
     Returns (uv (K, 2), travel times (K,), stalled), where `stalled` is None
-    or (row, last step in m) of the first pair that did not converge.
+    or (column, last step in m) of the first pair that did not converge.
     """
-    k = len(sources)
-
-    def total_time(uv, s, r):
-        p = np.concatenate([uv, np.zeros((len(uv), 1))], axis=1)
-        return convected_delays(s, p, medium) + np.linalg.norm(r - p, axis=-1) / medium.speed_of_sound
+    k = pairs.shape[1]
+    sx, sy, sz, rx, ry, rz = pairs
 
     # init at the straight-line plane intersection
-    denom = receivers[:, 2] - sources[:, 2]
-    t = -sources[:, 2] / np.where(np.abs(denom) > 1e-15, denom, 1.0)
-    uv = sources[:, :2] + t[:, None] * (receivers[:, :2] - sources[:, :2])
-    times = total_time(uv, sources, receivers)
+    denom = rz - sz
+    t = -sz / np.where(np.abs(denom) > 1e-15, denom, 1.0)
+    p1 = sx + t * (rx - sx)
+    p2 = sy + t * (ry - sy)
+    uv = np.empty((k, 2))
+    times = np.empty(k)
 
-    # the pairs still iterating: rows into the block and their own copies
+    # the pairs still iterating: rows into the block, their crossings and terms
     idx = np.arange(k)
-    s_a, r_a, uv_a, f_cur = sources, receivers, uv, times
+    terms = _crossing_terms(p1, p2, pairs, medium)
     moved = np.full(k, np.inf)
     for _ in range(max_iterations):
         if not len(idx):
-            return uv, times, None
-        (g1, g2), (h11, h12, h22) = _crossing_derivatives(uv_a, s_a, r_a, medium)
+            break
+        f, g1, g2, h11, h12, h22 = terms
         det = h11 * h22 - h12 * h12
         ok = np.abs(det) > 1e-300
         det = np.where(ok, det, 1.0)
         # Newton step, or a gradient step where the Hessian is degenerate
-        step = np.stack(
-            [
-                np.where(ok, -(h22 * g1 - h12 * g2) / det, -g1 * 1e3),
-                np.where(ok, -(h11 * g2 - h12 * g1) / det, -g2 * 1e3),
-            ],
-            axis=1,
-        )
-        # damped: halve until the travel time does not increase; a pair whose
-        # trial is accepted keeps that step and its travel time
+        s1 = np.where(ok, -(h22 * g1 - h12 * g2) / det, -g1 * 1e3)
+        s2 = np.where(ok, -(h11 * g2 - h12 * g1) / det, -g2 * 1e3)
+        # damped: halve until the travel time does not increase beyond
+        # rounding; a pair whose trial is accepted keeps that step and terms
+        t1, t2 = p1 + s1, p2 + s2
+        trial = _crossing_terms(t1, t2, pairs, medium)
+        bound = f + _ACCEPT_ULPS * np.spacing(f)
+        todo = np.flatnonzero(trial[0] > bound)
         lam = np.ones(len(idx))
-        f_new = np.empty(len(idx))
-        todo = np.arange(len(idx))
         for _ in range(40):
-            trial = total_time(uv_a[todo] + lam[todo, None] * step[todo], s_a[todo], r_a[todo])
-            f_new[todo] = trial
-            bad = trial > f_cur[todo] + 1e-18
-            if not bad.any():
+            if not len(todo):
                 break
-            todo = todo[bad]
             lam[todo] *= 0.5
-        else:
-            f_new[todo] = total_time(uv_a[todo] + lam[todo, None] * step[todo], s_a[todo], r_a[todo])
-        step *= lam[:, None]
-        uv_a = uv_a + step
-        f_cur = f_new
-        uv[idx] = uv_a
-        times[idx] = f_cur
-        moved = np.abs(step).max(axis=1)
-        keep = ~(moved < CROSSING_TOLERANCE)
-        if not keep.all():
-            idx, moved = idx[keep], moved[keep]
-            s_a, r_a, uv_a, f_cur = s_a[keep], r_a[keep], uv_a[keep], f_cur[keep]
+            t1[todo] = p1[todo] + lam[todo] * s1[todo]
+            t2[todo] = p2[todo] + lam[todo] * s2[todo]
+            retry = _crossing_terms(t1[todo], t2[todo], np.take(pairs, todo, axis=1), medium)
+            trial[:, todo] = retry
+            todo = todo[retry[0] > bound[todo]]
+        s1 *= lam
+        s2 *= lam
+        moved = np.maximum(np.abs(s1), np.abs(s2))
+        p1, p2, terms = t1, t2, trial
+        done = moved < CROSSING_TOLERANCE
+        if done.any():
+            rows = idx[done]
+            uv[rows, 0], uv[rows, 1], times[rows] = p1[done], p2[done], terms[0, done]
+            keep = ~done
+            idx, moved, p1, p2 = idx[keep], moved[keep], p1[keep], p2[keep]
+            pairs, terms = np.compress(keep, pairs, axis=1), np.compress(keep, terms, axis=1)
+    # pairs that did not converge keep their last iterate
+    uv[idx, 0], uv[idx, 1], times[idx] = p1, p2, terms[0]
     stalled = (int(idx[0]), float(moved[0])) if len(idx) else None
     return uv, times, stalled
 
@@ -281,12 +332,9 @@ def shear_crossing_delays(
     for start in range(0, k, _CROSSING_BLOCK):
         rows = np.arange(start, min(start + _CROSSING_BLOCK, k))
         rows = rows[~on_plane[rows]]
-        uv, delays[rows], stalled = _solve_crossings(
-            (src[rows] - plane.point) @ frame.T,
-            (rcv[rows] - plane.point) @ frame.T,
-            local,
-            max_iterations,
-        )
+        # each pair a column of sx, sy, sz, rx, ry, rz in the plane frame
+        pairs = np.concatenate([frame @ (src[rows] - plane.point).T, frame @ (rcv[rows] - plane.point).T])
+        uv, delays[rows], stalled = _solve_crossings(pairs, local, max_iterations)
         if stalled is not None:
             j = int(rows[stalled[0]])
             raise NumericalError(

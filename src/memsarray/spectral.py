@@ -72,11 +72,15 @@ class CrossSpectralMatrix:
 
     @property
     def auto_power(self) -> np.ndarray:
-        """(M,) diagonal of C, sum_k |F_mk|^2 + d_m, formed in O(MK). Each row's
-        sum is its own product F_m F_m^H, so it rounds as F F^H of that one
-        channel does."""
-        f = self.factor
-        return (f[:, None, :] @ f[:, :, None].conj())[:, 0, 0].real + self.diagonal
+        """(M,) diagonal of C, sum_k |F_mk|^2 + d_m, formed in O(MK)."""
+        return _factor_power(self.factor) + self.diagonal
+
+
+def _factor_power(factor: np.ndarray) -> np.ndarray:
+    """(M,) coherent auto-power sum_k |F_mk|^2 of a CSM factor, the diagonal of
+    F F^H. Each row's sum is its own product F_m F_m^H, so it rounds as F F^H
+    of that one channel does."""
+    return (factor[:, None, :] @ factor[:, :, None].conj())[:, 0, 0].real
 
 
 @dataclass(frozen=True)

@@ -214,23 +214,63 @@ class TestClosedFormNewton:
         assert delays.shape == (289, 140)
         assert np.abs(delays - fd_newton_shear_oracle(sources, receivers, medium)).max() < 1e-13
 
-    def test_hessian_matches_central_differences(self, rng):
-        k = 50
+    @pytest.mark.parametrize("normal, iterations", [([0.0, 1.0, 0.0], 4), ([0.3, 1.0, 0.2], 5)])
+    def test_converges_without_rounding_retries(self, dnw_sub, normal, iterations):
+        # a line search that took rounding noise for an increase halved steps
+        # near convergence: these pairs then needed 10 and 8 iterations
+        medium = prop.MediumModel(
+            mach_vector=[0.2, 0.0, 0.0],
+            shear_layer=prop.ShearLayerPlane(point=[0.0, 1.5, 0.0], normal=normal),
+        )
+        grid = make_focus_grid((2.52, 3.48), (-0.98, -0.02), 0.06)
+        sources, receivers = grid.points[:, None, :], dnw_sub.positions[None, :, :]
+        delays, _ = prop.shear_crossing_delays(sources, receivers, medium, max_iterations=iterations)
+        assert np.isfinite(delays).all()
+
+    @staticmethod
+    def _plane_frame_pairs(rng, k=50):
+        """Sources below the plane z = 0, receivers above it, a 3-component Mach vector."""
         medium = prop.MediumModel(mach_vector=0.25 * _unit(rng.standard_normal(3)))
         sources = np.column_stack([rng.uniform(-2, 2, (k, 2)), rng.uniform(-2.0, -0.5, k)])
         receivers = np.column_stack([rng.uniform(-2, 2, (k, 2)), rng.uniform(0.5, 3.0, k)])
-        uv = rng.uniform(-1, 1, (k, 2))
-        _, (h11, h12, h22) = prop._crossing_derivatives(uv, sources, receivers, medium)
+        return medium, sources, receivers
+
+    def test_hessian_matches_central_differences(self, rng):
+        medium, sources, receivers = self._plane_frame_pairs(rng)
+        pairs = np.concatenate([sources.T, receivers.T])
+        u, v = rng.uniform(-1, 1, (2, len(sources)))
+        h11, h12, h22 = prop._crossing_terms(u, v, pairs, medium)[3:]
         h = 1e-6
         columns = []
-        for e in ([h, 0.0], [0.0, h]):
-            (gp1, gp2), _ = prop._crossing_derivatives(uv + e, sources, receivers, medium)
-            (gm1, gm2), _ = prop._crossing_derivatives(uv - e, sources, receivers, medium)
+        for du, dv in ((h, 0.0), (0.0, h)):
+            gp1, gp2 = prop._crossing_terms(u + du, v + dv, pairs, medium)[1:3]
+            gm1, gm2 = prop._crossing_terms(u - du, v - dv, pairs, medium)[1:3]
             columns.append(((gp1 - gm1) / (2 * h), (gp2 - gm2) / (2 * h)))
         (fd11, fd21), (fd12, fd22) = columns
         scale = np.abs(h11) + np.abs(h22)
         for exact, fd in ((h11, fd11), (h12, fd12), (h12, fd21), (h22, fd22)):
             assert np.all(np.abs(exact - fd) <= 1e-6 * scale)
+
+    def test_gradient_matches_central_differences(self, rng):
+        medium, sources, receivers = self._plane_frame_pairs(rng)
+        pairs = np.concatenate([sources.T, receivers.T])
+        u, v = rng.uniform(-1, 1, (2, len(sources)))
+        g1, g2 = prop._crossing_terms(u, v, pairs, medium)[1:3]
+        h = 1e-6
+        for exact, (du, dv) in ((g1, (h, 0.0)), (g2, (0.0, h))):
+            fd = (prop._crossing_terms(u + du, v + dv, pairs, medium)[0]
+                  - prop._crossing_terms(u - du, v - dv, pairs, medium)[0]) / (2 * h)
+            assert np.all(np.abs(exact - fd) <= 1e-6 * (np.abs(g1) + np.abs(g2)))
+
+    def test_time_at_the_crossing_is_the_convected_delay(self, rng):
+        # one implementation of the convected leg: the solver's time at its
+        # crossing p is convected_delays(s, p) + |r - p| / c, bit for bit
+        medium, sources, receivers = self._plane_frame_pairs(rng, k=200)
+        uv, times, stalled = prop._solve_crossings(np.concatenate([sources.T, receivers.T]), medium, 80)
+        assert stalled is None
+        p = np.column_stack([uv, np.zeros(len(uv))])
+        want = prop.convected_delays(sources, p, medium) + np.linalg.norm(receivers - p, axis=-1) / C0
+        assert np.array_equal(times, want)
 
     def test_stalled_pair_named_by_its_original_index(self):
         medium = _shear_medium(0.2)
