@@ -123,34 +123,95 @@ class GapRecord:
     end_sample: int  # exclusive
 
 
+def _delta_sigma(ticks, state):
+    """Run the 2nd-order delta-sigma loop over `ticks`, starting from `state`.
+
+    A CIFB loop (feedback coefficients 1 and 2) with a single-bit quantizer.
+    A tick is a Python float (one channel) or a (C,) float64 array (C channels
+    stepped in lockstep); plain operators make both the same IEEE binary64
+    arithmetic, so a channel gets the same bits either way. `state` is
+    (s1, s2, y), (0.0, 0.0, 1.0) at the start of a stream. Returns the
+    decisions, one bool or (C,) bool array per tick, and the state after the
+    last tick, from which a later call resumes.
+    """
+    s1, s2, y = state
+    decisions = []
+    append = decisions.append
+    for xi in ticks:
+        s1 = s1 + (xi - y)
+        s2 = s2 + (s1 - 2.0 * y)
+        d = s2 >= 0.0
+        y = d * 2.0 - 1.0
+        append(d)
+    return decisions, (s1, s2, y)
+
+
+_START = (0.0, 0.0, 1.0)
+
+
 def pdm_modulate(waveform: np.ndarray) -> PdmStream:
     """Encode a 3.072 MHz-sampled waveform as a 1-bit PDM stream.
 
-    A 2nd-order delta-sigma loop (CIFB, feedback coefficients 1 and 2) with a
-    single-bit quantizer. Inputs beyond full scale (|x| > 1) are clipped and
-    flagged.
+    A 2nd-order delta-sigma loop (`_delta_sigma`) with a single-bit
+    quantizer. Inputs beyond full scale (|x| > 1) are clipped and flagged.
 
-    The loop runs on Python floats and writes a bytearray, which avoids a
-    numpy scalar per sample; Python floats are the same IEEE binary64 values
-    as the float64 samples, so the bits are those of numpy arithmetic.
+    One channel is fed as Python floats, which avoids a numpy scalar per
+    sample; they are the same IEEE binary64 values as the float64 samples.
+    Channels that share the PDM clock, such as an FPGA's 200, go through
+    `pdm_modulate_channels`: the same loop steps them in lockstep, one numpy
+    array per tick, with the same bits, and takes their waveform in time
+    blocks, so memory is bounded by a block rather than the capture.
     """
     x = np.asarray(waveform, dtype=np.float64)
     clipped = bool((np.abs(x) > 1.0).any())
     if clipped:
         x = np.clip(x, -1.0, 1.0)
-    bits = bytearray(len(x))
-    s1 = 0.0
-    s2 = 0.0
-    y = 1.0
-    for i, xi in enumerate(x.tolist()):
-        s1 += xi - y
-        s2 += s1 - 2.0 * y
-        if s2 >= 0.0:
-            y = 1.0
-            bits[i] = 1
-        else:
-            y = -1.0
-    return PdmStream.from_bits(np.frombuffer(bits, dtype=np.uint8), clipped=clipped)
+    decisions, _ = _delta_sigma(x.tolist(), _START)
+    return PdmStream.from_bits(np.frombuffer(bytes(decisions), dtype=np.uint8), clipped=clipped)
+
+
+def pdm_modulate_channels(blocks) -> list[PdmStream]:
+    """Encode C channels that share the PDM clock, given as time blocks.
+
+    `blocks` is an iterable of (B, C) float64 arrays, time-major, whose
+    concatenation along time is each channel's waveform; B may differ from
+    block to block. All C channels step through one delta-sigma loop in
+    lockstep, one (C,) tick at a time, and the loop state carries over from
+    block to block, so only one block of the waveform need exist at once.
+    Each channel is clipped and flagged as `pdm_modulate` does, and its
+    stream's bits equal `pdm_modulate` of its column. Returns C streams,
+    `channel_id` set to the column index.
+    """
+    state = _START
+    clipped = None
+    n_bits = 0
+    packed = []  # (bytes, C) rows of whole bytes
+    carry = None  # the last n_bits % 8 decisions, which do not fill a byte yet
+    for block in blocks:
+        x = np.asarray(block, dtype=np.float64)
+        if x.ndim != 2 or (clipped is not None and x.shape[1] != len(clipped)):
+            width = "" if clipped is None else f" of {len(clipped)} channels"
+            raise ValueError(f"expected (ticks, channels) blocks{width}, got shape {x.shape}")
+        over = (np.abs(x) > 1.0).any(axis=0)
+        clipped = over if clipped is None else clipped | over
+        if over.any():
+            x = np.clip(x, -1.0, 1.0)
+        decisions, state = _delta_sigma(x, state)
+        bits = np.array(decisions, dtype=bool).reshape(x.shape)
+        if carry is not None:
+            bits = np.concatenate([carry, bits])
+        n_bits += len(x)
+        whole = len(bits) - len(bits) % 8
+        packed.append(np.packbits(bits[:whole], axis=0))
+        carry = bits[whole:]
+    if clipped is None:
+        return []
+    packed.append(np.packbits(carry, axis=0))
+    packed = np.concatenate(packed)
+    return [
+        PdmStream(bits=packed[:, c].copy(), n_bits=n_bits, channel_id=c, clipped=bool(clipped[c]))
+        for c in range(packed.shape[1])
+    ]
 
 
 @lru_cache(maxsize=1)
@@ -276,12 +337,38 @@ def packetize(
     return packets
 
 
+def _check_headers(fpga_id: int, plist: list[DaqPacket]):
+    """Raise ProtocolError unless one FPGA's packets, in sequence order, agree
+    on their layout: one channel count, the full frame count in every packet
+    but the last, and each timestamp equal to sequence x full frames. The stream buffer is sized from the last
+    header, so this runs before anything is allocated from it."""
+    last = plist[-1]
+    if len(plist) > 1:
+        full = plist[0].frames
+    elif last.sequence:  # a lone packet sets the frame count by its position
+        full = last.sample_timestamp // last.sequence
+    else:
+        full = last.frames
+    channels = plist[0].channels
+    for p in plist:
+        where = f"FPGA {fpga_id} packet {p.sequence}"
+        if p.channels != channels:
+            raise ProtocolError(f"{where} has {p.channels} channels, packet {plist[0].sequence} has {channels}")
+        if not 0 < p.frames <= full or (p is not last and p.frames != full):
+            raise ProtocolError(f"{where} has {p.frames} frames; packets hold {full}, the last one 1 to {full}")
+        if p.sample_timestamp != p.sequence * full:
+            raise ProtocolError(
+                f"{where} has timestamp {p.sample_timestamp}, expected {p.sequence} x {full} frames"
+            )
+
+
 def depacketize(packets: list[DaqPacket], allow_gaps: bool = False):
     """Reassemble packets into per-channel streams.
 
     Packets are resequenced by (fpga_id, sequence); duplicates raise, and
     missing sequences either raise or are filled with alternating bits, the
-    PDM code of a silent (mid-scale) input, and reported. Returns
+    PDM code of a silent (mid-scale) input, and reported. Headers an FPGA's
+    packets disagree on raise ProtocolError (`_check_headers`). Returns
     (streams_by_fpga, gap_records).
     """
     by_fpga: dict[int, list[DaqPacket]] = {}
@@ -296,6 +383,7 @@ def depacketize(packets: list[DaqPacket], allow_gaps: bool = False):
         for a, b in zip(seqs, seqs[1:]):
             if a == b:
                 raise ProtocolError(f"duplicate sequence {a} for FPGA {fpga_id}")
+        _check_headers(fpga_id, plist)
         total = plist[-1].sample_timestamp + plist[-1].frames
         channels = plist[0].channels
         bits = np.zeros((channels, total), dtype=np.uint8)

@@ -566,16 +566,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# ticks per block of the FPGA's waveform: 1024 x 200 float64 samples (1.6 MB) exist at once, not the whole capture
+ACQUIRE_BLOCK_TICKS = 1024
+
+
 def cmd_acquire(args) -> int:
     cfg = config_from_flags(AcquireConfig, args)
     out = _out_dir(args)
     rng = np.random.default_rng(cfg.seed)
     n_bits = int(acquisition.PDM_RATE * cfg.duration)
     t = np.arange(n_bits) / acquisition.PDM_RATE
-    streams = []
-    for ch in range(acquisition.CHANNELS_PER_FPGA):
-        wave = cfg.amplitude * np.sin(2 * np.pi * cfg.tone * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
-        streams.append(acquisition.pdm_modulate(wave))
+    # channel ch carries amplitude * sin(2 pi tone t + 2 pi ch / 200); these are the same scalar
+    # operations, so each column's samples are those of the one-channel expression
+    phase = 2 * np.pi * cfg.tone * t
+    offsets = 2 * np.pi * np.arange(acquisition.CHANNELS_PER_FPGA) / acquisition.CHANNELS_PER_FPGA
+    waves = (
+        cfg.amplitude * np.sin(phase[a : a + ACQUIRE_BLOCK_TICKS, None] + offsets)
+        for a in range(0, n_bits, ACQUIRE_BLOCK_TICKS)
+    )
+    streams = acquisition.pdm_modulate_channels(waves)
     packets = [p for p in acquisition.packetize(streams, fpga_id=cfg.fpga_id) if p.sequence not in cfg.drop]
     if cfg.shuffle:
         rng.shuffle(packets)

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import pdm_modulate_oracle, sine_fit
 
@@ -60,33 +62,53 @@ class TestModulator:
         amplitude=st.floats(0.0, 1.5),
         seed=st.integers(0, 2**32 - 1),
         specials=st.lists(
-            st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3
+            st.tuples(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+                st.integers(0, 2),
+            ),
+            max_size=3,
         ),
+        channels=st.sampled_from([1, 3]),
+        block=st.integers(3, 1000).filter(lambda b: 8 % b),
+        spike=st.floats(0.0, 1.0, exclude_max=True),
     )
-    def test_bits_match_per_element_loop(self, n, amplitude, seed, specials):
+    def test_bits_match_per_element_loop(self, n, amplitude, seed, specials, channels, block, spike):
+        # one channel alone, and `channels` in lockstep fed as blocks of `block` ticks
+        assume(n == 0 or n % block)
         rng = np.random.default_rng(seed)
         t = np.arange(n) / acq.PDM_RATE
-        x = amplitude * np.sin(2 * np.pi * rng.uniform(20.0, 20_000.0) * t + rng.uniform(0.0, 2 * np.pi))
-        x += 0.01 * rng.standard_normal(n)
-        for where, value in specials:
+        x = np.empty((channels, n))
+        for c in range(channels):
+            x[c] = amplitude * np.sin(2 * np.pi * rng.uniform(20.0, 20_000.0) * t + rng.uniform(0.0, 2 * np.pi))
+            x[c] += 0.01 * rng.standard_normal(n)
+        for where, value, c in specials:
             if n:
-                x[int(where * n)] = value
-        stream = acq.pdm_modulate(x)
-        bits, clipped = pdm_modulate_oracle(x)
-        assert stream.n_bits == n
-        assert np.array_equal(stream.unpacked(), bits)
-        assert stream.clipped == clipped
+                x[c % channels, int(where * n)] = value  # in one channel only
+        if channels > 1 and n:
+            x[-1, int(spike * n)] = 1.25  # clips the last channel in one block only
+        xt = x.T
+        streams = acq.pdm_modulate_channels(xt[a : a + block] for a in range(0, max(n, 1), block))
+        assert len(streams) == channels
+        for c in range(channels):
+            bits, clipped = pdm_modulate_oracle(x[c])
+            for stream in (acq.pdm_modulate(x[c]), streams[c]):
+                assert stream.n_bits == n
+                assert np.array_equal(stream.unpacked(), bits)
+                assert stream.clipped == clipped
 
     def test_fpga_packets_match_per_element_loop(self):
-        # the acquire command's 200 phase-shifted tones, 2 ms each
+        # the acquire command's 200 phase-shifted tones, 2 ms each, one at a time and in lockstep blocks of 1000 ticks
         t = np.arange(int(acq.PDM_RATE * 0.002)) / acq.PDM_RATE
-        waves = [
+        waves = np.array([
             0.5 * np.sin(2 * np.pi * 1000.0 * t + 2 * np.pi * ch / acq.CHANNELS_PER_FPGA)
             for ch in range(acq.CHANNELS_PER_FPGA)
-        ]
+        ])
+        expected = [p.pack() for p in acq.packetize([acq.PdmStream.from_bits(pdm_modulate_oracle(w)[0]) for w in waves])]
         packets = acq.packetize([acq.pdm_modulate(w) for w in waves])
-        expected = acq.packetize([acq.PdmStream.from_bits(pdm_modulate_oracle(w)[0]) for w in waves])
-        assert [p.pack() for p in packets] == [p.pack() for p in expected]
+        assert [p.pack() for p in packets] == expected
+        lockstep = acq.pdm_modulate_channels(waves.T[a : a + 1000] for a in range(0, len(t), 1000))
+        assert [p.pack() for p in acq.packetize(lockstep)] == expected
 
 
 class TestDecimation:
@@ -209,6 +231,33 @@ class TestPackets:
         packets.append(packets[1])
         with pytest.raises(ProtocolError):
             acq.depacketize(packets)
+
+    @pytest.mark.parametrize(
+        "seq, field, value",
+        [
+            (1, "frames", 25),  # payload length unchanged: 25 frames take 4 bytes, as 32 do
+            (1, "sample_timestamp", 16),
+            (3, "sample_timestamp", 2**62),  # the last packet sizes the stream buffer
+            (2, "channels", 100),
+        ],
+        ids=["frames", "timestamp", "last-timestamp", "channels"],
+    )
+    def test_inconsistent_header_raises(self, rng, seq, field, value):
+        packets = acq.packetize(random_streams(rng, n_bits=128), frames_per_packet=32)
+        bad = dataclasses.replace(packets[seq], **{field: value})
+        if field == "channels":
+            bad.payload = bad.payload[: value * 4]  # a payload that holds 100 channels
+        packets[seq] = bad
+        with pytest.raises(ProtocolError):
+            acq.depacketize(packets, allow_gaps=True)
+
+    def test_lone_last_packet(self, rng):
+        # with every other packet lost, the last one's position gives the frame count
+        streams = random_streams(rng, n_bits=100)
+        packets = acq.packetize(streams, frames_per_packet=32)
+        out, gaps = acq.depacketize(packets[-1:], allow_gaps=True)
+        assert [(g.first_sequence, g.last_sequence, g.start_sample, g.end_sample) for g in gaps] == [(0, 2, 0, 96)]
+        assert np.array_equal(out[0][7].unpacked()[96:], streams[7].unpacked()[96:])
 
     def test_channel_count_enforced(self, rng):
         with pytest.raises(ValueError):

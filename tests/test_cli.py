@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import dense_values, map_csv_oracle
+from oracles import dense_values, map_csv_oracle, pdm_modulate_oracle
 
 import memsarray
 from memsarray import acquisition, cli
@@ -104,6 +104,20 @@ class TestAcquireCommand:
         sidecar = json.loads((out / "pcm.json").read_text())
         assert sidecar["channels"] == 200
         assert sidecar["rate"] == 48_000
+
+    def test_capture_matches_per_channel_loop(self, tmp_path):
+        # 6451 ticks: lockstep blocks of 1024 leave a partial block and a partial byte
+        out = tmp_path / "acq"
+        argv = ["acquire", "--tone", "3100", "--amplitude", "0.7", "--duration", "0.0021", "--fpga-id", "3"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        t = np.arange(int(acquisition.PDM_RATE * 0.0021)) / acquisition.PDM_RATE
+        waves = [
+            0.7 * np.sin(2 * np.pi * 3100.0 * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
+            for ch in range(acquisition.CHANNELS_PER_FPGA)
+        ]
+        streams = [acquisition.PdmStream.from_bits(pdm_modulate_oracle(w)[0]) for w in waves]
+        expected = [p.pack() for p in acquisition.packetize(streams, fpga_id=3)]
+        assert [p.pack() for p in acquisition.read_capture(out / "capture.bin")] == expected
 
     def test_gap_decodes_as_silence(self, tmp_path):
         # every channel carries a 0.5 tone; a dropped packet must not swing the PCM toward full scale
