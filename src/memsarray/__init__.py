@@ -22,8 +22,6 @@ from .analysis import (
 from .acquisition import (
     DaqPacket,
     GapRecord,
-    PcmBlock,
-    PdmStream,
     depacketize,
     packetize,
     pdm_decimate,

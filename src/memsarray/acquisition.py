@@ -4,11 +4,14 @@ Implements the digital microphone side (2nd-order delta-sigma PDM at
 3.072 MHz), the server-side four-stage decimation to 32-bit PCM at 48 kHz
 (CIC -> half-band FIR -> half-band FIR -> droop-compensation FIR), and the
 UDP-style packet framing with resequencing and gap reporting.
+
+PDM bits have one form from modulation to decimation: a bool array, True
+meaning +1, of shape (n,) for one channel and (C, n), C-contiguous, for the
+C channels of an FPGA. Only a packet's payload is packed.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass
@@ -33,40 +36,8 @@ DEFAULT_FRAMES_PER_PACKET = 512
 PACKET_MAGIC = b"SIAM"
 # magic, fpga_id, sequence, sample_timestamp, status_flags, channels, frames
 PACKET_HEADER = struct.Struct("<4sHIQHHH")
-STATUS_SYNC_ERROR = 0x0001
 
 PCM_FULL_SCALE_CODE = 2**31 - 1
-
-
-@dataclass
-class PdmStream:
-    """Packed 1-bit pulse-density stream for one channel."""
-
-    bits: np.ndarray  # packed uint8, np.packbits order
-    n_bits: int
-    rate: int = PDM_RATE
-    channel_id: int = 0
-    clipped: bool = False
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray, channel_id: int = 0, clipped: bool = False) -> "PdmStream":
-        bits = np.asarray(bits, dtype=np.uint8)
-        return cls(bits=np.packbits(bits), n_bits=len(bits), channel_id=channel_id, clipped=clipped)
-
-    def unpacked(self) -> np.ndarray:
-        return np.unpackbits(self.bits, count=self.n_bits)
-
-
-@dataclass
-class PcmBlock:
-    """Decimated PCM output; digital full scale, 1.0 Pa, maps to 2**31 - 1."""
-
-    samples: np.ndarray  # int32
-    rate: int = PCM_RATE
-    group_delay: float = 0.0  # in output samples, constant for the chain
-
-    def to_float(self) -> np.ndarray:
-        return self.samples.astype(np.float64) * (1.0 / PCM_FULL_SCALE_CODE)
 
 
 @dataclass
@@ -149,11 +120,13 @@ def _delta_sigma(ticks, state):
 _START = (0.0, 0.0, 1.0)
 
 
-def pdm_modulate(waveform: np.ndarray) -> PdmStream:
+def pdm_modulate(waveform: np.ndarray) -> tuple[np.ndarray, bool]:
     """Encode a 3.072 MHz-sampled waveform as a 1-bit PDM stream.
 
     A 2nd-order delta-sigma loop (`_delta_sigma`) with a single-bit
     quantizer. Inputs beyond full scale (|x| > 1) are clipped and flagged.
+    Returns (bits, clipped): the (n,) bool bits, True meaning +1, and
+    whether any sample was clipped.
 
     One channel is fed as Python floats, which avoids a numpy scalar per
     sample; they are the same IEEE binary64 values as the float64 samples.
@@ -167,10 +140,10 @@ def pdm_modulate(waveform: np.ndarray) -> PdmStream:
     if clipped:
         x = np.clip(x, -1.0, 1.0)
     decisions, _ = _delta_sigma(x.tolist(), _START)
-    return PdmStream.from_bits(np.frombuffer(bytes(decisions), dtype=np.uint8), clipped=clipped)
+    return np.frombuffer(bytearray(decisions), dtype=bool), clipped
 
 
-def pdm_modulate_channels(blocks) -> list[PdmStream]:
+def pdm_modulate_channels(blocks) -> tuple[np.ndarray, np.ndarray]:
     """Encode C channels that share the PDM clock, given as time blocks.
 
     `blocks` is an iterable of (B, C) float64 arrays, time-major, whose
@@ -178,15 +151,13 @@ def pdm_modulate_channels(blocks) -> list[PdmStream]:
     block to block. All C channels step through one delta-sigma loop in
     lockstep, one (C,) tick at a time, and the loop state carries over from
     block to block, so only one block of the waveform need exist at once.
-    Each channel is clipped and flagged as `pdm_modulate` does, and its
-    stream's bits equal `pdm_modulate` of its column. Returns C streams,
-    `channel_id` set to the column index.
+    Each channel is clipped and flagged as `pdm_modulate` does. Returns
+    (bits, clipped): the (C, n) C-contiguous bool bits, whose row c equals
+    `pdm_modulate` of column c, and the (C,) bool clip flags.
     """
     state = _START
     clipped = None
-    n_bits = 0
-    packed = []  # (bytes, C) rows of whole bytes
-    carry = None  # the last n_bits % 8 decisions, which do not fill a byte yet
+    rows = []  # (C, B) C-contiguous bits of each block
     for block in blocks:
         x = np.asarray(block, dtype=np.float64)
         if x.ndim != 2 or (clipped is not None and x.shape[1] != len(clipped)):
@@ -197,21 +168,11 @@ def pdm_modulate_channels(blocks) -> list[PdmStream]:
         if over.any():
             x = np.clip(x, -1.0, 1.0)
         decisions, state = _delta_sigma(x, state)
-        bits = np.array(decisions, dtype=bool).reshape(x.shape)
-        if carry is not None:
-            bits = np.concatenate([carry, bits])
-        n_bits += len(x)
-        whole = len(bits) - len(bits) % 8
-        packed.append(np.packbits(bits[:whole], axis=0))
-        carry = bits[whole:]
+        rows.append(np.array(decisions, dtype=bool).reshape(x.shape).T.copy())
     if clipped is None:
-        return []
-    packed.append(np.packbits(carry, axis=0))
-    packed = np.concatenate(packed)
-    return [
-        PdmStream(bits=packed[:, c].copy(), n_bits=n_bits, channel_id=c, clipped=bool(clipped[c]))
-        for c in range(packed.shape[1])
-    ]
+        return np.zeros((0, 0), dtype=bool), np.zeros(0, dtype=bool)
+    del block, x, decisions  # the last block goes before the rows are copied into one (C, n) array
+    return np.concatenate(rows, axis=1), clipped
 
 
 @lru_cache(maxsize=1)
@@ -268,24 +229,27 @@ def decimation_warmup_bits() -> int:
     return CIC_ORDER * CIC_R + HB1_TAPS * 16 + HB2_TAPS * 32 + COMP_TAPS * 64
 
 
-def pdm_decimate(stream: PdmStream) -> PcmBlock:
-    """Convert a PDM stream to 48 kHz PCM through the four-stage chain.
+def pdm_decimate(bits: np.ndarray) -> np.ndarray:
+    """Convert one channel's (n,) PDM bits to 48 kHz PCM through the four-stage chain.
 
     Stage ratios are 16 (CIC), 2, 2, and 1 (compensator). The CIC runs in
     exact modular integer arithmetic; bits are mapped to +-1 so the chain is
-    DC-free for a balanced stream.
+    DC-free for a balanced stream. Returns the int32 PCM codes; digital full
+    scale, 1.0 Pa, maps to PCM_FULL_SCALE_CODE, and the chain delays the
+    signal by `decimation_group_delay()` output samples.
     """
-    if stream.rate != PDM_RATE:
-        raise ValueError(f"expected {PDM_RATE} Hz PDM input, got {stream.rate}")
-    if stream.n_bits < decimation_warmup_bits():
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ValueError(f"expected one channel's (n,) bits, got shape {bits.shape}")
+    if len(bits) < decimation_warmup_bits():
         raise ValueError(
-            f"stream of {stream.n_bits} bits is shorter than the filter warm-up "
+            f"stream of {len(bits)} bits is shorter than the filter warm-up "
             f"({decimation_warmup_bits()} bits)"
         )
     from scipy import signal as sig
 
     hb1, hb2, comp = _decimation_filters()
-    x = stream.unpacked().astype(np.int64) * 2 - 1
+    x = bits.astype(np.int64) * 2 - 1
     for _ in range(CIC_ORDER):
         x = np.cumsum(x)
     x = x[CIC_R - 1 :: CIC_R]
@@ -296,27 +260,23 @@ def pdm_decimate(stream: PdmStream) -> PcmBlock:
     y = sig.lfilter(hb2, 1.0, y)[::2]
     y = sig.lfilter(comp, 1.0, y)
     codes = np.clip(np.rint(y * PCM_FULL_SCALE_CODE), -(2**31), PCM_FULL_SCALE_CODE)
-    return PcmBlock(
-        samples=codes.astype(np.int32),
-        rate=PCM_RATE,
-        group_delay=decimation_group_delay(),
-    )
+    return codes.astype(np.int32)
 
 
 def packetize(
-    streams: list[PdmStream],
+    bits: np.ndarray,
     fpga_id: int = 0,
     frames_per_packet: int = DEFAULT_FRAMES_PER_PACKET,
 ) -> list[DaqPacket]:
-    """Frame 200 equal-length PDM streams into channel-major packets."""
-    if len(streams) != CHANNELS_PER_FPGA:
-        raise ValueError(f"expected {CHANNELS_PER_FPGA} channels, got {len(streams)}")
-    n_bits = streams[0].n_bits
-    if any(s.n_bits != n_bits for s in streams):
-        raise ValueError("all channels must have equal length")
-    if frames_per_packet < 1:
-        raise ValueError("frames_per_packet must be >= 1")
-    bits = np.stack([s.unpacked() for s in streams])  # (200, n_bits)
+    """Frame an FPGA's (200, n) PDM bits into channel-major packets."""
+    if bits.ndim != 2 or len(bits) != CHANNELS_PER_FPGA:
+        raise ValueError(f"expected ({CHANNELS_PER_FPGA}, n) bits, got shape {bits.shape}")
+    # both go into uint16 header fields
+    if not 0 <= fpga_id <= 0xFFFF:
+        raise ValueError(f"fpga_id must be 0 to 65535, got {fpga_id}")
+    if not 1 <= frames_per_packet <= 0xFFFF:
+        raise ValueError(f"frames_per_packet must be 1 to 65535, got {frames_per_packet}")
+    n_bits = bits.shape[1]
     packets = []
     seq = 0
     for start in range(0, n_bits, frames_per_packet):
@@ -363,19 +323,19 @@ def _check_headers(fpga_id: int, plist: list[DaqPacket]):
 
 
 def depacketize(packets: list[DaqPacket], allow_gaps: bool = False):
-    """Reassemble packets into per-channel streams.
+    """Reassemble packets into each FPGA's (C, n) bits.
 
     Packets are resequenced by (fpga_id, sequence); duplicates raise, and
     missing sequences either raise or are filled with alternating bits, the
     PDM code of a silent (mid-scale) input, and reported. Headers an FPGA's
     packets disagree on raise ProtocolError (`_check_headers`). Returns
-    (streams_by_fpga, gap_records).
+    ({fpga_id: (C, n) bool bits}, gap_records).
     """
     by_fpga: dict[int, list[DaqPacket]] = {}
     for p in packets:
         by_fpga.setdefault(p.fpga_id, []).append(p)
 
-    streams_out: dict[int, list[PdmStream]] = {}
+    bits_out: dict[int, np.ndarray] = {}
     gaps: list[GapRecord] = []
     for fpga_id in sorted(by_fpga):
         plist = sorted(by_fpga[fpga_id], key=lambda p: p.sequence)
@@ -386,8 +346,8 @@ def depacketize(packets: list[DaqPacket], allow_gaps: bool = False):
         _check_headers(fpga_id, plist)
         total = plist[-1].sample_timestamp + plist[-1].frames
         channels = plist[0].channels
-        bits = np.zeros((channels, total), dtype=np.uint8)
-        bits[:, ::2] = 1  # what no packet overwrites is a gap
+        bits = np.zeros((channels, total), dtype=bool)
+        bits[:, ::2] = True  # what no packet overwrites is a gap
         # sequences start at 0 per capture, so a late first packet is a gap
         expected_seq = 0
         expected_ts = 0
@@ -412,11 +372,8 @@ def depacketize(packets: list[DaqPacket], allow_gaps: bool = False):
             bits[:, p.sample_timestamp : p.sample_timestamp + p.frames] = chunk
             expected_seq = p.sequence + 1
             expected_ts = p.sample_timestamp + p.frames
-        streams_out[fpga_id] = [
-            PdmStream.from_bits(bits[c], channel_id=fpga_id * CHANNELS_PER_FPGA + c)
-            for c in range(channels)
-        ]
-    return streams_out, gaps
+        bits_out[fpga_id] = bits
+    return bits_out, gaps
 
 
 def stream_data_rate(channels: int, pdm_rate: float = PDM_RATE, overhead_fraction: float = 0.0) -> float:
@@ -457,23 +414,3 @@ def read_capture(path) -> list[DaqPacket]:
             packets.append(DaqPacket.unpack(fh.read(n)))
             remaining -= n
     return packets
-
-
-def write_pcm_raw(path_base, blocks: list[PcmBlock]):
-    """Raw int32 interleaved PCM plus a JSON sidecar with chain metadata."""
-    data = np.stack([b.samples for b in blocks], axis=1)
-    raw_path = f"{path_base}.pcm"
-    data.astype("<i4").tofile(raw_path)
-    sidecar = {
-        "rate": blocks[0].rate,
-        "channels": len(blocks),
-        "samples": int(data.shape[0]),
-        "group_delay": blocks[0].group_delay,
-        "full_scale": 1.0,
-        "dtype": "int32_le",
-        "interleaved": True,
-    }
-    with open(f"{path_base}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-    return raw_path
-

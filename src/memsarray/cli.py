@@ -584,21 +584,33 @@ def cmd_acquire(args) -> int:
         cfg.amplitude * np.sin(phase[a : a + ACQUIRE_BLOCK_TICKS, None] + offsets)
         for a in range(0, n_bits, ACQUIRE_BLOCK_TICKS)
     )
-    streams = acquisition.pdm_modulate_channels(waves)
-    packets = [p for p in acquisition.packetize(streams, fpga_id=cfg.fpga_id) if p.sequence not in cfg.drop]
+    bits, _ = acquisition.pdm_modulate_channels(waves)
+    packets = [p for p in acquisition.packetize(bits, fpga_id=cfg.fpga_id) if p.sequence not in cfg.drop]
+    del bits  # the sent bits go before the capture is read back into a second (200, n) array
     if cfg.shuffle:
         rng.shuffle(packets)
     cap = os.path.join(out, "capture.bin")
     acquisition.write_capture(cap, packets)
 
-    streams_by_fpga, gaps = acquisition.depacketize(acquisition.read_capture(cap), allow_gaps=True)
-    blocks = [acquisition.pdm_decimate(s) for s in streams_by_fpga[cfg.fpga_id]]
-    pcm = acquisition.write_pcm_raw(os.path.join(out, "pcm"), blocks)
+    bits_by_fpga, gaps = acquisition.depacketize(acquisition.read_capture(cap), allow_gaps=True)
+    # raw int32 PCM, one row per 48 kHz sample, channels interleaved, and its JSON sidecar
+    pcm = np.stack([acquisition.pdm_decimate(row) for row in bits_by_fpga[cfg.fpga_id]], axis=1)
+    pcm_path = os.path.join(out, "pcm.pcm")
+    pcm.astype("<i4").tofile(pcm_path)
+    sidecar = _write_json(os.path.join(out, "pcm.json"), {
+        "rate": acquisition.PCM_RATE,
+        "channels": pcm.shape[1],
+        "samples": pcm.shape[0],
+        "group_delay": acquisition.decimation_group_delay(),
+        "full_scale": 1.0,
+        "dtype": "int32_le",
+        "interleaved": True,
+    })
     gap_path = _write_json(os.path.join(out, "gaps.json"), [
         {"fpga": g.fpga_id, "sequences": [g.first_sequence, g.last_sequence], "samples": [g.start_sample, g.end_sample]}
         for g in gaps
     ])
-    outputs = [cap, pcm, os.path.join(out, "pcm.json"), gap_path]
+    outputs = [cap, pcm_path, sidecar, gap_path]
     write_manifest(out, "acquire", dataclasses.asdict(cfg), {}, outputs, seed=cfg.seed)
     print(f"acquire: {len(packets)} packets, {len(gaps)} gaps, group delay "
           f"{acquisition.decimation_group_delay()} samples")

@@ -289,22 +289,19 @@ def test_criterion_10_farfield(dnw):
 @criterion(11, "acquisition chain: bit-exact packets, exact gap ranges, SINAD >= 60 dB, 64x rate")
 def test_criterion_11_acquisition(rng):
     # rate bookkeeping: 1 s of PDM -> 48000 PCM samples
-    silent = acq.pdm_modulate(np.zeros(3_072_000))
-    assert silent.n_bits == 3_072_000
+    silent, _ = acq.pdm_modulate(np.zeros(3_072_000))
+    assert len(silent) == 3_072_000
     pcm = acq.pdm_decimate(silent)
-    assert len(pcm.samples) == 48_000
+    assert len(pcm) == 48_000
 
     # packet codec under reordering + exact gap localization
-    streams = [
-        acq.PdmStream.from_bits(rng.integers(0, 2, 4096, dtype=np.uint8), channel_id=c)
-        for c in range(200)
-    ]
-    packets = acq.packetize(streams, fpga_id=1)
+    bits = np.array([rng.integers(0, 2, 4096, dtype=np.uint8) for c in range(200)], dtype=bool)
+    packets = acq.packetize(bits, fpga_id=1)
     rng.shuffle(packets)
     out, gaps = acq.depacketize(packets)
     assert not gaps
-    assert all(np.array_equal(a.unpacked(), b.unpacked()) for a, b in zip(streams, out[1]))
-    dropped = [p for p in acq.packetize(streams, fpga_id=1) if p.sequence != 5]
+    assert all(np.array_equal(a, b) for a, b in zip(bits, out[1]))
+    dropped = [p for p in acq.packetize(bits, fpga_id=1) if p.sequence != 5]
     _, gaps = acq.depacketize(dropped, allow_gaps=True)
     assert [(g.first_sequence, g.last_sequence, g.start_sample, g.end_sample) for g in gaps] == [
         (5, 5, 5 * 512, 6 * 512)
@@ -312,7 +309,7 @@ def test_criterion_11_acquisition(rng):
 
     # -6 dBFS 1 kHz sine round trip
     t = np.arange(int(acq.PDM_RATE * 0.5)) / acq.PDM_RATE
-    y = acq.pdm_decimate(acq.pdm_modulate(0.5 * np.sin(2 * np.pi * 1000.0 * t))).to_float()
+    y = acq.pdm_decimate(acq.pdm_modulate(0.5 * np.sin(2 * np.pi * 1000.0 * t))[0]) * (1.0 / acq.PCM_FULL_SCALE_CODE)
     amp, resid = sine_fit(y[2000:-2000], 1000.0, acq.PCM_RATE)
     sinad = db((amp**2 / 2) / np.mean(resid**2))
     assert sinad >= 60.0

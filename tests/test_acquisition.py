@@ -11,8 +11,8 @@ from memsarray.errors import ProtocolError
 
 
 def modulate_decimate(wave):
-    stream = acq.pdm_modulate(wave)
-    return acq.pdm_decimate(stream).to_float()
+    bits, _ = acq.pdm_modulate(wave)
+    return acq.pdm_decimate(bits) * (1.0 / acq.PCM_FULL_SCALE_CODE)
 
 
 def make_sine(amplitude, freq, duration):
@@ -20,17 +20,15 @@ def make_sine(amplitude, freq, duration):
     return amplitude * np.sin(2 * np.pi * freq * t)
 
 
-def random_streams(rng, n_bits=4096):
-    return [
-        acq.PdmStream.from_bits(rng.integers(0, 2, n_bits, dtype=np.uint8), channel_id=c)
-        for c in range(acq.CHANNELS_PER_FPGA)
-    ]
+def random_bits(rng, n_bits=4096):
+    """An FPGA's (200, n_bits) bits, drawn channel by channel."""
+    return np.array([rng.integers(0, 2, n_bits, dtype=np.uint8) for _ in range(acq.CHANNELS_PER_FPGA)], dtype=bool)
 
 
 class TestModulator:
     def test_zero_input_balanced(self):
-        stream = acq.pdm_modulate(np.zeros(64_000))
-        mean = (stream.unpacked().astype(float) * 2 - 1).mean()
+        bits, _ = acq.pdm_modulate(np.zeros(64_000))
+        mean = (bits.astype(float) * 2 - 1).mean()
         assert abs(mean) <= 1e-3
 
     def test_full_scale_dc(self):
@@ -39,18 +37,17 @@ class TestModulator:
         assert abs(20 * np.log10(level)) <= 0.1
 
     def test_clipping_flagged(self):
-        stream = acq.pdm_modulate(1.5 * np.ones(10_000))
-        assert stream.clipped
-        stream = acq.pdm_modulate(0.5 * np.ones(10_000))
-        assert not stream.clipped
+        _, clipped = acq.pdm_modulate(1.5 * np.ones(10_000))
+        assert clipped
+        _, clipped = acq.pdm_modulate(0.5 * np.ones(10_000))
+        assert not clipped
 
     def test_noise_shaping(self):
         # in-band noise after decimation sits far below the raw shaped noise
         wave = make_sine(0.1, 1000.0, 0.25)
-        stream = acq.pdm_modulate(wave)
-        bits = stream.unpacked().astype(float) * 2 - 1
-        raw_amp, raw_resid = sine_fit(bits[10_000:500_000], 1000.0, acq.PDM_RATE)
-        out = acq.pdm_decimate(stream).to_float()
+        bits, _ = acq.pdm_modulate(wave)
+        raw_amp, raw_resid = sine_fit(bits[10_000:500_000].astype(float) * 2 - 1, 1000.0, acq.PDM_RATE)
+        out = acq.pdm_decimate(bits) * (1.0 / acq.PCM_FULL_SCALE_CODE)
         amp, resid = sine_fit(out[1_000:-1_000], 1000.0, acq.PCM_RATE)
         out_of_band_before = np.mean(raw_resid**2)
         in_band_after = np.mean(resid**2)
@@ -88,14 +85,14 @@ class TestModulator:
         if channels > 1 and n:
             x[-1, int(spike * n)] = 1.25  # clips the last channel in one block only
         xt = x.T
-        streams = acq.pdm_modulate_channels(xt[a : a + block] for a in range(0, max(n, 1), block))
-        assert len(streams) == channels
+        lockstep, lockstep_clipped = acq.pdm_modulate_channels(xt[a : a + block] for a in range(0, max(n, 1), block))
+        assert lockstep.shape == (channels, n) and lockstep.dtype == bool and lockstep.flags.c_contiguous
         for c in range(channels):
             bits, clipped = pdm_modulate_oracle(x[c])
-            for stream in (acq.pdm_modulate(x[c]), streams[c]):
-                assert stream.n_bits == n
-                assert np.array_equal(stream.unpacked(), bits)
-                assert stream.clipped == clipped
+            for got, got_clipped in (acq.pdm_modulate(x[c]), (lockstep[c], lockstep_clipped[c])):
+                assert got.shape == (n,) and got.dtype == bool
+                assert np.array_equal(got, bits)
+                assert got_clipped == clipped
 
     def test_fpga_packets_match_per_element_loop(self):
         # the acquire command's 200 phase-shifted tones, 2 ms each, one at a time and in lockstep blocks of 1000 ticks
@@ -104,19 +101,19 @@ class TestModulator:
             0.5 * np.sin(2 * np.pi * 1000.0 * t + 2 * np.pi * ch / acq.CHANNELS_PER_FPGA)
             for ch in range(acq.CHANNELS_PER_FPGA)
         ])
-        expected = [p.pack() for p in acq.packetize([acq.PdmStream.from_bits(pdm_modulate_oracle(w)[0]) for w in waves])]
-        packets = acq.packetize([acq.pdm_modulate(w) for w in waves])
+        expected = [p.pack() for p in acq.packetize(np.array([pdm_modulate_oracle(w)[0] for w in waves], dtype=bool))]
+        packets = acq.packetize(np.array([acq.pdm_modulate(w)[0] for w in waves]))
         assert [p.pack() for p in packets] == expected
-        lockstep = acq.pdm_modulate_channels(waves.T[a : a + 1000] for a in range(0, len(t), 1000))
+        lockstep, _ = acq.pdm_modulate_channels(waves.T[a : a + 1000] for a in range(0, len(t), 1000))
         assert [p.pack() for p in acq.packetize(lockstep)] == expected
 
 
 class TestDecimation:
     def test_rate_bookkeeping(self):
-        stream = acq.pdm_modulate(np.zeros(acq.PDM_RATE))  # 1 s
-        pcm = acq.pdm_decimate(stream)
-        assert len(pcm.samples) == 48_000
-        assert pcm.rate == 48_000
+        bits, _ = acq.pdm_modulate(np.zeros(acq.PDM_RATE))  # 1 s
+        pcm = acq.pdm_decimate(bits)
+        assert len(pcm) == acq.PCM_RATE == 48_000
+        assert pcm.dtype == np.int32
 
     def test_sine_round_trip_level(self):
         wave = make_sine(0.5, 1000.0, 0.25)
@@ -131,9 +128,14 @@ class TestDecimation:
         assert np.array_equal(a, b)
 
     def test_too_short_raises(self):
-        stream = acq.PdmStream.from_bits(np.zeros(1000, dtype=np.uint8))
         with pytest.raises(ValueError):
-            acq.pdm_decimate(stream)
+            acq.pdm_decimate(np.zeros(1000, dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(2, 10_000), (10_000, 1), ()], ids=["channels", "column", "scalar"])
+    def test_one_channel_only(self, shape):
+        # an FPGA's (C, n) bits are decimated row by row, never as one flattened stream
+        with pytest.raises(ValueError, match="one channel"):
+            acq.pdm_decimate(np.zeros(shape, dtype=bool))
 
     def test_passband_ripple(self):
         f = np.linspace(50.0, 20_000.0, 500)
@@ -189,45 +191,42 @@ class TestDecimation:
 
 class TestPackets:
     def test_round_trip(self, rng):
-        streams = random_streams(rng)
-        packets = acq.packetize(streams, fpga_id=2)
+        bits = random_bits(rng)
+        packets = acq.packetize(bits, fpga_id=2)
         out, gaps = acq.depacketize(packets)
         assert not gaps
-        for a, b in zip(streams, out[2]):
-            assert np.array_equal(a.unpacked(), b.unpacked())
+        assert list(out) == [2]
+        assert out[2].dtype == bool and np.array_equal(out[2], bits)
 
     def test_shuffle_resequenced(self, rng):
-        streams = random_streams(rng)
-        packets = acq.packetize(streams, fpga_id=0)
+        bits = random_bits(rng)
+        packets = acq.packetize(bits, fpga_id=0)
         rng.shuffle(packets)
         out, _ = acq.depacketize(packets)
-        for a, b in zip(streams, out[0]):
-            assert np.array_equal(a.unpacked(), b.unpacked())
+        assert np.array_equal(out[0], bits)
 
     def test_drop_reports_exact_gap(self, rng):
-        streams = random_streams(rng, n_bits=8 * 512 * 3)
-        packets = [p for p in acq.packetize(streams) if p.sequence != 5]
+        bits = random_bits(rng, n_bits=8 * 512 * 3)
+        packets = [p for p in acq.packetize(bits) if p.sequence != 5]
         out, gaps = acq.depacketize(packets, allow_gaps=True)
         assert len(gaps) == 1
         g = gaps[0]
         assert (g.first_sequence, g.last_sequence) == (5, 5)
         assert (g.start_sample, g.end_sample) == (5 * 512, 6 * 512)
         # dropped span reads as alternating bits (silence), the rest is intact
-        recovered = out[0][7].unpacked()
-        original = streams[7].unpacked()
+        recovered = out[0][7]
+        original = bits[7]
         assert np.array_equal(recovered[: 5 * 512], original[: 5 * 512])
         assert np.array_equal(recovered[5 * 512 : 6 * 512], np.arange(5 * 512, 6 * 512) % 2 == 0)
         assert np.array_equal(recovered[6 * 512 :], original[6 * 512 :])
 
     def test_gap_raises_without_allow(self, rng):
-        streams = random_streams(rng)
-        packets = [p for p in acq.packetize(streams) if p.sequence != 3]
+        packets = [p for p in acq.packetize(random_bits(rng)) if p.sequence != 3]
         with pytest.raises(ProtocolError):
             acq.depacketize(packets)
 
     def test_duplicate_raises(self, rng):
-        streams = random_streams(rng)
-        packets = acq.packetize(streams)
+        packets = acq.packetize(random_bits(rng))
         packets.append(packets[1])
         with pytest.raises(ProtocolError):
             acq.depacketize(packets)
@@ -243,7 +242,7 @@ class TestPackets:
         ids=["frames", "timestamp", "last-timestamp", "channels"],
     )
     def test_inconsistent_header_raises(self, rng, seq, field, value):
-        packets = acq.packetize(random_streams(rng, n_bits=128), frames_per_packet=32)
+        packets = acq.packetize(random_bits(rng, n_bits=128), frames_per_packet=32)
         bad = dataclasses.replace(packets[seq], **{field: value})
         if field == "channels":
             bad.payload = bad.payload[: value * 4]  # a payload that holds 100 channels
@@ -253,19 +252,52 @@ class TestPackets:
 
     def test_lone_last_packet(self, rng):
         # with every other packet lost, the last one's position gives the frame count
-        streams = random_streams(rng, n_bits=100)
-        packets = acq.packetize(streams, frames_per_packet=32)
+        bits = random_bits(rng, n_bits=100)
+        packets = acq.packetize(bits, frames_per_packet=32)
         out, gaps = acq.depacketize(packets[-1:], allow_gaps=True)
         assert [(g.first_sequence, g.last_sequence, g.start_sample, g.end_sample) for g in gaps] == [(0, 2, 0, 96)]
-        assert np.array_equal(out[0][7].unpacked()[96:], streams[7].unpacked()[96:])
+        assert np.array_equal(out[0][7][96:], bits[7][96:])
 
     def test_channel_count_enforced(self, rng):
         with pytest.raises(ValueError):
-            acq.packetize(random_streams(rng)[:10])
+            acq.packetize(random_bits(rng)[:10])
+
+    @pytest.mark.parametrize(
+        "fpga_id, frames_per_packet",
+        [(70_000, 512), (-1, 512), (0, 70_000), (0, 0)],
+        ids=["fpga-id-high", "fpga-id-negative", "frames-high", "frames-zero"],
+    )
+    def test_header_fields_out_of_range_raise(self, rng, fpga_id, frames_per_packet):
+        # both go into uint16 header fields, so packetize refuses what DaqPacket.pack could not write
+        with pytest.raises(ValueError):
+            acq.packetize(random_bits(rng, n_bits=64), fpga_id=fpga_id, frames_per_packet=frames_per_packet)
+
+    def test_header_fields_at_their_limits_pack(self, rng):
+        (packet,) = acq.packetize(random_bits(rng, n_bits=64), fpga_id=65_535, frames_per_packet=65_535)
+        back = acq.DaqPacket.unpack(packet.pack())
+        assert (back.fpga_id, back.frames) == (65_535, 64)
+
+    def test_two_fpgas_in_one_capture(self, rng):
+        # the packets of FPGAs 0 and 35 interleaved and shuffled, one packet of each lost
+        n = 512 * 12
+        sent = {0: random_bits(rng, n), 35: random_bits(rng, n)}
+        lost = {0: 4, 35: 9}
+        packets = [p for f, bits in sent.items() for p in acq.packetize(bits, fpga_id=f) if p.sequence != lost[f]]
+        rng.shuffle(packets)
+        out, gaps = acq.depacketize(packets, allow_gaps=True)
+        assert sorted(out) == [0, 35]
+        assert [(g.fpga_id, g.first_sequence, g.last_sequence) for g in gaps] == [(0, 4, 4), (35, 9, 9)]
+        for g in gaps:
+            a, b = g.start_sample, g.end_sample
+            assert (a, b) == (lost[g.fpga_id] * 512, (lost[g.fpga_id] + 1) * 512)
+            got, bits = out[g.fpga_id], sent[g.fpga_id]
+            assert got.shape == (acq.CHANNELS_PER_FPGA, n)
+            assert np.array_equal(got[:, :a], bits[:, :a]) and np.array_equal(got[:, b:], bits[:, b:])
+            # the gap reads as alternating bits, the PDM code of silence, in every channel
+            assert (got[:, a:b] == (np.arange(a, b) % 2 == 0)).all()
 
     def test_capture_file_round_trip(self, rng, tmp_path):
-        streams = random_streams(rng)
-        packets = acq.packetize(streams, fpga_id=7)
+        packets = acq.packetize(random_bits(rng), fpga_id=7)
         path = tmp_path / "capture.bin"
         acq.write_capture(path, packets)
         back = acq.read_capture(path)
@@ -273,7 +305,7 @@ class TestPackets:
         assert all(a.pack() == b.pack() for a, b in zip(packets, back))
 
     def test_truncated_capture_raises_protocol_error(self, rng, tmp_path):
-        packets = acq.packetize(random_streams(rng, n_bits=64), frames_per_packet=32)
+        packets = acq.packetize(random_bits(rng, n_bits=64), frames_per_packet=32)
         path = tmp_path / "capture.bin"
         acq.write_capture(path, packets)
         data = path.read_bytes()
@@ -289,7 +321,7 @@ class TestPackets:
     @settings(max_examples=300, deadline=None)
     @given(offset=st.integers(0, 4 + acq.PACKET_HEADER.size - 1), byte=st.integers(0, 255))
     def test_corrupt_capture_header_is_read_or_rejected(self, tmp_path_factory, offset, byte):
-        packets = acq.packetize(random_streams(np.random.default_rng(5), n_bits=64), frames_per_packet=32)
+        packets = acq.packetize(random_bits(np.random.default_rng(5), n_bits=64), frames_per_packet=32)
         path = tmp_path_factory.mktemp("capture") / "capture.bin"
         acq.write_capture(path, packets)
         data = bytearray(path.read_bytes())
@@ -309,8 +341,7 @@ class TestPackets:
             acq.DaqPacket.unpack(b"NOPE" + bytes(24))
 
     def test_packet_layout(self, rng):
-        streams = random_streams(rng, n_bits=512)
-        p = acq.packetize(streams, fpga_id=1)[0]
+        p = acq.packetize(random_bits(rng, n_bits=512), fpga_id=1)[0]
         raw = p.pack()
         assert raw[:4] == b"SIAM"
         assert len(raw) == acq.PACKET_HEADER.size + 200 * 64  # 12800-byte payload
@@ -329,10 +360,3 @@ class TestBudgets:
         assert acq.phase_skew_budget(1.2e-9, 1_000.0) == pytest.approx(4.32e-4, abs=1e-12)
         with pytest.raises(ValueError):
             acq.phase_skew_budget(-1e-9, 1000.0)
-
-    def test_pcm_export(self, tmp_path):
-        wave = make_sine(0.3, 1000.0, 0.02)
-        pcm = acq.pdm_decimate(acq.pdm_modulate(wave))
-        raw = acq.write_pcm_raw(tmp_path / "out", [pcm, pcm])
-        data = np.fromfile(raw, dtype="<i4").reshape(-1, 2)
-        assert np.array_equal(data[:, 0], pcm.samples)

@@ -115,9 +115,25 @@ class TestAcquireCommand:
             0.7 * np.sin(2 * np.pi * 3100.0 * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
             for ch in range(acquisition.CHANNELS_PER_FPGA)
         ]
-        streams = [acquisition.PdmStream.from_bits(pdm_modulate_oracle(w)[0]) for w in waves]
-        expected = [p.pack() for p in acquisition.packetize(streams, fpga_id=3)]
+        bits = np.array([pdm_modulate_oracle(w)[0] for w in waves], dtype=bool)
+        expected = [p.pack() for p in acquisition.packetize(bits, fpga_id=3)]
         assert [p.pack() for p in acquisition.read_capture(out / "capture.bin")] == expected
+
+    def test_pcm_export(self, tmp_path):
+        # pcm.pcm holds each channel's decimated PDM bits as interleaved int32 columns, pcm.json describes it
+        out = tmp_path / "acq"
+        argv = ["acquire", "--tone", "1000", "--amplitude", "0.3", "--duration", "0.01"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        samples = int(acquisition.PDM_RATE * 0.01) // acquisition.DECIMATION
+        assert json.loads((out / "pcm.json").read_text()) == {
+            "channels": 200, "dtype": "int32_le", "full_scale": 1.0, "group_delay": 35.6015625,
+            "interleaved": True, "rate": 48_000, "samples": samples,
+        }
+        pcm = np.fromfile(out / "pcm.pcm", dtype="<i4").reshape(samples, 200)
+        t = np.arange(int(acquisition.PDM_RATE * 0.01)) / acquisition.PDM_RATE
+        for ch in (0, 57, 199):
+            wave = 0.3 * np.sin(2 * np.pi * 1000.0 * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
+            assert np.array_equal(pcm[:, ch], acquisition.pdm_decimate(pdm_modulate_oracle(wave)[0]))
 
     def test_gap_decodes_as_silence(self, tmp_path):
         # every channel carries a 0.5 tone; a dropped packet must not swing the PCM toward full scale
