@@ -46,13 +46,12 @@ from .geometry import (
     ObservationAngles,
     SubArray,
     assemble_full_array,
-    dnw_like_subarray,
     fermat_spiral,
-    freq_dependent_subarrays,
     generate_pcb_layout,
     observation_angles,
     pitch_subarray_series,
     sample_subarray,
+    spiral_subarray,
     subarray_stats,
 )
 from .propagation import (

@@ -143,36 +143,44 @@ def pdm_modulate(waveform: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.frombuffer(bytearray(decisions), dtype=bool), clipped
 
 
-def pdm_modulate_channels(blocks) -> tuple[np.ndarray, np.ndarray]:
+def pdm_modulate_channels(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Encode C channels that share the PDM clock, given as time blocks.
 
     `blocks` is an iterable of (B, C) float64 arrays, time-major, whose
-    concatenation along time is each channel's waveform; B may differ from
-    block to block. All C channels step through one delta-sigma loop in
-    lockstep, one (C,) tick at a time, and the loop state carries over from
-    block to block, so only one block of the waveform need exist at once.
-    Each channel is clipped and flagged as `pdm_modulate` does. Returns
-    (bits, clipped): the (C, n) C-contiguous bool bits, whose row c equals
-    `pdm_modulate` of column c, and the (C,) bool clip flags.
+    concatenation along time is each channel's waveform of `n` ticks (a
+    ValueError otherwise); B may differ from block to block. All C channels
+    step through one delta-sigma loop in lockstep, one (C,) tick at a time,
+    and the loop state carries over from block to block, so only one block
+    of the waveform exists at once, and its bits go straight into the (C, n)
+    output. Each channel is clipped and flagged as `pdm_modulate` does.
+    Returns (bits, clipped): the (C, n) C-contiguous bool bits, whose row c
+    equals `pdm_modulate` of column c, and the (C,) bool clip flags.
     """
     state = _START
-    clipped = None
-    rows = []  # (C, B) C-contiguous bits of each block
+    bits = clipped = None
+    a = 0  # ticks written so far
     for block in blocks:
         x = np.asarray(block, dtype=np.float64)
-        if x.ndim != 2 or (clipped is not None and x.shape[1] != len(clipped)):
-            width = "" if clipped is None else f" of {len(clipped)} channels"
+        if x.ndim != 2 or (bits is not None and x.shape[1] != len(bits)):
+            width = "" if bits is None else f" of {len(bits)} channels"
             raise ValueError(f"expected (ticks, channels) blocks{width}, got shape {x.shape}")
+        if a + len(x) > n:
+            raise ValueError(f"the blocks hold more than the {n} ticks expected")
+        if bits is None:
+            bits, clipped = np.empty((x.shape[1], n), dtype=bool), np.zeros(x.shape[1], dtype=bool)
         over = (np.abs(x) > 1.0).any(axis=0)
-        clipped = over if clipped is None else clipped | over
+        clipped |= over
         if over.any():
             x = np.clip(x, -1.0, 1.0)
         decisions, state = _delta_sigma(x, state)
-        rows.append(np.array(decisions, dtype=bool).reshape(x.shape).T.copy())
-    if clipped is None:
+        bits[:, a : a + len(x)] = np.array(decisions, dtype=bool).reshape(x.shape).T
+        a += len(x)
+        del block, x, decisions  # before the next block is made
+    if a != n:
+        raise ValueError(f"the blocks hold {a} ticks, expected {n}")
+    if bits is None:
         return np.zeros((0, 0), dtype=bool), np.zeros(0, dtype=bool)
-    del block, x, decisions  # the last block goes before the rows are copied into one (C, n) array
-    return np.concatenate(rows, axis=1), clipped
+    return bits, clipped
 
 
 @lru_cache(maxsize=1)

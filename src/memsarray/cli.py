@@ -309,6 +309,11 @@ def config_from_flags(kind, args):
     return parse(kind, {k: v for k, v in vars(args).items() if k in names}, "")
 
 
+def _typed(args, *names) -> dict:
+    """The flags among `names` that were typed; each is given no parser default (`argparse.SUPPRESS`)."""
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
 def _flag_list(text: str) -> list:
     """A comma-separated flag as a list of its items, each read as JSON (`2000,4000` -> [2000, 4000])
     or else kept as a string (`csv,json`); `parse` checks them, so `--freqs abc` fails at `frequencies[0]`."""
@@ -412,29 +417,27 @@ def _load_scene(spec: dict) -> synthesis.Scene:
 
 
 def _distinct_subarrays(geo, spec: SubarrayConfig, frequencies) -> list:
-    """The distinct sub-arrays as (SubArray, its frequencies), in the order of their first frequency."""
+    """The distinct sub-arrays as (SubArray, its frequencies), one per spiral
+    aperture, in the order of their first frequency: a `freq_dependent`
+    aperture clamps below f_ref and above F_MAX, so those bands share one."""
     if spec.strategy == "explicit":
         idx = np.asarray(spec.indices, dtype=int)
         in_range = len(idx) > 0 and idx.min() >= 0 and idx.max() < geo.sensor_count
         _require(in_range, "subarray.indices", f"expected one or more sensor indices within 0..{geo.sensor_count - 1}")
         _require(len(np.unique(idx)) == len(idx), "subarray.indices", "a sensor index appears twice")
         return [(geometry.SubArray(parent=geo, indices=idx), list(frequencies))]
-    if spec.strategy == "freq_dependent":
-        center = (geo.origin[0], geo.origin[2]) if spec.center is None else spec.center
-        subs = geometry.freq_dependent_subarrays(
-            geo, center, d_ref=spec.d_ref, f_ref=spec.f_ref, mics=spec.mics, bands=frequencies,
-            epsilon=spec.epsilon,
-        )
-    else:
-        sub = geometry.dnw_like_subarray(
-            geo, mics=spec.mics, aperture=spec.aperture, epsilon=spec.epsilon, center=spec.center
-        )
-        subs = dict.fromkeys(frequencies, sub)
-    unique = {}  # id of a distinct sub-array -> (sub-array, its frequencies)
-    for f, sub in subs.items():
-        _require(sub.size > 0, "subarray.epsilon", f"no sensor lies within {spec.epsilon!r} m of a target at {f!r} Hz")
-        unique.setdefault(id(sub), (sub, []))[1].append(f)
-    return list(unique.values())
+    fixed = spec.strategy == "dnw_like"  # else freq_dependent
+    by_aperture = {}  # spiral aperture -> its frequencies
+    for f in frequencies:
+        aperture = spec.aperture if fixed else geometry.frequency_dependent_aperture(f, spec.d_ref, spec.f_ref)
+        by_aperture.setdefault(aperture, []).append(f)
+    subarrays = []
+    for aperture, freqs in by_aperture.items():
+        sub = geometry.spiral_subarray(geo, spec.mics, aperture, spec.epsilon, spec.center)
+        empty = f"no sensor lies within {spec.epsilon!r} m of a target at {freqs[0]!r} Hz"
+        _require(sub.size > 0, "subarray.epsilon", empty)
+        subarrays.append((sub, freqs))
+    return subarrays
 
 
 def _subarray_maps(bf: BeamformingConfig, spectral_cfg: SpectralConfig | None, scene, subarrays):
@@ -542,6 +545,8 @@ def cmd_geometry(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = config_from_flags(SimulateConfig, args)
+    for name in ("frequencies",) if cfg.mode == "timeseries" else ("rate", "duration"):
+        _require(name not in vars(args), name, f"not read in {cfg.mode} mode")
     scene = synthesis.Scene.load_json(cfg.scene)
     geo = geometry.ArrayGeometry.load_json(cfg.geometry)
     _require(
@@ -584,7 +589,7 @@ def cmd_acquire(args) -> int:
         cfg.amplitude * np.sin(phase[a : a + ACQUIRE_BLOCK_TICKS, None] + offsets)
         for a in range(0, n_bits, ACQUIRE_BLOCK_TICKS)
     )
-    bits, _ = acquisition.pdm_modulate_channels(waves)
+    bits, _ = acquisition.pdm_modulate_channels(waves, n_bits)
     packets = [p for p in acquisition.packetize(bits, fpga_id=cfg.fpga_id) if p.sequence not in cfg.drop]
     del bits  # the sent bits go before the capture is read back into a second (200, n) array
     if cfg.shuffle:
@@ -618,22 +623,30 @@ def cmd_acquire(args) -> int:
 
 
 def cmd_beamform(args) -> int:
-    freqs = args.freqs
     if args.band:
-        lo, hi = parse(tuple[float, float], args.band_range, "band_range")
+        _require("freqs" not in vars(args), "beamforming.frequencies", "replaced by the --band centers")
+        lo, hi = parse(tuple[float, float], getattr(args, "band_range", [1000, 8000]), "band_range")
         _require(0 < lo <= hi < math.inf, "band_range", f"expected 0 < low <= high, got {[lo, hi]!r}")
         freqs = list(spectral.band_centers(args.band, lo, hi))
+        _require(len(freqs) > 0, "band_range", f"holds no {args.band} band center, got {[lo, hi]!r}")
+    else:
+        _require("band_range" not in vars(args), "band_range", "read only with --band")
+        freqs = getattr(args, "freqs", [4000])
     # unlike pipeline and farfield, beamform makes a conventional map unless --clean-sc
-    welch = {"block": args.block, "overlap": args.overlap, "duration": args.duration}
+    clean_sc = _typed(args, "loop_gain", "max_iterations")
+    for k in clean_sc:
+        _require(args.clean_sc, f"beamforming.{k}", "read only with --clean-sc")
+    welch = _typed(args, "block", "overlap", "duration")
     cfg = parse(RunConfig, {
         "geometry": {"load": args.geometry},
         "scene": {"load": args.scene},
         "beamforming": {
             "frequencies": freqs, "grid": args.grid, "diagonal_removal": args.dr == "on", "clean_sc": args.clean_sc,
-            "loop_gain": args.loop_gain, "max_iterations": args.max_iter, "estimator": args.estimator,
+            "estimator": args.estimator, **clean_sc,
         },
-        "subarray": {"strategy": args.subarray, "epsilon": args.epsilon},
-        "spectral": welch if args.estimator == "welch" else None,
+        "subarray": {"strategy": args.subarray, **_typed(args, "epsilon")},
+        # typed Welch flags with the exact estimator make a spectral section, which RunConfig rejects
+        "spectral": welch if welch or args.estimator == "welch" else None,
         "outputs": {"formats": args.format},
     }, "")
     scene = _load_scene(cfg.scene)
@@ -782,14 +795,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default="run")
     g.set_defaults(func=cmd_geometry)
 
-    s = sub.add_parser("simulate", help="synthesize time series or exact CSMs")
+    # an untyped flag is left out of the namespace: its default is SimulateConfig's, and a typed one can be seen
+    s = sub.add_parser("simulate", help="synthesize time series or exact CSMs", argument_default=argparse.SUPPRESS)
     s.add_argument("--scene", required=True)
     s.add_argument("--geometry", required=True)
-    s.add_argument("--mode", choices=["timeseries", "csm"], default=SimulateConfig.mode)
-    s.add_argument("--rate", type=float, default=SimulateConfig.rate)
-    s.add_argument("--duration", type=float, default=SimulateConfig.duration)
-    s.add_argument("--freqs", dest="frequencies", type=_flag_list, default=list(SimulateConfig.frequencies))
-    s.add_argument("--channels", type=int, default=SimulateConfig.channels)
+    s.add_argument("--mode", choices=["timeseries", "csm"])
+    s.add_argument("--rate", type=float, help="timeseries mode only")
+    s.add_argument("--duration", type=float, help="timeseries mode only")
+    s.add_argument("--freqs", dest="frequencies", type=_flag_list, help="csm mode only")
+    s.add_argument("--channels", type=int)
     s.add_argument("--out", default="run")
     s.set_defaults(func=cmd_simulate)
 
@@ -808,20 +822,21 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scene", required=True)
     b.add_argument("--geometry", required=True)
     b.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=["dnw_like", "freq_dependent"])
-    b.add_argument("--epsilon", type=float, default=DnwLikeSubarray.epsilon)
-    b.add_argument("--freqs", type=_flag_list, default="4000")
+    # flags given SUPPRESS are in the namespace only when typed, so cmd_beamform can reject one its run does not read
+    b.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
+    b.add_argument("--freqs", type=_flag_list, default=argparse.SUPPRESS, help="default 4000; not with --band")
     b.add_argument("--band", choices=["third_octave", "octave"], default=None,
                    help="run at standard band centers instead of --freqs")
-    b.add_argument("--band-range", type=_flag_list, default="1000,8000")
+    b.add_argument("--band-range", type=_flag_list, default=argparse.SUPPRESS, help="default 1000,8000; --band only")
     b.add_argument("--grid", type=_grid_flag, default={}, help="x0,x1,z0,z1,spacing (default: the config's grid)")
     b.add_argument("--dr", choices=["on", "off"], default="on")
     b.add_argument("--clean-sc", action="store_true")
-    b.add_argument("--loop-gain", type=float, default=BeamformingConfig.loop_gain)
-    b.add_argument("--max-iter", type=int, default=BeamformingConfig.max_iterations)
+    b.add_argument("--loop-gain", type=float, default=argparse.SUPPRESS, help="--clean-sc only")
+    b.add_argument("--max-iter", dest="max_iterations", type=int, default=argparse.SUPPRESS, help="--clean-sc only")
     b.add_argument("--estimator", choices=["exact", "welch"], default=BeamformingConfig.estimator)
-    b.add_argument("--block", type=int, default=SpectralConfig.block)
-    b.add_argument("--overlap", type=float, default=SpectralConfig.overlap)
-    b.add_argument("--duration", type=float, default=SpectralConfig.duration)
+    b.add_argument("--block", type=int, default=argparse.SUPPRESS, help="welch estimator only")
+    b.add_argument("--overlap", type=float, default=argparse.SUPPRESS, help="welch estimator only")
+    b.add_argument("--duration", type=float, default=argparse.SUPPRESS, help="welch estimator only")
     b.add_argument("--format", type=_flag_list, default=list(OutputsConfig.formats))
     b.add_argument("--out", default="run")
     b.set_defaults(func=cmd_beamform)

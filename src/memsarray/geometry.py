@@ -339,6 +339,15 @@ def sample_subarray(
     return SubArray(parent=geometry, indices=np.array(indices, dtype=int), discarded=len(lifted) - len(indices))
 
 
+def spiral_subarray(geometry: ArrayGeometry, mics: int, aperture: float, epsilon: float, center=None) -> SubArray:
+    """The sensors nearest a Fermat spiral of `mics` targets and `aperture`
+    diameter (`sample_subarray` within `epsilon`), centred on the in-plane
+    point `center` (x, z), by default the array plane's origin."""
+    if center is None:
+        center = (geometry.origin[0], geometry.origin[2])
+    return sample_subarray(geometry, fermat_spiral(mics, aperture, center=center), epsilon)
+
+
 def subarray_stats(sub: SubArray):
     """Geometric mean (average sensor location) and per-axis population std."""
     if sub.size < 1:
@@ -400,46 +409,10 @@ def pitch_subarray_series(
         centers = np.array([geometry.origin[0]])
     else:
         centers = np.linspace(lo[0], hi[0], count)
-    return [sample_subarray(geometry, fermat_spiral(mics, aperture, center=(cx, z_center)), epsilon) for cx in centers]
+    return [spiral_subarray(geometry, mics, aperture, epsilon, center=(cx, z_center)) for cx in centers]
 
 
 def frequency_dependent_aperture(frequency: float, d_ref: float, f_ref: float) -> float:
     """Aperture scaled as d_ref * f_ref / f, clamped below f_ref and above F_MAX."""
     f = min(max(float(frequency), f_ref), F_MAX)
     return d_ref * f_ref / f
-
-
-def freq_dependent_subarrays(
-    geometry: ArrayGeometry,
-    center,
-    d_ref: float,
-    f_ref: float,
-    mics: int,
-    bands,
-    epsilon: float,
-) -> dict[float, SubArray]:
-    """One sampled sub-array per frequency band, aperture shrinking with f.
-
-    Bands whose apertures are equal (clamped below f_ref or above F_MAX) map
-    to one SubArray object, sampled once."""
-    if d_ref <= 0 or f_ref <= 0:
-        raise ValueError("d_ref and f_ref must be > 0")
-    apertures = {float(f): frequency_dependent_aperture(f, d_ref, f_ref) for f in bands}
-    subs = {
-        a: sample_subarray(geometry, fermat_spiral(mics, a, center=center), epsilon)
-        for a in dict.fromkeys(apertures.values())
-    }
-    return {f: subs[a] for f, a in apertures.items()}
-
-
-def dnw_like_subarray(
-    geometry: ArrayGeometry,
-    mics: int = 140,
-    aperture: float = 1.5,
-    epsilon: float = 0.1,
-    center=None,
-) -> SubArray:
-    """Stand-in for a conventional mid-size spiral array sampled from the panel."""
-    if center is None:
-        center = (geometry.origin[0], geometry.origin[2])
-    return sample_subarray(geometry, fermat_spiral(mics, aperture, center=center), epsilon)

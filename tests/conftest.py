@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memsarray import assemble_full_array, dnw_like_subarray
+from memsarray import assemble_full_array, spiral_subarray
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +16,7 @@ def one_panel():
 
 @pytest.fixture(scope="session")
 def dnw_sub(full_array):
-    sub = dnw_like_subarray(full_array)
+    sub = spiral_subarray(full_array, 140, 1.5, 0.1)  # the DNW-like sub-array
     assert sub.size == 140
     return sub
 

@@ -60,7 +60,7 @@ def big_array():
 
 @pytest.fixture(scope="module")
 def dnw(big_array):
-    sub = geo.dnw_like_subarray(big_array)
+    sub = geo.spiral_subarray(big_array, 140, 1.5, 0.1)
     assert sub.size == 140
     return sub
 
@@ -243,7 +243,10 @@ def test_criterion_09_freq_dependent_aperture(big_array):
     assert geo.frequency_dependent_aperture(32_000.0, 5.5, 1000.0) == pytest.approx(0.34375)
 
     bands = [1000.0, 2000.0, 4000.0, 8000.0, 16_000.0]
-    subs = geo.freq_dependent_subarrays(big_array, (3.0, -0.5), 5.5, 1000.0, 200, bands, epsilon=0.035)
+    subs = {
+        f: geo.spiral_subarray(big_array, 200, geo.frequency_dependent_aperture(f, 5.5, 1000.0), 0.035, (3.0, -0.5))
+        for f in bands
+    }
     q2 = 2.5e-4
     widths = {}
     for f in bands:

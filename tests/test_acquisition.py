@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,7 +86,9 @@ class TestModulator:
         if channels > 1 and n:
             x[-1, int(spike * n)] = 1.25  # clips the last channel in one block only
         xt = x.T
-        lockstep, lockstep_clipped = acq.pdm_modulate_channels(xt[a : a + block] for a in range(0, max(n, 1), block))
+        lockstep, lockstep_clipped = acq.pdm_modulate_channels(
+            (xt[a : a + block] for a in range(0, max(n, 1), block)), n
+        )
         assert lockstep.shape == (channels, n) and lockstep.dtype == bool and lockstep.flags.c_contiguous
         for c in range(channels):
             bits, clipped = pdm_modulate_oracle(x[c])
@@ -104,8 +107,31 @@ class TestModulator:
         expected = [p.pack() for p in acq.packetize(np.array([pdm_modulate_oracle(w)[0] for w in waves], dtype=bool))]
         packets = acq.packetize(np.array([acq.pdm_modulate(w)[0] for w in waves]))
         assert [p.pack() for p in packets] == expected
-        lockstep, _ = acq.pdm_modulate_channels(waves.T[a : a + 1000] for a in range(0, len(t), 1000))
+        lockstep, _ = acq.pdm_modulate_channels((waves.T[a : a + 1000] for a in range(0, len(t), 1000)), len(t))
         assert [p.pack() for p in acq.packetize(lockstep)] == expected
+
+    @pytest.mark.parametrize("n", [2999, 3001, 0])
+    def test_blocks_must_hold_n_ticks(self, n):
+        blocks = [np.zeros((1000, 4))] * 3  # 3000 ticks
+        with pytest.raises(ValueError, match="ticks"):
+            acq.pdm_modulate_channels(iter(blocks), n)
+
+    def test_bit_plane_held_once(self):
+        # each block's bits go straight into the one (C, n) plane: the call's peak is that plane and one
+        # block's temporaries, not the plane twice
+        channels, n, block = 1000, 8000, 100
+        offsets = np.linspace(0.0, 2 * np.pi, channels, endpoint=False)
+        phase = 2 * np.pi * 1000.0 * np.arange(n) / acq.PDM_RATE
+        blocks = (0.5 * np.sin(phase[a : a + block, None] + offsets) for a in range(0, n, block))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bits, _ = acq.pdm_modulate_channels(blocks, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert bits.shape == (channels, n)
+        assert peak < 1.6 * bits.nbytes, peak / bits.nbytes
 
 
 class TestDecimation:

@@ -46,7 +46,7 @@ def setup(full_array_module):
 @pytest.fixture(scope="module")
 def full_array_module():
     g = geo.assemble_full_array(3, 3, seed=42)
-    return g, geo.dnw_like_subarray(g)
+    return g, geo.spiral_subarray(g, 140, 1.5, 0.1)  # the DNW-like sub-array
 
 
 class TestFocusGrid:

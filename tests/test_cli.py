@@ -743,6 +743,18 @@ BAD_FLAGS = [
     ("beamform", ["--grid", "1,2,3"], "beamforming.grid.z_range"),
     ("beamform", ["--estimator", "welch", "--freqs", "10"], "beamforming.frequencies[0]"),
     ("beamform", ["--estimator", "welch", "--freqs", "2000,30000"], "beamforming.frequencies[1]"),
+    # a flag the run does not read is an error, not ignored
+    ("beamform", ["--block", "512"], "spectral"),  # the exact estimator reads no Welch setting
+    ("beamform", ["--overlap", "0.25"], "spectral"),
+    ("beamform", ["--duration", "0.5"], "spectral"),
+    ("beamform", ["--band", "octave", "--freqs", "2000"], "beamforming.frequencies"),  # the band centers replace it
+    ("beamform", ["--band-range", "1000,4000"], "band_range"),  # read only with --band
+    ("beamform", ["--band", "octave", "--band-range", "1100,1200"], "band_range"),  # holds no octave center
+    ("beamform", ["--loop-gain", "0.5"], "beamforming.loop_gain"),  # read only with --clean-sc
+    ("beamform", ["--max-iter", "50"], "beamforming.max_iterations"),
+    ("simulate", ["--mode", "timeseries", "--freqs", "2000"], "frequencies"),  # csm mode only
+    ("simulate", ["--mode", "csm", "--rate", "96000"], "rate"),  # timeseries mode only
+    ("simulate", ["--mode", "csm", "--duration", "0.5"], "duration"),
     ("geometry", ["--panels", "3"], "panels"),
     ("geometry", ["--panels", "0x3"], "panels_x"),
     ("geometry", ["--format", "xml"], "format[0]"),
@@ -792,6 +804,15 @@ def test_bad_flag_exits_two_with_its_path(tmp_path, scene_file, panel_geometry, 
 )
 def test_flag_defaults_are_the_config_defaults(argv, expected):
     assert cli.config_from_flags(type(expected), cli.build_parser().parse_args(argv)) == expected
+
+
+def test_clamped_bands_share_one_subarray(full_array):
+    # below f_ref and above F_MAX the freq_dependent aperture clamps: one sampling serves those bands
+    spec = cli.FreqDependentSubarray(strategy="freq_dependent")
+    subarrays = cli._distinct_subarrays(full_array, spec, [500.0, 800.0, 1000.0, 2000.0, 16000.0, 20000.0])
+    assert [freqs for _, freqs in subarrays] == [[500.0, 800.0, 1000.0], [2000.0], [16000.0, 20000.0]]
+    [(alone, _)] = cli._distinct_subarrays(full_array, spec, [800.0])
+    assert np.array_equal(subarrays[0][0].indices, alone.indices)
 
 
 def _panel_pipeline(tmp_path, geo, **sections) -> list:

@@ -272,9 +272,9 @@ class TestSampleSubarrayOracle:
 
     def test_freq_dependent_series(self, full_array):
         bands = [1000.0, 1250.0, 2000.0, 4000.0, 8000.0, 16000.0]
-        subs = geo.freq_dependent_subarrays(full_array, (3.0, -0.5), 2.0, 1000.0, 150, bands, 0.1)
-        for f, sub in subs.items():
+        for f in bands:
             aperture = geo.frequency_dependent_aperture(f, 2.0, 1000.0)
+            sub = geo.spiral_subarray(full_array, 150, aperture, 0.1, (3.0, -0.5))
             _assert_matches_oracle(full_array, geo.fermat_spiral(150, aperture, center=(3.0, -0.5)), 0.1, sub)
 
     @pytest.mark.parametrize("epsilon", [0.004, 0.02, 0.1, 0.5])
@@ -464,6 +464,15 @@ class TestPitchSeries:
         assert abs(mean[0] - 3.0) < 0.1
 
 
+class TestSpiralSubarray:
+    def test_default_center_is_the_plane_origin(self, one_panel):
+        sub = geo.spiral_subarray(one_panel, 60, 0.8, 0.05)
+        centered = geo.sample_subarray(one_panel, geo.fermat_spiral(60, 0.8, center=(3.0, -0.5)), 0.05)
+        assert np.array_equal(sub.indices, centered.indices) and sub.discarded == centered.discarded
+        moved = geo.spiral_subarray(one_panel, 60, 0.8, 0.05, center=(2.5, -0.5))
+        assert not np.array_equal(moved.indices, sub.indices)
+
+
 class TestFreqDependentSubarrays:
     def test_aperture_rule(self):
         assert geo.frequency_dependent_aperture(1000.0, 5.5, 1000.0) == pytest.approx(5.5)
@@ -472,21 +481,11 @@ class TestFreqDependentSubarrays:
         assert geo.frequency_dependent_aperture(32000.0, 5.5, 1000.0) == pytest.approx(5.5 / 16.0)
 
     def test_per_band_subarrays(self, full_array):
-        out = geo.freq_dependent_subarrays(
-            full_array, (3.0, -0.5), 5.5, 1000.0, 200, [1000.0, 4000.0], 0.05
-        )
-        assert set(out) == {1000.0, 4000.0}
+        out = {
+            f: geo.spiral_subarray(full_array, 200, geo.frequency_dependent_aperture(f, 5.5, 1000.0), 0.05, (3.0, -0.5))
+            for f in (1000.0, 4000.0)
+        }
         r4 = np.linalg.norm(out[4000.0].positions[:, [0, 2]] - np.array([3.0, -0.5]), axis=1)
         # aperture 1.375 m plus the matching tolerance
         assert r4.max() <= 1.375 / 2 + 0.05 + 1e-9
         assert out[1000.0].size <= 200
-
-    def test_clamped_bands_share_one_subarray(self, full_array):
-        bands = [500.0, 800.0, 1000.0, 2000.0, 16000.0, 20000.0]
-        subs = geo.freq_dependent_subarrays(full_array, (3.0, -0.5), 5.5, 1000.0, 200, bands, 0.1)
-        # below f_ref and above F_MAX the aperture clamps: one sampling serves those bands
-        assert subs[500.0] is subs[800.0] is subs[1000.0]
-        assert subs[16000.0] is subs[20000.0]
-        assert len({id(s) for s in subs.values()}) == 3
-        alone = geo.freq_dependent_subarrays(full_array, (3.0, -0.5), 5.5, 1000.0, 200, [800.0], 0.1)
-        assert np.array_equal(subs[800.0].indices, alone[800.0].indices)
