@@ -7,7 +7,9 @@ UDP-style packet framing with resequencing and gap reporting.
 
 PDM bits have one form from modulation to decimation: a bool array, True
 meaning +1, of shape (n,) for one channel and (C, n), C-contiguous, for the
-C channels of an FPGA. Only a packet's payload is packed.
+C channels of an FPGA. Only a packet's payload is packed, and the decimator
+packs the bits it reads into 16-bit words: its CIC is a sum of table
+lookups of those words, for all C channels at once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ HB2_TAPS = 67
 COMP_TAPS = 31
 
 CHANNELS_PER_FPGA = 200
+DECIMATE_BLOCK_ROWS = 25  # rows of a (C, n) plane decimated at once
 DEFAULT_FRAMES_PER_PACKET = 512
 PACKET_MAGIC = b"SIAM"
 # magic, fpga_id, sequence, sample_timestamp, status_flags, channels, frames
@@ -120,13 +123,31 @@ def _delta_sigma(ticks, state):
 _START = (0.0, 0.0, 1.0)
 
 
+def _clip_block(x: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clip a (B, C) block of ticks `start`.. to full scale.
+
+    Returns the block, clipped where |x| > 1, and the (C,) flags of the
+    channels clipped. A NaN sample has no PDM code (the loop would read it as
+    full negative scale from then on), so it raises ValueError naming its
+    channel and tick; +-inf clips as any other sample beyond full scale.
+    """
+    over = ~(np.abs(x) <= 1.0).all(axis=0)
+    if over.any():
+        nan = np.argwhere(np.isnan(x))
+        if len(nan):
+            tick, channel = nan[0]
+            raise ValueError(f"NaN sample in channel {channel} at tick {start + tick}")
+        x = np.clip(x, -1.0, 1.0)
+    return x, over
+
+
 def pdm_modulate(waveform: np.ndarray) -> tuple[np.ndarray, bool]:
     """Encode a 3.072 MHz-sampled waveform as a 1-bit PDM stream.
 
     A 2nd-order delta-sigma loop (`_delta_sigma`) with a single-bit
-    quantizer. Inputs beyond full scale (|x| > 1) are clipped and flagged.
-    Returns (bits, clipped): the (n,) bool bits, True meaning +1, and
-    whether any sample was clipped.
+    quantizer. Inputs beyond full scale (|x| > 1) are clipped and flagged;
+    a NaN input raises ValueError (`_clip_block`). Returns (bits, clipped):
+    the (n,) bool bits, True meaning +1, and whether any sample was clipped.
 
     One channel is fed as Python floats, which avoids a numpy scalar per
     sample; they are the same IEEE binary64 values as the float64 samples.
@@ -135,12 +156,9 @@ def pdm_modulate(waveform: np.ndarray) -> tuple[np.ndarray, bool]:
     array per tick, with the same bits, and takes their waveform in time
     blocks, so memory is bounded by a block rather than the capture.
     """
-    x = np.asarray(waveform, dtype=np.float64)
-    clipped = bool((np.abs(x) > 1.0).any())
-    if clipped:
-        x = np.clip(x, -1.0, 1.0)
-    decisions, _ = _delta_sigma(x.tolist(), _START)
-    return np.frombuffer(bytearray(decisions), dtype=bool), clipped
+    x, (clipped,) = _clip_block(np.asarray(waveform, dtype=np.float64)[:, None], 0)
+    decisions, _ = _delta_sigma(x[:, 0].tolist(), _START)
+    return np.frombuffer(bytearray(decisions), dtype=bool), bool(clipped)
 
 
 def pdm_modulate_channels(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +170,10 @@ def pdm_modulate_channels(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
     step through one delta-sigma loop in lockstep, one (C,) tick at a time,
     and the loop state carries over from block to block, so only one block
     of the waveform exists at once, and its bits go straight into the (C, n)
-    output. Each channel is clipped and flagged as `pdm_modulate` does.
-    Returns (bits, clipped): the (C, n) C-contiguous bool bits, whose row c
-    equals `pdm_modulate` of column c, and the (C,) bool clip flags.
+    output. Each channel is clipped and flagged, and a NaN raises, as in
+    `pdm_modulate`. Returns (bits, clipped): the (C, n) C-contiguous bool
+    bits, whose row c equals `pdm_modulate` of column c, and the (C,) bool
+    clip flags.
     """
     state = _START
     bits = clipped = None
@@ -168,10 +187,8 @@ def pdm_modulate_channels(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"the blocks hold more than the {n} ticks expected")
         if bits is None:
             bits, clipped = np.empty((x.shape[1], n), dtype=bool), np.zeros(x.shape[1], dtype=bool)
-        over = (np.abs(x) > 1.0).any(axis=0)
+        x, over = _clip_block(x, a)
         clipped |= over
-        if over.any():
-            x = np.clip(x, -1.0, 1.0)
         decisions, state = _delta_sigma(x, state)
         bits[:, a : a + len(x)] = np.array(decisions, dtype=bool).reshape(x.shape).T
         a += len(x)
@@ -183,9 +200,36 @@ def pdm_modulate_channels(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, clipped
 
 
+def _cic_tables() -> np.ndarray:
+    """The CIC as word lookups (Hogenauer 1981: a CIC of order N and ratio R
+    is a boxcar(R)^N FIR decimated by R).
+
+    The FIR h has N (R - 1) + 1 = 76 taps, zero-padded to N R = 80. An
+    output sample ends on bit 16k + 15, so the word k - w holding bits
+    16(k - w) + p adds T_w[word] = sum_p h[16 w + 15 - p] (2 bit_p - 1).
+    Each table is a byte table of the low 8 bits plus one of the high 8.
+    """
+    h = np.ones(1, dtype=np.int64)
+    for _ in range(CIC_ORDER):
+        h = np.convolve(h, np.ones(CIC_R, dtype=np.int64))
+    h = np.pad(h, (0, CIC_ORDER * CIC_R - len(h)))
+    taps = h.reshape(CIC_ORDER, CIC_R)[:, ::-1]  # taps[w, p] = h[16 w + 15 - p]
+    signs = ((np.arange(256)[:, None] >> np.arange(8)) & 1) * 2 - 1  # (byte, bit) -> -1 or +1
+    low, high = signs @ taps[:, :8].T, signs @ taps[:, 8:].T  # (256, N) each
+    return (high.T[:, :, None] + low.T[:, None, :]).reshape(CIC_ORDER, -1).astype(np.int32)
+
+
 @lru_cache(maxsize=1)
-def _decimation_filters():
-    """The three FIR stages behind the CIC (designed once, deterministic)."""
+def decimation_design() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The decimation chain's coefficients (designed once, deterministic).
+
+    Returns (cic, hb1, hb2, comp): the CIC as CIC_ORDER lookup tables,
+    (CIC_ORDER, 65536) int32, whose row w maps a 16-bit word of the bit
+    stream to its part of the output sample w words later (`_cic_tables`),
+    and the three FIR stages behind it. A caller that decimates after a
+    large allocation, as `acquire` does after modulating, calls this first,
+    so the long-lived design is not placed above memory that is freed later.
+    """
     from scipy import signal as sig  # slow to load, so imported only where it is used
     # 192 kHz -> 96 kHz; images of the final band fall at 72..120 kHz
     hb1 = sig.remez(HB1_TAPS, [0, 24_000, 72_000, 96_000], [1, 0], weight=[1, 10], fs=192_000)
@@ -195,7 +239,7 @@ def _decimation_filters():
     freqs = np.linspace(0.0, 24_000.0, 241)
     gains = 1.0 / np.abs(cic_response(freqs))
     comp = sig.firwin2(COMP_TAPS, freqs / 24_000.0, gains)
-    return hb1, hb2, comp
+    return _cic_tables(), hb1, hb2, comp
 
 
 def cic_response(frequency) -> np.ndarray:
@@ -213,7 +257,7 @@ def chain_frequency_response(frequency) -> np.ndarray:
     """Complex passband response of the complete decimation chain."""
     from scipy import signal as sig
 
-    hb1, hb2, comp = _decimation_filters()
+    _, hb1, hb2, comp = decimation_design()
     f = np.atleast_1d(np.asarray(frequency, dtype=float))
     h = cic_response(f).astype(complex)
     _, h1 = sig.freqz(hb1, worN=2 * np.pi * f / 192_000)
@@ -238,37 +282,45 @@ def decimation_warmup_bits() -> int:
 
 
 def pdm_decimate(bits: np.ndarray) -> np.ndarray:
-    """Convert one channel's (n,) PDM bits to 48 kHz PCM through the four-stage chain.
+    """Convert PDM bits to 48 kHz PCM through the four-stage chain, along the last axis.
 
-    Stage ratios are 16 (CIC), 2, 2, and 1 (compensator). The CIC runs in
-    exact modular integer arithmetic; bits are mapped to +-1 so the chain is
-    DC-free for a balanced stream. Returns the int32 PCM codes; digital full
-    scale, 1.0 Pa, maps to PCM_FULL_SCALE_CODE, and the chain delays the
-    signal by `decimation_group_delay()` output samples.
+    One channel's (n,) bits give its (m,) int32 PCM codes, and an FPGA's
+    (C, n) bits give (C, m), each row the codes of that row alone. Stage
+    ratios are 16 (CIC), 2, 2, and 1 (compensator). Bits are mapped to +-1,
+    so the chain is DC-free for a balanced stream. The CIC is exact integer
+    arithmetic: each output sample is the sum of CIC_ORDER table lookups
+    (`decimation_design`) of the 16-bit words the stream packs into; bits
+    after the last whole word end no output sample and are not read. Rows go
+    through in blocks of DECIMATE_BLOCK_ROWS, so the working memory is that
+    of a block. Digital full scale, 1.0 Pa, maps to PCM_FULL_SCALE_CODE, and
+    the chain delays the signal by `decimation_group_delay()` output samples.
     """
     bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ValueError(f"expected one channel's (n,) bits, got shape {bits.shape}")
-    if len(bits) < decimation_warmup_bits():
+    if bits.ndim == 0:
+        raise ValueError("expected (n,) or (C, n) bits, got a scalar")
+    n = bits.shape[-1]
+    if n < decimation_warmup_bits():
         raise ValueError(
-            f"stream of {len(bits)} bits is shorter than the filter warm-up "
+            f"stream of {n} bits is shorter than the filter warm-up "
             f"({decimation_warmup_bits()} bits)"
         )
     from scipy import signal as sig
 
-    hb1, hb2, comp = _decimation_filters()
-    x = bits.astype(np.int64) * 2 - 1
-    for _ in range(CIC_ORDER):
-        x = np.cumsum(x)
-    x = x[CIC_R - 1 :: CIC_R]
-    for _ in range(CIC_ORDER):
-        x = np.diff(x, prepend=np.int64(0))
-    y = x.astype(np.float64) / float(CIC_R**CIC_ORDER)
-    y = sig.lfilter(hb1, 1.0, y)[::2]
-    y = sig.lfilter(hb2, 1.0, y)[::2]
-    y = sig.lfilter(comp, 1.0, y)
-    codes = np.clip(np.rint(y * PCM_FULL_SCALE_CODE), -(2**31), PCM_FULL_SCALE_CODE)
-    return codes.astype(np.int32)
+    cic, hb1, hb2, comp = decimation_design()
+    rows = bits.reshape(-1, n)
+    m = n // CIC_R  # output samples of the CIC, one per whole word
+    out = np.empty((len(rows), -(-m // 4)), dtype=np.int32)  # hb1 and hb2 each keep every second sample
+    for a in range(0, len(rows), DECIMATE_BLOCK_ROWS):
+        words = np.packbits(rows[a : a + DECIMATE_BLOCK_ROWS, : m * CIC_R], axis=-1, bitorder="little").view("<u2")
+        x = cic[0][words]
+        for w in range(1, CIC_ORDER):
+            x[:, w:] += cic[w][words[:, :-w]]  # before the stream starts, word k - w adds nothing
+        y = x.astype(np.float64) / float(CIC_R**CIC_ORDER)
+        y = sig.lfilter(hb1, 1.0, y, axis=-1)[:, ::2]
+        y = sig.lfilter(hb2, 1.0, y, axis=-1)[:, ::2]
+        y = sig.lfilter(comp, 1.0, y, axis=-1)
+        out[a : a + len(y)] = np.clip(np.rint(y * PCM_FULL_SCALE_CODE), -(2**31), PCM_FULL_SCALE_CODE)
+    return out.reshape(bits.shape[:-1] + out.shape[1:])
 
 
 def packetize(

@@ -580,6 +580,7 @@ def cmd_acquire(args) -> int:
     out = _out_dir(args)
     rng = np.random.default_rng(cfg.seed)
     n_bits = int(acquisition.PDM_RATE * cfg.duration)
+    acquisition.decimation_design()  # before the waveform blocks, so the design does not pin their freed heap
     t = np.arange(n_bits) / acquisition.PDM_RATE
     # channel ch carries amplitude * sin(2 pi tone t + 2 pi ch / 200); these are the same scalar
     # operations, so each column's samples are those of the one-channel expression
@@ -599,13 +600,13 @@ def cmd_acquire(args) -> int:
 
     bits_by_fpga, gaps = acquisition.depacketize(acquisition.read_capture(cap), allow_gaps=True)
     # raw int32 PCM, one row per 48 kHz sample, channels interleaved, and its JSON sidecar
-    pcm = np.stack([acquisition.pdm_decimate(row) for row in bits_by_fpga[cfg.fpga_id]], axis=1)
+    pcm = acquisition.pdm_decimate(bits_by_fpga[cfg.fpga_id])  # (channels, samples)
     pcm_path = os.path.join(out, "pcm.pcm")
-    pcm.astype("<i4").tofile(pcm_path)
+    np.ascontiguousarray(pcm.T, dtype="<i4").tofile(pcm_path)
     sidecar = _write_json(os.path.join(out, "pcm.json"), {
         "rate": acquisition.PCM_RATE,
-        "channels": pcm.shape[1],
-        "samples": pcm.shape[0],
+        "channels": pcm.shape[0],
+        "samples": pcm.shape[1],
         "group_delay": acquisition.decimation_group_delay(),
         "full_scale": 1.0,
         "dtype": "int32_le",

@@ -5,8 +5,9 @@ bisection on the retarded-time equation or from a (..., 3) difference array,
 air absorption from the Bass formula, shear-layer crossings from a shrinking
 grid search or from a damped Newton search with a finite-difference Hessian,
 tone levels from least-squares sine fits, PDM bits from the delta-sigma loop
-run one numpy element at a time, sub-array matches from a scan over every
-sensor or from one x-strip search per target, conventional maps from the
+run one numpy element at a time, PCM codes from a CIC of five cumsums and
+five diffs run on one channel at a time, sub-array matches from a scan over
+every sensor or from one x-strip search per target, conventional maps from the
 dense M x M matrix, CLEAN-SC from a loop that forms the dirty map again from
 the whole degraded CSM after every component, Welch
 CSMs from a sum of per-block outer products over every bin in range, time
@@ -21,8 +22,9 @@ import io
 import json
 
 import numpy as np
-from scipy.signal import get_window
+from scipy.signal import get_window, lfilter
 
+from memsarray import acquisition as acq
 from memsarray import geometry as geo
 from memsarray import synthesis as syn
 from memsarray.propagation import atmospheric_absorption
@@ -217,6 +219,26 @@ def pdm_modulate_oracle(waveform):
         y = 1.0 if s2 >= 0.0 else -1.0
         bits[i] = 1 if y > 0.0 else 0
     return bits, clipped
+
+
+def pdm_decimate_oracle(bits):
+    """One channel's (n,) PDM bits as int32 PCM codes: the CIC as five
+    cumsums at the input rate (integrators, which wrap exactly in int64),
+    every 16th sample, and five diffs (combs), then the library's three FIR
+    stages, one `lfilter` call each."""
+    _, hb1, hb2, comp = acq.decimation_design()
+    x = np.asarray(bits).astype(np.int64) * 2 - 1
+    for _ in range(acq.CIC_ORDER):
+        x = np.cumsum(x)
+    x = x[acq.CIC_R - 1 :: acq.CIC_R]
+    for _ in range(acq.CIC_ORDER):
+        x = np.diff(x, prepend=np.int64(0))
+    y = x.astype(np.float64) / float(acq.CIC_R**acq.CIC_ORDER)
+    y = lfilter(hb1, 1.0, y)[::2]
+    y = lfilter(hb2, 1.0, y)[::2]
+    y = lfilter(comp, 1.0, y)
+    codes = np.clip(np.rint(y * acq.PCM_FULL_SCALE_CODE), -(2**31), acq.PCM_FULL_SCALE_CODE)
+    return codes.astype(np.int32)
 
 
 def sample_subarray_oracle(positions, targets, epsilon):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import pdm_modulate_oracle, sine_fit
+from oracles import pdm_decimate_oracle, pdm_modulate_oracle, sine_fit
 
 from memsarray import acquisition as acq
 from memsarray.errors import ProtocolError
@@ -19,6 +19,15 @@ def modulate_decimate(wave):
 def make_sine(amplitude, freq, duration):
     t = np.arange(int(acq.PDM_RATE * duration)) / acq.PDM_RATE
     return amplitude * np.sin(2 * np.pi * freq * t)
+
+
+@pytest.fixture(scope="module")
+def modulator_plane():
+    """An FPGA's (200, 30412) bits of 200 phase-shifted 0.5 tones at 1 kHz, modulated in lockstep."""
+    t = np.arange(30412) / acq.PDM_RATE
+    offsets = 2 * np.pi * np.arange(acq.CHANNELS_PER_FPGA) / acq.CHANNELS_PER_FPGA
+    wave = 0.5 * np.sin(2 * np.pi * 1000.0 * t[:, None] + offsets)
+    return acq.pdm_modulate_channels([wave], len(t))[0]
 
 
 def random_bits(rng, n_bits=4096):
@@ -42,6 +51,24 @@ class TestModulator:
         assert clipped
         _, clipped = acq.pdm_modulate(0.5 * np.ones(10_000))
         assert not clipped
+
+    @pytest.mark.parametrize("tick", [100, 2500])
+    def test_nan_rejected(self, tick):
+        # a NaN has no PDM code: the loop would read it as full negative scale from then on, so both
+        # forms name its channel and tick, also when it falls in a later block; +-inf clips as before
+        x = np.full((4000, 3), 0.2)
+        x[tick, 1] = np.nan
+        x[50, 2] = np.inf
+        with pytest.raises(ValueError, match=f"NaN sample in channel 0 at tick {tick}$"):
+            acq.pdm_modulate(x[:, 1])
+        with pytest.raises(ValueError, match=f"NaN sample in channel 1 at tick {tick}$"):
+            acq.pdm_modulate_channels((x[a : a + 1024] for a in range(0, 4000, 1024)), 4000)
+        x[tick, 1] = -np.inf
+        for c in (1, 2):
+            assert acq.pdm_modulate(x[:, c])[1]
+        assert list(acq.pdm_modulate_channels((x[a : a + 1024] for a in range(0, 4000, 1024)), 4000)[1]) == [
+            False, True, True
+        ]
 
     def test_noise_shaping(self):
         # in-band noise after decimation sits far below the raw shaped noise
@@ -86,9 +113,18 @@ class TestModulator:
         if channels > 1 and n:
             x[-1, int(spike * n)] = 1.25  # clips the last channel in one block only
         xt = x.T
-        lockstep, lockstep_clipped = acq.pdm_modulate_channels(
-            (xt[a : a + block] for a in range(0, max(n, 1), block)), n
-        )
+        blocks = (xt[a : a + block] for a in range(0, max(n, 1), block))
+        nan = np.argwhere(np.isnan(xt))
+        if len(nan):
+            # a NaN has no PDM code: the first one in time raises, in whichever block it falls
+            tick, channel = nan[0]
+            with pytest.raises(ValueError, match=f"channel {channel} at tick {tick}$"):
+                acq.pdm_modulate_channels(blocks, n)
+            for c in np.unique(nan[:, 1]):
+                with pytest.raises(ValueError, match=f"channel 0 at tick {np.flatnonzero(np.isnan(x[c]))[0]}$"):
+                    acq.pdm_modulate(x[c])
+            return
+        lockstep, lockstep_clipped = acq.pdm_modulate_channels(blocks, n)
         assert lockstep.shape == (channels, n) and lockstep.dtype == bool and lockstep.flags.c_contiguous
         for c in range(channels):
             bits, clipped = pdm_modulate_oracle(x[c])
@@ -157,11 +193,47 @@ class TestDecimation:
         with pytest.raises(ValueError):
             acq.pdm_decimate(np.zeros(1000, dtype=bool))
 
-    @pytest.mark.parametrize("shape", [(2, 10_000), (10_000, 1), ()], ids=["channels", "column", "scalar"])
-    def test_one_channel_only(self, shape):
-        # an FPGA's (C, n) bits are decimated row by row, never as one flattened stream
-        with pytest.raises(ValueError, match="one channel"):
-            acq.pdm_decimate(np.zeros(shape, dtype=bool))
+    @pytest.mark.parametrize(
+        "shape, error", [((2, 10_000), None), ((10_000, 1), "warm-up"), ((), "scalar")], ids=["channels", "column", "scalar"]
+    )
+    def test_decimates_along_last_axis(self, shape, error):
+        # (C, n) bits give each row's own codes, never those of one flattened stream; a (n, 1) column holds one
+        # bit per row, fewer than the warm-up, and a scalar has no axis to decimate
+        bits = np.random.default_rng(3).integers(0, 2, shape).astype(bool)
+        if error:
+            with pytest.raises(ValueError, match=error):
+                acq.pdm_decimate(bits)
+        else:
+            assert np.array_equal(acq.pdm_decimate(bits), [pdm_decimate_oracle(row) for row in bits])
+
+    @pytest.mark.parametrize("n", [4704, 4711, 24576, 30412])  # the warm-up; 4711 and 30412 end in a part word
+    @pytest.mark.parametrize("channels", [1, 3, 200])
+    @pytest.mark.parametrize("source", ["random", "modulator"])
+    def test_bits_match_per_channel_cumsum_cic(self, source, channels, n, modulator_plane):
+        if source == "random":
+            bits = np.random.default_rng(n + channels).integers(0, 2, (channels, n)).astype(bool)
+        else:
+            bits = modulator_plane[:channels, :n]
+        expected = np.array([pdm_decimate_oracle(row) for row in bits])
+        got = acq.pdm_decimate(bits)
+        assert got.dtype == np.int32 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, [acq.pdm_decimate(row) for row in bits])
+
+    def test_plane_decimated_in_row_blocks(self):
+        # the (C, n) plane goes through a few rows at a time: the call's peak is a fraction of the plane
+        # (the whole plane at once takes about 1.4x its bytes)
+        bits = np.random.default_rng(4).integers(0, 2, (acq.CHANNELS_PER_FPGA, 307_200), dtype=np.uint8).view(bool)
+        acq.decimation_design()  # cached, and not the call's working memory
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pcm = acq.pdm_decimate(bits)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pcm.shape == (acq.CHANNELS_PER_FPGA, 4800)
+        assert peak <= 0.35 * bits.nbytes, peak / bits.nbytes
 
     def test_passband_ripple(self):
         f = np.linspace(50.0, 20_000.0, 500)

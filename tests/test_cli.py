@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import dense_values, map_csv_oracle, pdm_modulate_oracle
+from oracles import dense_values, map_csv_oracle, pdm_decimate_oracle, pdm_modulate_oracle
 
 import memsarray
 from memsarray import acquisition, cli
@@ -133,7 +133,7 @@ class TestAcquireCommand:
         t = np.arange(int(acquisition.PDM_RATE * 0.01)) / acquisition.PDM_RATE
         for ch in (0, 57, 199):
             wave = 0.3 * np.sin(2 * np.pi * 1000.0 * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
-            assert np.array_equal(pcm[:, ch], acquisition.pdm_decimate(pdm_modulate_oracle(wave)[0]))
+            assert np.array_equal(pcm[:, ch], pdm_decimate_oracle(pdm_modulate_oracle(wave)[0]))
 
     def test_gap_decodes_as_silence(self, tmp_path):
         # every channel carries a 0.5 tone; a dropped packet must not swing the PCM toward full scale
