@@ -5,6 +5,11 @@ Implements the digital microphone side (2nd-order delta-sigma PDM at
 (CIC -> half-band FIR -> half-band FIR -> droop-compensation FIR), and the
 UDP-style packet framing with resequencing and gap reporting.
 
+The delta-sigma loop has two forms with the same IEEE arithmetic and the
+same bits: a lone channel runs the float loop on Python floats
+(`_delta_sigma`), and the C channels of an FPGA run the in-place lockstep
+loop over (C,) buffers (`pdm_modulate_channels`).
+
 PDM bits have one form from modulation to decimation: a bool array, True
 meaning +1, of shape (n,) for one channel and (C, n), C-contiguous, for the
 C channels of an FPGA. Only a packet's payload is packed, and the decimator
@@ -97,18 +102,17 @@ class GapRecord:
     end_sample: int  # exclusive
 
 
-def _delta_sigma(ticks, state):
-    """Run the 2nd-order delta-sigma loop over `ticks`, starting from `state`.
+def _delta_sigma(ticks) -> list[bool]:
+    """One channel's 2nd-order delta-sigma decisions over `ticks`, from the start of a stream.
 
-    A CIFB loop (feedback coefficients 1 and 2) with a single-bit quantizer.
-    A tick is a Python float (one channel) or a (C,) float64 array (C channels
-    stepped in lockstep); plain operators make both the same IEEE binary64
-    arithmetic, so a channel gets the same bits either way. `state` is
-    (s1, s2, y), (0.0, 0.0, 1.0) at the start of a stream. Returns the
-    decisions, one bool or (C,) bool array per tick, and the state after the
-    last tick, from which a later call resumes.
+    A CIFB loop (feedback coefficients 1 and 2) with a single-bit quantizer,
+    written with plain operators on Python floats, the same IEEE binary64
+    arithmetic as the float64 samples and far cheaper per tick than any numpy
+    call for a lone channel. Returns one bool decision per tick, True meaning
+    +1. The C channels of an FPGA go through the in-place lockstep form of
+    the same loop, `pdm_modulate_channels`, which gives the same bits.
     """
-    s1, s2, y = state
+    s1, s2, y = 0.0, 0.0, 1.0
     decisions = []
     append = decisions.append
     for xi in ticks:
@@ -117,10 +121,7 @@ def _delta_sigma(ticks, state):
         d = s2 >= 0.0
         y = d * 2.0 - 1.0
         append(d)
-    return decisions, (s1, s2, y)
-
-
-_START = (0.0, 0.0, 1.0)
+    return decisions
 
 
 def _clip_block(x: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,20 +145,19 @@ def _clip_block(x: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
 def pdm_modulate(waveform: np.ndarray) -> tuple[np.ndarray, bool]:
     """Encode a 3.072 MHz-sampled waveform as a 1-bit PDM stream.
 
-    A 2nd-order delta-sigma loop (`_delta_sigma`) with a single-bit
-    quantizer. Inputs beyond full scale (|x| > 1) are clipped and flagged;
-    a NaN input raises ValueError (`_clip_block`). Returns (bits, clipped):
-    the (n,) bool bits, True meaning +1, and whether any sample was clipped.
+    A 2nd-order delta-sigma loop with a single-bit quantizer. Inputs beyond
+    full scale (|x| > 1) are clipped and flagged; a NaN input raises
+    ValueError (`_clip_block`). Returns (bits, clipped): the (n,) bool bits,
+    True meaning +1, and whether any sample was clipped.
 
-    One channel is fed as Python floats, which avoids a numpy scalar per
-    sample; they are the same IEEE binary64 values as the float64 samples.
-    Channels that share the PDM clock, such as an FPGA's 200, go through
-    `pdm_modulate_channels`: the same loop steps them in lockstep, one numpy
-    array per tick, with the same bits, and takes their waveform in time
-    blocks, so memory is bounded by a block rather than the capture.
+    The lone channel runs the float loop, `_delta_sigma`, fed Python floats,
+    which avoids a numpy scalar per sample; they are the same IEEE binary64
+    values as the float64 samples. Channels that share the PDM clock, such as
+    an FPGA's 200, go through `pdm_modulate_channels`, the in-place lockstep
+    form of the loop. Both give the bits of the per-sample reference loop.
     """
     x, (clipped,) = _clip_block(np.asarray(waveform, dtype=np.float64)[:, None], 0)
-    decisions, _ = _delta_sigma(x[:, 0].tolist(), _START)
+    decisions = _delta_sigma(x[:, 0].tolist())
     return np.frombuffer(bytearray(decisions), dtype=bool), bool(clipped)
 
 
@@ -166,16 +166,30 @@ def pdm_modulate_channels(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     `blocks` is an iterable of (B, C) float64 arrays, time-major, whose
     concatenation along time is each channel's waveform of `n` ticks (a
-    ValueError otherwise); B may differ from block to block. All C channels
-    step through one delta-sigma loop in lockstep, one (C,) tick at a time,
-    and the loop state carries over from block to block, so only one block
-    of the waveform exists at once, and its bits go straight into the (C, n)
-    output. Each channel is clipped and flagged, and a NaN raises, as in
-    `pdm_modulate`. Returns (bits, clipped): the (C, n) C-contiguous bool
-    bits, whose row c equals `pdm_modulate` of column c, and the (C,) bool
-    clip flags.
+    ValueError otherwise); B may differ from block to block. Each channel is
+    clipped and flagged, and a NaN raises, as in `pdm_modulate`. Returns
+    (bits, clipped): the (C, n) C-contiguous bool bits, whose row c equals
+    `pdm_modulate` of column c, and the (C,) bool clip flags.
+
+    All C channels step through the delta-sigma loop in lockstep, in place:
+    the state is (C,) buffers that carry over from block to block, and a tick
+    is seven ufunc calls, each writing its third argument, that allocate
+    nothing:
+
+        u = x - y;  s1 = s1 + u;  u = s1 - 2y;  s2 = s2 + u;
+        d = s2 >= 0;  y = copysign(1, s2);  2y = y + y.
+
+    These are the IEEE operations of `_delta_sigma`, in its order. The
+    copysign equals its y = 2d - 1 because s2 is never -0.0: it starts at
+    +0.0, s1 - 2y cannot round to -0.0 since 2y = +-2 is not zero, and in
+    round-to-nearest a sum is -0.0 only when both its terms are. A block's
+    decisions go into a (B, C) bool block and then, with one transposed
+    copy, into the (C, n) output, so only one block of the waveform exists
+    at once. Both loops give the bits of the per-sample reference loop.
     """
-    state = _START
+    # bound once, and fed arrays only: per call, a keyword `out` or a Python float operand costs more than
+    # the arithmetic of 200 channels
+    sub, add, ge, copysign = np.subtract, np.add, np.greater_equal, np.copysign
     bits = clipped = None
     a = 0  # ticks written so far
     for block in blocks:
@@ -186,11 +200,23 @@ def pdm_modulate_channels(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
         if a + len(x) > n:
             raise ValueError(f"the blocks hold more than the {n} ticks expected")
         if bits is None:
-            bits, clipped = np.empty((x.shape[1], n), dtype=bool), np.zeros(x.shape[1], dtype=bool)
+            channels = x.shape[1]
+            bits, clipped = np.empty((channels, n), dtype=bool), np.zeros(channels, dtype=bool)
+            s1, s2, u = np.zeros(channels), np.zeros(channels), np.empty(channels)
+            one, zero = np.ones(channels), np.zeros(())
+            y, y2 = np.ones(channels), np.full(channels, 2.0)  # y = 1 at the start of a stream
         x, over = _clip_block(x, a)
         clipped |= over
-        decisions, state = _delta_sigma(x, state)
-        bits[:, a : a + len(x)] = np.array(decisions, dtype=bool).reshape(x.shape).T
+        decisions = np.empty(x.shape, dtype=bool)
+        for xi, d in zip(x, decisions):
+            sub(xi, y, u)
+            add(s1, u, s1)
+            sub(s1, y2, u)
+            add(s2, u, s2)
+            ge(s2, zero, d)
+            copysign(one, s2, y)
+            add(y, y, y2)
+        bits[:, a : a + len(x)] = decisions.T
         a += len(x)
         del block, x, decisions  # before the next block is made
     if a != n:

@@ -6,7 +6,8 @@ refraction correction (Fermat path through the layer, found by damped Newton
 iteration on the in-plane crossing coordinates with the closed-form Hessian).
 Each Newton step evaluates the travel time, gradient and Hessian together, once,
 at its trial point, and the line search takes a trial as no increase unless it
-exceeds the current time by more than a few ulps of it.
+exceeds the current time by more than a few ulps of it. A pair converges, with
+no further trial, once its Newton step is shorter than the tolerance.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _plane_basis(normal: np.ndarray):
 
 # pairs solved together; bounds the solver's temporaries whatever the batch size
 _CROSSING_BLOCK = 8192
-# Newton stops once no crossing coordinate moves more than this (m)
+# Newton stops once its step would move no crossing coordinate more than this (m)
 CROSSING_TOLERANCE = 1e-10
 # the line search accepts a trial whose travel time exceeds the current one by
 # at most this many ulps of it: rounding noise, not an increase
@@ -229,10 +230,13 @@ def _solve_crossings(pairs, medium: MediumModel, max_iterations: int):
     given in the plane frame of `_crossing_terms`, iterating only on the pairs
     not yet converged. Each step makes one `_crossing_terms` evaluation at its
     trial point, and more only for the pairs whose line search halves the
-    step; the accepted trial's terms serve the next step.
+    step; the accepted trial's terms serve the next step. A pair whose Newton
+    step is shorter than `CROSSING_TOLERANCE` has converged at its current
+    point and terms, so no trial is spent on certifying it.
 
     Returns (uv (K, 2), travel times (K,), stalled), where `stalled` is None
-    or (column, last step in m) of the first pair that did not converge.
+    or (column, Newton step in m) of the first pair that did not converge
+    within `max_iterations` steps.
     """
     k = pairs.shape[1]
     sx, sy, sz, rx, ry, rz = pairs
@@ -248,10 +252,7 @@ def _solve_crossings(pairs, medium: MediumModel, max_iterations: int):
     # the pairs still iterating: rows into the block, their crossings and terms
     idx = np.arange(k)
     terms = _crossing_terms(p1, p2, pairs, medium)
-    moved = np.full(k, np.inf)
-    for _ in range(max_iterations):
-        if not len(idx):
-            break
+    for step in range(max_iterations + 1):
         f, g1, g2, h11, h12, h22 = terms
         det = h11 * h22 - h12 * h12
         ok = np.abs(det) > 1e-300
@@ -259,11 +260,21 @@ def _solve_crossings(pairs, medium: MediumModel, max_iterations: int):
         # Newton step, or a gradient step where the Hessian is degenerate
         s1 = np.where(ok, -(h22 * g1 - h12 * g2) / det, -g1 * 1e3)
         s2 = np.where(ok, -(h11 * g2 - h12 * g1) / det, -g2 * 1e3)
+        moved = np.maximum(np.abs(s1), np.abs(s2))
+        done = moved < CROSSING_TOLERANCE
+        if done.any():
+            rows = idx[done]
+            uv[rows, 0], uv[rows, 1], times[rows] = p1[done], p2[done], f[done]
+            keep = ~done
+            idx, moved, p1, p2, s1, s2 = idx[keep], moved[keep], p1[keep], p2[keep], s1[keep], s2[keep]
+            pairs, terms = np.compress(keep, pairs, axis=1), np.compress(keep, terms, axis=1)
+        if not len(idx) or step == max_iterations:
+            break
         # damped: halve until the travel time does not increase beyond
         # rounding; a pair whose trial is accepted keeps that step and terms
         t1, t2 = p1 + s1, p2 + s2
         trial = _crossing_terms(t1, t2, pairs, medium)
-        bound = f + _ACCEPT_ULPS * np.spacing(f)
+        bound = terms[0] + _ACCEPT_ULPS * np.spacing(terms[0])
         todo = np.flatnonzero(trial[0] > bound)
         lam = np.ones(len(idx))
         for _ in range(40):
@@ -275,17 +286,7 @@ def _solve_crossings(pairs, medium: MediumModel, max_iterations: int):
             retry = _crossing_terms(t1[todo], t2[todo], np.take(pairs, todo, axis=1), medium)
             trial[:, todo] = retry
             todo = todo[retry[0] > bound[todo]]
-        s1 *= lam
-        s2 *= lam
-        moved = np.maximum(np.abs(s1), np.abs(s2))
         p1, p2, terms = t1, t2, trial
-        done = moved < CROSSING_TOLERANCE
-        if done.any():
-            rows = idx[done]
-            uv[rows, 0], uv[rows, 1], times[rows] = p1[done], p2[done], terms[0, done]
-            keep = ~done
-            idx, moved, p1, p2 = idx[keep], moved[keep], p1[keep], p2[keep]
-            pairs, terms = np.compress(keep, pairs, axis=1), np.compress(keep, terms, axis=1)
     # pairs that did not converge keep their last iterate
     uv[idx, 0], uv[idx, 1], times[idx] = p1, p2, terms[0]
     stalled = (int(idx[0]), float(moved[0])) if len(idx) else None

@@ -146,6 +146,27 @@ class TestModulator:
         lockstep, _ = acq.pdm_modulate_channels((waves.T[a : a + 1000] for a in range(0, len(t), 1000)), len(t))
         assert [p.pack() for p in acq.packetize(lockstep)] == expected
 
+    def test_lockstep_edge_states(self):
+        # fixed channels at the loop's edge states, fed in uneven blocks: silence, whose s2 lands on exactly +0.0
+        # every fourth tick (decided +1), full scale held at +1.0 and at -1.0, +inf (clipped and flagged), a 0.5 tone
+        n = 1000
+        x = np.empty((n, 5))
+        x[:, 0] = 0.0
+        x[:, 1] = 1.0
+        x[:, 2] = -1.0
+        x[:, 3] = np.inf
+        x[:, 4] = 0.5 * np.sin(2 * np.pi * 5000.0 * np.arange(n) / acq.PDM_RATE)
+        edges = np.cumsum([0, 1, 7, 1, 250, 7, 3, 1, 7, 400, 13, 1])
+        blocks = [x[a:b] for a, b in zip(edges, [*edges[1:], n])]
+        assert edges[-1] < n and min(len(b) for b in blocks) == 1
+        bits, clipped = acq.pdm_modulate_channels(iter(blocks), n)
+        silent, _ = pdm_modulate_oracle(x[:, 0])
+        assert list(silent[:8]) == [0, 0, 1, 1, 0, 0, 1, 1]
+        for c in range(5):
+            expected, expected_clipped = pdm_modulate_oracle(x[:, c])
+            assert np.array_equal(bits[c], expected), c
+            assert clipped[c] == expected_clipped == (c == 3)
+
     @pytest.mark.parametrize("n", [2999, 3001, 0])
     def test_blocks_must_hold_n_ticks(self, n):
         blocks = [np.zeros((1000, 4))] * 3  # 3000 ticks

@@ -272,6 +272,21 @@ class TestClosedFormNewton:
         want = prop.convected_delays(sources, p, medium) + np.linalg.norm(receivers - p, axis=-1) / C0
         assert np.array_equal(times, want)
 
+    def test_converged_start_spends_no_trial(self, rng, monkeypatch):
+        # without flow the straight-line start is the Fermat crossing: its Newton step is below the tolerance,
+        # so the evaluation at the start is the only one, and the pair keeps that point and time
+        _, sources, receivers = self._plane_frame_pairs(rng)
+        medium = prop.MediumModel(mach_vector=np.zeros(3))
+        calls = []
+        terms = prop._crossing_terms
+        monkeypatch.setattr(prop, "_crossing_terms", lambda *a: calls.append(a) or terms(*a))
+        uv, times, stalled = prop._solve_crossings(np.concatenate([sources.T, receivers.T]), medium, 80)
+        assert stalled is None and len(calls) == 1
+        p1, p2 = calls[0][:2]
+        assert np.array_equal(uv, np.column_stack([p1, p2]))
+        assert np.array_equal(times, terms(p1, p2, calls[0][2], medium)[0])
+        assert np.allclose(times, np.linalg.norm(receivers - sources, axis=-1) / C0, rtol=1e-14, atol=0)
+
     def test_stalled_pair_named_by_its_original_index(self):
         medium = _shear_medium(0.2)
         src = np.array([2.4, 0.0, 0.0])
