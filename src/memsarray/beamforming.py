@@ -75,6 +75,7 @@ class SteeringSet:
 
     frequency: float
     matrix: np.ndarray  # (M, N) complex, columns are grid points
+    power: np.ndarray  # (M, N) squared amplitude, |h|^2 to 8 eps (|h| is the amplitude to 4 ulp)
     reference_distance: np.ndarray  # (N,) r_0 per grid point (to the array reference)
     grid: FocusGrid
 
@@ -170,6 +171,12 @@ class SteeringGeometry:
         on frequency: formed on first use and kept."""
         return _amplitude(self.r, self.r0)
 
+    @functools.cached_property
+    def power(self) -> np.ndarray:
+        """(M, N) squared `amplitude`, |h|^2 of every frequency's steering
+        matrix without absorption: formed on first use and kept."""
+        return self.amplitude**2
+
 
 def _amplitude(r: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """Formulation III amplitude 1 / (r_m r_0 sum_l r_l^-2) per sensor and focus point."""
@@ -199,6 +206,8 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
     by the atmospheric damping, r exp(alpha ln10/20 r) = r 10^(alpha r/20),
     which keeps the level-true property when the synthesized field carries
     absorption too; without it the amplitude is the geometry's cached one.
+    `power` is the amplitude squared: |h| is the amplitude to 4 ulp, so
+    maps read |h|^2 from it, not from a complex `hypot` over (M, N) per map.
 
     The phase is taken in half turns, u = -2 f (tau_m - tau_0), and split
     exactly into u = q + e with q = rint(u) and |e| <= 1/2. With
@@ -217,8 +226,9 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
         neper = atmospheric_absorption(frequency, geometry.medium) * (np.log(10.0) / 20.0)
         r0 = r0 * np.exp(neper * r0)
         amp = _amplitude(geometry.r * np.exp(neper * geometry.r), r0)
+        power = amp**2
     else:
-        amp = geometry.amplitude
+        amp, power = geometry.amplitude, geometry.power
     u = geometry.delay * (-2.0 * frequency)
     q = np.rint(u)
     u -= q
@@ -238,7 +248,7 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
     np.multiply(q, t2, out=h.real)
     q *= 2.0
     np.multiply(q, t, out=h.imag)
-    return SteeringSet(frequency=float(frequency), matrix=h, reference_distance=r0, grid=geometry.grid)
+    return SteeringSet(frequency=float(frequency), matrix=h, power=power, reference_distance=r0, grid=geometry.grid)
 
 
 def _factored_map(csm: CrossSpectralMatrix, h: np.ndarray, h_sq: np.ndarray, diagonal_removal: bool) -> np.ndarray:
@@ -264,8 +274,7 @@ def conventional_beamform(
     """
     if csm.n_channels != steering.n_channels:
         raise ValueError(f"CSM has {csm.n_channels} channels but steering expects {steering.n_channels}")
-    h = steering.matrix
-    raw = _factored_map(csm, h, np.abs(h) ** 2, diagonal_removal)
+    raw = _factored_map(csm, steering.matrix, steering.power, diagonal_removal)
     ref_scale = (steering.reference_distance / REFERENCE_DISTANCE) ** 2
     raw = raw * ref_scale
     clamped = np.maximum(raw, 0.0)
@@ -327,8 +336,7 @@ def clean_sc(
         raise ValueError("loop gain must be in (0, 1]")
     if csm.n_channels != steering.n_channels:
         raise ValueError(f"CSM has {csm.n_channels} channels but steering expects {steering.n_channels}")
-    h = steering.matrix
-    h_sq = np.abs(h) ** 2
+    h, h_sq = steering.matrix, steering.power
     ref_scale = (steering.reference_distance / REFERENCE_DISTANCE) ** 2
 
     degraded = _dense_csm(csm)

@@ -575,21 +575,42 @@ def cmd_simulate(args) -> int:
 ACQUIRE_BLOCK_TICKS = 1024
 
 
+def _tone_blocks(tone: float, amplitude: float, n: int):
+    """`acquire`'s test tone, n ticks of 200 channels in (B, 200) time blocks.
+
+    Channel c carries amplitude sin(p + o_c), with p = 2 pi tone t per PDM
+    tick and o_c = 2 pi c / 200. It is built by angle addition,
+    sin p (amplitude cos o_c) + cos p (amplitude sin o_c), from one sin and
+    cos per tick and per channel: one (B, 2) @ (2, 200) product per block,
+    fused or not as the BLAS kernel chooses. Every sample is within 2 eps of
+    amplitude sin(p + o_c) taken exactly; a per-sample sin must round its
+    argument p + o_c first, which put it up to 715 eps off at 3.1 kHz over
+    0.2 s. At amplitude 1 a sample may exceed full scale by one ulp: the
+    modulator clips it to +-1, and `acquire` discards the clip flags.
+
+    Every block is a view of one reused (1024, 200) buffer, valid until the
+    generator resumes, so each must be used up before the next is asked for,
+    as `pdm_modulate_channels` does.
+    """
+    channels = acquisition.CHANNELS_PER_FPGA
+    phase = 2 * np.pi * tone * (np.arange(n) / acquisition.PDM_RATE)
+    offsets = 2 * np.pi * np.arange(channels) / channels
+    sin_cos = np.stack([np.sin(phase), np.cos(phase)], axis=1)  # (n, 2)
+    weights = amplitude * np.stack([np.cos(offsets), np.sin(offsets)])  # (2, 200)
+    buf = np.empty((ACQUIRE_BLOCK_TICKS, channels))
+    for a in range(0, n, ACQUIRE_BLOCK_TICKS):
+        block = buf[: min(ACQUIRE_BLOCK_TICKS, n - a)]
+        np.matmul(sin_cos[a : a + len(block)], weights, out=block)
+        yield block
+
+
 def cmd_acquire(args) -> int:
     cfg = config_from_flags(AcquireConfig, args)
     out = _out_dir(args)
     rng = np.random.default_rng(cfg.seed)
     n_bits = int(acquisition.PDM_RATE * cfg.duration)
     acquisition.decimation_design()  # before the waveform blocks, so the design does not pin their freed heap
-    t = np.arange(n_bits) / acquisition.PDM_RATE
-    # channel ch carries amplitude * sin(2 pi tone t + 2 pi ch / 200); these are the same scalar
-    # operations, so each column's samples are those of the one-channel expression
-    phase = 2 * np.pi * cfg.tone * t
-    offsets = 2 * np.pi * np.arange(acquisition.CHANNELS_PER_FPGA) / acquisition.CHANNELS_PER_FPGA
-    waves = (
-        cfg.amplitude * np.sin(phase[a : a + ACQUIRE_BLOCK_TICKS, None] + offsets)
-        for a in range(0, n_bits, ACQUIRE_BLOCK_TICKS)
-    )
+    waves = _tone_blocks(cfg.tone, cfg.amplitude, n_bits)
     bits, _ = acquisition.pdm_modulate_channels(waves, n_bits)
     packets = [p for p in acquisition.packetize(bits, fpga_id=cfg.fpga_id) if p.sequence not in cfg.drop]
     del bits  # the sent bits go before the capture is read back into a second (200, n) array

@@ -196,6 +196,15 @@ class TestSteeringPhasor:
             assert np.all(np.abs(np.abs(h) - amp) <= 4 * np.spacing(amp))
 
     @pytest.mark.parametrize("include_absorption", [False, True])
+    def test_power_is_the_squared_magnitude(self, rng, include_absorption):
+        # |h| is the amplitude to 4 ulp, and squaring doubles a relative error
+        geometry = self._geometry(rng.uniform(-1e-2, 1e-2, (40, 60)), rng)
+        for f in self.FREQS:
+            steering = bf.steering_vectors(geometry, f, include_absorption)
+            h_sq = np.abs(steering.matrix) ** 2
+            assert np.all(np.abs(steering.power - h_sq) <= 8 * np.finfo(float).eps * h_sq)
+
+    @pytest.mark.parametrize("include_absorption", [False, True])
     def test_whole_half_turns_give_plus_or_minus_the_amplitude(self, rng, include_absorption):
         # a delay of k / (2 f) is k half turns: h = (-1)^k amp, with no imaginary part
         k = rng.integers(-400, 401, (40, 60))

@@ -105,17 +105,38 @@ class TestAcquireCommand:
         assert sidecar["channels"] == 200
         assert sidecar["rate"] == 48_000
 
+    @staticmethod
+    def _tone(tone, amplitude, n):
+        """acquire's (n, 200) waveform; each block is copied before the generator reuses its buffer."""
+        return np.concatenate([block.copy() for block in cli._tone_blocks(tone, amplitude, n)])
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than float64 here"
+    )
+    @pytest.mark.parametrize("amplitude", [0.5, 1.0])
+    @pytest.mark.parametrize("tone", [1000.0, 23000.0])
+    @pytest.mark.parametrize("n", [6451, 30412])
+    def test_tone_within_two_eps(self, amplitude, tone, n):
+        # against amplitude sin(p + o) in long double, from the float64 phases p = 2 pi tone t and offsets
+        # o = 2 pi c / 200: a per-sample float64 sin rounds its argument p + o, 510 eps off at 23 kHz
+        phase = 2 * np.pi * tone * (np.arange(n) / acquisition.PDM_RATE)
+        offsets = 2 * np.pi * np.arange(acquisition.CHANNELS_PER_FPGA) / acquisition.CHANNELS_PER_FPGA
+        a = 0
+        for block in cli._tone_blocks(tone, amplitude, n):
+            assert block.shape == (min(cli.ACQUIRE_BLOCK_TICKS, n - a), acquisition.CHANNELS_PER_FPGA)
+            ticks = phase[a : a + len(block), None].astype(np.longdouble)
+            want = np.longdouble(amplitude) * np.sin(ticks + offsets.astype(np.longdouble))
+            assert np.abs(block - want).max() <= 2 * np.finfo(float).eps
+            a += len(block)
+        assert a == n
+
     def test_capture_matches_per_channel_loop(self, tmp_path):
         # 6451 ticks: lockstep blocks of 1024 leave a partial block and a partial byte
         out = tmp_path / "acq"
         argv = ["acquire", "--tone", "3100", "--amplitude", "0.7", "--duration", "0.0021", "--fpga-id", "3"]
         assert cli.main([*argv, "--out", str(out)]) == 0
-        t = np.arange(int(acquisition.PDM_RATE * 0.0021)) / acquisition.PDM_RATE
-        waves = [
-            0.7 * np.sin(2 * np.pi * 3100.0 * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
-            for ch in range(acquisition.CHANNELS_PER_FPGA)
-        ]
-        bits = np.array([pdm_modulate_oracle(w)[0] for w in waves], dtype=bool)
+        waves = self._tone(3100.0, 0.7, int(acquisition.PDM_RATE * 0.0021))
+        bits = np.array([pdm_modulate_oracle(w)[0] for w in waves.T], dtype=bool)
         expected = [p.pack() for p in acquisition.packetize(bits, fpga_id=3)]
         assert [p.pack() for p in acquisition.read_capture(out / "capture.bin")] == expected
 
@@ -130,10 +151,9 @@ class TestAcquireCommand:
             "interleaved": True, "rate": 48_000, "samples": samples,
         }
         pcm = np.fromfile(out / "pcm.pcm", dtype="<i4").reshape(samples, 200)
-        t = np.arange(int(acquisition.PDM_RATE * 0.01)) / acquisition.PDM_RATE
+        waves = self._tone(1000.0, 0.3, int(acquisition.PDM_RATE * 0.01))
         for ch in (0, 57, 199):
-            wave = 0.3 * np.sin(2 * np.pi * 1000.0 * t + 2 * np.pi * ch / acquisition.CHANNELS_PER_FPGA)
-            assert np.array_equal(pcm[:, ch], pdm_decimate_oracle(pdm_modulate_oracle(wave)[0]))
+            assert np.array_equal(pcm[:, ch], pdm_decimate_oracle(pdm_modulate_oracle(waves[:, ch])[0]))
 
     def test_gap_decodes_as_silence(self, tmp_path):
         # every channel carries a 0.5 tone; a dropped packet must not swing the PCM toward full scale
