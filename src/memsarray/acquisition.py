@@ -132,7 +132,8 @@ def _clip_block(x: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
     full negative scale from then on), so it raises ValueError naming its
     channel and tick; +-inf clips as any other sample beyond full scale.
     """
-    over = ~(np.abs(x) <= 1.0).all(axis=0)
+    # a NaN propagates through max and min, so it flags its column too; the initial values admit an empty block
+    over = ~((x.max(axis=0, initial=1.0) <= 1.0) & (x.min(axis=0, initial=-1.0) >= -1.0))
     if over.any():
         nan = np.argwhere(np.isnan(x))
         if len(nan):

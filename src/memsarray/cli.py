@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Literal
 
@@ -162,9 +162,9 @@ class BeamformingConfig:
     grid: GridConfig = GridConfig()
     diagonal_removal: bool = True
     clean_sc: bool = True
-    loop_gain: float = 1.0
-    max_iterations: int = 100
-    stop_threshold: float = 1e-3
+    loop_gain: float = field(default=1.0, metadata={"read_with": "clean_sc"})
+    max_iterations: int = field(default=100, metadata={"read_with": "clean_sc"})
+    stop_threshold: float = field(default=1e-3, metadata={"read_with": "clean_sc"})
     estimator: Literal["exact", "welch"] = "exact"
     include_absorption: bool = False
 
@@ -188,11 +188,8 @@ class BeamformingConfig:
 @dataclass(frozen=True)
 class AnalysisConfig:
     roi: analysis.RegionOfInterest | None = None  # None: no ROI spectrum
-    band: Literal["third_octave", "octave"] | None = None  # None: narrowband
-
-    def __post_init__(self):
-        if self.band is not None and self.roi is None:
-            raise ConfigError("band", "integrates the ROI spectrum, so it needs roi")
+    # None: narrowband
+    band: Literal["third_octave", "octave"] | None = field(default=None, metadata={"read_with": "roi"})
 
 
 @dataclass(frozen=True)
@@ -209,20 +206,18 @@ class OutputsConfig:
 class RunConfig:
     """One beamforming run; `pipeline` reads it from JSON, `beamform` and
     `farfield` build it from their flags. `scene` is a scene object (parsed
-    as `synthesis.Scene`) or `{"load": path}`."""
+    as `synthesis.Scene`) or `{"load": path}`; `spectral` None means its defaults."""
 
     geometry: GeometryConfig
     scene: dict
     beamforming: BeamformingConfig
     seed: int = 0
     subarray: SubarrayConfig = DnwLikeSubarray()
-    spectral: SpectralConfig | None = None  # None: the defaults; only the welch estimator reads it
+    spectral: SpectralConfig | None = field(default=None, metadata={"read_with": ("beamforming.estimator", "welch")})
     analysis: AnalysisConfig = AnalysisConfig()
     outputs: OutputsConfig = OutputsConfig()
 
     def __post_init__(self):
-        if self.spectral is not None and self.beamforming.estimator != "welch":
-            raise ConfigError("spectral", "read only by the welch estimator")
         if self.beamforming.estimator == "welch":
             sp = self.spectral or SpectralConfig()
             try:
@@ -240,9 +235,9 @@ class SimulateConfig:
     scene: str
     geometry: str
     mode: Literal["timeseries", "csm"] = "timeseries"
-    rate: float = 48_000.0
-    duration: float = 1.0
-    frequencies: tuple[float, ...] = (1000.0,)  # csm mode
+    rate: float = field(default=48_000.0, metadata={"read_with": ("mode", "timeseries")})
+    duration: float = field(default=1.0, metadata={"read_with": ("mode", "timeseries")})
+    frequencies: tuple[float, ...] = field(default=(1000.0,), metadata={"read_with": ("mode", "csm")})
     channels: int = 0  # the first `channels` sensors; 0: all
 
     def __post_init__(self):
@@ -303,15 +298,15 @@ class AcquireConfig:
             )
 
 
-def config_from_flags(kind, args):
-    """`kind` from the flags stored under its field names, parsed like a config file."""
+def _flags(kind, args) -> dict:
+    """The flags stored under `kind`'s field names; one given no parser default (`argparse.SUPPRESS`) only if typed."""
     names = {f.name for f in dataclasses.fields(kind)}
-    return parse(kind, {k: v for k, v in vars(args).items() if k in names}, "")
-
-
-def _typed(args, *names) -> dict:
-    """The flags among `names` that were typed; each is given no parser default (`argparse.SUPPRESS`)."""
     return {k: v for k, v in vars(args).items() if k in names}
+
+
+def config_from_flags(kind, args):
+    """`kind` from its flags, parsed like a config file."""
+    return parse(kind, _flags(kind, args), "")
 
 
 def _flag_list(text: str) -> list:
@@ -545,8 +540,6 @@ def cmd_geometry(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = config_from_flags(SimulateConfig, args)
-    for name in ("frequencies",) if cfg.mode == "timeseries" else ("rate", "duration"):
-        _require(name not in vars(args), name, f"not read in {cfg.mode} mode")
     scene = synthesis.Scene.load_json(cfg.scene)
     geo = geometry.ArrayGeometry.load_json(cfg.geometry)
     _require(
@@ -655,20 +648,13 @@ def cmd_beamform(args) -> int:
         _require("band_range" not in vars(args), "band_range", "read only with --band")
         freqs = getattr(args, "freqs", [4000])
     # unlike pipeline and farfield, beamform makes a conventional map unless --clean-sc
-    clean_sc = _typed(args, "loop_gain", "max_iterations")
-    for k in clean_sc:
-        _require(args.clean_sc, f"beamforming.{k}", "read only with --clean-sc")
-    welch = _typed(args, "block", "overlap", "duration")
     cfg = parse(RunConfig, {
         "geometry": {"load": args.geometry},
         "scene": {"load": args.scene},
-        "beamforming": {
-            "frequencies": freqs, "grid": args.grid, "diagonal_removal": args.dr == "on", "clean_sc": args.clean_sc,
-            "estimator": args.estimator, **clean_sc,
-        },
-        "subarray": {"strategy": args.subarray, **_typed(args, "epsilon")},
+        "beamforming": {**_flags(BeamformingConfig, args), "frequencies": freqs, "diagonal_removal": args.dr == "on"},
+        "subarray": {**_flags(DnwLikeSubarray, args), "strategy": args.subarray},  # --epsilon serves either spiral
         # typed Welch flags with the exact estimator make a spectral section, which RunConfig rejects
-        "spectral": welch if welch or args.estimator == "welch" else None,
+        "spectral": _flags(SpectralConfig, args) or ({} if args.estimator == "welch" else None),
         "outputs": {"formats": args.format},
     }, "")
     scene = _load_scene(cfg.scene)

@@ -3,6 +3,7 @@ checks that raise them."""
 
 import dataclasses
 import math
+import operator
 import types
 import typing
 from typing import Literal
@@ -46,7 +47,10 @@ def parse(kind, value, path: str):
     """`value` from JSON as the annotated type `kind`, or ConfigError at `path`:
     unknown keys, missing required keys and wrong types are rejected. A
     dataclass field is read from the JSON key `metadata["key"]`, else its
-    name; a dataclass's own checks name only its key ("spacing"), prefixed here."""
+    name; a dataclass's own checks name only its key ("spacing"), prefixed here.
+    A key whose value is not null is rejected unless its field's rule
+    `metadata["read_with"]` holds on the built dataclass: a field name, maybe
+    dotted, that must be truthy, or a (name, value) pair that must be equal."""
     if dataclasses.is_dataclass(kind):
         fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(kind)}
         check_keys(value, fields, path)
@@ -59,9 +63,18 @@ def parse(kind, value, path: str):
             elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ConfigError(where, "missing required key")
         try:
-            return kind(**args)
+            built = kind(**args)
         except ConfigError as exc:
             raise ConfigError(".".join(p for p in (path, exc.field) if p), exc.message) from None
+        for key, f in fields.items():
+            rule = f.metadata.get("read_with")
+            if rule is not None and value.get(key) is not None:
+                name, *wanted = (rule,) if isinstance(rule, str) else rule
+                sibling = operator.attrgetter(name)(built)
+                if not (sibling == wanted[0] if wanted else sibling):
+                    condition = " ".join([name, *map(repr, wanted)])
+                    raise ConfigError(f"{path}.{key}" if path else key, f"read only with {condition}")
+        return built
     origin, params = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType):
         if type(None) in params:  # X | None

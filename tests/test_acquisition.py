@@ -52,6 +52,13 @@ class TestModulator:
         _, clipped = acq.pdm_modulate(0.5 * np.ones(10_000))
         assert not clipped
 
+    def test_empty_blocks(self):
+        # the clip test reduces each block's columns, and an empty block has nothing to clip
+        bits, clipped = acq.pdm_modulate(np.zeros(0))
+        assert bits.shape == (0,) and not clipped
+        bits, clipped = acq.pdm_modulate_channels([np.zeros((0, 3)), np.full((4, 3), 0.2)], 4)
+        assert bits.shape == (3, 4) and not clipped.any()
+
     @pytest.mark.parametrize("tick", [100, 2500])
     def test_nan_rejected(self, tick):
         # a NaN has no PDM code: the loop would read it as full negative scale from then on, so both

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -83,6 +85,51 @@ class TestConfigValidation:
 
     def test_bundled_config_is_valid(self):
         parse(cli.RunConfig, cli.bundled_config("single_monopole"), "")
+
+    def test_null_key_is_not_given(self):
+        # a "read only with" rule applies to a key given a value; beamform passes "spectral": null for an exact run
+        cfg = dict(cli.bundled_config("single_monopole"), spectral=None, analysis={"band": None})
+        run = parse(cli.RunConfig, cfg, "")
+        assert run.spectral is None and run.analysis == cli.AnalysisConfig()
+
+
+def _dataclasses_in(hint) -> set:
+    """The dataclasses a type names, itself and through its fields, unions, `X | None` and tuples."""
+    if dataclasses.is_dataclass(hint):
+        return {hint}.union(*map(_dataclasses_in, typing.get_type_hints(hint).values()))
+    return set().union(*map(_dataclasses_in, typing.get_args(hint)))
+
+
+def _field_type(kind, dotted: str):
+    """The type of the field `dotted` names in dataclass `kind`, through nested (maybe `X | None`) dataclasses."""
+    hint = kind
+    for part in dotted.split("."):
+        (owner,) = [h for h in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(h)]
+        hints = typing.get_type_hints(owner)
+        assert part in hints, f"{owner.__name__} has no field {part!r}"
+        hint = hints[part]
+    return hint
+
+
+def test_read_with_rules_name_fields_and_values():
+    # a renamed field or Literal value must fail here, not switch its rule off
+    rules = {
+        f"{kind.__name__}.{f.name}": (kind, f.metadata["read_with"])
+        for kind in _dataclasses_in(cli.RunConfig) | _dataclasses_in(cli.SimulateConfig)
+        for f in dataclasses.fields(kind)
+        if "read_with" in f.metadata
+    }
+    assert set(rules) == {
+        "BeamformingConfig.loop_gain", "BeamformingConfig.max_iterations", "BeamformingConfig.stop_threshold",
+        "AnalysisConfig.band", "RunConfig.spectral", "SimulateConfig.rate", "SimulateConfig.duration",
+        "SimulateConfig.frequencies",
+    }
+    for where, (kind, rule) in rules.items():
+        name, *wanted = (rule,) if isinstance(rule, str) else rule
+        hint = _field_type(kind, name)
+        for value in wanted:  # a pair's value is one its field's Literal or bool type admits
+            literal = typing.get_origin(hint) is typing.Literal and value in typing.get_args(hint)
+            assert literal or (hint is bool and isinstance(value, bool)), f"{where}: {name} is never {value!r}"
 
 
 class TestAcquireCommand:
@@ -518,6 +565,10 @@ _REJECTED_KEY_SECTIONS = {
     "subarray.epsilon": {"subarray": {"strategy": "explicit", "indices": [0, 1, 2]}},
     "subarray.indices": {"subarray": {"strategy": "explicit"}},
     "analysis.band": {"analysis": {}},
+    **{
+        f"beamforming.{key}": {"beamforming": {**cli.bundled_config("single_monopole")["beamforming"], "clean_sc": False}}
+        for key in ("loop_gain", "max_iterations", "stop_threshold")
+    },
 }
 
 
@@ -544,9 +595,12 @@ _REJECTED_KEY_SECTIONS = {
         ("subarray.indices", [0, 1, 1]),
         ("subarray.indices", [0, 7200]),
         ("subarray.indices", [-1, 0]),
-        # sections nothing reads with these settings
+        # sections and keys nothing reads with these settings
         ("spectral", {"block": 512}),
         ("analysis.band", "octave"),
+        ("beamforming.loop_gain", 0.5),  # with clean_sc: false
+        ("beamforming.max_iterations", 7),
+        ("beamforming.stop_threshold", 0.2),
         # frequencies whose maps would share one file name
         ("beamforming.frequencies", [2000.2, 2000.4]),
         ("beamforming.frequencies", [2000.0, 2000.0]),
