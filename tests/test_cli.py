@@ -598,9 +598,6 @@ _REJECTED_KEY_SECTIONS = {
         # sections and keys nothing reads with these settings
         ("spectral", {"block": 512}),
         ("analysis.band", "octave"),
-        ("beamforming.loop_gain", 0.5),  # with clean_sc: false
-        ("beamforming.max_iterations", 7),
-        ("beamforming.stop_threshold", 0.2),
         # frequencies whose maps would share one file name
         ("beamforming.frequencies", [2000.2, 2000.4]),
         ("beamforming.frequencies", [2000.0, 2000.0]),
@@ -622,6 +619,10 @@ _REJECTED_KEY_SECTIONS = {
         ("beamforming.grid.y_plane", float("nan")),
         ("beamforming.grid.aoa", float("nan")),
         ("beamforming.grid.delta_angle", float("inf")),
+        # CLEAN-SC settings, which nothing reads with clean_sc: false
+        ("beamforming.loop_gain", 0.5),
+        ("beamforming.max_iterations", 7),
+        ("beamforming.stop_threshold", 0.2),
     ],
 )
 def test_rejected_key_exits_two_with_its_path(tmp_path, capsys, field, value):
