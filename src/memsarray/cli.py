@@ -108,6 +108,7 @@ class ExplicitSubarray:
 
 # `subarray` is one of these, chosen by its `strategy` key; the first is the default
 SubarrayConfig = DnwLikeSubarray | FreqDependentSubarray | ExplicitSubarray
+_SPIRALS = {"dnw_like": DnwLikeSubarray, "freq_dependent": FreqDependentSubarray}  # the --subarray choices
 
 
 @dataclass(frozen=True)
@@ -652,7 +653,7 @@ def cmd_beamform(args) -> int:
         "geometry": {"load": args.geometry},
         "scene": {"load": args.scene},
         "beamforming": {**_flags(BeamformingConfig, args), "frequencies": freqs, "diagonal_removal": args.dr == "on"},
-        "subarray": {**_flags(DnwLikeSubarray, args), "strategy": args.subarray},  # --epsilon serves either spiral
+        "subarray": _flags(_SPIRALS[args.strategy], args),
         # typed Welch flags with the exact estimator make a spectral section, which RunConfig rejects
         "spectral": _flags(SpectralConfig, args) or ({} if args.estimator == "welch" else None),
         "outputs": {"formats": args.format},
@@ -829,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("beamform", help="beamforming maps from a scene")
     b.add_argument("--scene", required=True)
     b.add_argument("--geometry", required=True)
-    b.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=["dnw_like", "freq_dependent"])
+    b.add_argument("--subarray", dest="strategy", default=DnwLikeSubarray.strategy, choices=list(_SPIRALS))
     # flags given SUPPRESS are in the namespace only when typed, so cmd_beamform can reject one its run does not read
     b.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
     b.add_argument("--freqs", type=_flag_list, default=argparse.SUPPRESS, help="default 4000; not with --band")
@@ -872,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mics", type=lambda text: [_flag_list(m) for m in text.split(";")], required=True,
                    help="semicolon-separated x,y,z positions")
     f.add_argument("--reference", type=_flag_list, default=list(DirectivityConfig.reference))
-    f.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=["dnw_like", "freq_dependent"])
+    f.add_argument("--subarray", default=DnwLikeSubarray.strategy, choices=list(_SPIRALS))
     f.add_argument("--dr", choices=["on", "off"], default="on")
     f.add_argument("--out", default="run")
     f.set_defaults(func=cmd_farfield)

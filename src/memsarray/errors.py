@@ -64,16 +64,15 @@ def parse(kind, value, path: str):
                 raise ConfigError(where, "missing required key")
         try:
             built = kind(**args)
+            for key, f in fields.items():
+                rule = f.metadata.get("read_with")
+                if rule is not None and value.get(key) is not None:
+                    name, *wanted = (rule,) if isinstance(rule, str) else rule
+                    sibling = operator.attrgetter(name)(built)
+                    if not (sibling == wanted[0] if wanted else sibling):
+                        raise ConfigError(key, "read only with " + " ".join([name, *map(repr, wanted)]))
         except ConfigError as exc:
             raise ConfigError(".".join(p for p in (path, exc.field) if p), exc.message) from None
-        for key, f in fields.items():
-            rule = f.metadata.get("read_with")
-            if rule is not None and value.get(key) is not None:
-                name, *wanted = (rule,) if isinstance(rule, str) else rule
-                sibling = operator.attrgetter(name)(built)
-                if not (sibling == wanted[0] if wanted else sibling):
-                    condition = " ".join([name, *map(repr, wanted)])
-                    raise ConfigError(f"{path}.{key}" if path else key, f"read only with {condition}")
         return built
     origin, params = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType):

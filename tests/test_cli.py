@@ -565,10 +565,6 @@ _REJECTED_KEY_SECTIONS = {
     "subarray.epsilon": {"subarray": {"strategy": "explicit", "indices": [0, 1, 2]}},
     "subarray.indices": {"subarray": {"strategy": "explicit"}},
     "analysis.band": {"analysis": {}},
-    **{
-        f"beamforming.{key}": {"beamforming": {**cli.bundled_config("single_monopole")["beamforming"], "clean_sc": False}}
-        for key in ("loop_gain", "max_iterations", "stop_threshold")
-    },
 }
 
 
@@ -619,23 +615,34 @@ _REJECTED_KEY_SECTIONS = {
         ("beamforming.grid.y_plane", float("nan")),
         ("beamforming.grid.aoa", float("nan")),
         ("beamforming.grid.delta_angle", float("inf")),
-        # CLEAN-SC settings, which nothing reads with clean_sc: false
-        ("beamforming.loop_gain", 0.5),
-        ("beamforming.max_iterations", 7),
-        ("beamforming.stop_threshold", 0.2),
     ],
 )
 def test_rejected_key_exits_two_with_its_path(tmp_path, capsys, field, value):
     cfg = cli.bundled_config("single_monopole")
     cfg.update(_REJECTED_KEY_SECTIONS.get(field, {}))
+    _reject(tmp_path, capsys, cfg, field, value)
+
+
+# apart from the cases above, whose loop_gain etc. stay on the bundled clean_sc: true to test their domain checks
+@pytest.mark.parametrize("key, value", [("loop_gain", 0.5), ("max_iterations", 7), ("stop_threshold", 0.2)])
+def test_clean_sc_key_without_clean_sc_exits_two(tmp_path, capsys, key, value):
+    cfg = cli.bundled_config("single_monopole")
+    cfg["beamforming"]["clean_sc"] = False
+    assert "read only with clean_sc" in _reject(tmp_path, capsys, cfg, f"beamforming.{key}", value)
+
+
+def _reject(tmp_path, capsys, cfg, field, value) -> str:
+    """The error of a pipeline run of `cfg` with `field` set to `value`, which must exit 2 at `field` and write no map."""
     *heads, last = field.split(".")
     node = cfg
     for head in heads:
         node = node.setdefault(head, {})
     node[last] = value
     assert cli.main(_pipeline_config(tmp_path, cfg) + ["--out", str(tmp_path / "run")]) == 2
-    assert f"config error at {field}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error at {field}" in err
     assert not list(tmp_path.rglob("map_*"))
+    return err
 
 
 class TestWelchEstimator:
