@@ -62,7 +62,7 @@ from .propagation import (
 from .spectral import (
     CrossSpectralMatrix,
     Spectrum,
-    band_integrate,
+    band_power,
     welch_csm,
 )
 from .synthesis import Scene, Source, synthesize_csm, synthesize_timeseries

@@ -16,7 +16,7 @@ import numpy as np
 
 from .beamforming import BeamformingMap
 from .errors import _require_range
-from .spectral import Spectrum, _band_masks, band_centers_spanning, to_db
+from .spectral import Spectrum, band_power, to_db
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def maps_to_spectrum(maps: list[BeamformingMap], roi: RegionOfInterest) -> Spect
     maps = sorted(maps, key=lambda m: m.frequency)
     f = np.array([m.frequency for m in maps])
     p = np.array([integrate_map(m, roi) for m in maps])
-    return Spectrum(frequencies=f, psd=p, units="Pa^2")
+    return Spectrum(frequencies=f, psd=p)
 
 
 def directivity(spectra: list[tuple]) -> DirectivitySurface:
@@ -119,21 +119,17 @@ def directivity(spectra: list[tuple]) -> DirectivitySurface:
 
 
 def octave_polar(surface: DirectivitySurface, band_type: str = "octave") -> dict:
-    """Band-integrate the surface per angle, then re-center Gamma per band.
+    """Band powers of the surface per angle (`band_power`), then Gamma re-centred
+    per band over the angles, as `directivity` does. A masked (NaN) cell is left
+    out of its band's power; a band all of whose cells at an angle are masked is
+    NaN there.
 
     Returns {"centers": [...], "angles": [...], "gamma_db": (A, B) array}.
     """
-    f = surface.frequencies
-    if len(f) < 2:
-        raise ValueError("octave integration needs a narrowband surface")
-    bands = _band_masks(f, band_centers_spanning(f, band_type), band_type)
-    if not bands:
-        raise ValueError("no band overlaps the surface's frequency axis")
-    power = np.where(np.isfinite(surface.psd_db), 10.0 ** (surface.psd_db / 10.0), 0.0)
-    band_power = np.array([power[:, mask].sum(axis=1) for _, mask in bands]).T
-    band_db = to_db(band_power, reference=1.0)  # (A, B), relative units
-    gamma = band_db - band_db.mean(axis=0, keepdims=True)
-    return {"centers": np.array([c for c, _ in bands]), "angles": surface.angles, "gamma_db": gamma}
+    centers, power = band_power(surface.frequencies, 10.0 ** (surface.psd_db / 10.0), band_type)
+    band_db = 10.0 * np.log10(power)  # (A, B), relative units
+    gamma = band_db - np.nanmean(band_db, axis=0, keepdims=True)
+    return {"centers": centers, "angles": surface.angles, "gamma_db": gamma}
 
 
 def distance_normalize(spectrum: Spectrum, distance: float, reference: float = 1.0) -> Spectrum:
@@ -143,12 +139,7 @@ def distance_normalize(spectrum: Spectrum, distance: float, reference: float = 1
     """
     if distance <= 0 or reference <= 0:
         raise ValueError("distances must be > 0")
-    return Spectrum(
-        frequencies=spectrum.frequencies,
-        psd=spectrum.psd * (distance / reference) ** 2,
-        units=spectrum.units,
-        band_type=spectrum.band_type,
-    )
+    return Spectrum(frequencies=spectrum.frequencies, psd=spectrum.psd * (distance / reference) ** 2)
 
 
 def farfield_compare(integrated: Spectrum, mics: list[tuple[Spectrum, float]]) -> FarFieldComparison:

@@ -742,7 +742,7 @@ def cmd_farfield(args) -> int:
 def _virtual_mic_spectrum(scene, position, freqs) -> spectral.Spectrum:
     csm = synthesis.synthesize_csm(scene, position[None, :], freqs)
     p = np.array([c.auto_power[0] for c in csm])
-    return spectral.Spectrum(frequencies=np.asarray(freqs, dtype=float), psd=p, units=csm[0].units)
+    return spectral.Spectrum(frequencies=np.asarray(freqs, dtype=float), psd=p)
 
 
 def cmd_pipeline(args) -> int:
@@ -777,7 +777,7 @@ def cmd_pipeline(args) -> int:
     if cfg.analysis.roi is not None:
         spectrum = analysis.maps_to_spectrum(maps, cfg.analysis.roi)
         if cfg.analysis.band is not None:
-            spectrum = spectral.band_integrate(spectrum, cfg.analysis.band)
+            spectrum = spectral.Spectrum(*spectral.band_power(spectrum.frequencies, spectrum.psd, cfg.analysis.band))
         an_dir = os.path.join(out, "analysis")
         os.makedirs(an_dir, exist_ok=True)
         rows = zip(spectrum.frequencies.tolist(), spectrum.db().tolist())

@@ -1,7 +1,7 @@
 """Cross-spectral estimation and spectrum bookkeeping.
 
 Welch-averaged cross-spectral matrices (one-sided PSD scaling with window
-power compensation) and third-octave/octave band integration.
+power compensation) and third-octave/octave band powers.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from .errors import ConfigError, ProtocolError
 P_REF = 20e-6  # Pa
 P_REF_SQ = P_REF * P_REF
 DB_FLOOR = -400.0
-
-THIRD_OCTAVE_RATIO = 2.0 ** (1.0 / 6.0)
-OCTAVE_RATIO = 2.0 ** 0.5
 
 
 def to_db(values, reference: float = P_REF_SQ) -> np.ndarray:
@@ -85,12 +82,10 @@ def _factor_power(factor: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Frequency series of a power quantity (narrowband PSD or band power)."""
+    """Frequency series of a linear power quantity, one value per frequency."""
 
     frequencies: np.ndarray
-    psd: np.ndarray  # linear, units given below
-    units: str = "Pa^2/Hz"
-    band_type: str = "narrowband"  # narrowband | third_octave | octave
+    psd: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -141,8 +136,8 @@ def welch_csm(
     normalization: 2 / (fs * sum(w**2)), halved at DC and Nyquist.
     `frequencies` gives one CSM per requested frequency, in request order, at
     its nearest bin (`welch_bins` checks the requests); each CSM's `frequency`
-    is its bin's. Only the selected bins of each block's spectrum are kept, so
-    the cost grows with the bins asked for, not with the block. A bin's CSM is
+    is its bin's. Every block takes a full rFFT, and only its selected bins are
+    kept, so what is stored grows with the bins asked for. A bin's CSM is
     its scaled block spectra as the factor F (M, n_averages), with a zero
     diagonal.
     """
@@ -188,64 +183,52 @@ def welch_csm(
     ]
 
 
+def _band_step(band_type: str) -> float:
+    """log2 spacing of the base-2 standard band centers."""
+    if band_type == "third_octave":
+        return 1.0 / 3.0
+    if band_type == "octave":
+        return 1.0
+    raise ValueError(f"unknown band type {band_type!r}")
+
+
 def band_centers(band_type: str, f_min: float, f_max: float) -> np.ndarray:
     """Base-2 standard band centers covering [f_min, f_max]."""
-    if band_type == "third_octave":
-        step = 1.0 / 3.0
-    elif band_type == "octave":
-        step = 1.0
-    else:
-        raise ValueError(f"unknown band type {band_type!r}")
+    step = _band_step(band_type)
     n_lo = int(np.floor(np.log2(f_min / 1000.0) / step))
     n_hi = int(np.ceil(np.log2(f_max / 1000.0) / step))
     centers = 1000.0 * 2.0 ** (step * np.arange(n_lo, n_hi + 1))
     return centers[(centers >= f_min) & (centers <= f_max)]
 
 
-def band_centers_spanning(frequencies, band_type: str) -> np.ndarray:
-    """Standard band centers from the lowest positive to the highest frequency."""
-    f = np.asarray(frequencies, dtype=float)
-    return band_centers(band_type, f[f > 0].min(), f[-1])
-
-
-def band_edges(center: float, band_type: str) -> tuple[float, float]:
-    ratio = THIRD_OCTAVE_RATIO if band_type == "third_octave" else OCTAVE_RATIO
+def band_edges(center, band_type: str) -> tuple:
+    ratio = 2.0 ** (_band_step(band_type) / 2.0)
     return center / ratio, center * ratio
 
 
-def _band_masks(frequencies, centers, band_type: str) -> list[tuple[float, np.ndarray]]:
-    """(center, mask of `frequencies` with lo <= f < hi) for each band that
-    holds at least one frequency; empty bands are dropped."""
-    f = np.asarray(frequencies, dtype=float)
-    out = []
-    for c in centers:
-        lo, hi = band_edges(c, band_type)
-        mask = (f >= lo) & (f < hi)
-        if mask.any():
-            out.append((c, mask))
-    return out
+def band_power(frequencies, power, band_type: str) -> tuple[np.ndarray, np.ndarray]:
+    """(centers (B,), band powers (..., B)) of `power` (..., F) at `frequencies` (F,).
 
-
-def band_integrate(spectrum: Spectrum, band_type: str = "third_octave") -> Spectrum:
-    """Integrate a narrowband PSD into band powers (sum of PSD * df) over the
-    standard bands from its lowest positive to its highest frequency.
-
-    Bands that contain no narrowband bins are dropped from the output rather
-    than reported as zero.
+    The base-2 standard bands [lo, hi) tile the positive axis, so every positive
+    frequency lies in exactly one band; bands that hold none are dropped. A
+    band's power is the mean of its frequencies' entries times hi - lo, exact
+    for one frequency per band and for a PSD flat within the band (a dense PSD
+    gets its sum times the bin spacing to within one bin). NaN entries are
+    left out of the mean, and a band whose entries are all NaN is NaN.
     """
-    if spectrum.band_type != "narrowband":
-        raise ValueError("band integration needs a narrowband input")
-    f = np.asarray(spectrum.frequencies, dtype=float)
-    if len(f) < 2:
-        raise ValueError("narrowband spectrum must have at least 2 bins")
-    df = float(np.median(np.diff(f)))
-    bands = _band_masks(f, band_centers_spanning(f, band_type), band_type)
-    return Spectrum(
-        frequencies=np.array([c for c, _ in bands]),
-        psd=np.array([float(np.sum(spectrum.psd[mask]) * df) for _, mask in bands]),
-        units="Pa^2" if spectrum.units == "Pa^2/Hz" else spectrum.units,
-        band_type=band_type,
-    )
+    step = _band_step(band_type)
+    f = np.asarray(frequencies, dtype=float)
+    pos = f > 0
+    p = np.asarray(power, dtype=float)[..., pos]
+    # band k spans [1000 * 2^(step (k - 1/2)), 1000 * 2^(step (k + 1/2))) Hz
+    bands, which = np.unique(np.floor(np.log2(f[pos] / 1000.0) / step + 0.5), return_inverse=True)
+    member = (which[:, None] == np.arange(len(bands))).astype(float)  # (F, B)
+    kept = ~np.isnan(p)
+    with np.errstate(invalid="ignore"):  # 0 / 0: every entry of the band is NaN
+        mean = (np.where(kept, p, 0.0) @ member) / (kept @ member)
+    centers = 1000.0 * 2.0 ** (step * bands)
+    lo, hi = band_edges(centers, band_type)
+    return centers, mean * (hi - lo)
 
 
 def save_csm_set(path, csms: list[CrossSpectralMatrix], geometry_hash: str = ""):

@@ -4,7 +4,7 @@ import pytest
 from memsarray import analysis as an
 from memsarray import beamforming as bf
 from memsarray.geometry import ObservationAngles
-from memsarray.spectral import Spectrum, band_integrate
+from memsarray.spectral import Spectrum, band_power
 
 
 def fake_clean_map(grid, components, freq=4000.0):
@@ -167,8 +167,28 @@ class TestOctavePolar:
         ]
         polar = an.octave_polar(an.directivity(pairs))
         assert list(polar["centers"]) == list(freqs)
-        banded = band_integrate(pairs[0][1], "octave")
-        assert list(banded.frequencies) == list(freqs)
+        centers, _ = band_power(freqs, pairs[0][1].psd, "octave")
+        assert list(centers) == list(freqs)
+
+    def test_masked_cell_as_directivity_masks_it(self):
+        # 5 angles at 1 and 2 kHz, the 2 kHz cell of one angle masked: the other angles stay at Gamma = 0,
+        # as in the directivity surface, and the masked one reads NaN
+        pairs = spectra_at_angles([[50.0, 50.0]] * 5)
+        ang, spec = pairs[2]
+        pairs[2] = (ang, Spectrum(frequencies=spec.frequencies, psd=np.array([spec.psd[0], 0.0])))
+        surface = an.directivity(pairs)
+        polar = an.octave_polar(surface)
+        assert list(polar["centers"]) == [1000.0, 2000.0]
+        assert np.allclose(surface.gamma_db[[0, 1, 3, 4]], 0.0, atol=1e-12)
+        assert np.allclose(polar["gamma_db"][[0, 1, 3, 4]], 0.0, atol=1e-12)
+        assert polar["gamma_db"][2, 0] == pytest.approx(0.0, abs=1e-12)
+        assert np.isnan(polar["gamma_db"][2, 1])
+
+    def test_single_frequency_is_one_band(self):
+        pairs = spectra_at_angles([[50.0], [53.0], [47.0]], freqs=(2000.0,))
+        polar = an.octave_polar(an.directivity(pairs))
+        assert list(polar["centers"]) == [2000.0]
+        assert np.allclose(polar["gamma_db"][:, 0], [0.0, 3.0, -3.0], atol=1e-9)
 
 
 class TestDistanceNormalize:

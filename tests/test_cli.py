@@ -17,7 +17,7 @@ from memsarray.analysis import RegionOfInterest
 from memsarray.beamforming import BeamformingMap, make_focus_grid
 from memsarray.errors import ConfigError, parse
 from memsarray.geometry import ArrayGeometry
-from memsarray.spectral import DB_FLOOR, load_csm_set, to_db
+from memsarray.spectral import DB_FLOOR, band_edges, load_csm_set, to_db
 from memsarray.synthesis import Scene, synthesize_csm
 
 
@@ -318,8 +318,42 @@ class TestPipelineCommand:
         assert inputs[0]["config"] == inputs[1]["config"]
         assert inputs[0]["geometry"] != inputs[1]["geometry"]
 
+    def test_band_level_is_the_mean_level_times_the_band_width(self, tmp_path, panel_geometry):
+        # one map frequency per third octave: each band level is the narrowband ROI level + 10 log10(hi - lo)
+        levels = {}
+        for band in (None, "third_octave"):
+            argv = _panel_pipeline(
+                tmp_path, panel_geometry, beamforming={"frequencies": [1000.0, 1250.0, 1600.0, 2000.0]},
+                analysis={"roi": {"x_range": [2.8, 3.2], "z_range": [-0.7, -0.3]}, "band": band},
+            )
+            assert cli.main([*argv, "--out", str(tmp_path / str(band))]) == 0
+            rows = (tmp_path / str(band) / "analysis" / "roi_spectrum.csv").read_text().splitlines()[1:]
+            levels[band] = np.array([[float(v) for v in row.split(",")] for row in rows])
+        centers, banded = levels["third_octave"].T
+        lo, hi = band_edges(centers, "third_octave")
+        assert np.allclose(centers, 1000.0 * 2.0 ** (np.arange(4) / 3), rtol=1e-15, atol=0)
+        assert np.allclose(banded, levels[None][:, 1] + 10.0 * np.log10(hi - lo), rtol=0, atol=1e-9)
+
+    def test_single_frequency_band(self, tmp_path, panel_geometry):
+        argv = _panel_pipeline(
+            tmp_path, panel_geometry, beamforming={"frequencies": [2000.0]},
+            analysis={"roi": {"x_range": [2.8, 3.2], "z_range": [-0.7, -0.3]}, "band": "octave"},
+        )
+        assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 0
+        lines = (tmp_path / "run" / "analysis" / "roi_spectrum.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("2000.0,")
+        assert "analysis/roi_spectrum.csv" in json.loads((tmp_path / "run" / "run_manifest.json").read_text())["outputs"]
+
 
 class TestDirectivityCommand:
+    @pytest.mark.parametrize("freqs, bands", [("2000", "2000.0"), ("1100,3000", "1000.0,4000.0")])
+    def test_octave_polar_keeps_every_frequency(self, tmp_path, scene_file, geometry_file, freqs, bands):
+        argv = [*CSV_RUNS["directivity"](scene_file, geometry_file), "--freqs", freqs, "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+        lines = (tmp_path / "run" / "octave_polar.csv").read_text().splitlines()
+        assert lines[0] == f"theta_deg,{bands}"
+        assert len(lines) == 4
+
     def test_surface_outputs(self, tmp_path, geometry_file):
         # 3x1 panels would be slow through the full series; a small run suffices
         spath = tmp_path / "scene.json"

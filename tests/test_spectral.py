@@ -245,42 +245,71 @@ class TestCsmStats:
 
 
 class TestBandIntegrate:
+    """`band_power`: a band's power is the mean of its frequencies' entries times its width."""
+
     def test_third_octave_edges(self):
         lo, hi = sp.band_edges(4000.0, "third_octave")
         assert lo == pytest.approx(3563.6, abs=0.1)
         assert hi == pytest.approx(4489.8, abs=0.1)
 
     def test_flat_psd(self):
+        # a dense flat PSD: mean x width, within one bin of the sum of PSD x df
         f = np.arange(100.0, 10_000.0, 10.0)
-        spec = sp.Spectrum(frequencies=f, psd=np.full(len(f), 2.0))
-        banded = sp.band_integrate(spec, "third_octave")
+        centers, power = sp.band_power(f, np.full(len(f), 2.0), "third_octave")
         lo, hi = sp.band_edges(1000.0, "third_octave")
         n_bins = ((f >= lo) & (f < hi)).sum()
-        assert banded.psd[list(banded.frequencies).index(1000.0)] == pytest.approx(2.0 * n_bins * 10.0)
-        assert banded.units == "Pa^2"
+        band = power[list(centers).index(1000.0)]
+        assert band == pytest.approx(2.0 * (hi - lo))
+        assert abs(band - 2.0 * n_bins * 10.0) <= 2.0 * 10.0
 
     def test_tone_lands_in_band(self):
         f = np.arange(100.0, 10_000.0, 10.0)
         psd = np.zeros(len(f))
         psd[np.argmin(np.abs(f - 4000.0))] = 5.0
-        spec = sp.Spectrum(frequencies=f, psd=psd)
-        banded = sp.band_integrate(spec, "third_octave")
-        idx = np.argmin(np.abs(banded.frequencies - 4000.0))
-        assert banded.psd[idx] == pytest.approx(5.0 * 10.0)
-        others = np.delete(banded.psd, idx)
+        centers, power = sp.band_power(f, psd, "third_octave")
+        idx = np.argmin(np.abs(centers - 4000.0))
+        lo, hi = sp.band_edges(centers[idx], "third_octave")
+        n_bins = ((f >= lo) & (f < hi)).sum()
+        assert power[idx] == pytest.approx(5.0 * (hi - lo) / n_bins)
+        others = np.delete(power, idx)
         assert np.allclose(others, 0.0)
 
     def test_empty_band_dropped(self):
         # the five third-octaves between 1 kHz and 4 kHz hold no bin
         f = np.array([1000.0, 1010.0, 4000.0, 4010.0])
-        spec = sp.Spectrum(frequencies=f, psd=np.ones(4))
-        banded = sp.band_integrate(spec, "third_octave")
-        assert list(banded.frequencies) == [1000.0, 4000.0]
+        centers, _ = sp.band_power(f, np.ones(4), "third_octave")
+        assert list(centers) == [1000.0, 4000.0]
 
-    def test_band_input_rejected(self):
-        spec = sp.Spectrum(frequencies=np.array([500.0, 1000.0]), psd=np.ones(2), band_type="octave")
-        with pytest.raises(ValueError):
-            sp.band_integrate(spec)
+    def test_one_frequency_per_band_is_exact(self):
+        # a single frequency, and frequencies whose band centres lie outside their span, keep their bands
+        for f, band_type, expect in (
+            ([2000.0], "octave", [2000.0]),
+            ([1100.0, 1500.0, 3000.0], "octave", [1000.0, 2000.0, 4000.0]),
+            ([1000.0, 1250.0, 1600.0, 2000.0], "third_octave", 1000.0 * 2.0 ** (np.arange(4) / 3)),
+        ):
+            psd = np.linspace(1.0, 2.0, len(f))
+            centers, power = sp.band_power(f, psd, band_type)
+            lo, hi = sp.band_edges(centers, band_type)
+            assert centers.tolist() == pytest.approx(expect, rel=1e-15)
+            assert np.array_equal(power, psd * (hi - lo))
+
+    def test_every_frequency_in_one_band(self):
+        f = np.geomspace(20.0, 20_000.0, 997)
+        for band_type in ("third_octave", "octave"):
+            centers, power = sp.band_power(f, np.ones(len(f)), band_type)
+            lo, hi = sp.band_edges(centers, band_type)
+            assert np.allclose(hi[:-1], lo[1:], rtol=1e-14)  # the bands tile the axis
+            assert lo[0] <= f[0] and f[-1] < hi[-1]
+            assert np.allclose(power, hi - lo)
+
+    def test_nan_entries_left_out(self):
+        f = np.array([1000.0, 1100.0, 2000.0])
+        psd = np.array([[1.0, 3.0, 5.0], [np.nan, 3.0, np.nan]])
+        centers, power = sp.band_power(f, psd, "octave")
+        lo, hi = sp.band_edges(centers, "octave")
+        assert np.array_equal(power[0], [2.0, 5.0] * (hi - lo))
+        assert power[1, 0] == 3.0 * (hi - lo)[0]
+        assert np.isnan(power[1, 1])
 
 
 class TestSpectrumIO:
