@@ -149,6 +149,8 @@ class SpectralConfig:
             "block",
             f"expected 1 to {samples} samples (duration x rate), got {self.block!r}",
         )
+        hop = int(round(self.block * (1.0 - self.overlap)))
+        _require(hop >= 1, "overlap", f"leaves an empty hop: round({self.block} x (1 - {self.overlap!r})) is {hop} samples")
         from scipy.signal import get_window  # only the welch estimator reads this config; slow to load
 
         try:
@@ -440,20 +442,21 @@ def _subarray_maps(bf: BeamformingConfig, spectral_cfg: SpectralConfig | None, s
     """Yield (SubArray, its maps) for each (SubArray, frequencies) pair, in order.
 
     One sub-array at a time: its CSMs and steering travel times are formed
-    once for all of its frequencies. The travel times, the larger, are freed
-    before the next sub-array's time series or CSMs are formed, the CSMs when
-    the next replace them: freeing both at once made the heap give back and
-    re-fault their pages, 5-10 % of a pitch-series job in the benchmark.
+    once for all of its frequencies. Welch CSMs are formed as synthesis
+    streams the records, one channel block at a time, so the sub-array's
+    whole time series never exists. The travel times, the larger, are freed
+    before the next sub-array's CSMs are formed, the CSMs when the next
+    replace them: freeing both at once made the heap give back and re-fault
+    their pages, 5-10 % of a pitch-series job in the benchmark.
     """
     grid = beamforming.make_focus_grid(**vars(bf.grid))  # GridConfig's fields are its parameters
     for sub, frequencies in subarrays:
         if bf.estimator == "welch":
             sp = spectral_cfg or SpectralConfig()
-            sig, _ = synthesis.synthesize_timeseries(scene, sub.positions, rate=sp.rate, duration=sp.duration)
+            records = synthesis.record_blocks(scene, sub.positions, sp.rate, sp.duration)
             csms = spectral.welch_csm(
-                sig, sp.rate, block=sp.block, overlap=sp.overlap, window=sp.window, frequencies=frequencies
+                records, sp.rate, block=sp.block, overlap=sp.overlap, window=sp.window, frequencies=frequencies
             )
-            del sig
         else:
             csms = synthesis.synthesize_csm(scene, sub.positions, frequencies)
         steering = beamforming.steering_geometry(grid, sub.positions, scene.medium)

@@ -1,7 +1,9 @@
 """Cross-spectral estimation and spectrum bookkeeping.
 
 Welch-averaged cross-spectral matrices (one-sided PSD scaling with window
-power compensation) and third-octave/octave band powers.
+power compensation), formed one channel block at a time from an array or a
+stream of blocks, with each segment's spectrum taken at the requested bins
+only; and third-octave/octave band powers.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ProtocolError
 
@@ -122,7 +125,7 @@ def welch_bins(frequencies, rate: float, block: int) -> np.ndarray:
 
 
 def welch_csm(
-    signals: np.ndarray,
+    signals,
     rate: float,
     block: int = 1024,
     overlap: float = 0.5,
@@ -131,44 +134,65 @@ def welch_csm(
 ) -> list[CrossSpectralMatrix]:
     """Welch-averaged CSMs at the selected rFFT bins (all bins up to Nyquist by default).
 
-    `signals` is (n_samples, n_channels). The per-channel mean is removed over
-    the full record; blocks are not detrended individually. One-sided PSD
-    normalization: 2 / (fs * sum(w**2)), halved at DC and Nyquist.
+    `signals` is an (n_samples, n_channels) array, or an iterable of
+    channel-major (c, n_samples) blocks in channel order, such as
+    `synthesis.record_blocks`; one block at a time is read and then dropped,
+    so a record streamed that way is never whole in memory. Each channel's
+    mean is removed over its full record; segments are not detrended
+    individually. One-sided PSD normalization: 2 / (fs * sum(w**2)), halved
+    at DC and Nyquist.
     `frequencies` gives one CSM per requested frequency, in request order, at
     its nearest bin (`welch_bins` checks the requests); each CSM's `frequency`
-    is its bin's. Every block takes a full rFFT, and only its selected bins are
-    kept, so what is stored grows with the bins asked for. A bin's CSM is
-    its scaled block spectra as the factor F (M, n_averages), with a zero
-    diagonal.
+    is its bin's. The spectra of a block's segments are taken at those bins
+    only: its strided (c, n_averages, block) segment view times one real
+    (block, 2 bins) basis, the window times the cos and sin of each bin, in
+    one matmul, O(block) per channel, segment and bin. A bin's CSM is its
+    scaled segment spectra as the factor F (M, n_averages), with a zero
+    diagonal. No channel blocks, blocks of unequal length or a record shorter
+    than one block raise ValueError.
     """
-    x = np.asarray(signals, dtype=float)
-    n, m = x.shape
-    if n < block:
-        raise ValueError(f"signal of {n} samples is shorter than one block ({block})")
     if not 0.0 <= overlap < 1.0:
         raise ValueError("overlap must be in [0, 1)")
     hop = int(round(block * (1.0 - overlap)))
     if hop < 1:
         raise ValueError("overlap leaves an empty hop")
-    n_avg = (n - block) // hop + 1
     from scipy.signal import get_window  # slow to load, so imported only where it is used
 
     w = get_window(window, block, fftbins=True)
-    x = x - x.mean(axis=0, keepdims=True)
-
     freqs = np.fft.rfftfreq(block, d=1.0 / rate)
     idx = np.arange(len(freqs)) if frequencies is None else welch_bins(frequencies, rate, block)
     fsel = freqs[idx]
-    spec = np.empty((len(idx), m, n_avg), dtype=complex)  # selected bin, channel, block
-    for b in range(n_avg):
-        seg = x[b * hop : b * hop + block] * w[:, None]
-        spec[:, :, b] = np.fft.rfft(seg, axis=0)[idx]
-    # each bin's factor is its block spectra, so F F^H is the sum over blocks of X X^H times the PSD scale;
+    # j k is reduced mod block before the angle is formed, so cos and sin see angles below 2 pi, not up to pi block
+    angle = (2.0 * np.pi / block) * ((np.arange(block)[:, None] * idx[None, :]) % block)
+    # each bin's windowed cos and -sin side by side, so a product row read as complex is the segment's spectrum
+    basis = (w[:, None, None] * np.stack([np.cos(angle), -np.sin(angle)], axis=-1)).reshape(block, 2 * len(idx))
+
+    spectra = []  # per channel block: (bins, c, n_averages)
+    n = None
+    for x in [signals.T] if isinstance(signals, np.ndarray) else signals:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"channel block of shape {x.shape} is not (channels, samples)")
+        if n is None:
+            n = x.shape[1]
+            if n < block:
+                raise ValueError(f"signal of {n} samples is shorter than one block ({block})")
+        elif x.shape[1] != n:
+            raise ValueError(f"channel block of {x.shape[1]} samples, after blocks of {n}")
+        x = np.subtract(x, x.mean(axis=1, keepdims=True), order="C")  # an array's (M, n) view becomes rows
+        segments = sliding_window_view(x, block, axis=-1)[..., ::hop, :]  # (c, n_averages, block), no copy
+        spectra.append((segments @ basis).view(complex).transpose(2, 0, 1))
+    if n is None:
+        raise ValueError("no channel blocks")
+    spec = np.concatenate(spectra, axis=1)  # (bins, M, n_averages)
+    n_avg = spec.shape[2]
+    # each bin's factor is its segment spectra, so F F^H is the sum over segments of X X^H times the PSD scale;
     # DC and Nyquist carry no one-sided doubling
     scale = np.full(len(idx), np.sqrt(2.0 / (rate * np.sum(w * w) * n_avg)))
     scale[(fsel == 0.0) | np.isclose(fsel, rate / 2.0)] *= np.sqrt(0.5)
     spec *= scale[:, None, None]
 
+    m = spec.shape[1]
     return [
         CrossSpectralMatrix(
             frequency=float(f),

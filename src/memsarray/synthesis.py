@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -246,26 +247,28 @@ def _block_records(paths, blk, rate, n, alpha, noise, noise_streams):
     return block
 
 
-def synthesize_timeseries(
+def record_blocks(
     scene: Scene,
     positions: np.ndarray,
     rate: float = 48_000.0,
     duration: float = 1.0,
     include_absorption: bool = True,
-) -> tuple[np.ndarray, dict]:
-    """Multichannel pressure time series for the scene.
+) -> Iterator[np.ndarray]:
+    """The scene's channel records, `CHANNEL_BLOCK` channels at a time.
 
-    `positions` is (M, 3) receiver coordinates (pass `geometry.positions` or
-    `subarray.positions`). Returns (signals (n, M), metadata).
+    `positions` is (M, 3) receiver coordinates. Yields the channel-major
+    (c, n) float64 records of channels 0..M-1 in order, c <= CHANNEL_BLOCK,
+    so only one block of records exists at a time; `synthesize_timeseries`
+    is these blocks side by side.
 
     Each channel is `irfft(sum_s rfft(s) * g_s(f_k), n)` over the source
     records `s`, with the path transfer `g` of `synthesize_csm`: every record
-    delayed on its periodic extension. Channels are formed `CHANNEL_BLOCK` at
-    a time, with one inverse FFT per channel. The transfer's amplitude is
-    `_amplitude`, as in `_transfer`; its phase at bin k comes from the
-    two-level ramp of `_phase_ramp`, which agrees with `_transfer` to
-    rounding. Each channel then gets its noise from its own seeded stream.
-    The result is C-contiguous float64. A tone at or above `rate / 2` would
+    delayed on its periodic extension, one inverse FFT per channel. The
+    transfer's amplitude is `_amplitude`, as in `_transfer`; its phase at bin
+    k comes from the two-level ramp of `_phase_ramp`, which agrees with
+    `_transfer` to rounding. Each channel then gets its noise from its own
+    seeded stream. The checks run and the source records are drawn when this
+    is called, before the first block: a tone at or above `rate / 2` would
     alias, so it raises ConfigError at `scene.sources[i].spectrum.frequency`;
     a `rate * duration` that rounds to no sample raises ConfigError at
     `duration`.
@@ -282,7 +285,6 @@ def synthesize_timeseries(
     n = int(round(rate * duration))
     _require(n >= 1, "duration", f"expected at least one sample at rate {rate!r}, got {n!r}")
     m = len(pos)
-    out = np.empty((n, m))
     alpha = atmospheric_absorption(np.fft.rfftfreq(n, d=1.0 / rate), scene.medium) if include_absorption else 0.0
     root = np.random.SeedSequence([scene.seed & 0xFFFFFFFF, 0x515E])
     src_seeds, noise_seed = root.spawn(2)
@@ -294,10 +296,29 @@ def synthesize_timeseries(
         rng = np.random.default_rng(src_streams[si])
         paths.append((np.fft.rfft(_source_signal(src, rate, n, rng)), *_path_gains(src, pos, scene.medium)))
 
-    for c0 in range(0, m, CHANNEL_BLOCK):
-        blk = slice(c0, min(c0 + CHANNEL_BLOCK, m))
-        out[:, blk] = _block_records(paths, blk, rate, n, alpha, scene.noise, noise_streams[blk]).T
+    blocks = (slice(c0, min(c0 + CHANNEL_BLOCK, m)) for c0 in range(0, m, CHANNEL_BLOCK))
+    return (_block_records(paths, blk, rate, n, alpha, scene.noise, noise_streams[blk]) for blk in blocks)
 
+
+def synthesize_timeseries(
+    scene: Scene,
+    positions: np.ndarray,
+    rate: float = 48_000.0,
+    duration: float = 1.0,
+    include_absorption: bool = True,
+) -> tuple[np.ndarray, dict]:
+    """Multichannel pressure time series for the scene: the `record_blocks`
+    of `positions` side by side, with its checks.
+
+    `positions` is (M, 3) receiver coordinates (pass `geometry.positions` or
+    `subarray.positions`). Returns (signals (n, M), metadata); the signals
+    are C-contiguous float64.
+    """
+    m = len(positions)
+    blocks = record_blocks(scene, positions, rate, duration, include_absorption)
+    out = np.empty((int(round(rate * duration)), m))
+    for c0, block in zip(range(0, m, CHANNEL_BLOCK), blocks):
+        out[:, c0 : c0 + len(block)] = block.T
     meta = {"rate": rate, "duration": duration, "channels": m}
     return out, meta
 

@@ -599,6 +599,7 @@ _REJECTED_KEY_SECTIONS = {
     "subarray.epsilon": {"subarray": {"strategy": "explicit", "indices": [0, 1, 2]}},
     "subarray.indices": {"subarray": {"strategy": "explicit"}},
     "analysis.band": {"analysis": {}},
+    "spectral.overlap": {"beamforming": dict(cli.bundled_config("single_monopole")["beamforming"], estimator="welch")},
 }
 
 
@@ -649,6 +650,8 @@ _REJECTED_KEY_SECTIONS = {
         ("beamforming.grid.y_plane", float("nan")),
         ("beamforming.grid.aoa", float("nan")),
         ("beamforming.grid.delta_angle", float("inf")),
+        # an overlap whose hop, round(1024 x 0.0001), is no sample
+        ("spectral.overlap", 0.9999),
     ],
 )
 def test_rejected_key_exits_two_with_its_path(tmp_path, capsys, field, value):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +82,36 @@ class TestWelchCsm:
         with pytest.raises(ValueError):
             sp.welch_csm(white_signals(rng, 512, 2), 48_000.0, block=1024)
 
+    @pytest.mark.parametrize("blocks", [[], [np.zeros((2, 2048)), np.zeros((3, 2047))]], ids=["none", "unequal"])
+    def test_bad_channel_blocks_raise(self, blocks):
+        with pytest.raises(ValueError):
+            sp.welch_csm(iter(blocks), 48_000.0)
+
+    def test_streamed_peak_does_not_grow_with_channels(self):
+        # streamed from synthesis, one channel block of records and segment products exists at a time; the (n, M)
+        # array and its mean-removed copy grow with the channel count
+        from memsarray.synthesis import Scene, Source, record_blocks, synthesize_timeseries
+
+        src = Source(position=[3.0, 0.0, -0.5], spectrum={"type": "broadband", "psd": 1e-6})
+        scene = Scene(sources=(src,), noise={"psd": 1e-9}, seed=2)
+
+        def peak(m, streamed):
+            mics = np.c_[np.linspace(2.0, 4.0, m), np.full(m, 3.0), np.zeros(m)]
+            tracemalloc.start()
+            try:
+                if streamed:
+                    signals = record_blocks(scene, mics, 48_000.0, 0.5)
+                else:
+                    signals, _ = synthesize_timeseries(scene, mics, 48_000.0, 0.5)
+                sp.welch_csm(signals, 48_000.0, frequencies=[1000.0, 2000.0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(32, streamed=True)  # loads the window's scipy module, which would count in the first peak taken
+        assert peak(160, streamed=True) <= 1.3 * peak(32, streamed=True)
+        assert peak(160, streamed=False) >= 2.5 * peak(32, streamed=False)
+
 
 class TestWelchBins:
     # 1024-point blocks at 48 kHz: bins every 46.875 Hz
@@ -117,12 +149,14 @@ def test_welch_csm_matches_the_per_block_outer_product(rng, block, overlap, wind
         ({}, full),
         ({"frequencies": requests}, [by_bin[f] for f in nearest]),
     ]
-    for selector, expected in cases:
-        got = sp.welch_csm(x, rate, block=block, overlap=overlap, window=window, **selector)
-        assert [c.frequency for c in got] == [f for f, _, _ in expected], selector
+    # the 7-channel signal also as uneven channel blocks, rows 0-2 and 3-6
+    inputs = {"array": x, "blocks": [x.T[:3], x.T[3:]]} if channels == 7 else {"array": x}
+    for (form, signals), (selector, expected) in itertools.product(inputs.items(), cases):
+        got = sp.welch_csm(signals, rate, block=block, overlap=overlap, window=window, **selector)
+        assert [c.frequency for c in got] == [f for f, _, _ in expected], (form, selector)
         for c, (f, values, n_avg) in zip(got, expected):
             assert c.n_averages == n_avg
-            assert np.abs(dense_values(c) - values).max() <= 1e-12 * np.abs(values).max(), (selector, f)
+            assert np.abs(dense_values(c) - values).max() <= 1e-12 * np.abs(values).max(), (form, selector, f)
 
 
 class TestCsmInvariants:

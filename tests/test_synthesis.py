@@ -59,6 +59,10 @@ class TestPathTransfer:
         with pytest.raises(syn.ConfigError) as err:
             ma_synth(scene, np.array([[0.0, 3.0, 0.0]]), duration=0.1)
         assert err.value.field == "scene.sources[1].spectrum.frequency"
+        # record_blocks checks when called, before its first block is asked for
+        with pytest.raises(syn.ConfigError) as err:
+            syn.record_blocks(scene, np.array([[0.0, 3.0, 0.0]]), 48_000.0, 0.1)
+        assert err.value.field == "scene.sources[1].spectrum.frequency"
 
     @pytest.mark.parametrize("include_absorption", [True, False])
     def test_zero_sample_duration_rejected(self, include_absorption):
@@ -175,6 +179,18 @@ class TestTimeseriesOracle:
         mics = oracle_mics(33)
         sig, _ = syn.synthesize_timeseries(scene, mics, rate=48_000.0, duration=0.02)
         assert np.array_equal(sig, synthesize_timeseries_oracle(scene, mics, 48_000.0, 0.02))
+
+
+class TestRecordBlocks:
+    @pytest.mark.parametrize("noise", [None, {"psd": 1e-9}], ids=["no noise", "noise"])
+    def test_stacked_blocks_are_the_time_series(self, noise):
+        # 37 channels: two full channel blocks and a short one
+        scene = syn.Scene(sources=ORACLE_SOURCES["dipole and monopole"], noise=noise, seed=5)
+        mics = oracle_mics(37)
+        blocks = list(syn.record_blocks(scene, mics, 48_000.0, 0.025))
+        assert [b.shape for b in blocks] == [(16, 1200), (16, 1200), (5, 1200)]
+        sig, _ = syn.synthesize_timeseries(scene, mics, 48_000.0, 0.025)
+        assert np.array_equal(np.concatenate(blocks), sig.T)
 
 
 def ma_synth(scene, mics, duration=0.25, absorption=False):
