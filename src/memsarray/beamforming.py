@@ -13,7 +13,11 @@ solves them once per grid, sub-array and medium, directly in the (M, N)
 layout of the steering matrix, and `steering_vectors` computes phase and
 amplitude per frequency. It builds the phasor from one `tan` of the phase's
 remainder in half turns, which numpy runs in SIMD lanes, where `cos` and
-`sin` are per-element libm calls. Map values are re-referenced to the
+`sin` are per-element libm calls. Every (M, N) steering array, the phasor,
+the amplitude and its square, is formed in blocks of whole sensor rows of
+at most `STEERING_BLOCK` elements, written straight into the result: the
+temporaries stay cache-sized, and the output does not depend on the block
+size. Map values are re-referenced to the
 source power a monopole would show at 1 m, so a matched rank-1 CSM
 reproduces its injected power exactly.
 
@@ -43,6 +47,7 @@ from .spectral import CrossSpectralMatrix, _factor_power
 
 CLEAN_SC_INNER_ITERATIONS = 20  # fixed-point steps per component under diagonal removal
 MIRROR_BLOCK = 256  # rows of CLEAN-SC's CSM product mirrored onto its lower triangle at a time
+STEERING_BLOCK = 16_000  # elements per row block of the (M, N) steering arrays (125 kB of float64)
 LOBE_DROP_DB = 3.0  # `lobe_width_db` measures the main lobe this far below its peak
 
 
@@ -175,13 +180,45 @@ class SteeringGeometry:
     def power(self) -> np.ndarray:
         """(M, N) squared `amplitude`, |h|^2 of every frequency's steering
         matrix without absorption: formed on first use and kept."""
-        return self.amplitude**2
+        return _squared(self.amplitude)
 
 
-def _amplitude(r: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """Formulation III amplitude 1 / (r_m r_0 sum_l r_l^-2) per sensor and focus point."""
-    inv_sq_sum = np.sum(r**-2.0, axis=0)  # (N,)
-    return 1.0 / (r * r0 * inv_sq_sum)
+def _row_blocks(shape: tuple[int, int]) -> list[slice]:
+    """Slices of whole rows of an (M, N) array, at most `STEERING_BLOCK`
+    elements each (one row if N is wider): contiguous in C order."""
+    m, n = shape
+    step = max(1, STEERING_BLOCK // n)
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+
+
+def _amplitude(r: np.ndarray, r0: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Formulation III amplitude 1 / (r_m r_0 sum_l r_l^-2) per sensor and
+    focus point, into `out` (which may be `r`) in row blocks.
+
+    sum_l r_l^-2 carries from block to block in the first row of the next,
+    and numpy's axis-0 sum of a C-ordered block of two or more columns adds
+    its rows in order, so the sum is the whole array's `np.sum(axis=0)` for
+    any block size. A single column is one block of up to `STEERING_BLOCK`
+    rows, summed pairwise as `np.sum` sums it."""
+    inv_sq_sum = 0.0
+    for rows in _row_blocks(r.shape):
+        block = r[rows] ** -2.0
+        block[0] += inv_sq_sum
+        inv_sq_sum = block.sum(axis=0)
+    amp = np.empty_like(r) if out is None else out
+    for rows in _row_blocks(r.shape):
+        block = np.multiply(r[rows], r0, out=amp[rows])
+        block *= inv_sq_sum
+        np.divide(1.0, block, out=block)
+    return amp
+
+
+def _squared(amp: np.ndarray) -> np.ndarray:
+    """amp**2 as a new array, in row blocks."""
+    power = np.empty_like(amp)
+    for rows in _row_blocks(amp.shape):
+        np.square(amp[rows], out=power[rows])
+    return power
 
 
 def steering_geometry(grid: FocusGrid, positions: np.ndarray, medium: MediumModel | None = None) -> SteeringGeometry:
@@ -216,20 +253,42 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
     from floor(q / 2). numpy's float64 `tan` and `floor` run in SIMD lanes,
     where `cos`, `sin` and `fmod` call libm per element: on a 150 x 676
     delay array `tan` took 0.2 ms, `cos` and `sin` 0.5-2.5 ms each, growing
-    with the argument (numpy 2.4, AVX-512 Xeon). The work arrays are reused
-    in place, as each fresh (M, N) temporary costs its page faults again.
+    with the argument (numpy 2.4, AVX-512 Xeon).
+
+    Every (M, N) array is formed in blocks of whole sensor rows,
+    `STEERING_BLOCK` elements at most (`_row_blocks`), and each block is
+    written straight into the result. A block's float64 temporaries, 125 kB
+    each, stay in L2 and under glibc's 128 KiB mmap threshold, so they come
+    back from the heap instead of costing fresh pages on every call. Each
+    element sees the same operations as over the whole array, so the
+    output does not depend on the block size. With absorption the absorbed
+    distances are one (M, N) array, turned into the amplitude in place,
+    since every amplitude needs the sum over all rows.
     """
-    if frequency <= 0:
-        raise ValueError("frequency must be > 0")
+    if not 0.0 < frequency < np.inf:
+        raise ValueError("frequency must be finite and > 0")
     r0 = geometry.r0
     if include_absorption:
         neper = atmospheric_absorption(frequency, geometry.medium) * (np.log(10.0) / 20.0)
         r0 = r0 * np.exp(neper * r0)
-        amp = _amplitude(geometry.r * np.exp(neper * geometry.r), r0)
-        power = amp**2
+        amp = np.empty_like(geometry.r)
+        for rows in _row_blocks(amp.shape):
+            r = geometry.r[rows]
+            np.multiply(r, np.exp(neper * r), out=amp[rows])
+        amp = _amplitude(amp, r0, out=amp)
+        power = _squared(amp)
     else:
         amp, power = geometry.amplitude, geometry.power
-    u = geometry.delay * (-2.0 * frequency)
+    h = np.empty(geometry.delay.shape, dtype=complex)
+    for rows in _row_blocks(h.shape):
+        _phasor(geometry.delay[rows], frequency, amp[rows], out=h[rows])
+    return SteeringSet(frequency=float(frequency), matrix=h, power=power, reference_distance=r0, grid=geometry.grid)
+
+
+def _phasor(delay: np.ndarray, frequency: float, amp: np.ndarray, out: np.ndarray) -> None:
+    """amp exp(-j 2 pi f delay) into the complex `out`, from one `tan` of the
+    phase's remainder in half turns (see `steering_vectors`)."""
+    u = delay * (-2.0 * frequency)
     q = np.rint(u)
     u -= q
     u *= np.pi / 2.0
@@ -243,12 +302,10 @@ def steering_vectors(geometry: SteeringGeometry, frequency: float, include_absor
     np.multiply(t, t, out=t2)
     q *= amp
     q /= t2 + 1.0
-    h = np.empty(t.shape, dtype=complex)
     np.subtract(1.0, t2, out=t2)
-    np.multiply(q, t2, out=h.real)
+    np.multiply(q, t2, out=out.real)
     q *= 2.0
-    np.multiply(q, t, out=h.imag)
-    return SteeringSet(frequency=float(frequency), matrix=h, power=power, reference_distance=r0, grid=geometry.grid)
+    np.multiply(q, t, out=out.imag)
 
 
 def _factored_map(csm: CrossSpectralMatrix, h: np.ndarray, h_sq: np.ndarray, diagonal_removal: bool) -> np.ndarray:

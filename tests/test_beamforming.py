@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import clean_sc_oracle, dense_map_oracle, dense_values
@@ -106,10 +109,11 @@ class TestSteering:
         assert peak_idx == idx
         assert abs(10 * np.log10(peak_val / Q2)) <= 0.01
 
-    def test_frequency_positive(self, setup):
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, float("nan"), float("inf")])
+    def test_frequency_positive(self, setup, frequency):
         _, sub, grid = setup
-        with pytest.raises(ValueError):
-            bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 0.0)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            bf.steering_vectors(bf.steering_geometry(grid, sub.positions), frequency)
 
     def test_focus_on_sensor_rejected(self, setup):
         geo_, sub, _ = setup
@@ -118,6 +122,55 @@ class TestSteering:
         with pytest.raises(ValueError):
             bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 1000.0)
 
+    @pytest.mark.parametrize(
+        "medium, include_absorption",
+        [
+            (MediumModel(mach_vector=[0.1, 0.0, 0.0]), False),
+            (MediumModel(mach_vector=[0.1, 0.0, 0.0]), True),
+            (
+                MediumModel(
+                    mach_vector=[0.2, 0.0, 0.0],
+                    shear_layer=ShearLayerPlane(point=[0.0, 1.5, 0.0], normal=[0.0, 1.0, 0.0]),
+                ),
+                False,
+            ),
+        ],
+        ids=["free-field", "absorption", "shear-layer"],
+    )
+    def test_row_blocks_are_bit_identical(self, dnw_sub, monkeypatch, medium, include_absorption):
+        # 140 x 81: one row per block, 3 rows per block with a ragged last one, and the whole matrix as one block
+        solved = bf.steering_geometry(bf.make_focus_grid((2.6, 3.4), (-0.9, -0.1), 0.1), dnw_sub.positions, medium)
+        m, n = solved.delay.shape
+        runs = []
+        for block in (1, 3 * n + 5, m * n):
+            monkeypatch.setattr(bf, "STEERING_BLOCK", block)
+            geometry = dataclasses.replace(solved)  # its amplitude and power are cached per instance
+            sets = [bf.steering_vectors(geometry, f, include_absorption) for f in (1250.0, 8000.0)]
+            runs.append([a for s in sets for a in (s.matrix, s.power, s.reference_distance)])
+            runs[-1] += [geometry.amplitude, geometry.power]
+        for run in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
+        # the column sum carried from block to block is numpy's axis-0 sum, added row by row
+        r, r0 = solved.r, solved.r0
+        assert np.array_equal(runs[0][-2], 1.0 / (r * r0 * np.sum(r**-2.0, axis=0)))
+        assert np.array_equal(runs[0][-1], runs[0][-2] ** 2)
+
+    @pytest.mark.parametrize("include_absorption, units", [(False, 2.5), (True, 4.5)], ids=["free-field", "absorption"])
+    def test_peak_memory_is_bounded_in_matrices(self, full_array, include_absorption, units):
+        # 200 mics x 41 x 41 points spans 23 row blocks. The complex result is 2 (M, N) float64 arrays and, with
+        # absorption, the power and the absorbed amplitude 2 more; blocks and their temporaries add little
+        geometry = bf.steering_geometry(bf.make_focus_grid((2.6, 3.4), (-0.9, -0.1), 0.02), full_array.positions[:200])
+        geometry.power  # cached with the geometry, and not the call's working memory
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            steering = bf.steering_vectors(geometry, 4000.0, include_absorption)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        unit = geometry.delay.nbytes
+        assert steering.matrix.shape == (200, 1681)
+        assert peak <= units * unit, peak / unit
 
     @pytest.mark.parametrize(
         "medium",
