@@ -31,8 +31,10 @@ again from the degraded CSM. Every CSM is F F^H + diag(d) (see
 for a Welch one. Conventional maps and CLEAN-SC's first map are formed from
 F and d in O(KMN). The diagonal-removed map does not read d, so it is
 bit-identical for any diagonal added. The CSM is never held as a dense
-(M, M) matrix except by CLEAN-SC, which builds one (`_dense_csm`) to
-degrade.
+(M, M) matrix: CLEAN-SC keeps its degraded CSM as the factor, the
+subtracted components and a diagonal (`_DegradedCsm`), and its stop test
+reads the Frobenius norm, which that low-rank form gives from a Gram
+matrix in O(M r).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .propagation import REFERENCE_DISTANCE, MediumModel, atmospheric_absorption
 from .spectral import CrossSpectralMatrix, _factor_power
 
 CLEAN_SC_INNER_ITERATIONS = 20  # fixed-point steps per component under diagonal removal
-MIRROR_BLOCK = 256  # rows of CLEAN-SC's CSM product mirrored onto its lower triangle at a time
+CLEAN_SC_ROOM = 16  # components CLEAN-SC's degraded CSM has room for before it doubles its columns
 STEERING_BLOCK = 16_000  # elements per row block of the (M, N) steering arrays (125 kB of float64)
 LOBE_DROP_DB = 3.0  # `lobe_width_db` measures the main lobe this far below its peak
 
@@ -347,21 +349,67 @@ def conventional_beamform(
     )
 
 
-def _dense_csm(csm: CrossSpectralMatrix) -> np.ndarray:
-    """F F^H + diag(d) as a dense (M, M) array: CLEAN-SC's degraded CSM
-    before its first component, and the only dense CSM formed.
+class _DegradedCsm:
+    """CLEAN-SC's degraded CSM, D = G S G^H + diag(e), never formed densely.
 
-    The BLAS product is Hermitian only to rounding (its kernel need not
-    round F_i F_j^* and F_j F_i^* alike), so its upper triangle is mirrored
-    onto the lower one, `MIRROR_BLOCK` rows at a time, and its diagonal is
-    made real: the matrix is then Hermitian exactly, as a CSM is."""
-    factor, m = csm.factor, csm.n_channels
-    v = factor @ factor.conj().T
-    for i in range(0, m, MIRROR_BLOCK):
-        j = min(i + MIRROR_BLOCK, m)
-        np.copyto(v[i:j, :j], v[:j, i:j].conj().T, where=np.tri(j - i, j, i - 1, dtype=bool))  # columns < row
-    v.flat[:: m + 1] = v.flat[:: m + 1].real + csm.diagonal
-    return v
+    G = [F, c_1, c_2, ...] holds the CSM's factor and then each subtracted
+    component vector, S = diag(1, ..., 1, -g p_1, -g p_2, ...) their weights
+    (g the loop gain, p a component's peak), and e the diagonal: d, or under
+    diagonal removal -q, where q = sum_j S_j |G_mj|^2 is the diagonal of
+    G S G^H, so that D's own diagonal is zero. G is kept transposed, one row
+    per column, with room for `CLEAN_SC_ROOM` components, doubled when full:
+    `max_iterations` may be far more than a map takes.
+
+    ‖D‖_F^2 = tr((S Γ)^2) + 2 e.q + e.e with Γ = G^H G (Golub & Van Loan).
+    A component c of weight s adds 2 s sum_j S_j |γ_j|^2 + s^2 (c^H c)^2 to
+    tr((S Γ)^2), γ = G^H c, and s |c|^2 to q, so the change of ‖D‖_F^2 costs
+    O(M r), r the columns so far, as does a product D w. The stop test reads
+    that change, not the difference of two running norms, whose rounding
+    (about eps ‖F F^H‖_F^2) would swamp a small change late in a run."""
+
+    def __init__(self, csm: CrossSpectralMatrix, diagonal_removal: bool):
+        f = csm.factor
+        self.rows = np.empty((f.shape[1] + CLEAN_SC_ROOM, f.shape[0]), dtype=complex)
+        self.rows[: f.shape[1]] = f.T
+        self.weights = np.ones(len(self.rows))
+        self.rank = f.shape[1]
+        self.diagonal_removal = diagonal_removal
+        self.coherent = _factor_power(f)
+        self.diagonal = -self.coherent if diagonal_removal else csm.diagonal
+        # tr(Γ^2) = ‖F^H F‖_F^2 = ‖F F^H‖_F^2, from the smaller Gram matrix, never larger than F
+        gram = f.conj().T @ f if f.shape[1] <= f.shape[0] else f @ f.conj().T
+        self.norm2 = float(np.sum(gram.real**2 + gram.imag**2))
+        self.norm2 += 2.0 * (self.diagonal @ self.coherent) + self.diagonal @ self.diagonal
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        """D w = G (S (G^H w)) + e w."""
+        g = self.rows[: self.rank]
+        return g.T @ (self.weights[: self.rank] * (g @ w.conj()).conj()) + self.diagonal * w
+
+    def subtract(self, comp: np.ndarray, weight: float) -> bool:
+        """Add weight c c^H to D, its diagonal removed under diagonal removal,
+        unless that would raise ‖D‖_F; returns whether it was added."""
+        gamma = self.rows[: self.rank] @ comp.conj()  # conj(G^H c): only |γ| is read
+        power = comp.real**2 + comp.imag**2
+        total = float(power.sum())
+        growth = weight * (2.0 * (self.weights[: self.rank] @ (gamma.real**2 + gamma.imag**2)) + weight * total * total)
+        if self.diagonal_removal:  # e = -q: ‖D‖^2 = tr((S Γ)^2) - q.q
+            growth -= weight * (power @ (2.0 * self.coherent + weight * power))
+        else:  # e = d: 2 d.q grows by 2 s d.|c|^2
+            growth += 2.0 * weight * (self.diagonal @ power)
+        if growth > 0.0:
+            return False
+        if self.rank == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+            self.weights = np.concatenate([self.weights, np.empty_like(self.weights)])
+        self.rows[self.rank] = comp
+        self.weights[self.rank] = weight
+        self.rank += 1
+        self.norm2 += growth
+        self.coherent += weight * power
+        if self.diagonal_removal:
+            self.diagonal = -self.coherent
+        return True
 
 
 def clean_sc(
@@ -378,30 +426,33 @@ def clean_sc(
     vector c from the degraded CSM column space at the peak (fixed-point inner
     iterations when the diagonal is removed), subtract loop_gain times the
     induced CSM peak c c^H, and accumulate the clean component. The degraded
-    CSM starts as the dense copy `_dense_csm` builds, the one (M, M) array
-    formed. The first dirty map comes from the CSM's factor (`_factored_map`,
-    O(KMN)). It is not formed again from the degraded CSM; it loses the map
-    of the subtracted component, loop_gain peak (|h^H c|^2 - (|h|^2)^T |c|^2),
+    CSM is kept in low-rank form (`_DegradedCsm`): the CSM's factor, the
+    subtracted components and a diagonal, so no (M, M) array is formed and an
+    iteration costs O(M (K + iterations)) besides the map update. The first
+    dirty map comes from the CSM's factor (`_factored_map`, O(KMN)). It is
+    not formed again from the degraded CSM; it loses the map of the
+    subtracted component, loop_gain peak (|h^H c|^2 - (|h|^2)^T |c|^2),
     where the second term applies only when the diagonal is removed.
 
     Stops, and records why in `stop_reason`, when the peak drops to
     stop_threshold times the initial peak or below (`threshold`), when the
-    degraded CSM 1-norm would increase (`norm_increase`), or after
+    degraded CSM's Frobenius norm would grow (`norm_increase`), or after
     max_iterations components (`max_iterations`).
     """
     if not 0.0 < loop_gain <= 1.0:
         raise ValueError("loop gain must be in (0, 1]")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if not 0.0 <= stop_threshold < 1.0:
+        raise ValueError("stop threshold must be in [0, 1)")
     if csm.n_channels != steering.n_channels:
         raise ValueError(f"CSM has {csm.n_channels} channels but steering expects {steering.n_channels}")
     h, h_sq = steering.matrix, steering.power
     ref_scale = (steering.reference_distance / REFERENCE_DISTANCE) ** 2
 
-    degraded = _dense_csm(csm)
-    if diagonal_removal:
-        np.fill_diagonal(degraded, 0.0)
+    degraded = _DegradedCsm(csm, diagonal_removal)
     dirty = _factored_map(csm, h, h_sq, diagonal_removal)
     initial_peak = dirty.max() if dirty.size else 0.0
-    prev_norm = np.linalg.norm(degraded, 1)
     components: dict[int, float] = {}
     iterations = 0
     stop_reason = "threshold"
@@ -417,18 +468,11 @@ def clean_sc(
             if diagonal_removal:
                 base = comp
                 for _ in range(CLEAN_SC_INNER_ITERATIONS):
-                    diag = np.abs(comp) ** 2
-                    comp = (base + diag * w) / np.sqrt(1.0 + np.real(np.vdot(w, diag * w)))
-            induced = peak * np.outer(comp, comp.conj())
-            if diagonal_removal:
-                np.fill_diagonal(induced, 0.0)
-            trial = degraded - loop_gain * induced
-            norm = np.linalg.norm(trial, 1)
-            if norm > prev_norm:
+                    diag_w = np.abs(comp) ** 2 * w
+                    comp = (base + diag_w) / np.sqrt(1.0 + np.real(np.vdot(w, diag_w)))
+            if not degraded.subtract(comp, -loop_gain * peak):
                 stop_reason = "norm_increase"
                 break
-            degraded = trial
-            prev_norm = norm
             components[t] = components.get(t, 0.0) + loop_gain * peak
             induced_map = np.abs(comp.conj() @ h) ** 2
             if diagonal_removal:

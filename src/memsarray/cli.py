@@ -787,7 +787,7 @@ def cmd_pipeline(args) -> int:
         outputs.append(_write_csv(os.path.join(an_dir, "roi_spectrum.csv"), ["frequency", "psd_db"], rows))
 
     files = _run_files(cfg) if bundled else {"config_file": args.config, **_run_files(cfg)}
-    write_manifest(out, "pipeline", dataclasses.asdict(cfg), files, outputs, seed=cfg.seed)
+    write_manifest(out, "pipeline", dataclasses.asdict(cfg), files, outputs, seed=scene.seed)
     print(f"pipeline: {len(outputs)} artifacts in {out}")
     return 0
 

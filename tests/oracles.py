@@ -303,17 +303,19 @@ def dense_map_oracle(csm_values, h, diagonal_removal=False):
 
 
 def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_threshold=1e-3,
-                    diagonal_removal=True, inner_iterations=20):
+                    diagonal_removal=True, inner_iterations=20, norms=None):
     """CLEAN-SC with the dirty map b_n = h_n^H D h_n formed again from the whole
-    degraded CSM D after every component; returns ({grid index: power before
-    reference scaling}, iterations, initial dirty map, residual dirty map)."""
+    degraded CSM D after every component, which is kept while its Frobenius
+    norm, taken from the dense matrix, does not grow; returns ({grid index:
+    power before reference scaling}, iterations, initial dirty map, residual
+    dirty map), and appends ‖D‖_F after each kept component to `norms` if given."""
 
     degraded = np.array(csm_values, dtype=complex)
     if diagonal_removal:
         np.fill_diagonal(degraded, 0.0)
     dirty = initial = dense_map_oracle(degraded, h)
     initial_peak = dirty.max()
-    prev_norm = np.abs(degraded).sum(axis=0).max()
+    prev_norm = np.linalg.norm(degraded)
     components = {}
     iterations = 0
     if initial_peak > 0.0:
@@ -333,11 +335,13 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
             if diagonal_removal:
                 np.fill_diagonal(induced, 0.0)
             trial = degraded - loop_gain * induced
-            norm = np.abs(trial).sum(axis=0).max()
+            norm = np.linalg.norm(trial)
             if norm > prev_norm:
                 break
             degraded = trial
             prev_norm = norm
+            if norms is not None:
+                norms.append(norm)
             components[t] = components.get(t, 0.0) + loop_gain * peak
             dirty = dense_map_oracle(degraded, h)
             iterations += 1

@@ -393,6 +393,44 @@ class TestCleanSc:
         with pytest.raises(ValueError):
             bf.clean_sc(csm, steer, loop_gain=0.0)
 
+    @pytest.mark.parametrize(
+        "option, match",
+        [
+            ({"max_iterations": 0}, "max_iterations"),
+            ({"max_iterations": -1}, "max_iterations"),
+            ({"stop_threshold": float("nan")}, "stop threshold"),
+            ({"stop_threshold": 1.0}, "stop threshold"),
+            ({"stop_threshold": -0.1}, "stop threshold"),
+        ],
+    )
+    def test_invalid_options(self, setup, option, match):
+        # no iterations at all, or a threshold test that nan would switch off, is an error, as in BeamformingConfig
+        _, sub, grid = setup
+        steer = bf.steering_vectors(bf.steering_geometry(grid, sub.positions), 4000.0)
+        csm = monopole_csm(sub.positions, grid.points[0], 4000.0)
+        with pytest.raises(ValueError, match=match):
+            bf.clean_sc(csm, steer, **option)
+
+    def test_memory_is_linear_in_sensors(self, full_array_module):
+        # an exact 2-source CSM of 2000 sensors: one dense (M, M) complex array would be 64 MB, and the
+        # degraded CSM stays its factor, the components and a diagonal
+        g, _ = full_array_module
+        positions = g.positions[:2000]
+        grid = bf.make_focus_grid((2.8, 3.2), (-0.7, -0.3), 0.1)
+        c1, c2 = (monopole_csm(positions, grid.points[i], 4000.0) for i in (6, 18))
+        csm = summed_csm([c1, c2])
+        steer = bf.steering_vectors(bf.steering_geometry(grid, positions), 4000.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bmap = bf.clean_sc(csm, steer)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        dense = 2000 * 2000 * 16
+        assert bmap.iterations > 0
+        assert peak <= 0.25 * dense, peak / dense
+
     def test_non_finite_rejected(self, setup):
         # a finite factor whose product overflows is rejected when the CSM is made, before CLEAN-SC sees it
         _, sub, _ = setup
@@ -402,8 +440,8 @@ class TestCleanSc:
             )
 
     def test_norm_monotone(self, setup):
-        # accepted iterations never increase the degraded-CSM 1-norm: rerun
-        # with unit loop gain on a 3-source CSM and watch the iteration count
+        # accepted iterations never increase the degraded CSM's Frobenius norm:
+        # run a 3-source CSM at loop gain 0.9 and watch the iteration count
         _, sub, grid = setup
         rngs = [(2.6, -0.9), (3.1, -0.4), (3.5, -0.9)]
         csm = summed_csm(
@@ -482,15 +520,51 @@ class TestCleanScOracle:
         assert bmap.stop_reason == "max_iterations"
 
     def test_noise_csm_until_norm_increase(self, pitch_case):
-        # a random full-rank CSM leaves many components before the 1-norm rises
-        _, steering = pitch_case
+        # two sources and sensor noise leave many components before the Frobenius norm rises. The diagonal is
+        # removed: without that, each component is a Schur complement of a positive semi-definite CSM, which
+        # cannot raise the norm, so the norm rises only once the CSM's rank is spent and D is rounding
+        csms, steering = pitch_case
         steer = bf.steering_vectors(steering, 4000.0)
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((steer.n_channels, 60)) + 1j * rng.standard_normal((steer.n_channels, 60))
-        csm = CrossSpectralMatrix(frequency=4000.0, factor=x / np.sqrt(60), diagonal=np.zeros(steer.n_channels))
-        bmap = _assert_matches_clean_sc_oracle(csm, steer, stop_threshold=0.0, diagonal_removal=False)
+        bmap = _assert_matches_clean_sc_oracle(
+            csms[4000.0], steer, loop_gain=0.8, stop_threshold=0.0, diagonal_removal=True
+        )
         assert bmap.iterations > 5
         assert bmap.stop_reason == "norm_increase"
+
+    @pytest.mark.parametrize("frequency", [1000.0, 4000.0, 16000.0])
+    @pytest.mark.parametrize("diagonal_removal", [True, False])
+    def test_kept_norm_is_the_dense_norm(self, pitch_case, monkeypatch, frequency, diagonal_removal):
+        # the Gram bookkeeping: after every kept component, the ‖D‖_F that clean_sc keeps against the oracle's
+        # dense one. The kept ‖D‖^2 is a running sum, so its error is absolute, about eps ‖D_0‖^2: within 1e-13
+        # of ‖D_0‖^2 throughout, and within 1e-10 relative while ‖D‖ is at least 1e-2 of ‖D_0‖
+        csms, steering = pitch_case
+        steer = bf.steering_vectors(steering, frequency)
+        kept = []
+        subtract = bf._DegradedCsm.subtract
+
+        def spy(self, comp, weight):
+            if not kept:
+                kept.append(self.norm2)
+            added = subtract(self, comp, weight)
+            if added:
+                kept.append(self.norm2)
+            return added
+
+        monkeypatch.setattr(bf._DegradedCsm, "subtract", spy)
+        bmap = bf.clean_sc(csms[frequency], steer, loop_gain=0.8, diagonal_removal=diagonal_removal)
+        values = dense_values(csms[frequency])
+        if diagonal_removal:
+            np.fill_diagonal(values, 0.0)
+        norms = [np.linalg.norm(values)]
+        clean_sc_oracle(dense_values(csms[frequency]), steer.matrix, loop_gain=0.8,
+                        diagonal_removal=diagonal_removal, norms=norms)
+        assert len(kept) == len(norms) == bmap.iterations + 1 > 3
+        dense = np.array(norms)
+        kept_norm = np.sqrt(kept)
+        assert np.abs(np.array(kept) - dense**2).max() <= 1e-13 * dense[0] ** 2
+        large = dense >= 1e-2 * dense[0]
+        assert large.sum() > 1
+        assert np.abs(kept_norm[large] / dense[large] - 1.0).max() <= 1e-10
 
 
 DNW_CASES = {

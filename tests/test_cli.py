@@ -304,6 +304,13 @@ class TestPipelineCommand:
         assert any(k.startswith("beamforming/map_") for k in manifest["outputs"])
         assert "analysis/roi_spectrum.csv" in manifest["outputs"]
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_manifest_seed_is_the_scene_seed(self, tmp_path, seed):
+        # --seed sets the run config's seed, which synthesis does not read: the manifest names the scene's seed
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", "bundled:single-monopole", "--seed", seed, "--out", str(out)]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["seed"] == 7
+
     def test_manifest_hashes_the_geometry_file(self, tmp_path):
         # one config naming one geometry.load path, whose file holds another array build in the second run
         geo_dir = tmp_path / "geo"

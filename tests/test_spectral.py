@@ -190,14 +190,15 @@ def random_factor(rng, m, k):
 class TestFactoredCsm:
     @pytest.mark.parametrize("m, k", [(1, 1), (7, 3), (300, 2), (513, 4)])
     def test_values_are_the_factor_product(self, rng, m, k):
-        # CLEAN-SC's dense copy; blocks of 256 rows: one partial block, exactly two, and a third with one row
+        # CLEAN-SC's degraded CSM before its first component: its product and Frobenius norm are the dense matrix's
         factor = random_factor(rng, m, k)
         diagonal = rng.uniform(0.0, 2.0, m)
         csm = sp.CrossSpectralMatrix(frequency=100.0, factor=factor, diagonal=diagonal)
         expected = dense_values(csm)
-        values = bf._dense_csm(csm)
-        assert np.abs(values - expected).max() <= 1e-14 * np.abs(expected).max()
-        assert np.array_equal(values, values.conj().T)
+        w = random_factor(rng, m, 1)[:, 0]
+        degraded = bf._DegradedCsm(csm, diagonal_removal=False)
+        assert np.abs(degraded @ w - expected @ w).max() <= 1e-14 * np.abs(expected @ w).max()
+        assert np.sqrt(degraded.norm2) == pytest.approx(np.linalg.norm(expected), rel=1e-14)
         assert csm.n_channels == m
 
     @pytest.mark.parametrize("m, k", [(1, 1), (7, 3), (300, 2)])
@@ -215,7 +216,6 @@ class TestFactoredCsm:
     def test_no_columns_leave_the_diagonal(self):
         diagonal = np.array([1.0, 0.0, 2.5])
         csm = sp.CrossSpectralMatrix(frequency=100.0, factor=np.zeros((3, 0), dtype=complex), diagonal=diagonal)
-        assert np.array_equal(bf._dense_csm(csm), np.diag(diagonal).astype(complex))
         assert np.array_equal(csm.auto_power, diagonal)
 
     def test_round_trip_is_bit_exact(self, rng, tmp_path):
