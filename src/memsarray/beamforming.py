@@ -32,9 +32,9 @@ for a Welch one. Conventional maps and CLEAN-SC's first map are formed from
 F and d in O(KMN). The diagonal-removed map does not read d, so it is
 bit-identical for any diagonal added. The CSM is never held as a dense
 (M, M) matrix: CLEAN-SC keeps its degraded CSM as the factor, the
-subtracted components and a diagonal (`_DegradedCsm`), and its stop test
-reads the Frobenius norm, which that low-rank form gives from a Gram
-matrix in O(M r).
+subtracted components and a diagonal (`_DegradedCsm`). Its stop test
+reads the change a component makes to the Frobenius norm, which that
+low-rank form gives from the Gram products G^H c in O(M r).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .spectral import CrossSpectralMatrix, _factor_power
 
 CLEAN_SC_INNER_ITERATIONS = 20  # fixed-point steps per component under diagonal removal
 CLEAN_SC_ROOM = 16  # components CLEAN-SC's degraded CSM has room for before it doubles its columns
+CLEAN_SC_ROUNDING = 32  # CLEAN-SC stops at a peak at most this many eps times the magnitude of its terms
 STEERING_BLOCK = 16_000  # elements per row block of the (M, N) steering arrays (125 kB of float64)
 LOBE_DROP_DB = 3.0  # `lobe_width_db` measures the main lobe this far below its peak
 
@@ -376,28 +377,33 @@ class _DegradedCsm:
         self.diagonal_removal = diagonal_removal
         self.coherent = _factor_power(f)
         self.diagonal = -self.coherent if diagonal_removal else csm.diagonal
-        # tr(Γ^2) = ‖F^H F‖_F^2 = ‖F F^H‖_F^2, from the smaller Gram matrix, never larger than F
-        gram = f.conj().T @ f if f.shape[1] <= f.shape[0] else f @ f.conj().T
-        self.norm2 = float(np.sum(gram.real**2 + gram.imag**2))
-        self.norm2 += 2.0 * (self.diagonal @ self.coherent) + self.diagonal @ self.diagonal
 
-    def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        """D w = G (S (G^H w)) + e w."""
-        g = self.rows[: self.rank]
-        return g.T @ (self.weights[: self.rank] * (g @ w.conj()).conj()) + self.diagonal * w
+    def column(self, w: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """D w = G (S (G^H w)) + e w; its peak w^H D w, read as the sum of
+        the terms sum_j S_j |(G^H w)_j|^2 + e.|w|^2; and the sum of those
+        terms' magnitudes, which bounds the peak's rounding."""
+        g, weights = self.rows[: self.rank], self.weights[: self.rank]
+        beta = (g @ w.conj()).conj()  # G^H w
+        beta_sq, w_sq = beta.real**2 + beta.imag**2, w.real**2 + w.imag**2
+        peak = float(weights @ beta_sq + self.diagonal @ w_sq)
+        magnitude = float(np.abs(weights) @ beta_sq + np.abs(self.diagonal) @ w_sq)
+        return g.T @ (weights * beta) + self.diagonal * w, peak, magnitude
+
+    def growth(self, comp: np.ndarray, weight: float) -> float:
+        """The change of ‖D‖_F^2 that adding weight c c^H, its diagonal
+        removed under diagonal removal, would make."""
+        gamma = self.rows[: self.rank] @ comp.conj()  # conj(G^H c): only |γ| is read
+        power = comp.real**2 + comp.imag**2
+        total = float(power.sum())
+        change = weight * (2.0 * (self.weights[: self.rank] @ (gamma.real**2 + gamma.imag**2)) + weight * total * total)
+        if self.diagonal_removal:  # e = -q: ‖D‖^2 = tr((S Γ)^2) - q.q
+            return change - weight * (power @ (2.0 * self.coherent + weight * power))
+        return change + 2.0 * weight * (self.diagonal @ power)  # e = d: 2 d.q grows by 2 s d.|c|^2
 
     def subtract(self, comp: np.ndarray, weight: float) -> bool:
         """Add weight c c^H to D, its diagonal removed under diagonal removal,
         unless that would raise ‖D‖_F; returns whether it was added."""
-        gamma = self.rows[: self.rank] @ comp.conj()  # conj(G^H c): only |γ| is read
-        power = comp.real**2 + comp.imag**2
-        total = float(power.sum())
-        growth = weight * (2.0 * (self.weights[: self.rank] @ (gamma.real**2 + gamma.imag**2)) + weight * total * total)
-        if self.diagonal_removal:  # e = -q: ‖D‖^2 = tr((S Γ)^2) - q.q
-            growth -= weight * (power @ (2.0 * self.coherent + weight * power))
-        else:  # e = d: 2 d.q grows by 2 s d.|c|^2
-            growth += 2.0 * weight * (self.diagonal @ power)
-        if growth > 0.0:
+        if self.growth(comp, weight) > 0.0:
             return False
         if self.rank == len(self.rows):
             self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
@@ -405,8 +411,7 @@ class _DegradedCsm:
         self.rows[self.rank] = comp
         self.weights[self.rank] = weight
         self.rank += 1
-        self.norm2 += growth
-        self.coherent += weight * power
+        self.coherent += weight * (comp.real**2 + comp.imag**2)
         if self.diagonal_removal:
             self.diagonal = -self.coherent
         return True
@@ -422,22 +427,30 @@ def clean_sc(
 ) -> BeamformingMap:
     """CLEAN-SC deconvolution.
 
-    Per iteration: find the dirty-map peak, estimate the source component
-    vector c from the degraded CSM column space at the peak (fixed-point inner
-    iterations when the diagonal is removed), subtract loop_gain times the
-    induced CSM peak c c^H, and accumulate the clean component. The degraded
-    CSM is kept in low-rank form (`_DegradedCsm`): the CSM's factor, the
-    subtracted components and a diagonal, so no (M, M) array is formed and an
-    iteration costs O(M (K + iterations)) besides the map update. The first
-    dirty map comes from the CSM's factor (`_factored_map`, O(KMN)). It is
-    not formed again from the degraded CSM; it loses the map of the
-    subtracted component, loop_gain peak (|h^H c|^2 - (|h|^2)^T |c|^2),
-    where the second term applies only when the diagonal is removed.
+    Per iteration: find the dirty-map peak cell, read its peak p = w^H D w
+    from the degraded CSM D, estimate the source component vector c from D's
+    column D w / p (fixed-point inner iterations when the diagonal is
+    removed), subtract loop_gain p c c^H, and accumulate the clean component
+    loop_gain p. The degraded CSM is kept in low-rank form (`_DegradedCsm`):
+    the CSM's factor, the subtracted components and a diagonal, so no (M, M)
+    array is formed and an iteration costs O(M (K + iterations)) besides the
+    map update. The first dirty map comes from the CSM's factor
+    (`_factored_map`, O(KMN)). It is not formed again from the degraded CSM;
+    it loses the map of the subtracted component, loop_gain p (|h^H c|^2 -
+    (|h|^2)^T |c|^2), where the second term applies only when the diagonal
+    is removed. So the map picks the cell, but p is read from D: the map's
+    rounding is about eps times the initial peak, which late in a run can be
+    the size of the peak itself.
 
-    Stops, and records why in `stop_reason`, when the peak drops to
-    stop_threshold times the initial peak or below (`threshold`), when the
-    degraded CSM's Frobenius norm would grow (`norm_increase`), or after
-    max_iterations components (`max_iterations`).
+    Stops, and records why in `stop_reason`, when the dirty-map peak drops to
+    stop_threshold times the initial peak or below (`threshold`); when the
+    component would raise the degraded CSM's Frobenius norm, or p is within
+    its rounding, at most `CLEAN_SC_ROUNDING` eps times the sum of its terms'
+    magnitudes, so that the component would be rounding and whether it
+    lowers the norm would be chance (`norm_increase`); or after
+    max_iterations components (`max_iterations`). Without diagonal removal D
+    stays positive semi-definite and a component cannot raise its norm, so
+    there `norm_increase` means D is spent at the peak cell.
     """
     if not 0.0 < loop_gain <= 1.0:
         raise ValueError("loop gain must be in (0, 1]")
@@ -460,11 +473,14 @@ def clean_sc(
     if initial_peak > 0.0:
         for _ in range(max_iterations):
             t = int(np.argmax(dirty))
-            peak = float(dirty[t])
-            if peak <= 0.0 or peak <= stop_threshold * initial_peak:
+            if dirty[t] <= 0.0 or dirty[t] <= stop_threshold * initial_peak:
                 break
             w = h[:, t]
-            comp = degraded @ w / peak
+            column, peak, magnitude = degraded.column(w)
+            if peak <= CLEAN_SC_ROUNDING * np.finfo(float).eps * magnitude:
+                stop_reason = "norm_increase"
+                break
+            comp = column / peak
             if diagonal_removal:
                 base = comp
                 for _ in range(CLEAN_SC_INNER_ITERATIONS):

@@ -302,20 +302,27 @@ def dense_map_oracle(csm_values, h, diagonal_removal=False):
     return (h.conj() * (c @ h)).sum(axis=0).real
 
 
-def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_threshold=1e-3,
-                    diagonal_removal=True, inner_iterations=20, norms=None):
-    """CLEAN-SC with the dirty map b_n = h_n^H D h_n formed again from the whole
-    degraded CSM D after every component, which is kept while its Frobenius
-    norm, taken from the dense matrix, does not grow; returns ({grid index:
-    power before reference scaling}, iterations, initial dirty map, residual
-    dirty map), and appends ‖D‖_F after each kept component to `norms` if given."""
+def clean_sc_oracle(csm, h, loop_gain=1.0, max_iterations=100, stop_threshold=1e-3,
+                    diagonal_removal=True, inner_iterations=20, rounding=32, norms=None):
+    """CLEAN-SC on the dense degraded CSM D of `csm`, with the dirty map
+    b_n = h_n^H D h_n formed again from the whole of D after every component,
+    which is kept while its Frobenius norm, taken from the dense matrix, does
+    not grow. It stops at a peak p within `rounding` eps of the sum of
+    the magnitudes of its low-rank terms, |F^H w|^2 + sum_i g p_i |c_i^H w|^2
+    + |e|.|w|^2 (e the diagonal: d, or minus the coherent diagonal left under
+    diagonal removal), as clean_sc does. Returns ({grid index: power before
+    reference scaling}, iterations, initial dirty map, residual dirty map),
+    and appends ‖D‖_F after each kept component to `norms` if given."""
 
-    degraded = np.array(csm_values, dtype=complex)
+    f, d = csm.factor, csm.diagonal
+    degraded = dense_values(csm).astype(complex)
     if diagonal_removal:
         np.fill_diagonal(degraded, 0.0)
     dirty = initial = dense_map_oracle(degraded, h)
     initial_peak = dirty.max()
     prev_norm = np.linalg.norm(degraded)
+    coherent = (np.abs(f) ** 2).sum(axis=1)
+    kept = []
     components = {}
     iterations = 0
     if initial_peak > 0.0:
@@ -325,6 +332,11 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
             if peak <= 0.0 or peak <= stop_threshold * initial_peak:
                 break
             w = h[:, t]
+            diagonal = -coherent if diagonal_removal else d
+            magnitude = ((np.abs(f.conj().T @ w) ** 2).sum() + sum(s * abs(np.vdot(c, w)) ** 2 for s, c in kept)
+                         + np.abs(diagonal) @ np.abs(w) ** 2)
+            if peak <= rounding * np.finfo(float).eps * magnitude:
+                break
             comp = degraded @ w / peak
             if diagonal_removal:
                 base = comp
@@ -342,6 +354,8 @@ def clean_sc_oracle(csm_values, h, loop_gain=1.0, max_iterations=100, stop_thres
             prev_norm = norm
             if norms is not None:
                 norms.append(norm)
+            kept.append((loop_gain * peak, comp))
+            coherent = coherent - loop_gain * peak * np.abs(comp) ** 2
             components[t] = components.get(t, 0.0) + loop_gain * peak
             dirty = dense_map_oracle(degraded, h)
             iterations += 1

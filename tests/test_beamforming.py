@@ -483,7 +483,7 @@ def _assert_matches_clean_sc_oracle(csm, steer, **kwargs):
     reference-scaled units. A bound on the initial peak does not depend on how
     either side rounds a residual that CLEAN-SC has made small."""
     bmap = bf.clean_sc(csm, steer, **kwargs)
-    comps, iterations, initial, dirty = clean_sc_oracle(dense_values(csm), steer.matrix, **kwargs)
+    comps, iterations, initial, dirty = clean_sc_oracle(csm, steer.matrix, **kwargs)
     scale = (steer.reference_distance / bf.REFERENCE_DISTANCE) ** 2
     tolerance = 1e-13 * (initial * scale).max()
     assert bmap.iterations == iterations
@@ -492,6 +492,12 @@ def _assert_matches_clean_sc_oracle(csm, steer, **kwargs):
         assert abs(p - comps[t] * scale[t]) <= tolerance
     assert np.abs(bmap.raw_values - dirty * scale).max() <= tolerance
     return bmap
+
+
+def _random_rank_60_csm(steer, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((steer.n_channels, 60)) + 1j * rng.standard_normal((steer.n_channels, 60))
+    return CrossSpectralMatrix(frequency=4000.0, factor=x / np.sqrt(60), diagonal=np.zeros(steer.n_channels))
 
 
 class TestCleanScOracle:
@@ -520,34 +526,69 @@ class TestCleanScOracle:
         assert bmap.stop_reason == "max_iterations"
 
     def test_noise_csm_until_norm_increase(self, pitch_case):
-        # two sources and sensor noise leave many components before the Frobenius norm rises. The diagonal is
-        # removed: without that, each component is a Schur complement of a positive semi-definite CSM, which
-        # cannot raise the norm, so the norm rises only once the CSM's rank is spent and D is rounding
-        csms, steering = pitch_case
+        # a random rank-60 CSM without diagonal removal: each component is a Schur complement of a positive
+        # semi-definite D, which cannot raise its norm, so the components spend the rank, and then the next
+        # peak is within its rounding
+        _, steering = pitch_case
         steer = bf.steering_vectors(steering, 4000.0)
         bmap = _assert_matches_clean_sc_oracle(
-            csms[4000.0], steer, loop_gain=0.8, stop_threshold=0.0, diagonal_removal=True
+            _random_rank_60_csm(steer, 7), steer, stop_threshold=0.0, diagonal_removal=False
         )
         assert bmap.iterations > 5
+        assert bmap.stop_reason == "norm_increase"
+
+    @pytest.mark.parametrize("seed", range(7))
+    def test_rank_is_spent_without_diagonal_removal(self, pitch_case, seed):
+        # seed 7 is the test above. The peaks of the last of 60 components fall to about 1e-13 of the first, and
+        # the peak after them to rounding: both sides take exactly 60 components and stop on the rounding of the
+        # peak, not by chance
+        _, steering = pitch_case
+        steer = bf.steering_vectors(steering, 4000.0)
+        bmap = _assert_matches_clean_sc_oracle(
+            _random_rank_60_csm(steer, seed), steer, stop_threshold=0.0, diagonal_removal=False
+        )
+        assert bmap.iterations == 60
+        assert bmap.stop_reason == "norm_increase"
+
+    @pytest.mark.parametrize("frequency", [1000.0, 4000.0, 16000.0])
+    def test_pitch_csm_until_norm_increase(self, pitch_case, frequency):
+        # with the diagonal removed a component can raise the norm: two sources and sensor noise leave many
+        # components first
+        csms, steering = pitch_case
+        steer = bf.steering_vectors(steering, frequency)
+        bmap = _assert_matches_clean_sc_oracle(
+            csms[frequency], steer, loop_gain=0.8, stop_threshold=0.0, diagonal_removal=True
+        )
+        assert bmap.iterations > 5
+        assert bmap.stop_reason == "norm_increase"
+
+    def test_full_rank_csm_is_spent(self, pitch_case):
+        # sensor noise makes the 16 kHz CSM full rank, and the steering vectors see all of it: at unit loop gain
+        # each component spends one rank, so a run without diagonal removal takes one per sensor and stops
+        csms, steering = pitch_case
+        steer = bf.steering_vectors(steering, 16000.0)
+        bmap = _assert_matches_clean_sc_oracle(
+            csms[16000.0], steer, stop_threshold=0.0, max_iterations=400, diagonal_removal=False
+        )
+        assert bmap.iterations == steer.n_channels
         assert bmap.stop_reason == "norm_increase"
 
     @pytest.mark.parametrize("frequency", [1000.0, 4000.0, 16000.0])
     @pytest.mark.parametrize("diagonal_removal", [True, False])
     def test_kept_norm_is_the_dense_norm(self, pitch_case, monkeypatch, frequency, diagonal_removal):
-        # the Gram bookkeeping: after every kept component, the ‖D‖_F that clean_sc keeps against the oracle's
-        # dense one. The kept ‖D‖^2 is a running sum, so its error is absolute, about eps ‖D_0‖^2: within 1e-13
-        # of ‖D_0‖^2 throughout, and within 1e-10 relative while ‖D‖ is at least 1e-2 of ‖D_0‖
+        # the Gram bookkeeping: after every kept component, ‖D_0‖^2 plus the changes clean_sc read for the
+        # components so far against the oracle's dense ‖D‖^2. That sum's error is absolute, about eps ‖D_0‖^2:
+        # within 1e-13 of ‖D_0‖^2 throughout, and within 1e-10 relative while ‖D‖ is at least 1e-2 of ‖D_0‖
         csms, steering = pitch_case
         steer = bf.steering_vectors(steering, frequency)
-        kept = []
+        changes = []
         subtract = bf._DegradedCsm.subtract
 
         def spy(self, comp, weight):
-            if not kept:
-                kept.append(self.norm2)
+            change = self.growth(comp, weight)
             added = subtract(self, comp, weight)
             if added:
-                kept.append(self.norm2)
+                changes.append(change)
             return added
 
         monkeypatch.setattr(bf._DegradedCsm, "subtract", spy)
@@ -556,15 +597,14 @@ class TestCleanScOracle:
         if diagonal_removal:
             np.fill_diagonal(values, 0.0)
         norms = [np.linalg.norm(values)]
-        clean_sc_oracle(dense_values(csms[frequency]), steer.matrix, loop_gain=0.8,
-                        diagonal_removal=diagonal_removal, norms=norms)
-        assert len(kept) == len(norms) == bmap.iterations + 1 > 3
+        clean_sc_oracle(csms[frequency], steer.matrix, loop_gain=0.8, diagonal_removal=diagonal_removal, norms=norms)
+        assert len(changes) + 1 == len(norms) == bmap.iterations + 1 > 3
         dense = np.array(norms)
-        kept_norm = np.sqrt(kept)
-        assert np.abs(np.array(kept) - dense**2).max() <= 1e-13 * dense[0] ** 2
+        kept = dense[0] ** 2 + np.cumsum([0.0] + changes)
+        assert np.abs(kept - dense**2).max() <= 1e-13 * dense[0] ** 2
         large = dense >= 1e-2 * dense[0]
         assert large.sum() > 1
-        assert np.abs(kept_norm[large] / dense[large] - 1.0).max() <= 1e-10
+        assert np.abs(np.sqrt(kept[large]) / dense[large] - 1.0).max() <= 1e-10
 
 
 DNW_CASES = {

@@ -190,15 +190,20 @@ def random_factor(rng, m, k):
 class TestFactoredCsm:
     @pytest.mark.parametrize("m, k", [(1, 1), (7, 3), (300, 2), (513, 4)])
     def test_values_are_the_factor_product(self, rng, m, k):
-        # CLEAN-SC's degraded CSM before its first component: its product and Frobenius norm are the dense matrix's
+        # CLEAN-SC's degraded CSM before its first component: its column D w and peak w^H D w are the dense
+        # matrix's, and so is the change a component c makes to its squared Frobenius norm
         factor = random_factor(rng, m, k)
         diagonal = rng.uniform(0.0, 2.0, m)
         csm = sp.CrossSpectralMatrix(frequency=100.0, factor=factor, diagonal=diagonal)
         expected = dense_values(csm)
-        w = random_factor(rng, m, 1)[:, 0]
+        w, c = random_factor(rng, m, 2).T
         degraded = bf._DegradedCsm(csm, diagonal_removal=False)
-        assert np.abs(degraded @ w - expected @ w).max() <= 1e-14 * np.abs(expected @ w).max()
-        assert np.sqrt(degraded.norm2) == pytest.approx(np.linalg.norm(expected), rel=1e-14)
+        column, peak, magnitude = degraded.column(w)
+        assert np.abs(column - expected @ w).max() <= 1e-14 * np.abs(expected @ w).max()
+        assert peak == pytest.approx(np.vdot(w, expected @ w).real, rel=1e-14)
+        assert magnitude == pytest.approx(peak, rel=1e-14)  # every term of a positive semi-definite D's peak is >= 0
+        change = np.linalg.norm(expected - 0.5 * np.outer(c, c.conj())) ** 2 - np.linalg.norm(expected) ** 2
+        assert degraded.growth(c, -0.5) == pytest.approx(change, rel=1e-12)
         assert csm.n_channels == m
 
     @pytest.mark.parametrize("m, k", [(1, 1), (7, 3), (300, 2)])
